@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import FiniteMCP
-from .risk import RiskMapSpec, risk_values
+from .risk import RiskMapSpec, logsumexp_rows, risk_values
 
 __all__ = [
     "ContractionCertificate",
@@ -93,9 +93,8 @@ def _subset_row_index(mcp: FiniteMCP, subset: np.ndarray) -> np.ndarray:
 
 
 def _row_state_action(mcp: FiniteMCP, row_idx: int) -> tuple[int, int]:
-    offs = mcp.row_offsets
-    x = int(np.searchsorted(offs, row_idx, side="right") - 1)
-    return x, int(row_idx - offs[x])
+    x = int(mcp.row_state[row_idx])
+    return x, int(row_idx - mcp.row_offsets[x])
 
 
 def fit_lyapunov(
@@ -126,14 +125,13 @@ def fit_lyapunov(
         up = cost + risk_values(spec, w0, rows)
         down = -(cost + risk_values(spec, -w0, rows))
     drift = np.maximum(up, down)
-    state_of_row = np.repeat(np.arange(mcp.n_states), np.diff(mcp.row_offsets))
     if states is not None:
-        keep = np.isin(state_of_row, np.asarray(states))
+        keep = np.isin(mcp.row_state, np.asarray(states))
         drift = drift[keep]
         row_ids = np.flatnonzero(keep)
     else:
         row_ids = np.arange(len(drift))
-    w0_of_row = w0[state_of_row[row_ids]]
+    w0_of_row = w0[mcp.row_state[row_ids]]
     k0s = []
     argmaxes = []
     for g in grid:
@@ -405,8 +403,7 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     rows = mcp.stacked_transition[_subset_row_index(mcp, np.asarray(subset, dtype=np.intp))]
     with np.errstate(divide="ignore"):
         a = np.log(rows) + K * w
-    amax = a.max(axis=1)
-    log_denom = float(np.max(amax + np.log(np.exp(a - amax[:, None]).sum(axis=1))))
+    log_denom = float(np.max(logsumexp_rows(a)))
     tilt = np.exp(-K * w)
     num = float(base.mu @ tilt)
     alpha = math.exp(math.log(base.alpha) + math.log(num) - log_denom)

@@ -1,8 +1,9 @@
-"""Command-line front end: ``riskmdp solve|verify|sweep --config cfg.json``.
+"""Command-line front end: riskmdp solve|verify|sweep --config cfg.json.
 
-Exit codes: 0 success, 2 configuration error, 3 solver did not converge
-(results are still written), 4 a requested certificate is unsatisfied (the
-report is still written).  Set RISKMDP_LOG=error|info|debug for verbosity.
+Exit codes: 0 success, 2 configuration error (including an invalid model),
+3 solver did not converge (results are still written), 4 a requested
+certificate is unsatisfied (the report is still written).  Set
+RISKMDP_LOG=error|info|debug for verbosity.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .certificates import (
     local_doeblin,
     map_minorization_factor,
 )
-from .mdp import FiniteMCP, level_set
+from .mdp import FiniteMCP, level_set, validate_mcp
 from .models import (
     DiffusionSpec,
     GridSpec,
@@ -79,6 +80,8 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
 
     ``meta`` carries the diffusion/grid objects when the model came from a
     discretization, so weight specs like entropic_w1 can be resolved later.
+    The model is validated (stochastic rows, finite costs) before it is
+    returned; a violation is a ``ConfigError``.
     """
     mcfg = cfg.get("model")
     if not isinstance(mcfg, dict):
@@ -94,6 +97,8 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
             mcp = FiniteMCP.load_json(p)
         except OSError as e:
             raise ConfigError(f"cannot read model {p}: {e}") from e
+        except ValueError as e:
+            raise ConfigError(f"bad model {p}: {e}") from e
     elif "diffusion" in mcfg:
         dcfg = dict(mcfg["diffusion"])
         gcfg = mcfg.get("grid", {})
@@ -118,6 +123,10 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
         raise ConfigError("model must specify one of: builtin, path, diffusion")
     if "cost" in mcfg and "diffusion" not in mcfg:
         mcp = attach_cost(mcp, _cost_form(mcfg["cost"], mcp, meta))
+    bad = validate_mcp(mcp).violations
+    if bad:
+        more = f" (and {len(bad) - 5} more)" if len(bad) > 5 else ""
+        raise ConfigError(f"invalid model: {'; '.join(bad[:5])}{more}")
     return mcp, meta
 
 
@@ -237,9 +246,7 @@ def _run_certificate(entry: dict, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict,
     kind = entry.get("type")
     if kind == "lyapunov":
         w0 = _resolve_weight(entry["w0"], mcp, meta)
-        target = mcp if entry.get("include_cost", True) else mcp.with_cost(
-            [np.zeros(mcp.n_actions(x)) for x in range(mcp.n_states)]
-        )
+        target = mcp if entry.get("include_cost", True) else mcp.with_cost(np.zeros_like(mcp.stacked_cost))
         cert = fit_lyapunov(
             target, spec, w0,
             gamma_grid=entry.get("gamma_grid"),
@@ -410,7 +417,9 @@ def _output_dir(cfg: dict, output_dir: str | None) -> Path:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = argparse.ArgumentParser(prog="riskmdp", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="riskmdp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("solve", "run relative value iteration and write result.json + trace.csv"),

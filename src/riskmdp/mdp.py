@@ -2,12 +2,17 @@
 
 A model is a finite state set {0..n-1}, a per-state list of action labels,
 a transition row for each (state, action) pair and a scalar running cost
-for each pair.  Value functions are plain 1-d numpy arrays indexed by state.
+for each pair, stored once as read-only stacked arrays with per-state views
+(see :class:`FiniteMCP`).  Value functions are plain 1-d numpy arrays
+indexed by state.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,6 +24,7 @@ __all__ = [
     "ValidationReport",
     "WeightSpec",
     "level_set",
+    "policy_reduce",
     "policy_transition_and_cost",
     "seminorm_via_centering",
     "validate_mcp",
@@ -27,29 +33,91 @@ __all__ = [
 ]
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; the caller's own array stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _stacked(data, counts: np.ndarray, tail: tuple[int, ...], name: str) -> np.ndarray:
+    """One read-only ``(sum(counts), *tail)`` array from per-state blocks.
+
+    ``data`` is either already stacked (an ndarray with one row axis) or a
+    sequence with one block per state; a block of the wrong shape raises
+    ``ValueError`` naming its state.
+    """
+    want = (int(counts.sum()), *tail)
+    if isinstance(data, np.ndarray) and data.ndim == 1 + len(tail):
+        out = np.asarray(data, dtype=float)
+        if out.shape != want:
+            raise ValueError(f"stacked {name} shape {out.shape}, want {want}")
+        return _read_only(out)
+    if len(data) != len(counts):
+        raise ValueError(f"{name} has {len(data)} states, want {len(counts)}")
+    blocks = []
+    for x, block in enumerate(data):
+        try:
+            block = np.asarray(block, dtype=float)
+        except ValueError as e:
+            raise ValueError(f"{name} at x={x} is not a rectangular array: {e}") from None
+        if not tail:
+            block = block.reshape(-1)
+        if block.shape != (counts[x], *tail):
+            raise ValueError(f"{name} shape {block.shape} at x={x}, want {(int(counts[x]), *tail)}")
+        blocks.append(block)
+    return _read_only(np.concatenate(blocks))
+
+
+class _StateBlocks(Sequence):
+    """Per-state read-only views ``data[offsets[x]:offsets[x + 1]]``."""
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray) -> None:
+        self._data, self._offsets = data, offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, x) -> np.ndarray:
+        x = range(len(self))[x]
+        return self._data[self._offsets[x] : self._offsets[x + 1]]
+
+
 class FiniteMCP:
     """Finite-state, finite-action controlled Markov chain with running costs.
 
-    ``transition[x]`` is an ``(n_actions(x), n_states)`` array of probability
-    rows and ``cost[x]`` the matching vector of running costs.  Action sets
-    may differ in size between states.  ``state_coords`` optionally embeds
-    states in R^d (used by grid discretizations and coordinate-based costs).
+    The rows are stored once, stacked: ``stacked_transition`` holds one
+    probability row per (state, action) pair in state order, state x owning
+    rows ``row_offsets[x]:row_offsets[x + 1]`` (``row_state`` maps a row back
+    to its state), and ``stacked_cost`` the matching costs.  ``transition[x]``
+    (shape ``(n_actions(x), n_states)``) and ``cost[x]`` are views into them.
+    Action sets may differ in size between states.  ``state_coords``
+    optionally embeds states in R^d (grid discretizations, coordinate costs).
+
+    ``transition`` and ``cost`` are given per state or already stacked (a
+    2-d ``(rows, n)`` array and a 1-d cost array).  A wrong shape or an empty
+    action set raises ``ValueError`` naming the state.  The stored arrays are
+    read-only so that models can share them: derive a new model instead.
     """
 
-    actions: list[list[str]]
-    transition: list[np.ndarray]
-    cost: list[np.ndarray]
-    state_coords: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.transition = [np.asarray(rows, dtype=float) for rows in self.transition]
-        self.cost = [np.asarray(c, dtype=float).reshape(-1) for c in self.cost]
-        if self.state_coords is not None:
-            coords = np.asarray(self.state_coords, dtype=float)
-            if coords.ndim == 1:
-                coords = coords[:, None]
-            self.state_coords = coords
+    def __init__(self, actions: list[list[str]], transition, cost, state_coords=None) -> None:
+        self.actions = actions
+        n = len(actions)
+        counts = np.fromiter(map(len, actions), dtype=np.intp, count=n)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            raise ValueError(f"empty action set at x={empty[0]}")
+        self.row_offsets = _read_only(np.concatenate([[0], np.cumsum(counts)]).astype(np.intp))
+        self.row_state = _read_only(np.repeat(np.arange(n), counts))
+        self.stacked_transition = _stacked(transition, counts, (n,), "transition")
+        self.stacked_cost = _stacked(cost, counts, (), "cost")
+        if state_coords is not None:
+            coords = np.asarray(state_coords, dtype=float)
+            coords = coords.reshape(len(coords), -1)
+            if len(coords) != n:
+                raise ValueError(f"coords length {len(coords)} != n_states {n}")
+            state_coords = _read_only(coords)
+        self.state_coords = state_coords
 
     @property
     def n_states(self) -> int:
@@ -58,46 +126,33 @@ class FiniteMCP:
     def n_actions(self, x: int) -> int:
         return len(self.actions[x])
 
-    def row(self, x: int, a: int) -> np.ndarray:
-        """Transition row q(.|x,a)."""
-        return self.transition[x][a]
+    @property
+    def transition(self) -> Sequence[np.ndarray]:
+        return _StateBlocks(self.stacked_transition, self.row_offsets)
 
-    # Stacked views: all (x, a) rows concatenated in state order.  These are
-    # the hot path for value iteration, so they are computed once and cached.
-
-    @cached_property
-    def row_offsets(self) -> np.ndarray:
-        counts = [self.n_actions(x) for x in range(self.n_states)]
-        return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    @property
+    def cost(self) -> Sequence[np.ndarray]:
+        return _StateBlocks(self.stacked_cost, self.row_offsets)
 
     @cached_property
-    def stacked_transition(self) -> np.ndarray:
-        return np.vstack(self.transition)
+    def row_labels(self) -> np.ndarray:
+        """Action label of each stacked row (object array)."""
+        return np.array(list(itertools.chain.from_iterable(self.actions)), dtype=object)
 
-    @cached_property
-    def stacked_cost(self) -> np.ndarray:
-        return np.concatenate(self.cost)
-
-    def with_cost(self, cost: list[np.ndarray]) -> "FiniteMCP":
-        """Copy of the model with a replaced cost table."""
-        return FiniteMCP(
-            actions=[list(a) for a in self.actions],
-            transition=[rows.copy() for rows in self.transition],
-            cost=[np.asarray(c, dtype=float).reshape(-1).copy() for c in cost],
-            state_coords=None if self.state_coords is None else self.state_coords.copy(),
-        )
+    def with_cost(self, cost) -> "FiniteMCP":
+        """The model with a replaced cost table; rows and coordinates are shared."""
+        out = copy.copy(self)
+        out.stacked_cost = _stacked(cost, np.diff(self.row_offsets), (), "cost")
+        return out
 
     def restrict_to_policy(self, policy: "PolicyVector") -> "FiniteMCP":
         """Single-action model induced by a deterministic policy."""
         if policy.deterministic is None:
             raise ValueError("restrict_to_policy needs a deterministic policy")
-        f = policy.deterministic
-        return FiniteMCP(
-            actions=[[self.actions[x][f[x]]] for x in range(self.n_states)],
-            transition=[self.transition[x][f[x]][None, :].copy() for x in range(self.n_states)],
-            cost=[np.array([self.cost[x][f[x]]]) for x in range(self.n_states)],
-            state_coords=None if self.state_coords is None else self.state_coords.copy(),
-        )
+        policy.validate(self)
+        rows = self.row_offsets[:-1] + policy.deterministic
+        return FiniteMCP(self.row_labels[rows, None].tolist(), self.stacked_transition[rows],
+                         self.stacked_cost[rows], self.state_coords)
 
     # JSON interchange.  Field names are part of the on-disk contract.
 
@@ -116,13 +171,7 @@ class FiniteMCP:
         actions = [list(a) for a in data["actions"]]
         if len(actions) != n:
             raise ValueError(f"n_states={n} but {len(actions)} action lists")
-        coords = data.get("coords")
-        return cls(
-            actions=actions,
-            transition=[np.asarray(rows, dtype=float) for rows in data["transition"]],
-            cost=[np.asarray(c, dtype=float) for c in data["cost"]],
-            state_coords=None if coords is None else np.asarray(coords, dtype=float),
-        )
+        return cls(actions, data["transition"], data["cost"], data.get("coords"))
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -156,20 +205,25 @@ class PolicyVector:
     def validate(self, mcp: FiniteMCP, tol: float = 1e-12) -> None:
         if (self.deterministic is None) == (self.randomized is None):
             raise ValueError("policy must be exactly one of deterministic/randomized")
+        counts = np.diff(mcp.row_offsets)
         if self.deterministic is not None:
-            if len(self.deterministic) != mcp.n_states:
+            f = np.asarray(self.deterministic)
+            if len(f) != mcp.n_states:
                 raise ValueError("policy length != n_states")
-            for x, a in enumerate(self.deterministic):
-                if not 0 <= a < mcp.n_actions(x):
-                    raise ValueError(f"action index {a} out of range at state {x}")
+            bad = np.flatnonzero((f < 0) | (f >= counts))
+            if bad.size:
+                raise ValueError(f"action index {f[bad[0]]} out of range at state {bad[0]}")
         else:
             if len(self.randomized) != mcp.n_states:
                 raise ValueError("policy length != n_states")
-            for x, probs in enumerate(self.randomized):
-                if len(probs) != mcp.n_actions(x):
-                    raise ValueError(f"mixture length mismatch at state {x}")
-                if np.any(probs < 0) or abs(probs.sum() - 1.0) > tol:
-                    raise ValueError(f"mixture at state {x} is not a probability vector")
+            lengths = np.fromiter(map(len, self.randomized), dtype=np.intp, count=mcp.n_states)
+            bad = np.flatnonzero(lengths != counts)
+            if bad.size:
+                raise ValueError(f"mixture length mismatch at state {bad[0]}")
+            probs, starts = np.concatenate(self.randomized), mcp.row_offsets[:-1]
+            ok = (np.minimum.reduceat(probs, starts) >= 0) & (np.abs(np.add.reduceat(probs, starts) - 1.0) <= tol)
+            if not ok.all():
+                raise ValueError(f"mixture at state {np.argmin(ok)} is not a probability vector")
 
 
 @dataclass(frozen=True)
@@ -198,32 +252,25 @@ class ValidationReport:
 
 
 def validate_mcp(mcp: FiniteMCP, row_sum_tol: float = 1e-12) -> ValidationReport:
-    """Structural checks: shapes, stochastic rows, finite costs."""
-    bad: list[str] = []
-    n = mcp.n_states
-    for x in range(n):
-        if mcp.n_actions(x) == 0:
-            bad.append(f"empty action set at x={x}")
-            continue
-        rows = mcp.transition[x]
-        if rows.ndim != 2 or rows.shape != (mcp.n_actions(x), n):
-            bad.append(f"transition shape {rows.shape} at x={x}, want ({mcp.n_actions(x)}, {n})")
-            continue
-        if mcp.cost[x].shape != (mcp.n_actions(x),):
-            bad.append(f"cost shape {mcp.cost[x].shape} at x={x}")
-        if not np.all(np.isfinite(mcp.cost[x])):
-            bad.append(f"non-finite cost at x={x}")
-        for a in range(mcp.n_actions(x)):
-            row = rows[a]
-            neg = np.flatnonzero(row < 0)
-            if neg.size:
-                y = int(neg[0])
-                bad.append(f"negative entry {row[y]:.12g} at (x={x}, a={a}, y={y})")
-            s = row.sum()
-            if not np.isfinite(s) or abs(s - 1.0) > row_sum_tol:
-                bad.append(f"row sum {s:.12g} at (x={x}, a={a})")
-    if mcp.state_coords is not None and len(mcp.state_coords) != n:
-        bad.append(f"coords length {len(mcp.state_coords)} != n_states {n}")
+    """Stochastic rows and finite costs, checked over the stacked rows at once.
+
+    Shapes are already enforced when a model is built.  Violations are listed
+    by state, then action.
+    """
+    rows = mcp.stacked_transition
+    x_of = mcp.row_state
+    a_of = np.arange(len(rows)) - mcp.row_offsets[x_of]
+    found: list[tuple[int, int, int, str]] = []
+    for x in np.flatnonzero(np.logical_or.reduceat(~np.isfinite(mcp.stacked_cost), mcp.row_offsets[:-1])):
+        found.append((int(x), -1, 0, f"non-finite cost at x={x}"))
+    for r in np.flatnonzero(rows.min(axis=1) < 0):
+        x, a, y = int(x_of[r]), int(a_of[r]), int(np.argmax(rows[r] < 0))
+        found.append((x, a, 0, f"negative entry {rows[r, y]:.12g} at (x={x}, a={a}, y={y})"))
+    sums = rows.sum(axis=1)
+    for r in np.flatnonzero(~(np.abs(sums - 1.0) <= row_sum_tol)):
+        x, a = int(x_of[r]), int(a_of[r])
+        found.append((x, a, 1, f"row sum {sums[r]:.12g} at (x={x}, a={a})"))
+    bad = [msg for *_, msg in sorted(found)]
     return ValidationReport(ok=not bad, violations=bad)
 
 
@@ -291,18 +338,17 @@ def level_set(w0, radius: float) -> np.ndarray:
     return np.flatnonzero(w0 <= radius)
 
 
+def policy_reduce(mcp: FiniteMCP, policy: PolicyVector, vals: np.ndarray) -> np.ndarray:
+    """Per-state entries of per-(x, a) ``vals`` (stacked along axis 0) under a
+    policy: the chosen action's entry, or the mixture-weighted sum."""
+    starts = mcp.row_offsets[:-1]
+    if policy.is_deterministic:
+        return vals[starts + policy.deterministic]
+    weights = np.concatenate(policy.randomized).reshape((-1,) + (1,) * (vals.ndim - 1))
+    return np.add.reduceat(weights * vals, starts)
+
+
 def policy_transition_and_cost(mcp: FiniteMCP, policy: PolicyVector) -> tuple[np.ndarray, np.ndarray]:
     """Kernel and cost of the chain induced by a single-step policy."""
     policy.validate(mcp)
-    n = mcp.n_states
-    P = np.empty((n, n))
-    c = np.empty(n)
-    if policy.is_deterministic:
-        for x, a in enumerate(policy.deterministic):
-            P[x] = mcp.transition[x][a]
-            c[x] = mcp.cost[x][a]
-    else:
-        for x, probs in enumerate(policy.randomized):
-            P[x] = probs @ mcp.transition[x]
-            c[x] = probs @ mcp.cost[x]
-    return P, c
+    return policy_reduce(mcp, policy, mcp.stacked_transition), policy_reduce(mcp, policy, mcp.stacked_cost)

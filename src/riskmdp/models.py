@@ -115,13 +115,18 @@ class DiffusionSpec:
 
 
 def gaussian_kernel_row(mean: np.ndarray, cov_inv: np.ndarray, nodes: np.ndarray, cell_volume: float) -> np.ndarray:
-    """Unnormalized transition weights: Gaussian density times cell volume."""
+    """Unnormalized transition weights: Gaussian density times cell volume.
+
+    A mean of shape (d,) gives one row of shape (n,); a stack of means of
+    shape (s, d) gives one row per mean, shape (s, n).
+    """
     d = nodes.shape[1]
-    diff = nodes - mean
-    quad = np.einsum("nd,de,ne->n", diff, cov_inv, diff)
+    diff = nodes[None, :, :] - np.atleast_2d(mean)[:, None, :]
+    quad = np.einsum("snd,de,sne->sn", diff, cov_inv, diff)
     det = float(np.linalg.det(cov_inv))
     norm = (2.0 * np.pi) ** (-d / 2.0) * np.sqrt(det)
-    return norm * np.exp(-0.5 * quad) * cell_volume
+    rows = norm * np.exp(-0.5 * quad) * cell_volume
+    return rows if np.ndim(mean) == 2 else rows[0]
 
 
 def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
@@ -134,30 +139,21 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
     if spec.dim > 3:
         raise ValueError("grid discretization supports dim <= 3")
     nodes, vol = grid_nodes(grid, spec.dim)
-    n = len(nodes)
-    transition = [np.empty((len(spec.actions), n)) for _ in range(n)]
+    n, k = len(nodes), len(spec.actions)
+    # Stacked rows: (state x, action ai) sits at row x * k + ai.
+    rows = np.empty((n * k, n))
+    # Chunk source states so dim = 3 grids do not blow up memory.
+    chunk = max(1, int(2_000_000 // n))
     for ai, a in enumerate(spec.actions):
-        DDt = spec.diffusion[a] @ spec.diffusion[a].T
-        cov_inv = np.linalg.inv(DDt)
-        det = float(np.linalg.det(cov_inv))
-        norm = (2.0 * np.pi) ** (-spec.dim / 2.0) * np.sqrt(det)
+        cov_inv = np.linalg.inv(spec.diffusion[a] @ spec.diffusion[a].T)
         means = nodes @ spec.A.T + spec.drift_at(nodes, a)
-        # Chunk source states so dim = 3 grids do not blow up memory.
-        chunk = max(1, int(2_000_000 // n))
         for start in range(0, n, chunk):
-            m = means[start : start + chunk]
-            diff = nodes[None, :, :] - m[:, None, :]
-            quad = np.einsum("snd,de,sne->sn", diff, cov_inv, diff)
-            block = norm * np.exp(-0.5 * quad) * vol
+            block = gaussian_kernel_row(means[start : start + chunk], cov_inv, nodes, vol)
             sums = block.sum(axis=1, keepdims=True)
             if np.any(sums <= 0):
                 raise ValueError("a transition row lost all mass; grid too coarse or extent too small")
-            block /= sums
-            for i in range(block.shape[0]):
-                transition[start + i][ai] = block[i]
-    actions = [list(spec.actions) for _ in range(n)]
-    cost = [np.zeros(len(spec.actions)) for _ in range(n)]
-    return FiniteMCP(actions=actions, transition=transition, cost=cost, state_coords=nodes)
+            np.divide(block, sums, out=rows[start * k + ai : (start + len(block)) * k : k])
+    return FiniteMCP(actions=[list(spec.actions)] * n, transition=rows, cost=np.zeros(n * k), state_coords=nodes)
 
 
 @dataclass(frozen=True)
@@ -189,20 +185,14 @@ def attach_cost(mcp: FiniteMCP, form) -> FiniteMCP:
     if isinstance(form, TabulatedCost):
         if len(form.table) != n:
             raise ValueError("tabulated cost length != n_states")
-        cost = [np.asarray(c, dtype=float) for c in form.table]
-        for x, c in enumerate(cost):
-            if c.shape != (mcp.n_actions(x),):
-                raise ValueError(f"cost shape mismatch at state {x}")
-        return mcp.with_cost(cost)
+        return mcp.with_cost(form.table)
     if isinstance(form, QuadraticCost):
         if mcp.state_coords is None:
             raise ValueError("quadratic cost needs state coordinates")
         sq = np.sum(mcp.state_coords**2, axis=1)
-        terms = form.action_terms or {}
-        cost = [
-            np.array([form.c0 * sq[x] + terms.get(lbl, 0.0) for lbl in mcp.actions[x]])
-            for x in range(n)
-        ]
+        cost = form.c0 * sq[mcp.row_state]
+        for label, term in (form.action_terms or {}).items():
+            cost[mcp.row_labels == label] += term
         return mcp.with_cost(cost)
     if isinstance(form, PowerCost):
         w1 = np.asarray(form.w1, dtype=float)
@@ -210,9 +200,7 @@ def attach_cost(mcp: FiniteMCP, form) -> FiniteMCP:
             raise ValueError("w1 length != n_states")
         if np.any(w1 < 0):
             raise ValueError("w1 must be nonnegative")
-        vals = form.c0 * w1**form.q
-        cost = [np.full(mcp.n_actions(x), vals[x]) for x in range(n)]
-        return mcp.with_cost(cost)
+        return mcp.with_cost((form.c0 * w1**form.q)[mcp.row_state])
     raise TypeError(f"unknown cost form {type(form).__name__}")
 
 
@@ -251,20 +239,12 @@ def builtin_chain(name: str, **params) -> FiniteMCP:
         n = int(params.get("n", 5))
         if n < 3:
             raise ValueError("ring needs n >= 3")
-        transition = []
-        for x in range(n):
-            row = np.zeros(n)
-            row[(x - 1) % n] = 0.5
-            row[(x + 1) % n] = 0.5
-            transition.append(row[None, :])
+        states = np.arange(n)
+        rows = np.zeros((n, n))
+        rows[states, (states - 1) % n] = rows[states, (states + 1) % n] = 0.5
         # Cost 1 at state 0, else 0: the long-run mean cost is 1/n.
-        cost = [np.array([1.0 if x == 0 else 0.0]) for x in range(n)]
-        return FiniteMCP(
-            actions=[["a"]] * n,
-            transition=transition,
-            cost=cost,
-            state_coords=np.arange(n, dtype=float)[:, None],
-        )
+        cost = (states == 0).astype(float)
+        return FiniteMCP(actions=[["a"]] * n, transition=rows, cost=cost, state_coords=states[:, None])
     if name == "random_seeded":
         n = int(params.get("n", 4))
         m = int(params.get("m", 2))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
-from .risk import RiskMapSpec, eval_risk
+from .risk import RiskMapSpec, eval_risk, logsumexp_rows
 from .solver import SolveConfig, relative_value_iteration
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "neutral_average_cost",
     "path_enumeration_entropic",
     "policy_table_to_csv",
-    "solve_linear",
     "static_total_cost_risk",
     "total_cost_law",
 ]
@@ -40,29 +39,6 @@ class OracleResult:
     h: np.ndarray
     method: str
     error_bound: float
-
-
-def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense solve by Gaussian elimination with partial pivoting."""
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    n = len(b)
-    if A.shape != (n, n):
-        raise ValueError("A must be square and match b")
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) < 1e-300:
-            raise np.linalg.LinAlgError("singular system")
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        factors = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k:] -= np.outer(factors, A[k, k:])
-        b[k + 1 :] -= factors * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-    return x
 
 
 def is_primitive(P: np.ndarray) -> bool:
@@ -134,7 +110,7 @@ def neutral_average_cost(P: np.ndarray, c: np.ndarray, reference_state: int = 0)
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    pi = solve_linear(A, b)
+    pi = np.linalg.solve(A, b)
     if np.any(pi < -1e-10):
         raise ValueError("stationary solve produced negative mass; chain not irreducible?")
     rho = float(pi @ c)
@@ -143,7 +119,7 @@ def neutral_average_cost(P: np.ndarray, c: np.ndarray, reference_state: int = 0)
     B[reference_state, :] = 0.0
     B[reference_state, reference_state] = 1.0
     rhs[reference_state] = 0.0
-    h = solve_linear(B, rhs)
+    h = np.linalg.solve(B, rhs)
     # The replaced equation must hold automatically; a large residual there
     # means the chain was not irreducible.
     dropped = float(abs((np.eye(n) - P)[reference_state] @ h - (c - rho)[reference_state]))
@@ -237,12 +213,7 @@ def path_enumeration_entropic(
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
     laws = total_cost_law(mcp, policy, T, budget)
-    out = np.empty(mcp.n_states)
-    for x0, (probs, costs) in enumerate(laws):
-        a = np.log(probs) + lam * costs
-        amax = a.max()
-        out[x0] = (amax + np.log(np.exp(a - amax).sum())) / lam
-    return out
+    return np.array([logsumexp_rows((np.log(probs) + lam * costs)[None, :])[0] / lam for probs, costs in laws])
 
 
 def static_total_cost_risk(mcp: FiniteMCP, policy: PolicyVector, spec: RiskMapSpec, T: int) -> np.ndarray:

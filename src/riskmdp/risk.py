@@ -38,6 +38,7 @@ __all__ = [
     "entropic",
     "entropic_upper_envelope",
     "eval_risk",
+    "logsumexp_rows",
     "maximize_ratio_over_box",
     "mean_semideviation",
     "risk_values",
@@ -214,7 +215,8 @@ def _as_stack(v, rows):
     return V, rows
 
 
-def _logsumexp_rows(A: np.ndarray) -> np.ndarray:
+def logsumexp_rows(A: np.ndarray) -> np.ndarray:
+    """log(sum(exp(A), axis=1)), shifted by each row's max so it cannot overflow."""
     amax = np.max(A, axis=1)
     out = np.empty_like(amax)
     finite = np.isfinite(amax)
@@ -230,7 +232,7 @@ def _logsumexp_rows(A: np.ndarray) -> np.ndarray:
 def _entropic_rows(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         A = np.log(rows) + lam * V
-    return _logsumexp_rows(A) / lam
+    return logsumexp_rows(A) / lam
 
 
 def _band_rows(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:

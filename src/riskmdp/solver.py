@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import FiniteMCP, PolicyVector, WeightSpec, weighted_seminorm
+from .mdp import FiniteMCP, PolicyVector, WeightSpec, policy_reduce, weighted_seminorm
 from .risk import RiskMapSpec, risk_values
 
 __all__ = [
@@ -62,43 +62,30 @@ class SolveResult:
     trace: list[TraceRecord] = field(default_factory=list)
 
 
-def _policy_risk_stack(mcp: FiniteMCP, policy: PolicyVector, vals: np.ndarray) -> np.ndarray:
-    """Reduce per-(x, a) values to per-state values under a policy."""
-    offs = mcp.row_offsets
-    if policy.is_deterministic:
-        return vals[offs[:-1] + policy.deterministic]
-    weights = np.concatenate(policy.randomized)
-    return np.add.reduceat(weights * vals, offs[:-1])
-
-
 def apply_risk_policy(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.ndarray) -> np.ndarray:
     """R^pi(v): the one-step risk of v under the policy, without running cost."""
     vals = risk_values(spec, np.asarray(v, dtype=float), mcp.stacked_transition)
-    return _policy_risk_stack(mcp, policy, vals)
+    return policy_reduce(mcp, policy, vals)
 
 
 def bellman_T(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.ndarray) -> np.ndarray:
     """T^pi(v)(x) = sum_a pi(a|x) [ c(x,a) + R(v|x,a) ]."""
     vals = mcp.stacked_cost + risk_values(spec, np.asarray(v, dtype=float), mcp.stacked_transition)
-    return _policy_risk_stack(mcp, policy, vals)
+    return policy_reduce(mcp, policy, vals)
 
 
 def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray) -> tuple[np.ndarray, PolicyVector]:
     """F(v)(x) = min_a [ c(x,a) + R(v|x,a) ], with the greedy policy.
 
-    Ties go to the lowest action index.
+    Ties go to the lowest action index; a NaN counts as the minimum, as in
+    ``np.argmin``.
     """
     vals = mcp.stacked_cost + risk_values(spec, np.asarray(v, dtype=float), mcp.stacked_transition)
-    offs = mcp.row_offsets
-    n = mcp.n_states
-    out = np.empty(n)
-    greedy = np.empty(n, dtype=np.intp)
-    for x in range(n):
-        seg = vals[offs[x] : offs[x + 1]]
-        a = int(np.argmin(seg))
-        greedy[x] = a
-        out[x] = seg[a]
-    return out, PolicyVector.det(greedy)
+    starts = mcp.row_offsets[:-1]
+    best = np.minimum.reduceat(vals, starts)
+    hit = (vals == best[mcp.row_state]) | np.isnan(vals)
+    first = np.minimum.reduceat(np.where(hit, np.arange(len(vals)), len(vals)), starts)
+    return vals[first], PolicyVector.det(first - starts)
 
 
 def relative_value_iteration(
@@ -112,7 +99,9 @@ def relative_value_iteration(
     Stops when the weighted seminorm of the increment (or its plain span)
     drops below ``cfg.tol``; hitting ``cfg.max_iter`` returns a result with
     ``converged=False`` rather than raising, so callers can inspect the
-    trace.  The bracket midpoints (m + M)/2 give the rho estimate.
+    trace.  A non-finite increment span raises ``FloatingPointError`` at the
+    sweep where it appears.  The bracket midpoints (m + M)/2 give the rho
+    estimate.
     """
     n = mcp.n_states
     if not 0 <= cfg.reference_state < n:
@@ -130,6 +119,8 @@ def relative_value_iteration(
         delta = u - v
         m = float(delta.min())
         M = float(delta.max())
+        if not np.isfinite(M - m):
+            raise FloatingPointError(f"non-finite increment at sweep {it}: min {m}, max {M}")
         trace.append(TraceRecord(it, M - m, m, M, 0.5 * (m + M), time.monotonic_ns() - t0))
         v = u - u[cfg.reference_state]
         if M - m < cfg.tol or weighted_seminorm(delta, w) < cfg.tol:

@@ -131,6 +131,40 @@ def test_bad_configs_are_exit_2(tmp_path, cfg):
     assert code == 2
 
 
+def write_model(tmp_path, transition, cost):
+    model = {"n_states": 2, "actions": [["a"], ["a"]], "transition": transition, "cost": cost,
+             "coords": None}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    return {"model": {"path": "model.json"}, "risk": {"kind": "neutral"}}
+
+
+def test_model_with_bad_row_sum_is_exit_2(tmp_path, capsys):
+    cfg = write_model(tmp_path, [[[0.6, 0.5]], [[0.5, 0.5]]], [[0.0], [1.0]])
+    code, out = run(tmp_path, "solve", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "row sum" in err and "x=0" in err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("second", [[[0.5]], [[0.5, 0.5], [1.0]]])
+def test_model_with_ragged_row_names_the_state(tmp_path, capsys, second):
+    cfg = write_model(tmp_path, [[[0.5, 0.5]], second], [[0.0], [1.0]])
+    code, _ = run(tmp_path, "solve", cfg)
+    assert code == 2
+    assert "x=1" in capsys.readouterr().err
+
+
+def test_nan_in_tabulated_cost_is_exit_2(tmp_path, capsys):
+    cfg = {
+        "model": {"builtin": "uniform2", "cost": {"form": "tabulated", "table": [[float("nan")], [1.0]]}},
+        "risk": {"kind": "neutral"},
+    }
+    code, _ = run(tmp_path, "solve", cfg)
+    assert code == 2
+    assert "non-finite cost at x=0" in capsys.readouterr().err
+
+
 # --- verify ----------------------------------------------------------------------
 
 
@@ -361,6 +395,7 @@ def test_console_script_help():
     assert proc.stdout.startswith("usage: riskmdp")
     for word in ("solve", "verify", "sweep"):
         assert word in proc.stdout
+    assert "``" not in proc.stdout
 
 
 def test_console_script_requires_subcommand():

@@ -33,6 +33,78 @@ def two_state(rows, cost=((0.0,), (1.0,))):
     )
 
 
+# --- stacked storage ----------------------------------------------------
+
+
+def test_per_state_views_share_the_stacked_rows():
+    m = builtin_chain("random_seeded", n=4, m=3, seed=3)
+    assert m.stacked_transition.shape == (12, 4)
+    assert m.row_offsets.tolist() == [0, 3, 6, 9, 12]
+    for x in range(m.n_states):
+        assert np.shares_memory(m.transition[x], m.stacked_transition)
+        assert np.shares_memory(m.cost[x], m.stacked_cost)
+        assert np.array_equal(m.transition[x], m.stacked_transition[3 * x : 3 * x + 3])
+    assert len(m.transition) == 4
+    assert np.array_equal(m.transition[-1], m.transition[3])
+    with pytest.raises(IndexError):
+        m.transition[4]
+
+
+def test_with_cost_shares_rows_and_replaces_only_cost():
+    m = builtin_chain("random_seeded", n=4, m=2, seed=4)
+    m2 = m.with_cost(np.arange(8.0))
+    assert np.shares_memory(m2.stacked_transition, m.stacked_transition)
+    assert m2.cost[1].tolist() == [2.0, 3.0]
+    assert not np.array_equal(m.stacked_cost, m2.stacked_cost)  # original untouched
+    assert m2.with_cost([np.zeros(2)] * 4).stacked_cost.tolist() == [0.0] * 8
+
+
+def test_stacked_arrays_are_read_only():
+    m = builtin_chain("biased2")
+    with pytest.raises(ValueError):
+        m.stacked_transition[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.transition[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.stacked_cost[0] = 5.0
+
+
+def test_read_only_rule_leaves_the_callers_array_writable():
+    rows = np.array([[0.5, 0.5], [0.3, 0.7]])
+    m = FiniteMCP(actions=[["a"], ["a"]], transition=rows, cost=np.zeros(2))
+    rows[0, 0] = 0.25
+    assert not m.stacked_transition.flags.writeable
+
+
+def test_stacked_and_per_state_inputs_build_the_same_model():
+    m = builtin_chain("random_seeded", n=3, m=2, seed=6)
+    m2 = FiniteMCP(actions=m.actions, transition=np.array(m.stacked_transition),
+                   cost=np.array(m.stacked_cost))
+    assert np.array_equal(m2.stacked_transition, m.stacked_transition)
+    assert np.array_equal(m2.stacked_cost, m.stacked_cost)
+    assert m2.row_offsets.tolist() == m.row_offsets.tolist()
+
+
+@pytest.mark.parametrize(
+    "transition, cost, where",
+    [
+        ([[[0.5, 0.5]], [[1.0]]], [[0.0], [1.0]], "x=1"),
+        ([[[0.5, 0.5]], [[0.5, 0.5], [1.0]]], [[0.0], [1.0]], "x=1"),
+        ([[[0.5, 0.5]], [[0.5, 0.5]]], [[0.0], [1.0, 2.0]], "x=1"),
+        ([[[0.5, 0.5]]], [[0.0], [1.0]], "states"),
+        (np.full((3, 2), 0.5), np.zeros(2), "stacked transition"),
+    ],
+)
+def test_mismatched_shapes_raise_at_construction(transition, cost, where):
+    with pytest.raises(ValueError, match=where):
+        FiniteMCP(actions=[["a"], ["a"]], transition=transition, cost=cost)
+
+
+def test_empty_action_set_raises_at_construction():
+    with pytest.raises(ValueError, match="empty action set at x=1"):
+        FiniteMCP(actions=[["a"], []], transition=[[[1.0, 0.0]], np.empty((0, 2))], cost=[[0.0], []])
+
+
 # --- validation ---------------------------------------------------------
 
 
@@ -63,6 +135,20 @@ def test_validate_flags_nonfinite_cost():
     rep = validate_mcp(m)
     assert not rep.ok
     assert any("cost" in v for v in rep.violations)
+
+
+def test_validate_lists_violations_by_state_then_action():
+    m = FiniteMCP(
+        actions=[["a", "b"], ["a"]],
+        transition=[np.array([[0.5, 0.5], [1.2, -0.1]]), np.array([[0.5, 0.6]])],
+        cost=[np.array([0.0, 0.0]), np.array([np.nan])],
+    )
+    assert validate_mcp(m).violations == [
+        "negative entry -0.1 at (x=0, a=1, y=1)",
+        "row sum 1.1 at (x=0, a=1)",
+        "non-finite cost at x=1",
+        "row sum 1.1 at (x=1, a=0)",
+    ]
 
 
 # --- weighted norm and seminorm -----------------------------------------
@@ -215,6 +301,9 @@ def test_restrict_to_policy_picks_rows():
     assert sub.n_actions(0) == 1
     assert np.array_equal(sub.transition[0][0], m.transition[0][1])
     assert sub.cost[2][0] == m.cost[2][0]
+    assert sub.actions == [["a1"], ["a1"], ["a0"]]
+    with pytest.raises(ValueError, match="out of range"):
+        m.restrict_to_policy(PolicyVector.det([2, 0, 0]))
 
 
 # --- hypothesis properties ------------------------------------------------

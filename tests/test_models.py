@@ -116,6 +116,24 @@ def test_gaussian_kernel_row_matches_density_times_volume():
     assert w.sum() == pytest.approx(1.0, abs=1e-3)
 
 
+def test_gaussian_kernel_row_batches_means():
+    nodes = np.linspace(-3.0, 3.0, 13)[:, None]
+    means = np.array([[-1.0], [0.0], [2.5]])
+    rows = gaussian_kernel_row(means, np.eye(1), nodes, cell_volume=0.5)
+    assert rows.shape == (3, 13)
+    for mean, row in zip(means, rows):
+        assert np.array_equal(row, gaussian_kernel_row(mean, np.eye(1), nodes, cell_volume=0.5))
+
+
+def test_discretized_model_is_stored_once():
+    m = discretize_diffusion(ou_spec(dim=2), GridSpec(points=5, extent=2.0))
+    assert m.stacked_transition.shape == (50, 25)
+    for x in (0, 12, 24):
+        assert np.shares_memory(m.transition[x], m.stacked_transition)
+    out = attach_cost(m, QuadraticCost(c0=1.0))
+    assert np.shares_memory(out.stacked_transition, m.stacked_transition)
+
+
 def test_discretized_rows_are_probability_rows():
     m = discretize_diffusion(ou_spec(), GridSpec(points=41, extent=4.0))
     assert m.n_states == 41

@@ -11,43 +11,11 @@ from riskmdp.oracles import (
     neutral_average_cost,
     path_enumeration_entropic,
     policy_table_to_csv,
-    solve_linear,
     static_total_cost_risk,
     total_cost_law,
 )
 from riskmdp.risk import RiskMapSpec
 from riskmdp.solver import SolveConfig, finite_horizon_risk, relative_value_iteration
-
-
-# --- linear solver -----------------------------------------------------------
-
-
-def test_solve_linear_hand_system():
-    A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    b = np.array([5.0, 10.0])
-    x = solve_linear(A, b)
-    assert np.allclose(A @ x, b, atol=1e-12)
-    assert np.allclose(x, [1.0, 3.0])
-
-
-def test_solve_linear_needs_pivoting():
-    # zero in the (0, 0) position forces a row swap
-    A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(solve_linear(A, np.array([2.0, 3.0])), [3.0, 2.0])
-
-
-def test_solve_linear_random_cross_check():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        A = rng.normal(size=(6, 6))
-        b = rng.normal(size=6)
-        assert np.allclose(solve_linear(A, b), np.linalg.solve(A, b), atol=1e-9)
-
-
-def test_solve_linear_singular_raises():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_linear(A, np.array([1.0, 1.0]))
 
 
 # --- primitivity -------------------------------------------------------------

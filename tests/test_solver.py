@@ -4,7 +4,7 @@ import pytest
 from riskmdp.mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
 from riskmdp.models import builtin_chain
 from riskmdp.oracles import entropic_spectral_rho, neutral_average_cost
-from riskmdp.risk import RiskMapSpec
+from riskmdp.risk import RiskMapSpec, eval_risk
 from riskmdp.solver import (
     SolveConfig,
     bellman_F,
@@ -94,6 +94,40 @@ def test_bellman_F_tie_goes_to_lowest_action_index():
     assert greedy.deterministic.tolist() == [0, 0]
 
 
+def uneven_chain():
+    """Four states with 3, 1, 2 and 3 actions; state 0 ties actions 1 and 2."""
+    rng = np.random.default_rng(21)
+    counts = [3, 1, 2, 3]
+    rows = [rng.dirichlet(np.ones(4), size=k) for k in counts]
+    rows[0][2] = rows[0][1]
+    cost = [rng.uniform(0.0, 1.0, size=k) for k in counts]
+    cost[0][:] = [5.0, 0.25, 0.25]
+    return FiniteMCP(actions=[[f"a{j}" for j in range(k)] for k in counts], transition=rows, cost=cost)
+
+
+def test_bellman_F_matches_per_state_argmin_with_uneven_actions():
+    m = uneven_chain()
+    for spec in (NEUTRAL, ENTROPIC):
+        for v in (np.zeros(4), np.array([0.3, -1.0, 2.0, 0.5])):
+            vals, greedy = bellman_F(m, spec, v)
+            for x in range(m.n_states):
+                seg = np.array([m.cost[x][a] + eval_risk(spec, v, m.transition[x][a])
+                                for a in range(m.n_actions(x))])
+                a = int(np.argmin(seg))
+                assert greedy.deterministic[x] == a
+                assert vals[x] == pytest.approx(seg[a], abs=1e-12)
+    assert bellman_F(m, NEUTRAL, np.zeros(4))[1].deterministic[0] == 1  # tie to lowest
+
+
+def test_bellman_F_nan_keeps_every_state():
+    m = uneven_chain()
+    v = np.array([0.0, np.nan, 0.0, 0.0])
+    vals, greedy = bellman_F(m, NEUTRAL, v)
+    assert vals.shape == (4,) and greedy.deterministic.shape == (4,)
+    assert np.all(np.isnan(vals))
+    assert greedy.deterministic.tolist() == [0, 0, 0, 0]
+
+
 # --- relative value iteration -------------------------------------------------
 
 
@@ -145,6 +179,12 @@ def test_rvi_hitting_max_iter_reports_nonconvergence():
     assert not res.converged
     assert res.iterations == 2
     assert len(res.trace) == 2
+
+
+def test_rvi_raises_on_the_first_non_finite_sweep():
+    m = builtin_chain("biased2").with_cost([np.array([np.nan]), np.array([1.0])])
+    with pytest.raises(FloatingPointError, match="sweep 1:"):
+        relative_value_iteration(m, NEUTRAL, SolveConfig(max_iter=100_000))
 
 
 def test_rvi_converged_residual_within_ten_tol():
