@@ -19,12 +19,9 @@ from .mdp import (
     FiniteMCP,
     PolicyVector,
     ValidationReport,
-    WeightSpec,
     level_set,
     policy_transition_and_cost,
-    seminorm_via_centering,
     validate_mcp,
-    weighted_norm,
     weighted_seminorm,
 )
 from .models import (

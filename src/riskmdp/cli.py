@@ -227,6 +227,8 @@ def cmd_solve(config_path: str, output_dir: str | None, jobs: int, seed: int) ->
         json.dump(
             {
                 "rho": res.rho,
+                "rho_lower": res.rho_lower,
+                "rho_upper": res.rho_upper,
                 "policy": res.policy.deterministic.tolist(),
                 "iterations": res.iterations,
                 "converged": res.converged,
@@ -342,7 +344,7 @@ def _run_certificate(entry: dict, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict,
             stats = measure_contraction(
                 mcp, spec, cert.w_hat,
                 n_trials=int(mcfg.get("n_trials", 200)),
-                ball_weight=None, ball_radius=mcfg.get("ball_radius"),
+                ball_radius=mcfg.get("ball_radius"),
                 seed=seed,
             )
             result["constants"]["measured_max_ratio"] = stats.max_ratio

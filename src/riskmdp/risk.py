@@ -272,18 +272,26 @@ def _shortfall_rows(
     V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, tol: float
 ) -> np.ndarray:
     # E[u(v - m)] is continuous and strictly decreasing in m with a unique
-    # root in [min v, max v]; bisect all rows in lock step.
+    # root in [min v, max v]; bisect all rows in lock step.  A row stays open
+    # while its bracket is wider than tol and its midpoint still splits it:
+    # where one ulp of the values exceeds tol the bracket stops shrinking.
+    # Rows with a non-finite end are never open and give +-inf or NaN.
     lo = V.min(axis=1)
     hi = V.max(axis=1)
-    for _ in range(200):
-        if np.max(hi - lo) <= tol:
-            break
+    for step in range(201):
         mid = 0.5 * (lo + hi)
+        open_rows = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not open_rows.any():
+            return mid
+        if step == 200:
+            r = int(np.argmax(open_rows))
+            raise RuntimeError(
+                f"shortfall bisection still open after {step} steps: row {r} bracket [{lo[r]!r}, {hi[r]!r}]"
+            )
         g = np.sum(rows * utility(V - mid[:, None]), axis=1)
         take_hi = g >= 0
         lo = np.where(take_hi, mid, lo)
         hi = np.where(take_hi, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def risk_values(spec: RiskMapSpec, v, rows) -> np.ndarray:

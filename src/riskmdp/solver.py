@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import FiniteMCP, PolicyVector, WeightSpec, policy_reduce, weighted_seminorm
+from .mdp import FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
 from .risk import RiskMapSpec, risk_values
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "TraceRecord",
-    "apply_risk_policy",
     "bellman_F",
     "bellman_T",
     "finite_horizon_risk",
@@ -39,7 +38,6 @@ class SolveConfig:
     tol: float = 1e-10
     max_iter: int = 100_000
     reference_state: int = 0
-    weight: WeightSpec | None = None
 
 
 @dataclass
@@ -54,18 +52,18 @@ class TraceRecord:
 
 @dataclass
 class SolveResult:
+    """``rho`` is the midpoint of the last sweep's certified bracket
+    ``[rho_lower, rho_upper]`` (the min and max increment), which contains
+    the true rho."""
+
     rho: float
+    rho_lower: float
+    rho_upper: float
     h: np.ndarray
     policy: PolicyVector
     converged: bool
     iterations: int
     trace: list[TraceRecord] = field(default_factory=list)
-
-
-def apply_risk_policy(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.ndarray) -> np.ndarray:
-    """R^pi(v): the one-step risk of v under the policy, without running cost."""
-    vals = risk_values(spec, np.asarray(v, dtype=float), mcp.stacked_transition)
-    return policy_reduce(mcp, policy, vals)
 
 
 def bellman_T(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.ndarray) -> np.ndarray:
@@ -96,18 +94,18 @@ def relative_value_iteration(
 ) -> SolveResult:
     """Solve rho + h = F(h) by relative value iteration.
 
-    Stops when the weighted seminorm of the increment (or its plain span)
-    drops below ``cfg.tol``; hitting ``cfg.max_iter`` returns a result with
-    ``converged=False`` rather than raising, so callers can inspect the
-    trace.  A non-finite increment span raises ``FloatingPointError`` at the
-    sweep where it appears.  The bracket midpoints (m + M)/2 give the rho
-    estimate.
+    Each sweep's increment F(v) - v has min m and max M, and [m, M]
+    contains rho (Odoni 1969; Puterman 1994 sec. 8.5).  The estimate is the
+    midpoint (m + M)/2, so stopping at the first sweep with
+    (M - m)/2 < ``cfg.tol`` bounds its error by ``cfg.tol``.  Hitting
+    ``cfg.max_iter`` returns a result with ``converged=False`` rather than
+    raising, so callers can inspect the trace.  A non-finite increment span
+    raises ``FloatingPointError`` at the sweep where it appears.
     """
     n = mcp.n_states
     if not 0 <= cfg.reference_state < n:
         raise ValueError("reference_state out of range")
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    w = np.ones(n) if cfg.weight is None else cfg.weight.w
     trace: list[TraceRecord] = []
     t0 = time.monotonic_ns()
     converged = False
@@ -123,11 +121,13 @@ def relative_value_iteration(
             raise FloatingPointError(f"non-finite increment at sweep {it}: min {m}, max {M}")
         trace.append(TraceRecord(it, M - m, m, M, 0.5 * (m + M), time.monotonic_ns() - t0))
         v = u - u[cfg.reference_state]
-        if M - m < cfg.tol or weighted_seminorm(delta, w) < cfg.tol:
+        if 0.5 * (M - m) < cfg.tol:
             converged = True
             break
     return SolveResult(
         rho=0.5 * (m + M),
+        rho_lower=m,
+        rho_upper=M,
         h=v,
         policy=policy,
         converged=converged,
@@ -136,24 +136,16 @@ def relative_value_iteration(
     )
 
 
-def poisson_residual(
-    mcp: FiniteMCP,
-    spec: RiskMapSpec,
-    rho: float,
-    h: np.ndarray,
-    w: np.ndarray | None = None,
-) -> float:
+def poisson_residual(mcp: FiniteMCP, spec: RiskMapSpec, rho: float, h: np.ndarray) -> float:
     """How far (rho, h) is from solving rho + h = F(h).
 
-    Measured as the larger of the weighted seminorm of F(h) - h - rho and
-    the gap between rho and the mean increment.
+    Measured as the larger of the half-span of F(h) - h - rho (its
+    unit-weight seminorm) and the gap between rho and the mean increment.
     """
     h = np.asarray(h, dtype=float)
     Fh, _ = bellman_F(mcp, spec, h)
     delta = Fh - h
-    if w is None:
-        w = np.ones(mcp.n_states)
-    return max(weighted_seminorm(delta - rho, w), abs(float(delta.mean()) - rho))
+    return max(0.5 * float(np.ptp(delta - rho)), abs(float(delta.mean()) - rho))
 
 
 def finite_horizon_risk(
@@ -194,14 +186,11 @@ def _random_policy(mcp: FiniteMCP, rng: np.random.Generator) -> PolicyVector:
     return PolicyVector.rand(rows)
 
 
-def _random_in_ball(
-    n: int, rng: np.random.Generator, ball_weight: np.ndarray | None, ball_radius: float | None
-) -> np.ndarray:
+def _random_in_ball(n: int, rng: np.random.Generator, ball_radius: float | None) -> np.ndarray:
     v = rng.uniform(-1.0, 1.0, size=n)
     if ball_radius is None:
         return v
-    w = np.ones(n) if ball_weight is None else ball_weight
-    s = weighted_seminorm(v, w)
+    s = 0.5 * float(np.ptp(v))
     if s == 0.0:
         return np.zeros(n)
     return v * (ball_radius * rng.uniform(0.0, 1.0) / s)
@@ -212,32 +201,31 @@ def measure_contraction(
     spec: RiskMapSpec,
     w_hat: np.ndarray,
     n_trials: int,
-    ball_weight: np.ndarray | None = None,
     ball_radius: float | None = None,
     seed: int = 0,
 ) -> ContractionStats:
     """Empirical contraction factors of R^pi in the w_hat-weighted seminorm.
 
     For each trial draws a random single-step policy and a pair (v, u) —
-    inside the seminorm ball of radius ``ball_radius`` w.r.t. ``ball_weight``
-    when given — and measures
-    seminorm(R^pi v - R^pi u, w_hat) / seminorm(v - u, w_hat).
-    Degenerate pairs (v = u) are skipped.
+    inside the unit-weight seminorm (half-span) ball of radius
+    ``ball_radius`` when given — and measures
+    seminorm(R^pi v - R^pi u, w_hat) / seminorm(v - u, w_hat), where R^pi
+    is T^pi of the model with zero cost.  Degenerate pairs (v = u) are
+    skipped.
     """
     rng = np.random.default_rng(seed)
     w_hat = np.asarray(w_hat, dtype=float)
     n = mcp.n_states
+    risk_only = mcp.with_cost(np.zeros_like(mcp.stacked_cost))
     ratios = []
     for _ in range(n_trials):
-        v = _random_in_ball(n, rng, ball_weight, ball_radius)
-        u = _random_in_ball(n, rng, ball_weight, ball_radius)
+        v = _random_in_ball(n, rng, ball_radius)
+        u = _random_in_ball(n, rng, ball_radius)
         denom = weighted_seminorm(v - u, w_hat)
         if denom < 1e-300:
             continue
         pi = _random_policy(mcp, rng)
-        num = weighted_seminorm(
-            apply_risk_policy(mcp, spec, pi, v) - apply_risk_policy(mcp, spec, pi, u), w_hat
-        )
+        num = weighted_seminorm(bellman_T(risk_only, spec, pi, v) - bellman_T(risk_only, spec, pi, u), w_hat)
         ratios.append(num / denom)
     if not ratios:
         return ContractionStats(0.0, 0.0, 0.0, 0)

@@ -219,9 +219,7 @@ def test_measured_contraction_ratios_stay_below_certificate(capsys):
     env = entropic_envelope_minorization(m, np.arange(n), K=lam, w=np.full(n, K_ball))
     fit0 = fit_lyapunov(zero_cost(m), spec, w0)
     cert = contraction_certificate(gamma=fit0.gamma0, K_bar=fit0.K0, alpha=env.alpha, R=1.0, w0=w0)
-    stats = measure_contraction(
-        m, spec, cert.w_hat, 1000, ball_weight=np.ones(n), ball_radius=K_ball, seed=13
-    )
+    stats = measure_contraction(m, spec, cert.w_hat, 1000, ball_radius=K_ball, seed=13)
     margins.append((cert.alpha_bar, stats.max_ratio, stats.n_pairs))
 
     elapsed = time.perf_counter() - t0

@@ -302,6 +302,46 @@ def test_shortfall_increment_bounded_by_slope_ratio():
         assert d >= (1.0 / ratio) * float(np.min(v - u_vec)) - 1e-9
 
 
+class CountingUtility(PiecewiseLinearUtility):
+    """A utility that counts its evaluations: one per bisection step."""
+
+    calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+
+def test_shortfall_bisection_stops_where_one_ulp_exceeds_tol():
+    # near 1e6 one ulp (1.2e-10) is wider than the default tol (1e-11), so
+    # the bracket stops splitting before it is tol wide
+    rng = np.random.default_rng(12)
+    Q = rng.dirichlet(np.ones(50), size=200)
+    v = rng.normal(size=50)
+    u = CountingUtility([0.0], [1.0, 2.0])
+    spec = RiskMapSpec("shortfall", utility=u)
+    base = risk_values(spec, v, Q)
+    steps_at_zero, u.calls = u.calls, 0
+    shifted = risk_values(spec, v + 1e6, Q)
+    assert u.calls <= steps_at_zero < 50
+    assert np.allclose(shifted - 1e6, base, rtol=0.0, atol=1e-9)
+
+
+def test_shortfall_bisection_raises_when_the_cap_leaves_a_finite_row_open():
+    # all mass on v = 0: every midpoint 2**-k is exact and above the root 0,
+    # so 200 halvings leave the bracket [0, 2**-200], far wider than tol
+    with pytest.raises(RuntimeError, match="shortfall bisection still open after 200 steps"):
+        shortfall([0.0, 1.0], [1.0, 0.0], PiecewiseLinearUtility.linear(), tol=1e-300)
+
+
+def test_shortfall_rows_with_non_finite_values_give_inf_or_nan():
+    V = np.array([[0.0, np.inf, 1.0], [-np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 1.0, 2.0]])
+    with np.errstate(invalid="ignore"):
+        got = risk_values(RiskMapSpec("shortfall", utility=KINKED), V, np.full((4, 3), 1.0 / 3.0))
+    assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
+    assert got[3] == pytest.approx(shortfall([0.0, 1.0, 2.0], np.full(3, 1.0 / 3.0), KINKED))
+
+
 # --- ratio maximization over a box ---------------------------------------------
 
 

@@ -173,6 +173,33 @@ def test_rvi_brackets_are_monotone_and_contain_rho():
         assert t.span == pytest.approx(t.M - t.m)
 
 
+@pytest.mark.parametrize(
+    "chain", [("biased2", {}), ("ring", {"n": 5}), ("random_seeded", {"n": 6, "m": 1, "seed": 3})]
+)
+def test_rvi_reported_bracket_contains_oracle_rho(chain):
+    m = builtin_chain(chain[0], **chain[1])
+    P, c = policy_transition_and_cost(m, stationary_policy(m))
+    for spec, orc in ((NEUTRAL, neutral_average_cost(P, c)), (ENTROPIC, entropic_spectral_rho(P, c, 1.0))):
+        res = relative_value_iteration(m, spec, SolveConfig(tol=1e-10))
+        assert res.converged
+        assert res.rho_lower - 1e-12 <= orc.rho <= res.rho_upper + 1e-12
+
+
+def test_rvi_stops_at_the_first_sweep_with_half_width_below_tol():
+    m = builtin_chain("random_seeded", n=6, m=2, seed=12)
+    spans = [t.span for t in relative_value_iteration(m, ENTROPIC, SolveConfig(tol=1e-12)).trace]
+    for k in (3, 6, 9):
+        # sweep k's span lies in [tol, 2 tol): the half-width rule stops by
+        # sweep k, a full-width rule would run past it
+        tol = 0.75 * spans[k - 1]
+        res = relative_value_iteration(m, ENTROPIC, SolveConfig(tol=tol))
+        first = next(i for i, s in enumerate(spans, 1) if 0.5 * s < tol)
+        assert res.iterations == first <= k
+        assert (res.rho_lower, res.rho_upper) == (res.trace[-1].m, res.trace[-1].M)
+        assert res.rho == 0.5 * (res.rho_lower + res.rho_upper)
+        assert res.rho_upper - res.rho_lower < 2 * tol
+
+
 def test_rvi_hitting_max_iter_reports_nonconvergence():
     m = builtin_chain("random_seeded", n=5, m=2, seed=13)
     res = relative_value_iteration(m, NEUTRAL, SolveConfig(tol=1e-14, max_iter=2))
@@ -300,8 +327,6 @@ def test_contraction_neutral_bounded_by_dobrushin_coefficient():
 
 def test_contraction_respects_ball_radius():
     m = builtin_chain("random_seeded", n=4, m=2, seed=19)
-    stats = measure_contraction(
-        m, ENTROPIC, np.ones(4), 200, ball_weight=np.ones(4), ball_radius=0.5, seed=2
-    )
+    stats = measure_contraction(m, ENTROPIC, np.ones(4), 200, ball_radius=0.5, seed=2)
     assert stats.n_pairs > 0
     assert stats.max_ratio < 1.0
