@@ -214,7 +214,7 @@ def _solve_config(cfg: dict) -> SolveConfig:
     )
 
 
-def cmd_solve(config_path: str, output_dir: str | None, jobs: int, seed: int) -> int:
+def cmd_solve(config_path: str, output_dir: str | None) -> int:
     cfg = load_config(config_path)
     mcp, meta = build_model(cfg, Path(config_path).resolve().parent)
     spec = _risk_spec(cfg)
@@ -313,7 +313,7 @@ def _run_certificate(entry: dict, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict,
         return {
             "kind": "l2",
             "satisfied": cert.passed,
-            "constants": {"K0": K0, "K": float(K), "min_slack": cert.min_slack},
+            "constants": {"K0": K0, "K": float(K), "min_slack": cert.min_slack, "n_samples": cert.n_samples},
             "worst_witness": cert.worst_witness,
         }
     if kind == "contraction":
@@ -365,7 +365,7 @@ def _run_certificate(entry: dict, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict,
     raise ConfigError(f"unknown certificate type {kind!r}")
 
 
-def cmd_verify(config_path: str, output_dir: str | None, jobs: int, seed: int) -> int:
+def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:
     cfg = load_config(config_path)
     mcp, meta = build_model(cfg, Path(config_path).resolve().parent)
     spec = _risk_spec(cfg)
@@ -380,7 +380,7 @@ def cmd_verify(config_path: str, output_dir: str | None, jobs: int, seed: int) -
     return 4 if bad else 0
 
 
-def cmd_sweep(config_path: str, output_dir: str | None, jobs: int, seed: int) -> int:
+def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
     cfg = load_config(config_path)
     mcp, meta = build_model(cfg, Path(config_path).resolve().parent)
     spec = _risk_spec(cfg)
@@ -431,12 +431,19 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--output", default=None, help="output directory (default: config output_dir or cwd)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled certificate checks")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers for the sweep")
     args = parser.parse_args(argv)
-    handler = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
+    if args.command == "sweep" and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    handler = {
+        "solve": lambda: cmd_solve(args.config, args.output),
+        "verify": lambda: cmd_verify(args.config, args.output, args.seed),
+        "sweep": lambda: cmd_sweep(args.config, args.output, args.jobs),
+    }[args.command]
     try:
-        return handler(args.config, args.output, args.jobs, args.seed)
+        return handler()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

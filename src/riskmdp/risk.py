@@ -11,7 +11,8 @@ R(v) + c for scalar c) and centralized (R(0) = 0).  The supported kinds:
 - ``mean_semideviation``: mean plus lam times the upper semideviation of
   order r.
 - ``shortfall``: the utility-shortfall level, i.e. the unique m with
-  E[u(v - m)] = 0 for a piecewise-linear increasing u with u(0) = 0.
+  E[u(v - m)] = 0 for a piecewise-linear increasing u with u(0) = 0, solved
+  exactly on the linear piece of E[u(v - m)] that holds it.
 
 The core evaluator is vectorized over stacks of rows (and optionally stacks
 of value vectors), which is what makes value iteration cheap.
@@ -133,8 +134,8 @@ class RiskMapSpec:
 
     ``lam`` is the entropic sensitivity (any nonzero float) or, for
     mean-semideviation, the risk-preference weight in [-1, 1].  ``band`` is
-    the (g1, g2) density corridor with 0 <= g1 <= 1 <= g2.  ``shortfall_tol``
-    is the bisection tolerance for shortfall levels.
+    the (g1, g2) density corridor with 0 <= g1 <= 1 <= g2.  ``utility`` is
+    the shortfall utility (linear when omitted).
     """
 
     kind: str
@@ -142,7 +143,6 @@ class RiskMapSpec:
     r: float = 2.0
     band: tuple[float, float] = (1.0, 1.0)
     utility: PiecewiseLinearUtility | None = None
-    shortfall_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if self.kind not in RISK_KINDS:
@@ -187,6 +187,8 @@ class RiskMapSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RiskMapSpec":
+        """Inverse of ``to_dict``; unknown keys, such as the ``shortfall_tol``
+        of older configs, are ignored."""
         util = data.get("utility")
         return cls(
             kind=data["kind"],
@@ -194,7 +196,6 @@ class RiskMapSpec:
             r=float(data.get("r", 2.0)),
             band=tuple(data.get("band", (1.0, 1.0))),
             utility=None if util is None else PiecewiseLinearUtility.from_dict(util),
-            shortfall_tol=float(data.get("shortfall_tol", 1e-11)),
         )
 
 
@@ -204,15 +205,26 @@ class RiskMapSpec:
 
 
 def _as_stack(v, rows):
+    """``rows`` as an (m, n) array, and ``v`` as a shared length-n vector or an
+    (m, n) stack paired row by row; the kernels broadcast a shared v."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        V = np.broadcast_to(v, rows.shape)
-    else:
-        if v.shape != rows.shape:
-            raise ValueError(f"value stack {v.shape} does not match rows {rows.shape}")
-        V = v
-    return V, rows
+    if v.shape not in (rows.shape[1:], rows.shape):
+        raise ValueError(f"values {v.shape} match neither one row {rows.shape[1:]} nor the rows {rows.shape}")
+    return v, rows
+
+
+def _sort_by_value(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V sorted ascending along its last axis, and the (m, n) W permuted to match.
+
+    A shared length-n V is sorted once and permutes the columns of W; an
+    (m, n) stack is sorted row by row.
+    """
+    if V.ndim == 1:
+        order = np.argsort(V, kind="stable")
+        return V[order], np.take(W, order, axis=1)
+    order = np.argsort(V, axis=1, kind="stable")
+    return np.take_along_axis(V, order, axis=1), np.take_along_axis(W, order, axis=1)
 
 
 def logsumexp_rows(A: np.ndarray) -> np.ndarray:
@@ -236,29 +248,12 @@ def _entropic_rows(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _band_rows(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
-    if g2 - g1 < 1e-15:
-        return np.sum(rows * V, axis=1)
-    # The maximizing density puts g2 on the largest outcomes, g1 on the
-    # smallest, with a single interior value where the budget E[xi] = 1
-    # crosses.  The crossing happens at cumulative mass (1 - g1)/(g2 - g1).
-    order = np.argsort(-V, axis=1, kind="stable")
-    Vs = np.take_along_axis(V, order, axis=1)
-    Qs = np.take_along_axis(rows, order, axis=1)
-    cum = np.cumsum(Qs, axis=1)
-    m_star = (1.0 - g1) / (g2 - g1)
-    k = np.argmax(cum >= m_star - 1e-15, axis=1)
-    ar = np.arange(rows.shape[0])
-    cum_k = cum[ar, k]
-    q_k = Qs[ar, k]
-    before = cum_k - q_k
-    xi = np.full_like(rows, g1)
-    mask = np.arange(rows.shape[1])[None, :] < k[:, None]
-    xi[mask] = g2
-    # Interior weight chosen so the q-weighted density integrates to one.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi_k = (1.0 - g2 * before - g1 * (1.0 - cum_k)) / q_k
-    xi[ar, k] = np.where(q_k > 0, xi_k, g1)
-    return np.sum(Qs * xi * Vs, axis=1)
+    # With xi = g1 + (g2 - g1) eta, the best 0 <= eta <= 1 puts its mass
+    # (1 - g1)/(g2 - g1) on the largest outcomes, so the (g2 - g1) eta part
+    # adds min((g2 - g1) cum, 1 - g1) of q-mass, cum counted from the top.
+    negVs, Qs = _sort_by_value(-V, rows)
+    top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
+    return -np.sum((g1 * Qs + top) * negVs, axis=1)
 
 
 def _semidev_rows(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.ndarray:
@@ -268,30 +263,26 @@ def _semidev_rows(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.n
     return mean + lam * dev
 
 
-def _shortfall_rows(
-    V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, tol: float
-) -> np.ndarray:
-    # E[u(v - m)] is continuous and strictly decreasing in m with a unique
-    # root in [min v, max v]; bisect all rows in lock step.  A row stays open
-    # while its bracket is wider than tol and its midpoint still splits it:
-    # where one ulp of the values exceeds tol the bracket stops shrinking.
-    # Rows with a non-finite end are never open and give +-inf or NaN.
-    lo = V.min(axis=1)
-    hi = V.max(axis=1)
-    for step in range(201):
-        mid = 0.5 * (lo + hi)
-        open_rows = (hi - lo > tol) & (lo < mid) & (mid < hi)
-        if not open_rows.any():
-            return mid
-        if step == 200:
-            r = int(np.argmax(open_rows))
-            raise RuntimeError(
-                f"shortfall bisection still open after {step} steps: row {r} bracket [{lo[r]!r}, {hi[r]!r}]"
-            )
-        g = np.sum(rows * utility(V - mid[:, None]), axis=1)
-        take_hi = g >= 0
-        lo = np.where(take_hi, mid, lo)
-        hi = np.where(take_hi, hi, mid)
+def _shortfall_rows(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility) -> np.ndarray:
+    # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
+    # v_y - b_k.  Below every kink g(m) = A - S (m - a) with all outcomes on
+    # u's top piece; passing kink t lowers S by q_y (s_{k+1} - s_k) and A by
+    # that times (t - a).  The root is on the piece after the last kink where
+    # g > 0.  Anchoring at the mean keeps the sums on the scale of v's spread;
+    # a non-finite mean falls back to 0, so such rows give +-inf or NaN.
+    b, s = utility.breakpoints, utility.slopes
+    x0 = b.max(initial=0.0)  # a point on u's top piece
+    c = float(utility(x0)) - s[-1] * x0
+    a = np.nan_to_num(np.sum(rows * V, axis=1), nan=0.0, posinf=0.0, neginf=0.0)[:, None]
+    T, W = _sort_by_value(
+        (V[..., None] - b).reshape(*V.shape[:-1], -1),
+        (rows[:, :, None] * np.diff(s)).reshape(len(rows), -1),
+    )
+    T = T - a
+    S = np.cumsum(np.column_stack((s[-1] * rows.sum(axis=1), -W)), axis=1)
+    A = np.cumsum(np.column_stack((np.sum(rows * (s[-1] * (V - a) + c), axis=1), -W * T)), axis=1)
+    piece = np.sum(A[:, 1:] - S[:, 1:] * T > 0, axis=1)[:, None]
+    return (a + np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
 
 
 def risk_values(spec: RiskMapSpec, v, rows) -> np.ndarray:
@@ -309,7 +300,7 @@ def risk_values(spec: RiskMapSpec, v, rows) -> np.ndarray:
         return _band_rows(V, rows, *spec.band)
     if spec.kind == "mean_semideviation":
         return _semidev_rows(V, rows, spec.lam, spec.r)
-    return _shortfall_rows(V, rows, spec.utility, spec.shortfall_tol)
+    return _shortfall_rows(V, rows, spec.utility)
 
 
 def eval_risk(spec: RiskMapSpec, v, q) -> float:
@@ -334,9 +325,9 @@ def mean_semideviation(v, q, lam: float, r: float = 2.0) -> float:
     return eval_risk(RiskMapSpec("mean_semideviation", lam=lam, r=r), v, q)
 
 
-def shortfall(v, q, utility: PiecewiseLinearUtility, tol: float = 1e-11) -> float:
-    """Unique m with sum_y q(y) u(v(y) - m) = 0, by bisection."""
-    return eval_risk(RiskMapSpec("shortfall", utility=utility, shortfall_tol=tol), v, q)
+def shortfall(v, q, utility: PiecewiseLinearUtility) -> float:
+    """Unique m with sum_y q(y) u(v(y) - m) = 0, solved exactly on its linear piece."""
+    return eval_risk(RiskMapSpec("shortfall", utility=utility), v, q)
 
 
 # ---------------------------------------------------------------------------

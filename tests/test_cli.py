@@ -69,6 +69,19 @@ def test_solve_nonconvergence_still_writes_result(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_solve_ignores_the_retired_shortfall_tol_key(tmp_path):
+    # older configs carry a shortfall_tol key; the level no longer has a tolerance
+    risk = {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": [0.5, 2.0]}}
+    cfg = {"model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 3}}, "risk": risk}
+    code, out = run(tmp_path, "solve", cfg)
+    assert code == 0
+    want = json.loads((out / "result.json").read_text())["rho"]
+    cfg["risk"] = {**risk, "shortfall_tol": 1e-11}
+    code, out = run(tmp_path, "solve", cfg)
+    assert code == 0
+    assert json.loads((out / "result.json").read_text())["rho"] == want
+
+
 def test_solve_from_model_file(tmp_path):
     builtin_chain("biased2").save_json(tmp_path / "model.json")
     cfg = {"model": {"path": "model.json"}, "risk": {"kind": "neutral"}}
@@ -217,6 +230,7 @@ def test_verify_l2_fit_route_is_tight_on_biased2(tmp_path):
     assert rep["constants"]["K0"] == pytest.approx(1.0)
     assert rep["constants"]["K"] == pytest.approx(1.0 / 0.7)
     assert abs(rep["constants"]["min_slack"]) <= 1e-9
+    assert rep["constants"]["n_samples"] == 200
 
 
 def test_verify_l2_coherent_rule_scales_alpha_for_band(tmp_path):
@@ -350,6 +364,18 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     code2, out2 = run(tmp_path, "sweep", cfg, jobs=4)
     assert code1 == code2 == 0
     assert (out2 / "sweep.csv").read_text() == serial
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--jobs", "2"], ["verify", "--jobs", "2"], ["sweep", "--jobs", "0"], ["sweep", "--jobs", "-1"]],
+)
+def test_jobs_only_on_sweep_and_at_least_one(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, {"model": {"builtin": "uniform2"}, "risk": {"kind": "neutral"}})
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg, *argv[1:]])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_sweep_requires_lambda_kind(tmp_path):

@@ -67,6 +67,9 @@ def test_risk_values_matches_scalar_eval_on_stacks():
         stacked = risk_values(spec, V, rows)
         singles = [eval_risk(spec, V[i], rows[i]) for i in range(6)]
         assert np.allclose(stacked, singles, atol=1e-10)
+        # one v shared by every row is sorted once; it must equal the tiled stack
+        shared = risk_values(spec, V[0], rows)
+        assert np.array_equal(shared, risk_values(spec, np.tile(V[0], (6, 1)), rows))
 
 
 # --- entropic ---------------------------------------------------------------
@@ -178,6 +181,15 @@ def test_band_ties_are_value_invariant():
     assert a == pytest.approx(b, abs=1e-14)
 
 
+def test_band_with_upper_bound_one_is_expectation():
+    # g2 = 1 forces xi = 1, even on rows whose cumulative mass falls short of 1
+    rng = np.random.default_rng(19)
+    rows = rng.dirichlet(np.ones(400), size=50)
+    v = rng.normal(size=400)
+    got = risk_values(RiskMapSpec("density_band", band=(0.5, 1.0)), v, rows)
+    assert np.allclose(got, rows @ v, rtol=0.0, atol=1e-12)
+
+
 def test_band_spec_rejects_bad_corridor():
     with pytest.raises(ValueError):
         RiskMapSpec("density_band", band=(1.2, 2.0))
@@ -266,7 +278,7 @@ def test_shortfall_linear_utility_is_mean():
     rng = np.random.default_rng(8)
     v = rng.normal(size=5)
     q = random_law(rng, 5)
-    got = shortfall(v, q, PiecewiseLinearUtility.linear(), tol=1e-12)
+    got = shortfall(v, q, PiecewiseLinearUtility.linear())
     assert got == pytest.approx(float(q @ v), abs=1e-10)
 
 
@@ -284,7 +296,7 @@ def test_shortfall_root_property():
         n = int(rng.integers(2, 6))
         v = rng.normal(size=n) * 3
         q = random_law(rng, n)
-        m = shortfall(v, q, KINKED, tol=1e-13)
+        m = shortfall(v, q, KINKED)
         assert abs(float(q @ KINKED(v - m))) < 1e-10
 
 
@@ -296,42 +308,58 @@ def test_shortfall_increment_bounded_by_slope_ratio():
         q = random_law(rng, n)
         u_vec = rng.normal(size=n)
         v = u_vec + rng.uniform(0, 1, size=n)
-        d = shortfall(v, q, KINKED, tol=1e-13) - shortfall(u_vec, q, KINKED, tol=1e-13)
+        d = shortfall(v, q, KINKED) - shortfall(u_vec, q, KINKED)
         ratio = KINKED.L / KINKED.l
         assert d <= ratio * float(np.max(v - u_vec)) + 1e-9
         assert d >= (1.0 / ratio) * float(np.min(v - u_vec)) - 1e-9
 
 
-class CountingUtility(PiecewiseLinearUtility):
-    """A utility that counts its evaluations: one per bisection step."""
+def brute_force_shortfall(v, q, u):
+    """Evaluate g(m) = E[u(v - m)] at every kink v_y - b_k and at min v and
+    max v, where g >= 0 and g <= 0; g is linear between consecutive points,
+    so interpolate on the piece where it changes sign."""
+    pts = np.unique(np.concatenate([np.subtract.outer(v, u.breakpoints).ravel(), [v.min(), v.max()]]))
+    g = np.array([float(q @ u(v - m)) for m in pts])
+    i = int(np.argmax(g <= 0))
+    if g[i] == 0:
+        return float(pts[i])
+    return float(pts[i - 1] + g[i - 1] * (pts[i] - pts[i - 1]) / (g[i - 1] - g[i]))
 
-    calls = 0
 
-    def __call__(self, x):
-        self.calls += 1
-        return super().__call__(x)
+def test_shortfall_matches_kink_enumeration():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(0, 4))
+        slopes = rng.uniform(0.3, 3.0, size=k + 1)
+        slopes[rng.integers(k + 1)] = 1.0  # slopes straddle 1
+        u = PiecewiseLinearUtility(np.sort(rng.normal(size=k)), slopes)
+        n = int(rng.integers(2, 7))
+        q = random_law(rng, n)
+        q[rng.random(n) < 0.3] = 0.0  # some zero-mass outcomes
+        if q.sum() == 0:
+            q[0] = 1.0
+        q /= q.sum()
+        v = rng.normal(size=n) * 3
+        assert shortfall(v, q, u) == pytest.approx(brute_force_shortfall(v, q, u), abs=1e-10)
 
 
-def test_shortfall_bisection_stops_where_one_ulp_exceeds_tol():
-    # near 1e6 one ulp (1.2e-10) is wider than the default tol (1e-11), so
-    # the bracket stops splitting before it is tol wide
+def test_shortfall_translation_invariant_at_offset_1e6():
     rng = np.random.default_rng(12)
     Q = rng.dirichlet(np.ones(50), size=200)
     v = rng.normal(size=50)
-    u = CountingUtility([0.0], [1.0, 2.0])
-    spec = RiskMapSpec("shortfall", utility=u)
+    spec = RiskMapSpec("shortfall", utility=KINKED)
     base = risk_values(spec, v, Q)
-    steps_at_zero, u.calls = u.calls, 0
     shifted = risk_values(spec, v + 1e6, Q)
-    assert u.calls <= steps_at_zero < 50
     assert np.allclose(shifted - 1e6, base, rtol=0.0, atol=1e-9)
 
 
-def test_shortfall_bisection_raises_when_the_cap_leaves_a_finite_row_open():
-    # all mass on v = 0: every midpoint 2**-k is exact and above the root 0,
-    # so 200 halvings leave the bracket [0, 2**-200], far wider than tol
-    with pytest.raises(RuntimeError, match="shortfall bisection still open after 200 steps"):
-        shortfall([0.0, 1.0], [1.0, 0.0], PiecewiseLinearUtility.linear(), tol=1e-300)
+def test_shortfall_point_mass_on_zero_is_exactly_zero():
+    assert shortfall([0.0, 1.0], [1.0, 0.0], PiecewiseLinearUtility.linear()) == 0.0
+
+
+def test_shortfall_linear_utility_is_exact_at_huge_values():
+    # equal mass on -1e50 and 1e50: the level is exactly 0, with no rounding residue
+    assert shortfall([-1e50, 1e50], [0.5, 0.5], PiecewiseLinearUtility.linear()) == 0.0
 
 
 def test_shortfall_rows_with_non_finite_values_give_inf_or_nan():
@@ -459,7 +487,7 @@ def test_shortfall_envelope_dominates_shortfall_increments():
         q = random_law(rng, n)
         v = rng.normal(size=n) * 2
         w = rng.normal(size=n) * 2
-        lhs = shortfall(v, q, KINKED, tol=1e-13) - shortfall(w, q, KINKED, tol=1e-13)
+        lhs = shortfall(v, q, KINKED) - shortfall(w, q, KINKED)
         assert lhs <= shortfall_upper_envelope(v - w, q, KINKED.l, KINKED.L) + 1e-8
 
 
