@@ -41,7 +41,6 @@ from .oracles import (
     entropic_spectral_rho,
     enumerate_policies,
     neutral_average_cost,
-    path_enumeration_entropic,
     static_total_cost_risk,
     total_cost_law,
 )

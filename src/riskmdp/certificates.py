@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import FiniteMCP
-from .risk import RiskMapSpec, logsumexp_rows, risk_values
+from .risk import RiskMapSpec, risk_values
 
 __all__ = [
     "ContractionCertificate",
@@ -401,9 +401,8 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     if not base.satisfied:
         return base
     rows = mcp.stacked_transition[_subset_row_index(mcp, np.asarray(subset, dtype=np.intp))]
-    with np.errstate(divide="ignore"):
-        a = np.log(rows) + K * w
-    log_denom = float(np.max(logsumexp_rows(a)))
+    # log max_rows Q[e^{K w}] is K times the largest entropic value of w at lam = K
+    log_denom = K * float(np.max(risk_values(RiskMapSpec("entropic", lam=K), w, rows))) if K > 0 else 0.0
     tilt = np.exp(-K * w)
     num = float(base.mu @ tilt)
     alpha = math.exp(math.log(base.alpha) + math.log(num) - log_denom)

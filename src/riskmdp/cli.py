@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 2 configuration error (including an invalid model),
 3 solver did not converge (results are still written), 4 a requested
-certificate is unsatisfied (the report is still written).  Set
-RISKMDP_LOG=error|info|debug for verbosity.
+certificate is unsatisfied (the report is still written).  A configuration
+error names the missing key, the table that holds a bad value, or the
+certificate as certificates[i] (type); any other failure is a traceback with
+exit 1.  Set RISKMDP_LOG=error|info|debug for verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import json
@@ -58,6 +61,31 @@ class ConfigError(Exception):
     pass
 
 
+class Config(dict):
+    """A JSON object of a config file; reading a missing key is a ``ConfigError``."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing key {key!r}")
+
+
+@contextlib.contextmanager
+def _reading(section: str):
+    """Report the ValueError/TypeError that a value of ``section`` raises as a
+    ``ConfigError``; used as a decorator on the functions that read one."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{section}: {e}") from e
+
+
+def _table(cfg: dict, key: str, default=None) -> dict:
+    """The JSON object under ``key``; ``default`` when given and the key is absent."""
+    val = cfg[key] if default is None else cfg.get(key, default)
+    if not isinstance(val, dict):
+        raise ConfigError(f"{key!r} must be a JSON object")
+    return val
+
+
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("RISKMDP_LOG", "error").lower(), logging.ERROR
@@ -65,16 +93,20 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> Config:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh, object_hook=Config)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
+@_reading("model")
 def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
     """Construct the model named by the config; returns (model, meta).
 
@@ -83,12 +115,10 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
     The model is validated (stochastic rows, finite costs) before it is
     returned; a violation is a ``ConfigError``.
     """
-    mcfg = cfg.get("model")
-    if not isinstance(mcfg, dict):
-        raise ConfigError("config needs a 'model' table")
+    mcfg = _table(cfg, "model")
     meta: dict = {}
     if "builtin" in mcfg:
-        mcp = builtin_chain(mcfg["builtin"], **mcfg.get("params", {}))
+        mcp = builtin_chain(mcfg["builtin"], **_table(mcfg, "params", {}))
     elif "path" in mcfg:
         p = Path(mcfg["path"])
         if not p.is_absolute():
@@ -97,32 +127,30 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
             mcp = FiniteMCP.load_json(p)
         except OSError as e:
             raise ConfigError(f"cannot read model {p}: {e}") from e
-        except ValueError as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad model {p}: {e}") from e
     elif "diffusion" in mcfg:
-        dcfg = dict(mcfg["diffusion"])
-        gcfg = mcfg.get("grid", {})
+        dcfg = _table(mcfg, "diffusion")
+        gcfg = _table(mcfg, "grid", {})
         grid = GridSpec(points=_as_tuple_or_scalar(gcfg.get("points", 201)),
                         extent=_as_tuple_or_scalar(gcfg.get("extent", 5.0)))
         spec = DiffusionSpec(
             dim=int(dcfg["dim"]),
             A=np.asarray(dcfg["A"], dtype=float),
             actions=list(dcfg["actions"]),
-            drift={k: np.asarray(v, dtype=float) for k, v in dcfg["drift"].items()},
-            diffusion={k: np.asarray(v, dtype=float) for k, v in dcfg["diffusion"].items()},
+            drift=_arrays(dcfg, "drift"),
+            diffusion=_arrays(dcfg, "diffusion"),
             gamma_tilde=float(dcfg["gamma_tilde"]),
             drift_bound=float(dcfg["drift_bound"]),
             ellipticity=float(dcfg["ellipticity"]),
-            drift_linear={k: np.asarray(v, dtype=float) for k, v in dcfg.get("drift_linear", {}).items()},
+            drift_linear=_arrays(dcfg, "drift_linear", {}),
         )
         mcp = discretize_diffusion(spec, grid)
         meta = {"diffusion": spec, "grid": grid}
-        if "cost" in mcfg:
-            mcp = attach_cost(mcp, _cost_form(mcfg["cost"], mcp, meta))
     else:
         raise ConfigError("model must specify one of: builtin, path, diffusion")
-    if "cost" in mcfg and "diffusion" not in mcfg:
-        mcp = attach_cost(mcp, _cost_form(mcfg["cost"], mcp, meta))
+    if "cost" in mcfg:
+        mcp = attach_cost(mcp, _cost_form(_table(mcfg, "cost"), mcp, meta))
     bad = validate_mcp(mcp).violations
     if bad:
         more = f" (and {len(bad) - 5} more)" if len(bad) > 5 else ""
@@ -132,6 +160,10 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
 
 def _as_tuple_or_scalar(v):
     return tuple(v) if isinstance(v, list) else v
+
+
+def _arrays(cfg: dict, key: str, default=None) -> dict[str, np.ndarray]:
+    return {k: np.asarray(v, dtype=float) for k, v in _table(cfg, key, default).items()}
 
 
 def _cost_form(ccfg: dict, mcp: FiniteMCP, meta: dict):
@@ -160,7 +192,7 @@ def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
             raise ConfigError("coords_sq weight needs state coordinates")
         return np.sum(mcp.state_coords**2, axis=1)
     if isinstance(wcfg, dict) and "entropic_w1" in wcfg:
-        sub = wcfg["entropic_w1"]
+        sub = _table(wcfg, "entropic_w1")
         if "diffusion" not in meta:
             raise ConfigError("entropic_w1 weight needs a diffusion model")
         w1_hat, _ = diffusion_entropic_weight(meta["grid"], float(sub["gamma"]), meta["diffusion"])
@@ -169,44 +201,40 @@ def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
     raise ConfigError(f"cannot resolve weight spec {wcfg!r}")
 
 
-def _resolve_subset(scfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
+def _state_set(scfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
+    """States named by "all", "interior", a list of distinct indices or
+    {"level": {"w0": weight, "radius": r}}; an empty set is an error."""
+    n = mcp.n_states
     if scfg == "all":
-        return np.arange(mcp.n_states)
-    if isinstance(scfg, list):
-        return np.asarray(scfg, dtype=int)
-    if isinstance(scfg, dict) and "level" in scfg:
-        sub = scfg["level"]
-        w0 = _resolve_weight(sub["w0"], mcp, meta)
-        return level_set(w0, float(sub["radius"]))
-    raise ConfigError(f"cannot resolve subset spec {scfg!r}")
-
-
-def _resolve_states(scfg, mcp: FiniteMCP) -> np.ndarray | None:
-    if scfg is None or scfg == "all":
-        return None
-    if scfg == "interior":
+        states = np.arange(n)
+    elif scfg == "interior":
         if mcp.state_coords is None:
-            raise ConfigError("interior restriction needs state coordinates")
-        margin = 0.8
-        lim = margin * np.max(np.abs(mcp.state_coords), axis=0)
-        return np.flatnonzero(np.all(np.abs(mcp.state_coords) <= lim + 1e-12, axis=1))
-    if isinstance(scfg, list):
-        return np.asarray(scfg, dtype=int)
-    raise ConfigError(f"cannot resolve state restriction {scfg!r}")
+            raise ConfigError("interior states need state coordinates")
+        lim = 0.8 * np.max(np.abs(mcp.state_coords), axis=0)
+        states = np.flatnonzero(np.all(np.abs(mcp.state_coords) <= lim + 1e-12, axis=1))
+    elif isinstance(scfg, dict) and "level" in scfg:
+        sub = _table(scfg, "level")
+        states = level_set(_resolve_weight(sub["w0"], mcp, meta), float(sub["radius"]))
+    elif isinstance(scfg, list) and all(type(x) is int for x in scfg):
+        if not all(0 <= x < n for x in scfg) or len(set(scfg)) < len(scfg):
+            raise ConfigError(f"state list {scfg} needs distinct indices in [0, {n})")
+        states = np.asarray(scfg, dtype=int)
+    else:
+        raise ConfigError(f"cannot read state set {scfg!r}: want \"all\", \"interior\", "
+                          "a list of state indices or {\"level\": ...}")
+    if states.size == 0:
+        raise ConfigError(f"state set {scfg!r} is empty")
+    return states
 
 
+@_reading("risk")
 def _risk_spec(cfg: dict) -> RiskMapSpec:
-    rcfg = cfg.get("risk")
-    if not isinstance(rcfg, dict) or "kind" not in rcfg:
-        raise ConfigError("config needs a 'risk' table with a 'kind'")
-    try:
-        return RiskMapSpec.from_dict(rcfg)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return RiskMapSpec.from_dict(_table(cfg, "risk"))
 
 
+@_reading("solve")
 def _solve_config(cfg: dict) -> SolveConfig:
-    scfg = cfg.get("solve", {})
+    scfg = _table(cfg, "solve", {})
     return SolveConfig(
         tol=float(scfg.get("tol", 1e-10)),
         max_iter=int(scfg.get("max_iter", 100_000)),
@@ -214,29 +242,29 @@ def _solve_config(cfg: dict) -> SolveConfig:
     )
 
 
-def cmd_solve(config_path: str, output_dir: str | None) -> int:
+def _prepare(config_path: str, output_dir: str | None):
+    """Config, model, model meta, risk map and output directory of a command."""
     cfg = load_config(config_path)
     mcp, meta = build_model(cfg, Path(config_path).resolve().parent)
     spec = _risk_spec(cfg)
+    out = output_dir if output_dir is not None else cfg.get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError("'output_dir' must be a string")
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return cfg, mcp, meta, spec, Path(out)
+
+
+def cmd_solve(config_path: str, output_dir: str | None) -> int:
+    cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
     scfg = _solve_config(cfg)
-    out = _output_dir(cfg, output_dir)
     log.info("solving %s-state model, risk kind %s", mcp.n_states, spec.kind)
     res = relative_value_iteration(mcp, spec, scfg)
     residual = poisson_residual(mcp, spec, res.rho, res.h)
+    result = {"rho": res.rho, "rho_lower": res.rho_lower, "rho_upper": res.rho_upper,
+              "policy": res.policy.deterministic.tolist(), "iterations": res.iterations,
+              "converged": res.converged, "residual": residual}
     with open(out / "result.json", "w") as fh:
-        json.dump(
-            {
-                "rho": res.rho,
-                "rho_lower": res.rho_lower,
-                "rho_upper": res.rho_upper,
-                "policy": res.policy.deterministic.tolist(),
-                "iterations": res.iterations,
-                "converged": res.converged,
-                "residual": residual,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(result, fh, indent=2)
     trace_to_csv(res.trace, out / "trace.csv")
     if not res.converged:
         log.error("no convergence after %d iterations (span %.3g)", res.iterations, res.trace[-1].span)
@@ -244,134 +272,112 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
     return 0
 
 
-def _run_certificate(entry: dict, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict, seed: int) -> dict:
-    kind = entry.get("type")
-    if kind == "lyapunov":
-        w0 = _resolve_weight(entry["w0"], mcp, meta)
-        target = mcp if entry.get("include_cost", True) else mcp.with_cost(np.zeros_like(mcp.stacked_cost))
-        cert = fit_lyapunov(
-            target, spec, w0,
-            gamma_grid=entry.get("gamma_grid"),
-            states=_resolve_states(entry.get("states"), mcp),
-        )
-        return {
-            "kind": "lyapunov",
-            "satisfied": cert.satisfied,
-            "constants": {"gamma0": cert.gamma0, "K0": cert.K0},
-            "worst_witness": None if cert.worst_pair is None else {"x": cert.worst_pair[0], "a": cert.worst_pair[1]},
-        }
-    if kind == "doeblin":
-        sub = _resolve_subset(entry["subset"], mcp, meta)
-        cert = doeblin_minorization(mcp, sub)
-        return {
-            "kind": "doeblin",
-            "satisfied": cert.satisfied,
-            "constants": {"alpha": cert.alpha, "subset_size": int(len(sub))},
-            "worst_witness": None,
-        }
-    if kind == "local_doeblin":
-        sub = _resolve_subset(entry["subset"], mcp, meta)
-        cert = local_doeblin(mcp, sub)
-        return {
-            "kind": "local_doeblin",
-            "satisfied": cert.satisfied,
-            "constants": {"lambda_minus": cert.lambda_minus, "lambda_plus": cert.lambda_plus},
-            "worst_witness": None,
-        }
-    if kind == "l2":
-        w0 = _resolve_weight(entry["w0"], mcp, meta)
-        if "K0" in entry and not isinstance(entry["K0"], str):
-            K0 = float(entry["K0"])
-            gamma0 = float(entry["gamma0"])
-        else:
-            fit = fit_lyapunov(mcp, spec, w0)
-            if not fit.satisfied:
-                return {"kind": "l2", "satisfied": False,
-                        "constants": {"error": "drift fit failed"}, "worst_witness": None}
-            K0, gamma0 = fit.K0, fit.gamma0
-        B0 = level_set(w0, 2.0 * K0 / (1.0 - gamma0))
-        K = entry.get("K")
-        if K is None or isinstance(K, str):
-            rule = K or "coherent"
-            if rule == "coherent":
-                # The kernel's common mass, discounted to what the map's own
-                # monotone differences retain of it.
-                alpha = doeblin_minorization(mcp, B0).alpha * map_minorization_factor(spec)
-                K = invariant_bound_K("coherent", K0=K0, alpha=alpha)
-            elif rule == "entropic":
-                loc = local_doeblin(mcp, B0)
-                K = invariant_bound_K("entropic", K0=K0,
-                                      lambda_minus=loc.lambda_minus, lambda_plus=loc.lambda_plus)
-            elif rule == "shortfall":
-                alpha = doeblin_minorization(mcp, B0).alpha
-                K = invariant_bound_K("shortfall", K0=K0, alpha=alpha,
-                                      l=spec.utility.l, L=spec.utility.L)
-            else:
-                raise ConfigError(f"unknown K rule {rule!r}")
-        cert = check_l2(mcp, spec, w0, K0, float(K), B0,
-                        n_samples=int(entry.get("n_samples", 2000)), seed=seed)
-        return {
-            "kind": "l2",
-            "satisfied": cert.passed,
-            "constants": {"K0": K0, "K": float(K), "min_slack": cert.min_slack, "n_samples": cert.n_samples},
-            "worst_witness": cert.worst_witness,
-        }
-    if kind == "contraction":
-        w0 = _resolve_weight(entry["w0"], mcp, meta)
-        try:
-            cert = contraction_certificate(
-                gamma=float(entry["gamma"]),
-                K_bar=float(entry["K_bar"]),
-                alpha=float(entry["alpha"]),
-                R=float(entry["R"]),
-                w0=w0,
-                alpha0=entry.get("alpha0"),
-            )
-        except ValueError as e:
-            return {"kind": "contraction", "satisfied": False,
-                    "constants": {"error": str(e)}, "worst_witness": None}
-        result = {
-            "kind": "contraction",
-            "satisfied": True,
-            "constants": {
-                "alpha_bar": cert.alpha_bar, "gamma0": cert.gamma0,
-                "gamma1": cert.gamma1, "gamma2": cert.gamma2, "beta": cert.beta,
-            },
-            "worst_witness": None,
-        }
-        mcfg = entry.get("measure")
-        if mcfg:
-            stats = measure_contraction(
-                mcp, spec, cert.w_hat,
-                n_trials=int(mcfg.get("n_trials", 200)),
-                ball_radius=mcfg.get("ball_radius"),
-                seed=seed,
-            )
-            result["constants"]["measured_max_ratio"] = stats.max_ratio
-            if stats.max_ratio > cert.alpha_bar + 1e-9:
-                result["satisfied"] = False
-                result["worst_witness"] = {"measured_max_ratio": stats.max_ratio}
-        return result
-    if kind == "envelope_minorization":
-        sub = _resolve_subset(entry["subset"], mcp, meta)
-        w = _resolve_weight(entry["w"], mcp, meta)
-        cert = entropic_envelope_minorization(mcp, sub, float(entry["K"]), w)
-        return {
-            "kind": "envelope_minorization",
-            "satisfied": cert.satisfied,
-            "constants": {"alpha": cert.alpha},
-            "worst_witness": None,
-        }
-    raise ConfigError(f"unknown certificate type {kind!r}")
+# Certificate handlers: (entry, model, risk map, model meta, seed) ->
+# (satisfied, constants, worst_witness).  They call the certificate routines
+# through this module's names at call time.
+
+
+def _lyapunov(entry, mcp, spec, meta, seed):
+    w0 = _resolve_weight(entry["w0"], mcp, meta)
+    target = mcp if entry.get("include_cost", True) else mcp.with_cost(np.zeros_like(mcp.stacked_cost))
+    cert = fit_lyapunov(target, spec, w0, gamma_grid=entry.get("gamma_grid"),
+                        states=_state_set(entry.get("states", "all"), mcp, meta))
+    witness = None if cert.worst_pair is None else {"x": cert.worst_pair[0], "a": cert.worst_pair[1]}
+    return cert.satisfied, {"gamma0": cert.gamma0, "K0": cert.K0}, witness
+
+
+def _doeblin(entry, mcp, spec, meta, seed):
+    sub = _state_set(entry["subset"], mcp, meta)
+    cert = doeblin_minorization(mcp, sub)
+    return cert.satisfied, {"alpha": cert.alpha, "subset_size": int(len(sub))}, None
+
+
+def _local_doeblin(entry, mcp, spec, meta, seed):
+    cert = local_doeblin(mcp, _state_set(entry["subset"], mcp, meta))
+    return cert.satisfied, {"lambda_minus": cert.lambda_minus, "lambda_plus": cert.lambda_plus}, None
+
+
+def _l2(entry, mcp, spec, meta, seed):
+    w0 = _resolve_weight(entry["w0"], mcp, meta)
+    if "K0" in entry and not isinstance(entry["K0"], str):
+        K0, gamma0 = float(entry["K0"]), float(entry["gamma0"])
+    else:
+        fit = fit_lyapunov(mcp, spec, w0)
+        if not fit.satisfied:
+            return False, {"error": "drift fit failed"}, None
+        K0, gamma0 = fit.K0, fit.gamma0
+    B0 = level_set(w0, 2.0 * K0 / (1.0 - gamma0))
+    K = entry.get("K")
+    K = float(_invariant_K(K or "coherent", mcp, spec, K0, B0) if K is None or isinstance(K, str) else K)
+    cert = check_l2(mcp, spec, w0, K0, K, B0, n_samples=int(entry.get("n_samples", 2000)), seed=seed)
+    constants = {"K0": K0, "K": K, "min_slack": cert.min_slack, "n_samples": cert.n_samples}
+    return cert.passed, constants, cert.worst_witness
+
+
+def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
+    """The invariant radius K of a named rule, from the minorization on B0."""
+    if rule == "entropic":
+        loc = local_doeblin(mcp, B0)
+        return invariant_bound_K("entropic", K0=K0, lambda_minus=loc.lambda_minus, lambda_plus=loc.lambda_plus)
+    if rule not in ("coherent", "shortfall"):
+        raise ConfigError(f"unknown K rule {rule!r}")
+    alpha = doeblin_minorization(mcp, B0).alpha
+    if rule == "shortfall":
+        if spec.utility is None:
+            raise ConfigError("K rule 'shortfall' needs a shortfall risk map")
+        return invariant_bound_K("shortfall", K0=K0, alpha=alpha, l=spec.utility.l, L=spec.utility.L)
+    # The kernel's common mass, discounted to what the map's own monotone
+    # differences retain of it.
+    return invariant_bound_K("coherent", K0=K0, alpha=alpha * map_minorization_factor(spec))
+
+
+def _contraction(entry, mcp, spec, meta, seed):
+    w0 = _resolve_weight(entry["w0"], mcp, meta)
+    params = {k: float(entry[k]) for k in ("gamma", "K_bar", "alpha", "R")}
+    try:
+        cert = contraction_certificate(**params, w0=w0, alpha0=entry.get("alpha0"))
+    except ValueError as e:
+        return False, {"error": str(e)}, None
+    constants = {"alpha_bar": cert.alpha_bar, "gamma0": cert.gamma0,
+                 "gamma1": cert.gamma1, "gamma2": cert.gamma2, "beta": cert.beta}
+    if not entry.get("measure"):
+        return True, constants, None
+    mcfg = _table(entry, "measure")
+    stats = measure_contraction(mcp, spec, cert.w_hat, n_trials=int(mcfg.get("n_trials", 200)),
+                                ball_radius=mcfg.get("ball_radius"), seed=seed)
+    constants["measured_max_ratio"] = stats.max_ratio
+    if stats.max_ratio > cert.alpha_bar + 1e-9:
+        return False, constants, {"measured_max_ratio": stats.max_ratio}
+    return True, constants, None
+
+
+def _envelope_minorization(entry, mcp, spec, meta, seed):
+    sub = _state_set(entry["subset"], mcp, meta)
+    cert = entropic_envelope_minorization(mcp, sub, float(entry["K"]), _resolve_weight(entry["w"], mcp, meta))
+    return cert.satisfied, {"alpha": cert.alpha}, None
+
+
+_CERTIFICATES = {"lyapunov": _lyapunov, "doeblin": _doeblin, "local_doeblin": _local_doeblin, "l2": _l2,
+                 "contraction": _contraction, "envelope_minorization": _envelope_minorization}
+
+
+def _run_certificate(i: int, entry, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict, seed: int) -> dict:
+    kind = entry.get("type") if isinstance(entry, dict) else None
+    try:
+        if not isinstance(kind, str) or kind not in _CERTIFICATES:
+            raise ConfigError(f"unknown certificate type; want one of {', '.join(_CERTIFICATES)}")
+        satisfied, constants, witness = _CERTIFICATES[kind](entry, mcp, spec, meta, seed)
+    except (ConfigError, TypeError, ValueError) as e:
+        raise ConfigError(f"certificates[{i}] ({kind}): {e}") from e
+    return {"kind": kind, "satisfied": satisfied, "constants": constants, "worst_witness": witness}
 
 
 def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:
-    cfg = load_config(config_path)
-    mcp, meta = build_model(cfg, Path(config_path).resolve().parent)
-    spec = _risk_spec(cfg)
-    out = _output_dir(cfg, output_dir)
+    cfg, mcp, meta, spec, out = _prepare(config_path, output_dir)
     entries = cfg.get("certificates", [])
-    report = [_run_certificate(e, mcp, spec, meta, seed) for e in entries]
+    if not isinstance(entries, list):
+        raise ConfigError("'certificates' must be a list")
+    report = [_run_certificate(i, e, mcp, spec, meta, seed) for i, e in enumerate(entries)]
     with open(out / "certificates.json", "w") as fh:
         json.dump(report, fh, indent=2)
     bad = [r for r in report if not r["satisfied"]]
@@ -380,18 +386,20 @@ def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:
     return 4 if bad else 0
 
 
-def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
-    cfg = load_config(config_path)
-    mcp, meta = build_model(cfg, Path(config_path).resolve().parent)
-    spec = _risk_spec(cfg)
-    scfg = _solve_config(cfg)
-    out = _output_dir(cfg, output_dir)
+@_reading("sweep")
+def _sweep_values(cfg: dict, spec: RiskMapSpec) -> list[float]:
     swcfg = cfg.get("sweep")
-    if not isinstance(swcfg, dict) or swcfg.get("param") != "lambda" or "values" not in swcfg:
+    if not isinstance(swcfg, dict) or swcfg.get("param") != "lambda" or not isinstance(swcfg.get("values"), list):
         raise ConfigError("sweep needs {'param': 'lambda', 'values': [...]}")
     if spec.kind not in ("entropic", "mean_semideviation"):
         raise ConfigError("lambda sweep needs an entropic or mean_semideviation risk kind")
-    values = [float(v) for v in swcfg["values"]]
+    return [float(v) for v in swcfg["values"]]
+
+
+def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
+    cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
+    scfg = _solve_config(cfg)
+    values = _sweep_values(cfg, spec)
 
     def solve_one(lam: float):
         return relative_value_iteration(mcp, dataclasses.replace(spec, lam=lam), scfg)
@@ -406,15 +414,7 @@ def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
         writer.writerow(["param", "rho", "iterations", "converged"])
         for lam, res in zip(values, results):
             writer.writerow([repr(lam), repr(res.rho), res.iterations, res.converged])
-    if any(not r.converged for r in results):
-        return 3
-    return 0
-
-
-def _output_dir(cfg: dict, output_dir: str | None) -> Path:
-    out = Path(output_dir if output_dir is not None else cfg.get("output_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return 3 if any(not r.converged for r in results) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -445,9 +445,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler()
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

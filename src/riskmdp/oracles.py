@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
-from .risk import RiskMapSpec, eval_risk, logsumexp_rows
+from .risk import RiskMapSpec, eval_risk
 from .solver import SolveConfig, relative_value_iteration
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "enumerate_policies",
     "is_primitive",
     "neutral_average_cost",
-    "path_enumeration_entropic",
     "policy_table_to_csv",
     "static_total_cost_risk",
     "total_cost_law",
@@ -200,20 +199,6 @@ def total_cost_law(
         costs = costs + c[states]
         out.append((probs, costs))
     return out
-
-
-def path_enumeration_entropic(
-    mcp: FiniteMCP, policy: PolicyVector, lam: float, T: int, budget: int = 10_000_000
-) -> np.ndarray:
-    """Exact T-horizon entropic value per start state, by path enumeration.
-
-    Computes (1/lam) log E[exp(lam * total cost)] from the exact cost law;
-    for a deterministic policy this equals the nested horizon recursion value.
-    """
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
-    laws = total_cost_law(mcp, policy, T, budget)
-    return np.array([logsumexp_rows((np.log(probs) + lam * costs)[None, :])[0] / lam for probs, costs in laws])
 
 
 def static_total_cost_risk(mcp: FiniteMCP, policy: PolicyVector, spec: RiskMapSpec, T: int) -> np.ndarray:

@@ -39,7 +39,6 @@ __all__ = [
     "entropic",
     "entropic_upper_envelope",
     "eval_risk",
-    "logsumexp_rows",
     "maximize_ratio_over_box",
     "mean_semideviation",
     "risk_values",
@@ -227,7 +226,7 @@ def _sort_by_value(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.take_along_axis(V, order, axis=1), np.take_along_axis(W, order, axis=1)
 
 
-def logsumexp_rows(A: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(A: np.ndarray) -> np.ndarray:
     """log(sum(exp(A), axis=1)), shifted by each row's max so it cannot overflow."""
     amax = np.max(A, axis=1)
     out = np.empty_like(amax)
@@ -244,7 +243,7 @@ def logsumexp_rows(A: np.ndarray) -> np.ndarray:
 def _entropic_rows(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         A = np.log(rows) + lam * V
-    return logsumexp_rows(A) / lam
+    return _logsumexp_rows(A) / lam
 
 
 def _band_rows(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
@@ -335,14 +334,15 @@ def shortfall(v, q, utility: PiecewiseLinearUtility) -> float:
 # ---------------------------------------------------------------------------
 
 
-def maximize_ratio_over_box(u, p, lo, hi, tol: float = 1e-12, max_iter: int = 200):
+def maximize_ratio_over_box(u, p, lo, hi):
     """Maximize sum(p d u) / sum(p d) over the box lo <= d <= hi.
 
-    Dinkelbach iteration: given a ratio guess theta, the inner maximizer of
-    sum(p d (u - theta)) is the threshold vertex d_y = hi_y if u_y > theta
-    else lo_y (ties to lo).  The objective is piecewise linear in theta, so
-    the iteration reaches the optimum in finitely many steps; we stop when
-    the guess moves by less than ``tol``.  Returns (value, argmax d).
+    The maximum sits at a threshold vertex: d_y = hi_y on the j largest u_y
+    and lo_y on the rest, which is the inner maximizer of sum(p d (u - theta))
+    at the optimal ratio theta.  With u sorted once from the top, prefix sums
+    of the hi part and suffix sums of the lo part give all n + 1 candidate
+    ratios exactly; the first best (fewest hi entries, so ties go to lo) wins.
+    Returns (value, argmax d).
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -353,15 +353,17 @@ def maximize_ratio_over_box(u, p, lo, hi, tol: float = 1e-12, max_iter: int = 20
     if np.any(hi < lo):
         raise ValueError("box upper bounds must dominate lower bounds")
 
+    order = np.argsort(-u, kind="stable")
+    ph, pl, us = (p * hi)[order], (p * lo)[order], u[order]
+
+    def split_sums(top, rest):
+        # entry j: the first j of ``top`` plus the rest of ``rest``, j = 0..n
+        return np.concatenate(([0.0], np.cumsum(top))) + np.concatenate((np.cumsum(rest[::-1])[::-1], [0.0]))
+
+    j = int(np.argmax(split_sums(ph * us, pl * us) / split_sums(ph, pl)))
     d = lo.copy()
-    theta = float(np.dot(p * d, u) / np.dot(p, d))
-    for _ in range(max_iter):
-        d = np.where(u > theta, hi, lo)
-        theta_new = float(np.dot(p * d, u) / np.dot(p, d))
-        if abs(theta_new - theta) < tol:
-            return theta_new, d
-        theta = theta_new
-    raise RuntimeError("ratio maximization did not converge")
+    d[order[:j]] = hi[order[:j]]
+    return float(np.dot(p * d, u) / np.dot(p, d)), d
 
 
 def entropic_upper_envelope(u, q, b) -> float:

@@ -179,11 +179,11 @@ class ContractionStats:
 
 
 def _random_policy(mcp: FiniteMCP, rng: np.random.Generator) -> PolicyVector:
-    rows = []
-    for x in range(mcp.n_states):
-        e = rng.exponential(1.0, size=mcp.n_actions(x))
-        rows.append(e / e.sum())
-    return PolicyVector.rand(rows)
+    # one exponential draw per (x, a) row, normalized within each state
+    offs = mcp.row_offsets
+    e = rng.exponential(1.0, size=offs[-1])
+    w = e / np.repeat(np.add.reduceat(e, offs[:-1]), np.diff(offs))
+    return PolicyVector.rand(np.split(w, offs[1:-1]))
 
 
 def _random_in_ball(n: int, rng: np.random.Generator, ball_radius: float | None) -> np.ndarray:

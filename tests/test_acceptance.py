@@ -40,7 +40,6 @@ from riskmdp.oracles import (
     entropic_spectral_rho,
     enumerate_policies,
     neutral_average_cost,
-    path_enumeration_entropic,
     static_total_cost_risk,
 )
 from riskmdp.risk import (
@@ -414,7 +413,7 @@ def test_entropic_time_consistency_and_semideviation_gap(capsys):
         m = builtin_chain("random_seeded", n=n, m=2, seed=seed)
         rng = np.random.default_rng(seed)
         pi = PolicyVector.det(rng.integers(0, 2, size=n))
-        static = path_enumeration_entropic(m, pi, lam, T)
+        static = static_total_cost_risk(m, pi, RiskMapSpec("entropic", lam=lam), T)
         nested = finite_horizon_risk(m, RiskMapSpec("entropic", lam=lam), [pi] * (T + 1), T)
         worst = max(worst, float(np.max(np.abs(static - nested))))
 

@@ -144,6 +144,55 @@ def test_bad_configs_are_exit_2(tmp_path, cfg):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, cfg, words",
+    [
+        ("solve", {"risk": {"kind": "neutral"}}, "missing key 'model'"),
+        ("solve", {"model": {"builtin": "uniform2"}}, "missing key 'risk'"),
+        ("solve", {"model": {"diffusion": {"dim": 1}}, "risk": {"kind": "neutral"}}, "missing key 'A'"),
+        ("solve", {"model": {"builtin": "uniform2", "cost": 5}, "risk": {"kind": "neutral"}}, "'cost'"),
+        ("solve", {"model": {"builtin": "uniform2"}, "risk": {"kind": "neutral"}, "solve": {"tol": "abc"}},
+         "solve: could not convert string to float: 'abc'"),
+        ("sweep", {"model": {"builtin": "uniform2"}, "risk": {"kind": "entropic", "lambda": 1.0},
+                   "sweep": {"param": "lambda", "values": ["x"]}}, "sweep: could not convert string to float: 'x'"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "lyapunov"}]}, "certificates[0] (lyapunov): missing key 'w0'"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "doeblin", "subset": "all"}, {"type": "mystery"}]},
+         "certificates[1] (mystery): unknown certificate type"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "contraction", "w0": "zeros", "gamma": "abc",
+                                      "K_bar": 1.0, "alpha": 0.5, "R": 5.0}]},
+         "certificates[0] (contraction): could not convert string to float: 'abc'"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "l2", "w0": "zeros", "K": "shortfall"}]},
+         "certificates[0] (l2): K rule 'shortfall' needs a shortfall risk map"),
+    ],
+)
+def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and words in err
+
+
+def test_output_dir_that_is_not_a_string_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}, "output_dir": 5})
+    assert main(["solve", "--config", cfg]) == 2
+    assert "'output_dir'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError("internal_bug"), ValueError("internal_bug")])
+def test_faults_outside_config_reading_propagate(tmp_path, monkeypatch, error):
+    # only a ConfigError is exit 2; a fault in the solver is a traceback
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(riskmdp.cli, "relative_value_iteration", broken)
+    with pytest.raises(type(error), match="internal_bug"):
+        run(tmp_path, "solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}})
+
+
 def write_model(tmp_path, transition, cost):
     model = {"n_states": 2, "actions": [["a"], ["a"]], "transition": transition, "cost": cost,
              "coords": None}
@@ -329,6 +378,46 @@ def test_verify_unknown_certificate_type_is_exit_2(tmp_path):
     }
     code, _ = run(tmp_path, "verify", cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"type": "doeblin", "subset": [0, 7]},
+        {"type": "doeblin", "subset": [-1]},
+        {"type": "local_doeblin", "subset": [0, 0, 1]},
+        {"type": "lyapunov", "w0": "zeros", "states": [9]},
+        {"type": "doeblin", "subset": [0.5]},
+        {"type": "doeblin", "subset": [True]},
+        {"type": "doeblin", "subset": []},
+        {"type": "doeblin", "subset": {"level": {"w0": "coords_sq", "radius": -1.0}}},
+        {"type": "envelope_minorization", "subset": "most", "K": 1.0, "w": "zeros"},
+    ],
+)
+def test_bad_state_sets_are_exit_2(tmp_path, capsys, entry):
+    cfg = {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}, "certificates": [entry]}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 2
+    assert f"certificates[0] ({entry['type']}): " in capsys.readouterr().err
+    assert not (out / "certificates.json").exists()
+
+
+def test_state_set_forms_name_the_same_states(tmp_path):
+    # biased2 sits at coordinates 0 and 1, so only state 0 is interior
+    forms = ["all", [1, 0], {"level": {"w0": "coords_sq", "radius": 1.0}}]
+    cfg = {
+        "model": {"builtin": "biased2"},
+        "risk": {"kind": "neutral"},
+        "certificates": [{"type": "doeblin", "subset": f} for f in forms]
+        + [{"type": "doeblin", "subset": "interior"}, {"type": "doeblin", "subset": [0]}]
+        + [{"type": "lyapunov", "w0": "zeros", "states": f} for f in forms],
+    }
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 0
+    report = json.loads((out / "certificates.json").read_text())
+    assert [r["constants"]["alpha"] for r in report[:3]] == [pytest.approx(0.7)] * 3
+    assert report[3] == report[4]
+    assert report[5] == report[6] == report[7]
 
 
 # --- sweep --------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from riskmdp.oracles import (
     enumerate_policies,
     is_primitive,
     neutral_average_cost,
-    path_enumeration_entropic,
     policy_table_to_csv,
     static_total_cost_risk,
     total_cost_law,
@@ -230,7 +229,7 @@ def test_entropic_nesting_collapses_to_static():
     pi = PolicyVector.det([1, 1, 0])
     lam = 0.6
     T = 5
-    static = path_enumeration_entropic(m, pi, lam, T)
+    static = static_total_cost_risk(m, pi, RiskMapSpec("entropic", lam=lam), T)
     nested = finite_horizon_risk(m, RiskMapSpec("entropic", lam=lam), [pi] * (T + 1), T)
     assert np.allclose(static, nested, atol=1e-12)
 

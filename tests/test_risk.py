@@ -400,17 +400,20 @@ def test_ratio_box_hand_value():
 
 def test_ratio_box_matches_vertex_enumeration():
     rng = np.random.default_rng(12)
-    for _ in range(80):
-        n = int(rng.integers(2, 7))
-        u = rng.normal(size=n) * 3
-        p = random_law(rng, n)
-        lo = rng.uniform(0.2, 1.0, size=n)
-        hi = lo + rng.uniform(0.0, 3.0, size=n)
-        val, arg = maximize_ratio_over_box(u, p, lo, hi)
-        want = brute_force_ratio(u, p, lo, hi)
-        assert val == pytest.approx(want, abs=1e-10)
-        # the reported maximizer must achieve the reported value
-        assert float(np.dot(p * arg, u) / np.dot(p, arg)) == pytest.approx(val, abs=1e-12)
+    for tied in (False, True):
+        for _ in range(80):
+            n = int(rng.integers(2, 7))
+            u = rng.normal(size=n) * 3
+            if tied:
+                u = np.round(u / 3)  # mostly repeated values in {-2, ..., 2}
+            p = random_law(rng, n)
+            lo = rng.uniform(0.2, 1.0, size=n)
+            hi = lo + rng.uniform(0.0, 3.0, size=n)
+            val, arg = maximize_ratio_over_box(u, p, lo, hi)
+            want = brute_force_ratio(u, p, lo, hi)
+            assert val == pytest.approx(want, abs=1e-10)
+            # the reported maximizer must achieve the reported value
+            assert float(np.dot(p * arg, u) / np.dot(p, arg)) == pytest.approx(val, abs=1e-12)
 
 
 def test_ratio_box_rejects_bad_boxes():
