@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import FiniteMCP
-from .risk import RiskMapSpec, risk_values
+from .risk import _BLOCK_ELEMENTS, RiskMapSpec, risk_table, risk_values
 
 __all__ = [
     "ContractionCertificate",
@@ -314,16 +314,15 @@ def contraction_certificate(
     )
 
 
-def _sign_pattern_values(bound: np.ndarray, order: np.ndarray) -> list[np.ndarray]:
-    """All +-bound vectors whose sign flips once along the given ordering."""
+def _sign_pattern_values(bound: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """All +-bound vectors whose sign flips once along the given ordering:
+    row 2k is +bound on the first k states of ``order`` and -bound on the
+    rest, row 2k + 1 its negation."""
     n = len(bound)
-    out = []
-    for k in range(n + 1):
-        pattern = np.ones(n)
-        pattern[order[k:]] = -1.0
-        out.append(pattern * bound)
-        out.append(-pattern * bound)
-    return out
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    pattern = np.where(rank < np.arange(n + 1)[:, None], 1.0, -1.0)
+    return np.stack((pattern * bound, -pattern * bound), axis=1).reshape(2 * (n + 1), n)
 
 
 def check_l2(
@@ -342,7 +341,8 @@ def check_l2(
     For v with |v| <= w0 + K the inequality
       R_{x,a}(w0 + K) - R_{x,a}(v) + R_{y,b}(v) - R_{y,b}(-w0 - K) >= 2 K0
     must hold for all x, y in B0.  Random v plus adversarial single-threshold
-    sign mixtures of +-(w0 + K); reports the minimal slack and its witness.
+    sign mixtures of +-(w0 + K), evaluated by ``risk_table`` in blocks of
+    samples; reports the minimal slack and the first sample that attains it.
     """
     w0 = np.asarray(w0, dtype=float)
     B0 = np.asarray(B0, dtype=np.intp)
@@ -355,27 +355,36 @@ def check_l2(
     r_plus = risk_values(spec, bound, rows)
     r_minus = risk_values(spec, -bound, rows)
 
-    samples = _sign_pattern_values(bound, np.arange(mcp.n_states))
-    samples += _sign_pattern_values(bound, np.argsort(w0, kind="stable"))
-    n_random = max(0, n_samples - len(samples))
-    for _ in range(n_random):
-        samples.append(rng.uniform(-1.0, 1.0, size=mcp.n_states) * bound)
+    n = mcp.n_states
+    n_random = max(0, n_samples - 4 * (n + 1))
+    samples = np.concatenate([_sign_pattern_values(bound, np.arange(n)),
+                              _sign_pattern_values(bound, np.argsort(w0, kind="stable")),
+                              rng.uniform(-1.0, 1.0, size=(n_random, n))])
+    samples[4 * (n + 1) :] *= bound
 
-    min_slack = math.inf
+    # risk_table tables of about _BLOCK_ELEMENTS cells keep the (samples,
+    # rows) temporaries bounded whatever n_samples is.
+    step = max(1, _BLOCK_ELEMENTS // len(rows))
+    slack = np.empty(len(samples))
+    pairs = np.empty((len(samples), 2), dtype=np.intp)
+    for lo in range(0, len(samples), step):
+        RV = risk_table(spec, samples[lo : lo + step], rows)
+        at = np.arange(len(RV))
+        i = np.argmin(r_plus - RV, axis=1)
+        j = np.argmax(r_minus - RV, axis=1)  # minimizes rv - r_minus
+        slack[lo : lo + len(RV)] = (r_plus[i] - RV[at, i]) + (RV[at, j] - r_minus[j]) - 2.0 * K0
+        pairs[lo : lo + len(RV)] = np.column_stack((i, j))
+    slack = np.where(np.isnan(slack), np.inf, slack)  # a NaN slack never wins
+    best = int(np.argmin(slack))  # the first sample with the minimal slack
+    min_slack = float(slack[best])
     witness = None
-    for v in samples:
-        rv = risk_values(spec, v, rows)
-        i = int(np.argmin(r_plus - rv))
-        j = int(np.argmax(r_minus - rv))  # minimizes rv - r_minus
-        slack = float((r_plus[i] - rv[i]) + (rv[j] - r_minus[j]) - 2.0 * K0)
-        if slack < min_slack:
-            min_slack = slack
-            witness = {
-                "v": v.tolist(),
-                "pair_xa": _row_state_action(mcp, int(row_idx[i])),
-                "pair_yb": _row_state_action(mcp, int(row_idx[j])),
-                "slack": slack,
-            }
+    if min_slack < math.inf:
+        witness = {
+            "v": samples[best].tolist(),
+            "pair_xa": _row_state_action(mcp, int(row_idx[pairs[best, 0]])),
+            "pair_yb": _row_state_action(mcp, int(row_idx[pairs[best, 1]])),
+            "slack": min_slack,
+        }
     return L2Certificate(
         passed=min_slack >= -tol,
         min_slack=min_slack,

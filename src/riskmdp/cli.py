@@ -86,6 +86,15 @@ def _table(cfg: dict, key: str, default=None) -> dict:
     return val
 
 
+def _whole(cfg: dict, key: str, default: int | None = None) -> int:
+    """The integer under ``key``: a JSON number with no fractional part, so
+    2000 and 2000.0 pass and 2.5, "10" and true are a ``ConfigError``."""
+    val = cfg[key] if default is None else cfg.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not float(val).is_integer():
+        raise ConfigError(f"{key!r} must be a whole number, got {val!r}")
+    return int(val)
+
+
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("RISKMDP_LOG", "error").lower(), logging.ERROR
@@ -118,7 +127,8 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
     mcfg = _table(cfg, "model")
     meta: dict = {}
     if "builtin" in mcfg:
-        mcp = builtin_chain(mcfg["builtin"], **_table(mcfg, "params", {}))
+        params = _table(mcfg, "params", {})
+        mcp = builtin_chain(mcfg["builtin"], **{k: _whole(params, k) for k in params})
     elif "path" in mcfg:
         p = Path(mcfg["path"])
         if not p.is_absolute():
@@ -135,7 +145,7 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
         grid = GridSpec(points=_as_tuple_or_scalar(gcfg.get("points", 201)),
                         extent=_as_tuple_or_scalar(gcfg.get("extent", 5.0)))
         spec = DiffusionSpec(
-            dim=int(dcfg["dim"]),
+            dim=_whole(dcfg, "dim"),
             A=np.asarray(dcfg["A"], dtype=float),
             actions=list(dcfg["actions"]),
             drift=_arrays(dcfg, "drift"),
@@ -237,8 +247,8 @@ def _solve_config(cfg: dict) -> SolveConfig:
     scfg = _table(cfg, "solve", {})
     return SolveConfig(
         tol=float(scfg.get("tol", 1e-10)),
-        max_iter=int(scfg.get("max_iter", 100_000)),
-        reference_state=int(scfg.get("reference_state", 0)),
+        max_iter=_whole(scfg, "max_iter", 100_000),
+        reference_state=_whole(scfg, "reference_state", 0),
     )
 
 
@@ -309,7 +319,7 @@ def _l2(entry, mcp, spec, meta, seed):
     B0 = level_set(w0, 2.0 * K0 / (1.0 - gamma0))
     K = entry.get("K")
     K = float(_invariant_K(K or "coherent", mcp, spec, K0, B0) if K is None or isinstance(K, str) else K)
-    cert = check_l2(mcp, spec, w0, K0, K, B0, n_samples=int(entry.get("n_samples", 2000)), seed=seed)
+    cert = check_l2(mcp, spec, w0, K0, K, B0, n_samples=_whole(entry, "n_samples", 2000), seed=seed)
     constants = {"K0": K0, "K": K, "min_slack": cert.min_slack, "n_samples": cert.n_samples}
     return cert.passed, constants, cert.worst_witness
 
@@ -343,7 +353,7 @@ def _contraction(entry, mcp, spec, meta, seed):
     if not entry.get("measure"):
         return True, constants, None
     mcfg = _table(entry, "measure")
-    stats = measure_contraction(mcp, spec, cert.w_hat, n_trials=int(mcfg.get("n_trials", 200)),
+    stats = measure_contraction(mcp, spec, cert.w_hat, n_trials=_whole(mcfg, "n_trials", 200),
                                 ball_radius=mcfg.get("ball_radius"), seed=seed)
     constants["measured_max_ratio"] = stats.max_ratio
     if stats.max_ratio > cert.alpha_bar + 1e-9:

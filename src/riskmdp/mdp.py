@@ -182,10 +182,15 @@ class FiniteMCP:
 
 @dataclass
 class PolicyVector:
-    """Single-step policy: one action index per state, or one mixture row."""
+    """Single-step policy: one action index per state, or mixture weights.
+
+    ``randomized`` holds the weights stacked like a model's rows, state x
+    owning ``randomized[offsets[x]:offsets[x + 1]]``.
+    """
 
     deterministic: np.ndarray | None = None
-    randomized: list[np.ndarray] | None = None
+    randomized: np.ndarray | None = None
+    offsets: np.ndarray | None = None
 
     @classmethod
     def det(cls, indices) -> "PolicyVector":
@@ -193,7 +198,9 @@ class PolicyVector:
 
     @classmethod
     def rand(cls, rows) -> "PolicyVector":
-        return cls(randomized=[np.asarray(r, dtype=float) for r in rows])
+        """From one mixture row per state."""
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        return cls(randomized=np.concatenate([np.zeros(0), *rows]), offsets=np.cumsum([0, *map(len, rows)]))
 
     @property
     def is_deterministic(self) -> bool:
@@ -211,13 +218,12 @@ class PolicyVector:
             if bad.size:
                 raise ValueError(f"action index {f[bad[0]]} out of range at state {bad[0]}")
         else:
-            if len(self.randomized) != mcp.n_states:
+            if len(self.offsets) != mcp.n_states + 1:
                 raise ValueError("policy length != n_states")
-            lengths = np.fromiter(map(len, self.randomized), dtype=np.intp, count=mcp.n_states)
-            bad = np.flatnonzero(lengths != counts)
+            bad = np.flatnonzero(np.diff(self.offsets) != counts)
             if bad.size:
                 raise ValueError(f"mixture length mismatch at state {bad[0]}")
-            probs, starts = np.concatenate(self.randomized), mcp.row_offsets[:-1]
+            probs, starts = self.randomized, mcp.row_offsets[:-1]
             ok = (np.minimum.reduceat(probs, starts) >= 0) & (np.abs(np.add.reduceat(probs, starts) - 1.0) <= tol)
             if not ok.all():
                 raise ValueError(f"mixture at state {np.argmin(ok)} is not a probability vector")
@@ -291,7 +297,7 @@ def policy_reduce(mcp: FiniteMCP, policy: PolicyVector, vals: np.ndarray) -> np.
     starts = mcp.row_offsets[:-1]
     if policy.is_deterministic:
         return vals[starts + policy.deterministic]
-    weights = np.concatenate(policy.randomized).reshape((-1,) + (1,) * (vals.ndim - 1))
+    weights = policy.randomized.reshape((-1,) + (1,) * (vals.ndim - 1))
     return np.add.reduceat(weights * vals, starts)
 
 

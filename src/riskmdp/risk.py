@@ -14,8 +14,16 @@ R(v) + c for scalar c) and centralized (R(0) = 0).  The supported kinds:
   E[u(v - m)] = 0 for a piecewise-linear increasing u with u(0) = 0, solved
   exactly on the linear piece of E[u(v - m)] that holds it.
 
-The core evaluator is vectorized over stacks of rows (and optionally stacks
-of value vectors), which is what makes value iteration cheap.
+Evaluation is vectorized over a stack of probability rows.  A value vector
+shared by all rows, as every Bellman sweep and certificate passes it, never
+makes a full (rows, n) temporary: ``neutral`` is one matrix-vector product
+and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which
+falls back to a row-wise logsumexp where the product underflows or v is not
+finite.  The order-based kinds sort v once and sweep the rows in blocks of
+about 2^17 elements.  ``risk_table`` evaluates many value vectors against
+the same rows the same way, with one matrix product for neutral and
+entropic.  An (m, n) stack of value vectors paired row by row, as the axiom
+checks pass it, goes row by row, with a logsumexp for entropic.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ __all__ = [
     "eval_risk",
     "maximize_ratio_over_box",
     "mean_semideviation",
+    "risk_table",
     "risk_values",
     "shortfall",
     "shortfall_upper_envelope",
@@ -199,31 +208,49 @@ class RiskMapSpec:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation kernel
+# Evaluation kernels
 # ---------------------------------------------------------------------------
 
+# Elements of one row-block temporary in the order-based kernels (1 MB of
+# float64): small enough to stay in cache, large enough that numpy's
+# per-call overhead is amortized.
+_BLOCK_ELEMENTS = 1 << 17
 
-def _as_stack(v, rows):
-    """``rows`` as an (m, n) array, and ``v`` as a shared length-n vector or an
-    (m, n) stack paired row by row; the kernels broadcast a shared v."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    v = np.asarray(v, dtype=float)
-    if v.shape not in (rows.shape[1:], rows.shape):
-        raise ValueError(f"values {v.shape} match neither one row {rows.shape[1:]} nor the rows {rows.shape}")
-    return v, rows
+_TINY = np.finfo(float).tiny
 
 
-def _sort_by_value(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V sorted ascending along its last axis, and the (m, n) W permuted to match.
+def _slices(total: int, step: int) -> list[slice]:
+    return [slice(i, i + step) for i in range(0, total, step)]
 
-    A shared length-n V is sorted once and permutes the columns of W; an
-    (m, n) stack is sorted row by row.
+
+def _blocks(V: np.ndarray, m: int, width: int) -> list:
+    """How an order-based kernel tiles its output in blocks of about
+    ``_BLOCK_ELEMENTS / width`` cells: groups ``(values index, [(rows index,
+    output index), ...])``, each group's value vectors sorted once.
+
+    V is an (S, 1, n) stack of shared value vectors (output (S, m)) or an
+    (m, n) stack paired with the rows (output (m,)).  Shared vectors go
+    whole samples at a time when all m rows fit in a block, else one sample
+    in ``max(1, budget // width)``-row blocks.
     """
-    if V.ndim == 1:
-        order = np.argsort(V, kind="stable")
-        return V[order], np.take(W, order, axis=1)
-    order = np.argsort(V, axis=1, kind="stable")
-    return np.take_along_axis(V, order, axis=1), np.take_along_axis(W, order, axis=1)
+    per = max(1, _BLOCK_ELEMENTS // width)
+    if V.ndim == 2:
+        return [(sl, [(sl, sl)]) for sl in _slices(m, per)]
+    if m <= per:
+        return [(ks, [(slice(None), ks)]) for ks in _slices(len(V), max(1, per // max(m, 1)))]
+    return [(ks, [(sl, (ks, sl)) for sl in _slices(m, per)]) for ks in _slices(len(V), 1)]
+
+
+def _gather(Q: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The columns of the row block Q in each value vector's order: (mb, w)
+    for a paired (mb, w) order, (b, mb, w) for b shared (b, 1, w) orders."""
+    if order.ndim == 2:
+        return np.take_along_axis(Q, order, axis=1)
+    return np.take(Q, order[:, 0], axis=1).swapaxes(0, 1)
+
+
+def _out_like(V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return np.empty(np.broadcast_shapes(V.shape[:-1], rows.shape[:-1]))
 
 
 def _logsumexp_rows(A: np.ndarray) -> np.ndarray:
@@ -246,23 +273,55 @@ def _entropic_rows(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     return _logsumexp_rows(A) / lam
 
 
-def _band_rows(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
+def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
+    # s + log(Q exp(lam (v - s))) / lam with s = max v (lam > 0) or min v
+    # (lam < 0), so every exponent is <= 0: one gemm for all samples.  A
+    # product below the normal range (underflow) or a non-finite v goes
+    # through the row-wise logsumexp instead.
+    finite = np.isfinite(V).all(axis=1)
+    Vf = V[finite]
+    s = (Vf.max(axis=1) if lam > 0 else Vf.min(axis=1))[:, None]
+    P = np.exp(lam * (Vf - s)) @ rows.T
+    ok = np.zeros((len(V), len(rows)), dtype=bool)
+    ok[finite] = P >= _TINY
+    np.log(P, out=P, where=ok[finite])
+    P /= lam
+    P += s
+    out = np.empty(ok.shape)
+    out[finite] = P
+    for k in np.flatnonzero(~ok.all(axis=1)):
+        out[k, ~ok[k]] = _entropic_rows(V[k], rows[~ok[k]], lam)
+    return out
+
+
+def _band(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
     # With xi = g1 + (g2 - g1) eta, the best 0 <= eta <= 1 puts its mass
     # (1 - g1)/(g2 - g1) on the largest outcomes, so the (g2 - g1) eta part
     # adds min((g2 - g1) cum, 1 - g1) of q-mass, cum counted from the top.
-    negVs, Qs = _sort_by_value(-V, rows)
-    top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
-    return -np.sum((g1 * Qs + top) * negVs, axis=1)
+    out = _out_like(V, rows)
+    for vi, row_blocks in _blocks(V, len(rows), rows.shape[1]):
+        order = np.argsort(-V[vi], axis=-1, kind="stable")
+        negVs = np.take_along_axis(-V[vi], order, axis=-1)
+        for ri, oi in row_blocks:
+            Qs = _gather(rows[ri], order)
+            top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=-1), 1.0 - g1), axis=-1, prepend=0.0)
+            out[oi] = -np.sum((g1 * Qs + top) * negVs, axis=-1)
+    return out
 
 
-def _semidev_rows(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.ndarray:
-    mean = np.sum(rows * V, axis=1)
-    excess = np.maximum(V - mean[:, None], 0.0)
-    dev = np.sum(rows * excess**r, axis=1) ** (1.0 / r)
-    return mean + lam * dev
+def _semideviation(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.ndarray:
+    out = _out_like(V, rows)
+    for vi, row_blocks in _blocks(V, len(rows), rows.shape[1]):
+        Vb = V[vi]
+        for ri, oi in row_blocks:
+            Q = rows[ri]
+            mean = np.sum(Q * Vb, axis=-1)
+            excess = np.maximum(Vb - mean[..., None], 0.0)
+            out[oi] = mean + lam * np.sum(Q * excess**r, axis=-1) ** (1.0 / r)
+    return out
 
 
-def _shortfall_rows(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility) -> np.ndarray:
+def _shortfall(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility) -> np.ndarray:
     # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
     # v_y - b_k.  Below every kink g(m) = A - S (m - a) with all outcomes on
     # u's top piece; passing kink t lowers S by q_y (s_{k+1} - s_k) and A by
@@ -270,36 +329,77 @@ def _shortfall_rows(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUti
     # g > 0.  Anchoring at the mean keeps the sums on the scale of v's spread;
     # a non-finite mean falls back to 0, so such rows give +-inf or NaN.
     b, s = utility.breakpoints, utility.slopes
+    k = max(len(b), 1)
     x0 = b.max(initial=0.0)  # a point on u's top piece
     c = float(utility(x0)) - s[-1] * x0
-    a = np.nan_to_num(np.sum(rows * V, axis=1), nan=0.0, posinf=0.0, neginf=0.0)[:, None]
-    T, W = _sort_by_value(
-        (V[..., None] - b).reshape(*V.shape[:-1], -1),
-        (rows[:, :, None] * np.diff(s)).reshape(len(rows), -1),
-    )
-    T = T - a
-    S = np.cumsum(np.column_stack((s[-1] * rows.sum(axis=1), -W)), axis=1)
-    A = np.cumsum(np.column_stack((np.sum(rows * (s[-1] * (V - a) + c), axis=1), -W * T)), axis=1)
-    piece = np.sum(A[:, 1:] - S[:, 1:] * T > 0, axis=1)[:, None]
-    return (a + np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
+    ds = np.diff(s)
+    out = _out_like(V, rows)
+    for vi, row_blocks in _blocks(V, len(rows), rows.shape[1] * k):
+        Vb = V[vi]
+        kinks = (Vb[..., None] - b).reshape(*Vb.shape[:-1], -1)
+        order = np.argsort(kinks, axis=-1, kind="stable")
+        kinks = np.take_along_axis(kinks, order, axis=-1)
+        y, j = np.divmod(order, k)  # outcome and slope step of each sorted kink
+        for ri, oi in row_blocks:
+            Q = rows[ri]
+            a = np.nan_to_num(np.sum(Q * Vb, axis=-1), nan=0.0, posinf=0.0, neginf=0.0)[..., None]
+            W = _gather(Q, y) * ds[j]
+            T = kinks - a
+            S0 = np.broadcast_to(s[-1] * Q.sum(axis=-1)[:, None], a.shape)  # S and A below every kink
+            A0 = np.sum(Q * (s[-1] * (Vb - a) + c), axis=-1)[..., None]
+            S = np.cumsum(np.concatenate((S0, -W), axis=-1), axis=-1)
+            A = np.cumsum(np.concatenate((A0, -W * T), axis=-1), axis=-1)
+            piece = np.sum(A[..., 1:] - S[..., 1:] * T > 0, axis=-1)[..., None]
+            out[oi] = (a + np.take_along_axis(A, piece, axis=-1) / np.take_along_axis(S, piece, axis=-1))[..., 0]
+    return out
+
+
+def _order_based(spec: RiskMapSpec, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    if spec.kind == "density_band":
+        return _band(V, rows, *spec.band)
+    if spec.kind == "mean_semideviation":
+        return _semideviation(V, rows, spec.lam, spec.r)
+    return _shortfall(V, rows, spec.utility)
+
+
+def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
+    """R(v_k | q_i) for an (S, n) stack of value vectors against shared (m, n)
+    rows; returns (S, m).
+
+    Neutral and entropic are one matrix product (entropic with one shift per
+    sample, falling back to a row-wise logsumexp where the product
+    underflows or v is not finite); the order-based kinds sort each v once
+    and sweep the rows in blocks of bounded size.
+    """
+    V = np.asarray(V, dtype=float)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if V.ndim != 2 or V.shape[1] != rows.shape[1]:
+        raise ValueError(f"values {V.shape} are not a stack of vectors of length {rows.shape[1]}")
+    if spec.kind == "neutral":
+        return V @ rows.T
+    if spec.kind == "entropic":
+        return _entropic_table(V, rows, spec.lam)
+    return _order_based(spec, V[:, None, :], rows)
 
 
 def risk_values(spec: RiskMapSpec, v, rows) -> np.ndarray:
     """Evaluate R(v | q) for a stack of probability rows.
 
-    ``rows`` has shape (m, n).  ``v`` is either a shared length-n vector or
-    an (m, n) stack paired row-by-row.  Returns a length-m array.
+    ``rows`` has shape (m, n).  ``v`` is either a shared length-n vector,
+    evaluated as ``risk_table(spec, v[None], rows)[0]``, or an (m, n) stack
+    paired row-by-row.  Returns a length-m array.
     """
-    V, rows = _as_stack(v, rows)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    V = np.asarray(v, dtype=float)
+    if V.shape == rows.shape[1:]:
+        return risk_table(spec, V[None], rows)[0]
+    if V.shape != rows.shape:
+        raise ValueError(f"values {V.shape} match neither one row {rows.shape[1:]} nor the rows {rows.shape}")
     if spec.kind == "neutral":
         return np.sum(rows * V, axis=1)
     if spec.kind == "entropic":
         return _entropic_rows(V, rows, spec.lam)
-    if spec.kind == "density_band":
-        return _band_rows(V, rows, *spec.band)
-    if spec.kind == "mean_semideviation":
-        return _semidev_rows(V, rows, spec.lam, spec.r)
-    return _shortfall_rows(V, rows, spec.utility)
+    return _order_based(spec, V, rows)
 
 
 def eval_risk(spec: RiskMapSpec, v, q) -> float:

@@ -10,6 +10,7 @@ sweep so the values stay bounded.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,12 +43,20 @@ class SolveConfig:
 
 @dataclass
 class TraceRecord:
+    """One RVI sweep: the increment span M - m, its min m and max M, the
+    estimate (m + M)/2 and the wall time since the solve started.
+    ``policy_changes`` counts the states whose greedy action differs from
+    the previous sweep's and ``span_ratio`` is span / previous span; both
+    are None on sweep 1."""
+
     iter: int
     span: float
     m: float
     M: float
     rho_est: float
     wall_ns: int
+    policy_changes: int | None = None
+    span_ratio: float | None = None
 
 
 @dataclass
@@ -113,13 +122,19 @@ def relative_value_iteration(
     policy = PolicyVector.det(np.zeros(n, dtype=np.intp))
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        u, policy = bellman_F(mcp, spec, v)
+        u, greedy = bellman_F(mcp, spec, v)
         delta = u - v
         m = float(delta.min())
         M = float(delta.max())
         if not np.isfinite(M - m):
             raise FloatingPointError(f"non-finite increment at sweep {it}: min {m}, max {M}")
-        trace.append(TraceRecord(it, M - m, m, M, 0.5 * (m + M), time.monotonic_ns() - t0))
+        rec = TraceRecord(it, M - m, m, M, 0.5 * (m + M), time.monotonic_ns() - t0)
+        if trace:
+            prev = trace[-1].span
+            rec.policy_changes = int(np.count_nonzero(greedy.deterministic != policy.deterministic))
+            rec.span_ratio = rec.span / prev if prev > 0 else math.nan
+        trace.append(rec)
+        policy = greedy
         v = u - u[cfg.reference_state]
         if 0.5 * (M - m) < cfg.tol:
             converged = True
@@ -183,7 +198,7 @@ def _random_policy(mcp: FiniteMCP, rng: np.random.Generator) -> PolicyVector:
     offs = mcp.row_offsets
     e = rng.exponential(1.0, size=offs[-1])
     w = e / np.repeat(np.add.reduceat(e, offs[:-1]), np.diff(offs))
-    return PolicyVector.rand(np.split(w, offs[1:-1]))
+    return PolicyVector(randomized=w, offsets=offs)
 
 
 def _random_in_ball(n: int, rng: np.random.Generator, ball_radius: float | None) -> np.ndarray:
@@ -236,6 +251,8 @@ def measure_contraction(
 def trace_to_csv(trace: list[TraceRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "span", "m", "M", "rho_est", "wall_ns"])
+        writer.writerow(["iter", "span", "m", "M", "rho_est", "wall_ns", "policy_changes", "span_ratio"])
         for rec in trace:
-            writer.writerow([rec.iter, repr(rec.span), repr(rec.m), repr(rec.M), repr(rec.rho_est), rec.wall_ns])
+            writer.writerow([rec.iter, repr(rec.span), repr(rec.m), repr(rec.M), repr(rec.rho_est), rec.wall_ns,
+                             "" if rec.policy_changes is None else rec.policy_changes,
+                             "" if rec.span_ratio is None else repr(rec.span_ratio)])

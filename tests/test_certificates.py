@@ -335,6 +335,18 @@ def test_check_l2_generous_radius_passes_all_kinds():
         assert cert.n_samples >= 300
 
 
+def test_check_l2_keeps_the_first_witness_of_tied_minimal_slacks():
+    # Dyadic rows and bounds make every neutral value exact.  w0 is sorted,
+    # so the two sign-pattern sets coincide: samples 0-5 repeat as 6-11, and
+    # v = (1, -2) (samples 2 and 8) ties v = (-1, 2) (samples 3 and 9) at the
+    # minimal slack 2.5 - 2 K0.  The first, sample 2, is the witness.
+    m = FiniteMCP([["a"], ["a"]], [[[0.5, 0.5]], [[0.25, 0.75]]], [[0.0], [0.0]])
+    cert = check_l2(m, NEUTRAL, np.array([0.0, 1.0]), K0=1.0, K=1.0, B0=[0, 1], n_samples=12)
+    assert cert.n_samples == 12
+    assert cert.min_slack == 0.5
+    assert cert.worst_witness == {"v": [1.0, -2.0], "pair_xa": (0, 0), "pair_yb": (1, 0), "slack": 0.5}
+
+
 def test_check_l2_empty_subset_vacuous():
     cert = check_l2(builtin_chain("uniform2"), NEUTRAL, np.zeros(2), 1.0, 2.0, B0=[])
     assert cert.passed

@@ -41,8 +41,13 @@ def test_solve_writes_result_and_trace(tmp_path):
     assert result["policy"] == [0, 0]
     assert result["residual"] <= 1e-9
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "iter,span,m,M,rho_est,wall_ns"
+    assert lines[0] == "iter,span,m,M,rho_est,wall_ns,policy_changes,span_ratio"
     assert len(lines) == 1 + result["iterations"]
+    rows = list(csv.reader(lines[1:]))
+    assert rows[0][6:] == ["", ""]  # no previous sweep to compare with
+    for prev, row in zip(rows, rows[1:]):
+        assert row[6] == "0"  # one action per state: the greedy policy never changes
+        assert float(row[7]) == float(row[1]) / float(prev[1])
 
 
 def test_solve_entropic_builtin_params(tmp_path):
@@ -174,6 +179,47 @@ def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cf
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and words in err
+
+
+DIFFUSION_1D = {
+    "dim": 1, "A": [[0.5]], "actions": ["left", "right"],
+    "drift": {"left": [-0.5], "right": [0.5]}, "diffusion": {"left": [[1.0]], "right": [[1.0]]},
+    "gamma_tilde": 0.25, "drift_bound": 0.2500001, "ellipticity": 1.0,
+}
+L2 = {"type": "l2", "w0": "zeros", "K": "coherent"}
+CONTRACTION = {"type": "contraction", "w0": "zeros", "gamma": 0.5, "K_bar": 1.0, "alpha": 0.5, "R": 5.0}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("solve", {"solve": {"max_iter": 2.5}}, "max_iter"),
+        ("solve", {"solve": {"reference_state": True}}, "reference_state"),
+        ("solve", {"solve": {"max_iter": "10"}}, "max_iter"),
+        ("solve", {"model": {"builtin": "ring", "params": {"n": 4.5}}}, "n"),
+        ("solve", {"model": {"diffusion": {**DIFFUSION_1D, "dim": 1.5}, "grid": {"points": 11}}}, "dim"),
+        ("verify", {"certificates": [{**L2, "n_samples": 10.7}]}, "n_samples"),
+        ("verify", {"certificates": [{**L2, "n_samples": "10.7"}]}, "n_samples"),
+        ("verify", {"certificates": [{**CONTRACTION, "measure": {"n_trials": True}}]}, "n_trials"),
+    ],
+)
+def test_integer_settings_must_be_whole_numbers(tmp_path, capsys, command, cfg, key):
+    code, _ = run(tmp_path, command, {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}, **cfg})
+    assert code == 2
+    assert f"{key!r} must be a whole number" in capsys.readouterr().err
+
+
+def test_integer_settings_accept_integral_floats(tmp_path):
+    cfg = {"model": {"builtin": "ring", "params": {"n": 5.0}}, "risk": {"kind": "neutral"},
+           "solve": {"max_iter": 2000.0, "reference_state": 1.0}}
+    code, out = run(tmp_path, "solve", cfg)
+    assert code == 0
+    assert json.loads((out / "result.json").read_text())["rho"] == pytest.approx(0.2)
+    cfg = {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+           "certificates": [{**L2, "n_samples": 20.0}, {**CONTRACTION, "measure": {"n_trials": 5.0}}]}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 0
+    assert json.loads((out / "certificates.json").read_text())[0]["constants"]["n_samples"] == 20
 
 
 def test_output_dir_that_is_not_a_string_is_exit_2(tmp_path, capsys):
@@ -441,18 +487,30 @@ def test_sweep_lambda_axis(tmp_path):
     assert rhos[1] == pytest.approx(np.log(0.5 * (1 + np.e)), abs=1e-8)
 
 
+SWEEP_2D = {
+    "diffusion": {**DIFFUSION_1D, "dim": 2, "A": [[0.5, 0.0], [0.0, 0.5]],
+                  "drift": {"left": [-0.5, 0.0], "right": [0.5, 0.0]},
+                  "diffusion": {"left": [[1.0, 0.0], [0.0, 1.0]], "right": [[1.0, 0.0], [0.0, 1.0]]}},
+    "grid": {"points": 21, "extent": 5.0},
+    "cost": {"form": "quadratic", "c0": 0.1},
+}
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path):
-    cfg = {
-        "model": {"builtin": "random_seeded", "params": {"n": 5, "m": 2, "seed": 6}},
-        "risk": {"kind": "entropic", "lambda": 1.0},
-        "sweep": {"param": "lambda", "values": [0.5, 1.0, 1.5, 2.0]},
-    }
-    code1, out1 = run(tmp_path, "sweep", cfg)
-    serial = (out1 / "sweep.csv").read_text()
-    (out1 / "sweep.csv").unlink()
-    code2, out2 = run(tmp_path, "sweep", cfg, jobs=4)
-    assert code1 == code2 == 0
-    assert (out2 / "sweep.csv").read_text() == serial
+    # the 21x21 grid is large enough that the entropic matrix products run
+    # in BLAS threads inside the job threads
+    for model, jobs in [({"builtin": "random_seeded", "params": {"n": 5, "m": 2, "seed": 6}}, 4), (SWEEP_2D, 2)]:
+        cfg = {
+            "model": model,
+            "risk": {"kind": "entropic", "lambda": 1.0},
+            "sweep": {"param": "lambda", "values": [0.5, 1.0, 1.5, 2.0]},
+        }
+        code1, out1 = run(tmp_path, "sweep", cfg)
+        serial = (out1 / "sweep.csv").read_text()
+        (out1 / "sweep.csv").unlink()
+        code2, out2 = run(tmp_path, "sweep", cfg, jobs=jobs)
+        assert code1 == code2 == 0
+        assert (out2 / "sweep.csv").read_text() == serial
 
 
 @pytest.mark.parametrize(

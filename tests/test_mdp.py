@@ -239,8 +239,14 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         PolicyVector.det([0, 0]).validate(m)
     PolicyVector.rand([np.array([0.5, 0.5])] * 3).validate(m)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixture at state 0 is not a probability vector"):
         PolicyVector.rand([np.array([0.5, 0.4])] * 3).validate(m)
+    with pytest.raises(ValueError, match="mixture at state 2 is not a probability vector"):
+        PolicyVector.rand([[0.5, 0.5], [0.0, 1.0], [1.5, -0.5]]).validate(m)
+    with pytest.raises(ValueError, match="mixture length mismatch at state 1"):
+        PolicyVector.rand([[0.5, 0.5], [1.0], [0.5, 0.5]]).validate(m)
+    with pytest.raises(ValueError, match="policy length != n_states"):
+        PolicyVector.rand([[0.5, 0.5]] * 2).validate(m)
 
 
 def test_policy_kernel_deterministic_and_randomized():

@@ -15,6 +15,7 @@ from riskmdp.risk import (
     eval_risk,
     maximize_ratio_over_box,
     mean_semideviation,
+    risk_table,
     risk_values,
     shortfall,
     shortfall_upper_envelope,
@@ -67,9 +68,96 @@ def test_risk_values_matches_scalar_eval_on_stacks():
         stacked = risk_values(spec, V, rows)
         singles = [eval_risk(spec, V[i], rows[i]) for i in range(6)]
         assert np.allclose(stacked, singles, atol=1e-10)
-        # one v shared by every row is sorted once; it must equal the tiled stack
+        # one v shared by every row is sorted once and must equal the tiled
+        # stack; neutral and entropic share v through a matrix product, a
+        # different summation order than the paired rows
         shared = risk_values(spec, V[0], rows)
-        assert np.array_equal(shared, risk_values(spec, np.tile(V[0], (6, 1)), rows))
+        tiled = risk_values(spec, np.tile(V[0], (6, 1)), rows)
+        if spec.kind in ("neutral", "entropic"):
+            assert np.allclose(shared, tiled, rtol=0.0, atol=1e-14)
+        else:
+            assert np.array_equal(shared, tiled)
+
+
+ORDER_BASED = [
+    RiskMapSpec("density_band", band=(0.5, 1.5)),
+    RiskMapSpec("mean_semideviation", lam=0.5, r=2.0),
+    RiskMapSpec("shortfall", utility=KINKED),
+    RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0])),
+]
+
+
+def test_order_based_kinds_in_row_blocks_equal_row_by_row():
+    # 1000 rows of 300 states are several 2^17-element blocks (436 rows, 145
+    # for three kinks) ending in a partial one
+    rng = np.random.default_rng(20)
+    rows = rng.dirichlet(np.ones(300), size=1000)
+    v = rng.normal(size=300) * 3
+    V = rng.normal(size=(1000, 300)) * 3
+    for spec in ORDER_BASED:
+        want = [eval_risk(spec, v, q) for q in rows]
+        assert np.array_equal(risk_values(spec, v, rows), want)
+        paired = [eval_risk(spec, V[i], rows[i]) for i in range(len(rows))]
+        assert np.array_equal(risk_values(spec, V, rows), paired)
+
+
+@pytest.mark.parametrize("spread", [2.0, 40.0])
+@pytest.mark.parametrize("lam", [1.0, -1.0, 5.0])
+def test_entropic_matrix_product_matches_paired_logsumexp(lam, spread):
+    rng = np.random.default_rng(21)
+    rows = rng.dirichlet(np.ones(200), size=300)
+    v = rng.uniform(-0.5, 0.5, size=200) * spread
+    spec = RiskMapSpec("entropic", lam=lam)
+    got = risk_values(spec, v, rows)
+    want = risk_values(spec, np.tile(v, (300, 1)), rows)  # row-wise logsumexp
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_entropic_underflowing_row_falls_back_to_logsumexp():
+    # exp(-800) underflows to 0, so the shifted product cannot take the log
+    assert entropic([0.0, -800.0], [0.0, 1.0], 1.0) == -800.0
+    rows = np.array([[0.0, 1.0], [0.5, 0.5]])
+    got = risk_values(RiskMapSpec("entropic", lam=1.0), [0.0, -800.0], rows)
+    assert got[0] == -800.0 and got[1] == pytest.approx(np.log(0.5))
+
+
+def test_entropic_non_finite_values_keep_logsumexp_outputs():
+    rows = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    cases = {
+        1.0: [([0.0, np.inf, 1.0], [np.inf, np.inf]), ([0.0, -np.inf, 1.0], [np.log(0.5), None]),
+              ([np.nan, 0.0, 1.0], [np.nan, np.nan])],
+        -1.0: [([0.0, np.inf, 1.0], [-np.log(0.5), None]), ([0.0, -np.inf, 1.0], [-np.inf, -np.inf])],
+    }
+    for lam, vs in cases.items():
+        spec = RiskMapSpec("entropic", lam=lam)
+        for v, want in vs:
+            got = risk_values(spec, v, rows)
+            assert np.array_equal(got, risk_values(spec, np.tile(v, (2, 1)), rows), equal_nan=True)
+            for g, w in zip(got, want):
+                if w is not None:
+                    assert g == pytest.approx(w, nan_ok=True, abs=1e-15)
+
+
+def test_risk_table_equals_per_sample_risk_values():
+    rng = np.random.default_rng(22)
+    for m, n, S in ((6, 4, 40), (700, 300, 3)):  # many samples per block; many blocks per sample
+        rows = rng.dirichlet(np.ones(n), size=m)
+        V = rng.normal(size=(S, n)) * 3
+        for spec in ALL_SPECS + ORDER_BASED:
+            table = risk_table(spec, V, rows)
+            per_sample = np.array([risk_values(spec, v, rows) for v in V])
+            assert table.shape == (S, m)
+            if spec.kind in ("neutral", "entropic"):
+                assert np.allclose(table, per_sample, rtol=0.0, atol=1e-14)
+            else:
+                assert np.array_equal(table, per_sample)
+
+
+def test_risk_table_rejects_values_of_the_wrong_shape():
+    rows = np.full((3, 4), 0.25)
+    for V in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1))):
+        with pytest.raises(ValueError):
+            risk_table(RiskMapSpec("neutral"), V, rows)
 
 
 # --- entropic ---------------------------------------------------------------

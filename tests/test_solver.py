@@ -4,7 +4,7 @@ import pytest
 from riskmdp.mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
 from riskmdp.models import builtin_chain
 from riskmdp.oracles import entropic_spectral_rho, neutral_average_cost
-from riskmdp.risk import RiskMapSpec, eval_risk
+from riskmdp.risk import RiskMapSpec, eval_risk, risk_values
 from riskmdp.solver import (
     SolveConfig,
     bellman_F,
@@ -14,6 +14,7 @@ from riskmdp.solver import (
     poisson_residual,
     relative_value_iteration,
 )
+from riskmdp.solver import _random_policy
 
 NEUTRAL = RiskMapSpec("neutral")
 ENTROPIC = RiskMapSpec("entropic", lam=1.0)
@@ -59,6 +60,23 @@ def test_bellman_T_randomized_mixes_actions():
     t0 = bellman_T(m, NEUTRAL, PolicyVector.det([0, 0, 0]), v)
     t1 = bellman_T(m, NEUTRAL, PolicyVector.det([1, 1, 1]), v)
     assert np.allclose(bellman_T(m, NEUTRAL, mix, v), 0.3 * t0 + 0.7 * t1, atol=1e-12)
+
+
+def test_random_policy_draws_and_bellman_T_on_three_actions():
+    m = builtin_chain("random_seeded", n=6, m=3, seed=7)
+    pi = _random_policy(m, np.random.default_rng(3))
+    # one exponential per (x, a) row, normalized within each state
+    e = np.random.default_rng(3).exponential(1.0, size=18)
+    assert np.array_equal(pi.randomized, e / np.repeat(np.add.reduceat(e, m.row_offsets[:-1]), 3))
+    pi.validate(m)
+    per_state_rows = PolicyVector.rand([pi.randomized[3 * x : 3 * x + 3] for x in range(6)])
+    v = np.random.default_rng(4).normal(size=6)
+    for spec in (NEUTRAL, ENTROPIC, RiskMapSpec("density_band", band=(0.5, 1.5))):
+        want = [pi.randomized[3 * x : 3 * x + 3] @ (m.cost[x] + risk_values(spec, v, m.transition[x]))
+                for x in range(6)]
+        got = bellman_T(m, spec, pi, v)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        assert np.array_equal(bellman_T(m, spec, per_state_rows, v), got)
 
 
 def test_bellman_F_is_min_over_actions():
