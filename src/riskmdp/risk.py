@@ -219,38 +219,25 @@ _BLOCK_ELEMENTS = 1 << 17
 _TINY = np.finfo(float).tiny
 
 
-def _slices(total: int, step: int) -> list[slice]:
-    return [slice(i, i + step) for i in range(0, total, step)]
-
-
 def _blocks(V: np.ndarray, m: int, width: int) -> list:
-    """How an order-based kernel tiles its output in blocks of about
-    ``_BLOCK_ELEMENTS / width`` cells: groups ``(values index, [(rows index,
-    output index), ...])``, each group's value vectors sorted once.
-
-    V is an (S, 1, n) stack of shared value vectors (output (S, m)) or an
-    (m, n) stack paired with the rows (output (m,)).  Shared vectors go
-    whole samples at a time when all m rows fit in a block, else one sample
-    in ``max(1, budget // width)``-row blocks.
-    """
+    """How an order-based kernel sweeps m rows in blocks of
+    ``max(1, _BLOCK_ELEMENTS // width)``: ``(values, [row slice, ...])``
+    groups, each group's values sorted once.  A shared 1-D v is one group
+    over every block; an (m, n) stack paired with the rows gives each block
+    its own slice of values."""
     per = max(1, _BLOCK_ELEMENTS // width)
-    if V.ndim == 2:
-        return [(sl, [(sl, sl)]) for sl in _slices(m, per)]
-    if m <= per:
-        return [(ks, [(slice(None), ks)]) for ks in _slices(len(V), max(1, per // max(m, 1)))]
-    return [(ks, [(sl, (ks, sl)) for sl in _slices(m, per)]) for ks in _slices(len(V), 1)]
+    sls = [slice(i, i + per) for i in range(0, m, per)]
+    if V.ndim == 1:
+        return [(V, sls)]
+    return [(V[sl], [sl]) for sl in sls]
 
 
 def _gather(Q: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The columns of the row block Q in each value vector's order: (mb, w)
-    for a paired (mb, w) order, (b, mb, w) for b shared (b, 1, w) orders."""
-    if order.ndim == 2:
-        return np.take_along_axis(Q, order, axis=1)
-    return np.take(Q, order[:, 0], axis=1).swapaxes(0, 1)
-
-
-def _out_like(V: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return np.empty(np.broadcast_shapes(V.shape[:-1], rows.shape[:-1]))
+    """The columns of the row block Q in the values' order: one shared 1-D
+    order, or a paired (mb, w) order row by row."""
+    if order.ndim == 1:
+        return np.take(Q, order, axis=1)
+    return np.take_along_axis(Q, order, axis=1)
 
 
 def _logsumexp_rows(A: np.ndarray) -> np.ndarray:
@@ -298,26 +285,25 @@ def _band(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
     # With xi = g1 + (g2 - g1) eta, the best 0 <= eta <= 1 puts its mass
     # (1 - g1)/(g2 - g1) on the largest outcomes, so the (g2 - g1) eta part
     # adds min((g2 - g1) cum, 1 - g1) of q-mass, cum counted from the top.
-    out = _out_like(V, rows)
-    for vi, row_blocks in _blocks(V, len(rows), rows.shape[1]):
-        order = np.argsort(-V[vi], axis=-1, kind="stable")
-        negVs = np.take_along_axis(-V[vi], order, axis=-1)
-        for ri, oi in row_blocks:
-            Qs = _gather(rows[ri], order)
-            top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=-1), 1.0 - g1), axis=-1, prepend=0.0)
-            out[oi] = -np.sum((g1 * Qs + top) * negVs, axis=-1)
+    out = np.empty(len(rows))
+    for Vb, sls in _blocks(V, len(rows), rows.shape[1]):
+        order = np.argsort(-Vb, axis=-1, kind="stable")
+        negVs = np.take_along_axis(-Vb, order, axis=-1)
+        for sl in sls:
+            Qs = _gather(rows[sl], order)
+            top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
+            out[sl] = -np.sum((g1 * Qs + top) * negVs, axis=1)
     return out
 
 
 def _semideviation(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.ndarray:
-    out = _out_like(V, rows)
-    for vi, row_blocks in _blocks(V, len(rows), rows.shape[1]):
-        Vb = V[vi]
-        for ri, oi in row_blocks:
-            Q = rows[ri]
-            mean = np.sum(Q * Vb, axis=-1)
-            excess = np.maximum(Vb - mean[..., None], 0.0)
-            out[oi] = mean + lam * np.sum(Q * excess**r, axis=-1) ** (1.0 / r)
+    out = np.empty(len(rows))
+    for Vb, sls in _blocks(V, len(rows), rows.shape[1]):
+        for sl in sls:
+            Q = rows[sl]
+            mean = np.sum(Q * Vb, axis=1)
+            excess = np.maximum(Vb - mean[:, None], 0.0)
+            out[sl] = mean + lam * np.sum(Q * excess**r, axis=1) ** (1.0 / r)
     return out
 
 
@@ -333,24 +319,23 @@ def _shortfall(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility)
     x0 = b.max(initial=0.0)  # a point on u's top piece
     c = float(utility(x0)) - s[-1] * x0
     ds = np.diff(s)
-    out = _out_like(V, rows)
-    for vi, row_blocks in _blocks(V, len(rows), rows.shape[1] * k):
-        Vb = V[vi]
+    out = np.empty(len(rows))
+    for Vb, sls in _blocks(V, len(rows), rows.shape[1] * k):
         kinks = (Vb[..., None] - b).reshape(*Vb.shape[:-1], -1)
         order = np.argsort(kinks, axis=-1, kind="stable")
         kinks = np.take_along_axis(kinks, order, axis=-1)
         y, j = np.divmod(order, k)  # outcome and slope step of each sorted kink
-        for ri, oi in row_blocks:
-            Q = rows[ri]
-            a = np.nan_to_num(np.sum(Q * Vb, axis=-1), nan=0.0, posinf=0.0, neginf=0.0)[..., None]
+        for sl in sls:
+            Q = rows[sl]
+            a = np.nan_to_num(np.sum(Q * Vb, axis=1), nan=0.0, posinf=0.0, neginf=0.0)[:, None]
             W = _gather(Q, y) * ds[j]
             T = kinks - a
-            S0 = np.broadcast_to(s[-1] * Q.sum(axis=-1)[:, None], a.shape)  # S and A below every kink
-            A0 = np.sum(Q * (s[-1] * (Vb - a) + c), axis=-1)[..., None]
-            S = np.cumsum(np.concatenate((S0, -W), axis=-1), axis=-1)
-            A = np.cumsum(np.concatenate((A0, -W * T), axis=-1), axis=-1)
-            piece = np.sum(A[..., 1:] - S[..., 1:] * T > 0, axis=-1)[..., None]
-            out[oi] = (a + np.take_along_axis(A, piece, axis=-1) / np.take_along_axis(S, piece, axis=-1))[..., 0]
+            S0 = s[-1] * Q.sum(axis=1)[:, None]  # S and A below every kink
+            A0 = np.sum(Q * (s[-1] * (Vb - a) + c), axis=1)[:, None]
+            S = np.cumsum(np.concatenate((S0, -W), axis=1), axis=1)
+            A = np.cumsum(np.concatenate((A0, -W * T), axis=1), axis=1)
+            piece = np.sum(A[:, 1:] - S[:, 1:] * T > 0, axis=1)[:, None]
+            out[sl] = (a + np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
     return out
 
 
@@ -368,8 +353,8 @@ def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
 
     Neutral and entropic are one matrix product (entropic with one shift per
     sample, falling back to a row-wise logsumexp where the product
-    underflows or v is not finite); the order-based kinds sort each v once
-    and sweep the rows in blocks of bounded size.
+    underflows or v is not finite); the order-based kinds take one v at a
+    time, sort it once and sweep the rows in blocks of bounded size.
     """
     V = np.asarray(V, dtype=float)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -379,7 +364,10 @@ def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
         return V @ rows.T
     if spec.kind == "entropic":
         return _entropic_table(V, rows, spec.lam)
-    return _order_based(spec, V[:, None, :], rows)
+    out = np.empty((len(V), len(rows)))
+    for k, v in enumerate(V):
+        out[k] = _order_based(spec, v, rows)
+    return out
 
 
 def risk_values(spec: RiskMapSpec, v, rows) -> np.ndarray:

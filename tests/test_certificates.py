@@ -77,6 +77,16 @@ def test_fit_lyapunov_worst_pair_attains_K0():
     assert max(up, down) - cert.gamma0 * w0[x] == pytest.approx(cert.K0, abs=1e-10)
 
 
+def test_fit_lyapunov_worst_pair_is_the_first_of_rounding_ties():
+    # Row 1's residual is one ulp above row 0's: a rounding tie.  The pair
+    # is the first of them; K0 stays the true maximum.
+    top = 1.0 + 2.0**-52
+    m = builtin_chain("uniform2").with_cost([np.array([1.0]), np.array([top])])
+    cert = fit_lyapunov(m, NEUTRAL, np.zeros(2))
+    assert cert.worst_pair == (0, 0)
+    assert cert.K0 == top
+
+
 def test_fit_lyapunov_infinite_weight_is_unsatisfied():
     cert = fit_lyapunov(builtin_chain("uniform2"), ENTROPIC, np.array([0.0, np.inf]))
     assert not cert.satisfied
