@@ -67,7 +67,6 @@ class DoeblinCertificate:
     mu: np.ndarray | None = None
     lambda_minus: float | None = None
     lambda_plus: float | None = None
-    R: float | None = None
     satisfied: bool = False
 
 
@@ -96,10 +95,9 @@ class L2Certificate:
     n_samples: int = 0
 
 
-def _subset_row_index(mcp: FiniteMCP, subset: np.ndarray) -> np.ndarray:
-    """Indices into the stacked (x, a) rows belonging to states in subset."""
-    offs = mcp.row_offsets
-    return np.concatenate([np.arange(offs[x], offs[x + 1]) for x in subset])
+def _subset_row_index(mcp: FiniteMCP, subset) -> np.ndarray:
+    """Indices, in stacked order, of the (x, a) rows of the states in subset."""
+    return np.flatnonzero(np.isin(mcp.row_state, subset))
 
 
 def _row_state_action(mcp: FiniteMCP, row_idx: int) -> tuple[int, int]:
@@ -135,13 +133,8 @@ def fit_lyapunov(
     with np.errstate(invalid="ignore"):
         up = cost + risk_values(spec, w0, rows)
         down = -(cost + risk_values(spec, -w0, rows))
-    drift = np.maximum(up, down)
-    if states is not None:
-        keep = np.isin(mcp.row_state, np.asarray(states))
-        drift = drift[keep]
-        row_ids = np.flatnonzero(keep)
-    else:
-        row_ids = np.arange(len(drift))
+    row_ids = np.arange(len(rows)) if states is None else _subset_row_index(mcp, states)
+    drift = np.maximum(up, down)[row_ids]
     w0_of_row = w0[mcp.row_state[row_ids]]
     k0s = []
     argmaxes = []
@@ -420,7 +413,7 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     base = doeblin_minorization(mcp, subset)
     if not base.satisfied:
         return base
-    rows = mcp.stacked_transition[_subset_row_index(mcp, np.asarray(subset, dtype=np.intp))]
+    rows = mcp.stacked_transition[_subset_row_index(mcp, subset)]
     # log max_rows Q[e^{K w}] is K times the largest entropic value of w at lam = K
     log_denom = K * float(np.max(risk_values(RiskMapSpec("entropic", lam=K), w, rows))) if K > 0 else 0.0
     tilt = np.exp(-K * w)
@@ -428,4 +421,4 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     alpha = math.exp(math.log(base.alpha) + math.log(num) - log_denom)
     mu = base.mu * tilt
     mu /= mu.sum()
-    return DoeblinCertificate(subset=base.subset, alpha=alpha, mu=mu, R=None, satisfied=alpha > 0.0)
+    return DoeblinCertificate(subset=base.subset, alpha=alpha, mu=mu, satisfied=alpha > 0.0)

@@ -414,11 +414,8 @@ def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
     def solve_one(lam: float):
         return relative_value_iteration(mcp, dataclasses.replace(spec, lam=lam), scfg)
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(solve_one, values))
-    else:
-        results = [solve_one(v) for v in values]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
+        results = list(ex.map(solve_one, values))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "rho", "iterations", "converged"])

@@ -98,9 +98,13 @@ def entropic_spectral_rho(
 def neutral_average_cost(P: np.ndarray, c: np.ndarray, reference_state: int = 0) -> OracleResult:
     """Fixed-policy mean long-run cost via the stationary distribution.
 
-    rho = <pi, c> with pi the stationary law; the bias solves the linear
-    Poisson system (I - P) h = c - rho with h pinned to 0 at the reference
-    state.  Requires an irreducible chain (unique stationary law).
+    With pi the stationary law, the bias solves the Poisson equation through
+    the fundamental matrix, (I - P + 1 pi') h = c - <pi, c> (Kemeny & Snell),
+    and is recentered at the reference state.  One application of the
+    operator, delta = c + P h - h, brackets rho by [min delta, max delta], as
+    in relative value iteration: ``rho`` is its midpoint and ``error_bound``
+    its half-width.  Requires a unique stationary law (one closed class);
+    a singular stationary system raises ``LinAlgError``, a ``ValueError``.
     """
     P = np.asarray(P, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -112,19 +116,11 @@ def neutral_average_cost(P: np.ndarray, c: np.ndarray, reference_state: int = 0)
     pi = np.linalg.solve(A, b)
     if np.any(pi < -1e-10):
         raise ValueError("stationary solve produced negative mass; chain not irreducible?")
-    rho = float(pi @ c)
-    B = np.eye(n) - P
-    rhs = c - rho
-    B[reference_state, :] = 0.0
-    B[reference_state, reference_state] = 1.0
-    rhs[reference_state] = 0.0
-    h = np.linalg.solve(B, rhs)
-    # The replaced equation must hold automatically; a large residual there
-    # means the chain was not irreducible.
-    dropped = float(abs((np.eye(n) - P)[reference_state] @ h - (c - rho)[reference_state]))
-    if dropped > 1e-8:
-        raise ValueError("Poisson system inconsistent; chain not irreducible?")
-    return OracleResult(rho=rho, h=h, method="neutral_stationary", error_bound=dropped)
+    h = np.linalg.solve(np.eye(n) - P + pi, c - pi @ c)
+    h -= h[reference_state]
+    delta = c + P @ h - h
+    lo, hi = float(delta.min()), float(delta.max())
+    return OracleResult(rho=0.5 * (lo + hi), h=h, method="neutral_stationary", error_bound=0.5 * (hi - lo))
 
 
 @dataclass

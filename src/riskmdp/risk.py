@@ -58,82 +58,62 @@ __all__ = [
 RISK_KINDS = ("neutral", "entropic", "density_band", "mean_semideviation", "shortfall")
 
 
+@dataclass(frozen=True)
 class PiecewiseLinearUtility:
     """Continuous piecewise-linear increasing u with u(0) = 0.
 
-    ``breakpoints`` are strictly increasing knots; ``slopes`` has one more
+    ``breakpoints`` b are strictly increasing knots; ``slopes`` has one more
     entry than ``breakpoints`` (slope below the first knot, between knots,
-    above the last).  Slopes must lie in [l, L] with 0 < l <= 1 <= L, the
-    normalization under which shortfall levels are well behaved.
+    above the last), all in [l, L] with 0 < l <= 1 <= L, the normalization
+    under which shortfall levels are well behaved.  Both are float tuples, so
+    utilities compare and hash by value.  u has the kink form
+    u(x) = s x + c + sum_k ds_k max(b_k - x, 0) with s the top slope, ds_k =
+    slopes[k + 1] - slopes[k] and the intercept c = -sum_k ds_k max(b_k, 0).
     """
 
-    def __init__(self, breakpoints=(), slopes=(1.0,)):
-        self.breakpoints = np.asarray(breakpoints, dtype=float).reshape(-1)
-        self.slopes = np.asarray(slopes, dtype=float).reshape(-1)
-        if len(self.slopes) != len(self.breakpoints) + 1:
+    breakpoints: tuple[float, ...] = ()
+    slopes: tuple[float, ...] = (1.0,)
+
+    def __post_init__(self) -> None:
+        b, s = (np.asarray(x, dtype=float).reshape(-1) for x in (self.breakpoints, self.slopes))
+        object.__setattr__(self, "breakpoints", tuple(b.tolist()))
+        object.__setattr__(self, "slopes", tuple(s.tolist()))
+        if len(s) != len(b) + 1:
             raise ValueError("need len(slopes) == len(breakpoints) + 1")
-        if len(self.breakpoints) > 1 and np.any(np.diff(self.breakpoints) <= 0):
+        if np.any(np.diff(b) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if np.any(self.slopes <= 0):
+        if np.any(s <= 0):
             raise ValueError("slopes must be positive (u increasing)")
         if self.l > 1.0 or self.L < 1.0:
             raise ValueError("slopes must straddle 1: min <= 1 <= max")
-        # Knot values, anchored so that u(0) = 0.
-        k = len(self.breakpoints)
-        vals = np.zeros(k)
-        if k:
-            j0 = int(np.searchsorted(self.breakpoints, 0.0, side="right"))
-            if j0 > 0:
-                vals[j0 - 1] = self.slopes[j0] * self.breakpoints[j0 - 1]
-                for j in range(j0 - 2, -1, -1):
-                    vals[j] = vals[j + 1] - self.slopes[j + 1] * (
-                        self.breakpoints[j + 1] - self.breakpoints[j]
-                    )
-            if j0 < k:
-                vals[j0] = self.slopes[j0] * self.breakpoints[j0]
-                for j in range(j0 + 1, k):
-                    vals[j] = vals[j - 1] + self.slopes[j] * (
-                        self.breakpoints[j] - self.breakpoints[j - 1]
-                    )
-        self._knot_values = vals
 
     @property
     def l(self) -> float:
-        return float(self.slopes.min())
+        return float(np.min(self.slopes))
 
     @property
     def L(self) -> float:
-        return float(self.slopes.max())
+        return float(np.max(self.slopes))
+
+    @property
+    def intercept(self) -> float:
+        return -float(np.sum(np.diff(self.slopes) * np.maximum(self.breakpoints, 0.0)))
 
     @classmethod
     def linear(cls) -> "PiecewiseLinearUtility":
-        return cls((), (1.0,))
+        return cls()
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if len(self.breakpoints) == 0:
-            return self.slopes[0] * x
-        seg = np.searchsorted(self.breakpoints, x, side="right")
-        ref = np.where(seg > 0, self.breakpoints[np.maximum(seg - 1, 0)], self.breakpoints[0])
-        base = np.where(seg > 0, self._knot_values[np.maximum(seg - 1, 0)], self._knot_values[0])
-        return base + self.slopes[seg] * (x - ref)
+        kinks = np.diff(self.slopes) * np.maximum(np.subtract(self.breakpoints, x[..., None]), 0.0)
+        return self.slopes[-1] * x + self.intercept + np.sum(kinks, axis=-1)
 
     def to_dict(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(), "slopes": self.slopes.tolist()}
+        return {"breakpoints": list(self.breakpoints), "slopes": list(self.slopes)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseLinearUtility":
         return cls(data.get("breakpoints", ()), data.get("slopes", (1.0,)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PiecewiseLinearUtility)
-            and np.array_equal(self.breakpoints, other.breakpoints)
-            and np.array_equal(self.slopes, other.slopes)
-        )
-
-    def __repr__(self) -> str:
-        return f"PiecewiseLinearUtility({self.breakpoints.tolist()}, {self.slopes.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -171,14 +151,14 @@ class RiskMapSpec:
 
     @property
     def claims(self) -> frozenset[str]:
-        """Structural properties this kind is expected to satisfy."""
-        coherent = frozenset({"convex", "homogeneous", "subadditive"})
+        """The structural checks of ``check_axioms_of`` this kind is expected to pass."""
+        coherent = frozenset(_STRUCTURAL_AXIOMS)
         if self.kind == "neutral" or self.kind == "density_band":
             return coherent
         if self.kind == "entropic":
-            return frozenset({"convex"}) if self.lam > 0 else frozenset()
+            return frozenset({"convexity"}) if self.lam > 0 else frozenset()
         if self.kind == "mean_semideviation":
-            return coherent if self.lam >= 0 else frozenset({"homogeneous"})
+            return coherent if self.lam >= 0 else frozenset({"positive_homogeneity"})
         return frozenset()
 
     def to_dict(self) -> dict:
@@ -314,11 +294,8 @@ def _shortfall(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility)
     # that times (t - a).  The root is on the piece after the last kink where
     # g > 0.  Anchoring at the mean keeps the sums on the scale of v's spread;
     # a non-finite mean falls back to 0, so such rows give +-inf or NaN.
-    b, s = utility.breakpoints, utility.slopes
-    k = max(len(b), 1)
-    x0 = b.max(initial=0.0)  # a point on u's top piece
-    c = float(utility(x0)) - s[-1] * x0
-    ds = np.diff(s)
+    b, s, c = np.asarray(utility.breakpoints), np.asarray(utility.slopes), utility.intercept
+    ds, k = np.diff(s), max(len(b), 1)
     out = np.empty(len(rows))
     for Vb, sls in _blocks(V, len(rows), rows.shape[1] * k):
         kinks = (Vb[..., None] - b).reshape(*Vb.shape[:-1], -1)
@@ -397,8 +374,6 @@ def eval_risk(spec: RiskMapSpec, v, q) -> float:
 
 def entropic(v, q, lam: float) -> float:
     """(1/lam) log sum_y q(y) exp(lam v(y)), overflow-safe."""
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
     return eval_risk(RiskMapSpec("entropic", lam=lam), v, q)
 
 
@@ -505,13 +480,7 @@ class AxiomReport:
 
 
 _BASE_AXIOMS = ("monotonicity", "translation_invariance", "centralization")
-
-# Check names vs. the adjectives used in RiskMapSpec.claims.
-_CLAIM_OF_CHECK = {
-    "convexity": "convex",
-    "positive_homogeneity": "homogeneous",
-    "subadditivity": "subadditive",
-}
+_STRUCTURAL_AXIOMS = ("convexity", "positive_homogeneity", "subadditivity")
 
 
 def check_axioms_of(
@@ -527,8 +496,11 @@ def check_axioms_of(
     ``fn(V, rows)`` must accept an (m, n) stack of value vectors paired with
     (m, n) probability rows and return m risk values.  Base axioms are always
     exercised; convexity / positive homogeneity / subadditivity are exercised
-    too but only count against the report when listed in ``claims``.
+    too but only count when their check names are in ``claims``, and any
+    other claim name raises ``ValueError``.
     """
+    if unknown := set(claims).difference(_BASE_AXIOMS, _STRUCTURAL_AXIOMS):
+        raise ValueError(f"unknown axiom claims {sorted(unknown)}; the checks are {_BASE_AXIOMS + _STRUCTURAL_AXIOMS}")
     m, n = rows.shape
     V = values
     U = V + np.abs(rng.normal(0.0, 1.5, size=(m, n)))
@@ -560,7 +532,7 @@ def check_axioms_of(
                 witness[k] = vv[worst].tolist() if vv.ndim > 1 else float(vv[worst])
         report.checks[name] = AxiomCheck(
             name=name,
-            claimed=name in _BASE_AXIOMS or _CLAIM_OF_CHECK.get(name, name) in claims,
+            claimed=name in _BASE_AXIOMS or name in claims,
             passed=passed,
             n_checked=m,
             max_violation=float(viol[worst]),

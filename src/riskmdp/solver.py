@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
-from .risk import RiskMapSpec, risk_values
+from .risk import RiskMapSpec, risk_table, risk_values
 
 __all__ = [
     "ContractionStats",
@@ -225,13 +225,12 @@ def measure_contraction(
     inside the unit-weight seminorm (half-span) ball of radius
     ``ball_radius`` when given — and measures
     seminorm(R^pi v - R^pi u, w_hat) / seminorm(v - u, w_hat), where R^pi
-    is T^pi of the model with zero cost.  Degenerate pairs (v = u) are
-    skipped.
+    is T^pi of the model with zero cost: one ``risk_table`` call evaluates
+    both vectors on every row.  Degenerate pairs (v = u) are skipped.
     """
     rng = np.random.default_rng(seed)
     w_hat = np.asarray(w_hat, dtype=float)
     n = mcp.n_states
-    risk_only = mcp.with_cost(np.zeros_like(mcp.stacked_cost))
     ratios = []
     for _ in range(n_trials):
         v = _random_in_ball(n, rng, ball_radius)
@@ -240,7 +239,8 @@ def measure_contraction(
         if denom < 1e-300:
             continue
         pi = _random_policy(mcp, rng)
-        num = weighted_seminorm(bellman_T(risk_only, spec, pi, v) - bellman_T(risk_only, spec, pi, u), w_hat)
+        Rv, Ru = risk_table(spec, np.stack((v, u)), mcp.stacked_transition)
+        num = weighted_seminorm(policy_reduce(mcp, pi, Rv - Ru), w_hat)
         ratios.append(num / denom)
     if not ratios:
         return ContractionStats(0.0, 0.0, 0.0, 0)

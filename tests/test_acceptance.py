@@ -381,7 +381,7 @@ def test_risk_axiom_suite_with_claims_and_witnesses(capsys):
         return np.array([shortfall_upper_envelope(V[i], R[i], 0.5, 2.0) for i in range(len(R))])
 
     env_rep = check_axioms_of(
-        envelope, frozenset({"convex", "homogeneous", "subadditive"}), rows, values, rng
+        envelope, frozenset(trio), rows, values, rng
     )
     env_ok = env_rep.ok and all(
         env_rep.checks[name].claimed and env_rep.checks[name].passed for name in trio

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from riskmdp.cli import build_model
 from riskmdp.mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
 from riskmdp.models import builtin_chain
 from riskmdp.oracles import (
@@ -115,6 +118,30 @@ def test_neutral_bias_solves_poisson_equation():
     assert res.h[3] == 0.0
     assert np.allclose(res.h + res.rho, c + P @ res.h, atol=1e-10)
     assert res.error_bound < 1e-10
+
+
+def test_neutral_accepts_primitive_grid_chain_with_a_tiny_corner_mass():
+    # The neutral greedy chain of x' = 0.5 x +- 0.5 e1 + W on a 21x21 grid
+    # is primitive (every entry >= 5.6e-25), but the stationary mass of the
+    # corner state 0 is 3e-11, so a Poisson system pinned there is
+    # ill-conditioned; the fundamental matrix is not.
+    eye = np.eye(2).tolist()
+    model = {"diffusion": {"dim": 2, "A": [[0.5, 0.0], [0.0, 0.5]], "actions": ["left", "right"],
+                           "drift": {"left": [-0.5, 0.0], "right": [0.5, 0.0]},
+                           "diffusion": {"left": eye, "right": eye},
+                           "gamma_tilde": 0.25, "drift_bound": 0.2500001, "ellipticity": 1.0},
+             "grid": {"points": 21, "extent": 5.0},
+             "cost": {"form": "power", "c0": 0.1, "q": 0.5, "w1": {"entropic_w1": {"gamma": 0.5}}}}
+    mcp, _ = build_model({"model": model}, Path("."))
+    res = relative_value_iteration(mcp, RiskMapSpec("neutral"), SolveConfig(tol=1e-9))
+    P, c = policy_transition_and_cost(mcp, res.policy)
+    assert is_primitive(P)
+    orc = neutral_average_cost(P, c)
+    assert orc.error_bound < 1e-12
+    assert res.rho_lower <= orc.rho <= res.rho_upper
+    assert abs(orc.rho - res.rho) <= 1e-9
+    assert orc.h[0] == 0.0 and np.max(np.abs(orc.h - res.h)) < 1e-8
+    assert np.max(np.abs(c + P @ orc.h - orc.h - orc.rho)) < 1e-12
 
 
 def test_neutral_rejects_reducible_chain():

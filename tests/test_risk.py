@@ -349,6 +349,20 @@ def test_utility_multi_knot_anchored_at_zero():
     assert u(2.0) == pytest.approx(3.0)
     assert u(-1.0) == pytest.approx(-1.0)
     assert u(-3.0) == pytest.approx(-2.0)
+    x = np.linspace(-5.0, 5.0, 101)
+    want = np.where(x < -1.0, -1.0 + 0.5 * (x + 1.0), np.where(x > 1.0, 1.0 + 2.0 * (x - 1.0), x))
+    assert np.allclose(u(x), want, rtol=0.0, atol=1e-14)
+    assert u.intercept == -1.0  # the top piece is 2 x - 1
+
+
+def test_utility_and_spec_hash_by_value():
+    u = PiecewiseLinearUtility([-1.0, 1.0], [0.5, 1.0, 2.0])
+    same = PiecewiseLinearUtility(np.array([-1.0, 1.0]), [0.5, 1, 2])
+    assert u == same and hash(u) == hash(same)
+    spec = RiskMapSpec("shortfall", utility=u)
+    assert hash(spec) == hash(RiskMapSpec("shortfall", utility=same))
+    assert len({spec, RiskMapSpec("shortfall", utility=same), RiskMapSpec("shortfall")}) == 2
+    assert hash(RiskMapSpec("shortfall")) == hash(RiskMapSpec("shortfall", utility=PiecewiseLinearUtility.linear()))
 
 
 def test_utility_rejects_bad_shapes():
@@ -626,8 +640,26 @@ def test_axioms_generic_checker_on_shortfall_envelope():
     def fn(V, R):
         return np.array([shortfall_upper_envelope(V[i], R[i], 1.0, 2.0) for i in range(len(R))])
 
-    rep = check_axioms_of(fn, {"convex", "homogeneous", "subadditive"}, rows, values, rng)
+    rep = check_axioms_of(fn, {"convexity", "positive_homogeneity", "subadditivity"}, rows, values, rng)
     assert rep.ok, {k: (c.passed, c.max_violation) for k, c in rep.checks.items()}
+
+
+def test_axioms_checker_rejects_unknown_claim_names():
+    rng = np.random.default_rng(19)
+    rows = np.array([random_law(rng, 3) for _ in range(5)])
+    values = rng.normal(size=(5, 3))
+    for claims in ({"convex"}, {"homogeneous", "convexity"}, {"subadditive"}):
+        with pytest.raises(ValueError, match="unknown axiom claims"):
+            check_axioms_of(lambda V, R: np.sum(V * R, axis=1), claims, rows, values, rng)
+
+
+def test_spec_claims_are_check_names():
+    pool = builtin_chain("random_seeded", n=4, m=2, seed=7)
+    for spec in ALL_SPECS:
+        rep = check_risk_axioms(spec, pool, n_samples=20, seed=1)
+        assert spec.claims <= set(rep.checks)
+        assert {k for k, c in rep.checks.items() if c.claimed} == spec.claims | {
+            "monotonicity", "translation_invariance", "centralization"}
 
 
 # --- spec round trip ----------------------------------------------------------------
