@@ -38,9 +38,10 @@ DEFAULT_GAMMA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 10))
 # but the downstream bounds need a strictly positive constant.
 K0_FLOOR = 1e-12
 
-# Residuals within this relative distance of the largest count as tied for
-# the worst pair, so that rows equal in exact arithmetic (mirror images on a
-# symmetric model) are not told apart by last-bit rounding.
+# Residuals (slacks) within this relative distance of the largest (smallest)
+# count as tied for the worst pair (the l2 witness), so that rows or samples
+# equal in exact arithmetic (mirror images on a symmetric model) are not told
+# apart by last-bit rounding.
 WORST_PAIR_RTOL = 1e-12
 
 # Cells of one risk_table call in check_l2, so its (samples, rows) tables
@@ -348,7 +349,8 @@ def check_l2(
       R_{x,a}(w0 + K) - R_{x,a}(v) + R_{y,b}(v) - R_{y,b}(-w0 - K) >= 2 K0
     must hold for all x, y in B0.  Random v plus adversarial single-threshold
     sign mixtures of +-(w0 + K), evaluated by ``risk_table`` in blocks of
-    samples; reports the minimal slack and the first sample that attains it.
+    samples; reports the minimal slack and, as witness, the first sample
+    whose slack is within ``WORST_PAIR_RTOL`` of it.
     """
     w0 = np.asarray(w0, dtype=float)
     B0 = np.asarray(B0, dtype=np.intp)
@@ -379,8 +381,10 @@ def check_l2(
         slack[lo : lo + len(RV)] = (r_plus[i] - RV[at, i]) + (RV[at, j] - r_minus[j]) - 2.0 * K0
         pairs[lo : lo + len(RV)] = np.column_stack((i, j))
     slack = np.where(np.isnan(slack), np.inf, slack)  # a NaN slack never wins
-    best = int(np.argmin(slack))  # the first sample with the minimal slack
+    best = int(np.argmin(slack))
     min_slack = float(slack[best])
+    if math.isfinite(min_slack):  # the first sample tied with the minimum
+        best = int(np.argmax(slack <= min_slack + WORST_PAIR_RTOL * abs(min_slack)))
     witness = None
     if min_slack < math.inf:
         witness = {

@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -265,14 +266,19 @@ def _prepare(config_path: str, output_dir: str | None):
 
 
 def cmd_solve(config_path: str, output_dir: str | None) -> int:
+    t0 = time.perf_counter_ns()
     cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
     scfg = _solve_config(cfg)
     log.info("solving %s-state model, risk kind %s", mcp.n_states, spec.kind)
+    t1 = time.perf_counter_ns()
     res = relative_value_iteration(mcp, spec, scfg)
+    t2 = time.perf_counter_ns()
     residual = poisson_residual(mcp, spec, res.rho, res.h)
+    t3 = time.perf_counter_ns()
     result = {"rho": res.rho, "rho_lower": res.rho_lower, "rho_upper": res.rho_upper,
               "policy": res.policy.deterministic.tolist(), "iterations": res.iterations,
-              "converged": res.converged, "residual": residual}
+              "converged": res.converged, "residual": residual,
+              "timing_s": {"build": (t1 - t0) / 1e9, "rvi": (t2 - t1) / 1e9, "residual": (t3 - t2) / 1e9}}
     with open(out / "result.json", "w") as fh:
         json.dump(result, fh, indent=2)
     trace_to_csv(res.trace, out / "trace.csv")

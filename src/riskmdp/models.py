@@ -90,6 +90,11 @@ class DiffusionSpec:
         }
 
     def validate(self) -> None:
+        named = [("A", self.A)] + [(f"{name}[{a!r}]", arr) for name in ("drift", "diffusion", "drift_linear")
+                                   for a, arr in getattr(self, name).items()]
+        for where, arr in named:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{where} has a non-finite entry")
         if not 0 < self.gamma_tilde < 1:
             raise ValueError("gamma_tilde must be in (0, 1)")
         sig = float(np.linalg.eigvalsh(self.A.T @ self.A).max())
@@ -118,14 +123,20 @@ def gaussian_kernel_row(mean: np.ndarray, cov_inv: np.ndarray, nodes: np.ndarray
     """Unnormalized transition weights: Gaussian density times cell volume.
 
     A mean of shape (d,) gives one row of shape (n,); a stack of means of
-    shape (s, d) gives one row per mean, shape (s, n).
+    shape (s, d) gives one row per mean, shape (s, n).  The exponent is the
+    expanded quadratic form -(y - m)'C(y - m)/2 = (m'C) y - y'Cy/2 - m'Cm/2:
+    one (s, d) @ (d, n) product, a per-node and a per-mean vector.  Only the
+    symmetric part of C enters a quadratic form, so C is symmetrized first.
     """
     d = nodes.shape[1]
-    diff = nodes[None, :, :] - np.atleast_2d(mean)[:, None, :]
-    quad = np.einsum("snd,de,sne->sn", diff, cov_inv, diff)
-    det = float(np.linalg.det(cov_inv))
-    norm = (2.0 * np.pi) ** (-d / 2.0) * np.sqrt(det)
-    rows = norm * np.exp(-0.5 * quad) * cell_volume
+    C = 0.5 * (cov_inv + cov_inv.T)
+    means = np.atleast_2d(mean)
+    mC = means @ C
+    rows = mC @ nodes.T
+    rows -= 0.5 * np.sum((nodes @ C) * nodes, axis=1)
+    rows -= 0.5 * np.sum(mC * means, axis=1)[:, None]
+    np.exp(rows, out=rows)
+    rows *= (2.0 * np.pi) ** (-d / 2.0) * np.sqrt(np.linalg.det(cov_inv)) * cell_volume
     return rows if np.ndim(mean) == 2 else rows[0]
 
 
@@ -150,7 +161,7 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
         for start in range(0, n, chunk):
             block = gaussian_kernel_row(means[start : start + chunk], cov_inv, nodes, vol)
             sums = block.sum(axis=1, keepdims=True)
-            if np.any(sums <= 0):
+            if not np.all(sums > 0):
                 raise ValueError("a transition row lost all mass; grid too coarse or extent too small")
             np.divide(block, sums, out=rows[start * k + ai : (start + len(block)) * k : k])
     return FiniteMCP(actions=[list(spec.actions)] * n, transition=rows, cost=np.zeros(n * k), state_coords=nodes)

@@ -80,10 +80,11 @@ class PiecewiseLinearUtility:
         object.__setattr__(self, "slopes", tuple(s.tolist()))
         if len(s) != len(b) + 1:
             raise ValueError("need len(slopes) == len(breakpoints) + 1")
-        if np.any(np.diff(b) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(s <= 0):
-            raise ValueError("slopes must be positive (u increasing)")
+        # Written as "not all good" so that a NaN fails too.
+        if not (np.all(np.isfinite(b)) and np.all(np.diff(b) > 0)):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not np.all((s > 0) & np.isfinite(s)):
+            raise ValueError("slopes must be positive and finite (u increasing)")
         if self.l > 1.0 or self.L < 1.0:
             raise ValueError("slopes must straddle 1: min <= 1 <= max")
 

@@ -357,6 +357,24 @@ def test_check_l2_keeps_the_first_witness_of_tied_minimal_slacks():
     assert cert.worst_witness == {"v": [1.0, -2.0], "pair_xa": (0, 0), "pair_yb": (1, 0), "slack": 0.5}
 
 
+def test_check_l2_witness_is_the_first_of_rounding_ties():
+    # States 0 and 2 are mirror images and w0 = 0, so samples 2-5, the sign
+    # patterns (+--), (-++), (++-) and (--+), have equal slacks in exact
+    # arithmetic; in floating point they split by one ulp.  The first is the
+    # witness, and min_slack stays the true minimum.
+    a, b = 0.09, 0.3
+    c = 1.0 - a - b
+    m = FiniteMCP([["a"]] * 3, [[[a, b, c]], [[0.25, 0.5, 0.25]], [[c, b, a]]], [[0.0]] * 3)
+    cert = check_l2(m, NEUTRAL, np.zeros(3), K0=0.25, K=2.8, B0=[0, 2], n_samples=16)
+    assert cert.worst_witness["v"] == [2.8, -2.8, -2.8]
+    assert cert.min_slack == pytest.approx(2.188, rel=1e-14)
+    rows = m.stacked_transition[[0, 2]]
+    bound = np.full(3, 2.8)
+    for v in ([2.8, -2.8, -2.8], [-2.8, 2.8, 2.8], [2.8, 2.8, -2.8], [-2.8, -2.8, 2.8]):
+        rv = rows @ np.array(v)
+        assert cert.min_slack <= np.min(rows @ bound - rv) + np.min(rv + rows @ bound) - 0.5
+
+
 def test_check_l2_empty_subset_vacuous():
     cert = check_l2(builtin_chain("uniform2"), NEUTRAL, np.zeros(2), 1.0, 2.0, B0=[])
     assert cert.passed

@@ -40,6 +40,8 @@ def test_solve_writes_result_and_trace(tmp_path):
     assert result["rho"] == pytest.approx(4.0 / 7.0, abs=1e-9)
     assert result["policy"] == [0, 0]
     assert result["residual"] <= 1e-9
+    assert sorted(result["timing_s"]) == ["build", "residual", "rvi"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in result["timing_s"].values())
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == "iter,span,m,M,rho_est,wall_ns,policy_changes,span_ratio"
     assert len(lines) == 1 + result["iterations"]

@@ -125,6 +125,55 @@ def test_gaussian_kernel_row_batches_means():
         assert np.array_equal(row, gaussian_kernel_row(mean, np.eye(1), nodes, cell_volume=0.5))
 
 
+def density_rows(means, cov_inv, nodes, cell_volume):
+    """The density formula evaluated node by node, as the oracle of the kernel."""
+    d = nodes.shape[1]
+    norm = (2 * np.pi) ** (-d / 2) * np.sqrt(np.linalg.det(cov_inv)) * cell_volume
+    return np.array([[norm * np.exp(-0.5 * (y - m) @ cov_inv @ (y - m)) for y in nodes] for m in means])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gaussian_kernel_row_matches_density_with_nonsymmetric_cov_inv(dim):
+    rng = np.random.default_rng(dim)
+    L = rng.normal(size=(dim, dim))
+    skew = rng.normal(size=(dim, dim))
+    cov_inv = L @ L.T + 0.5 * np.eye(dim) + (skew - skew.T)  # SPD plus a skew part
+    assert not np.allclose(cov_inv, cov_inv.T)
+    nodes, vol = grid_nodes(GridSpec(points=7, extent=3.0), dim)
+    means = rng.uniform(-3.5, 3.5, size=(5, dim))
+    got = gaussian_kernel_row(means, cov_inv, nodes, vol)
+    want = density_rows(means, cov_inv, nodes, vol)
+    big = want > 1e-200
+    assert np.all(np.abs(got - want)[big] <= 1e-12 * want[big])
+    assert np.all(np.abs(got - want)[~big] <= 1e-15)
+
+
+def test_benchmark_grid_rows_match_the_difference_form():
+    # The 41 x 41 benchmark model, x' = 0.5 x +- 0.5 e1 + W on [-5, 5]^2,
+    # against the rows of the (y - m)'C(y - m) difference form.
+    eye = np.eye(2)
+    spec = DiffusionSpec(dim=2, A=0.5 * eye, actions=["left", "right"],
+                         drift={"left": [-0.5, 0.0], "right": [0.5, 0.0]},
+                         diffusion={"left": eye, "right": eye},
+                         gamma_tilde=0.25, drift_bound=0.2500001, ellipticity=1.0)
+    grid = GridSpec(points=41, extent=5.0)
+    m = discretize_diffusion(spec, grid)
+    nodes, vol = grid_nodes(grid, 2)
+    for ai, a in enumerate(spec.actions):
+        means = nodes @ spec.A.T + spec.drift_at(nodes, a)
+        diff = nodes[None, :, :] - means[:, None, :]
+        rows = np.exp(-0.5 * np.einsum("snd,de,sne->sn", diff, eye, diff)) / (2 * np.pi) * vol
+        rows /= rows.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(m.stacked_transition[ai::2] - rows)) <= 1e-16
+
+
+def test_discretize_rejects_non_finite_drift():
+    spec = ou_spec()
+    spec.drift["right"] = np.array([np.nan])
+    with pytest.raises(ValueError, match=r"drift\['right'\]"):
+        discretize_diffusion(spec, GridSpec(points=11, extent=2.0))
+
+
 def test_discretized_model_is_stored_once():
     m = discretize_diffusion(ou_spec(dim=2), GridSpec(points=5, extent=2.0))
     assert m.stacked_transition.shape == (50, 25)

@@ -376,6 +376,13 @@ def test_utility_rejects_bad_shapes():
         PiecewiseLinearUtility([], [2.0])  # slopes must straddle 1
 
 
+@pytest.mark.parametrize("breakpoints, slopes", [([np.nan], [0.5, 2.0]), ([0.0], [np.nan, 2.0]),
+                                                 ([], [np.nan])])
+def test_utility_rejects_nan(breakpoints, slopes):
+    with pytest.raises(ValueError):
+        PiecewiseLinearUtility(breakpoints, slopes)
+
+
 def test_shortfall_linear_utility_is_mean():
     rng = np.random.default_rng(8)
     v = rng.normal(size=5)
