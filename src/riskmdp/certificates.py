@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import FiniteMCP
+from .mdp import WORST_PAIR_RTOL, FiniteMCP
 from .risk import RiskMapSpec, risk_table, risk_values
 
 __all__ = [
@@ -37,12 +37,6 @@ DEFAULT_GAMMA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 10))
 # A drift residual that comes out nonpositive still certifies the inequality,
 # but the downstream bounds need a strictly positive constant.
 K0_FLOOR = 1e-12
-
-# Residuals (slacks) within this relative distance of the largest (smallest)
-# count as tied for the worst pair (the l2 witness), so that rows or samples
-# equal in exact arithmetic (mirror images on a symmetric model) are not told
-# apart by last-bit rounding.
-WORST_PAIR_RTOL = 1e-12
 
 # Cells of one risk_table call in check_l2, so its (samples, rows) tables
 # stay bounded whatever n_samples is: one call for all 2002 samples of the

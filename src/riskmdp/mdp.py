@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "WORST_PAIR_RTOL",
     "FiniteMCP",
     "PolicyVector",
     "ValidationReport",
@@ -28,6 +29,13 @@ __all__ = [
     "validate_mcp",
     "weighted_seminorm",
 ]
+
+# Values within this relative distance of the best one (the greedy action's,
+# the largest drift residual, the smallest l2 slack) count as tied with it,
+# and the first of them is reported, so that rows equal in exact arithmetic
+# (mirror images on a symmetric model) are not told apart by last-bit
+# rounding.
+WORST_PAIR_RTOL = 1e-12
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

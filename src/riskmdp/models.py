@@ -97,6 +97,11 @@ class DiffusionSpec:
                 raise ValueError(f"{where} has a non-finite entry")
         if not 0 < self.gamma_tilde < 1:
             raise ValueError("gamma_tilde must be in (0, 1)")
+        # written as "not good" so that a NaN fails too
+        if not (np.isfinite(self.drift_bound) and self.drift_bound > 0):
+            raise ValueError(f"drift_bound must be finite and > 0, got {self.drift_bound}")
+        if not (np.isfinite(self.ellipticity) and self.ellipticity >= 1):
+            raise ValueError(f"ellipticity must be finite and >= 1, got {self.ellipticity}")
         sig = float(np.linalg.eigvalsh(self.A.T @ self.A).max())
         if sig > self.gamma_tilde + 1e-12:
             raise ValueError(f"|Ax|^2 reaches {sig:.6g} |x|^2 > gamma_tilde = {self.gamma_tilde}")

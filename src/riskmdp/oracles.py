@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,9 +125,16 @@ def neutral_average_cost(P: np.ndarray, c: np.ndarray, reference_state: int = 0)
 
 @dataclass
 class PolicyEnumeration:
+    """``table`` lists each policy with its long-run cost and ``routes`` how
+    that cost was evaluated, in the same order: ``spectral`` (entropic
+    Perron oracle), ``stationary`` (neutral stationary oracle) or ``rvi``
+    (fixed-policy relative value iteration, the only route through the
+    solver)."""
+
     best_rho: float
     best_policy: PolicyVector
     table: list[tuple[tuple[int, ...], float]]
+    routes: list[str] = field(default_factory=list)
 
 
 def enumerate_policies(mcp: FiniteMCP, spec: RiskMapSpec, budget: int = 10_000, tol: float = 1e-9) -> PolicyEnumeration:
@@ -142,29 +149,25 @@ def enumerate_policies(mcp: FiniteMCP, spec: RiskMapSpec, budget: int = 10_000, 
     total = int(np.prod(counts))
     if total > budget:
         raise ValueError(f"{total} policies exceed the enumeration budget {budget}")
-    table: list[tuple[tuple[int, ...], float]] = []
-    best_rho = np.inf
-    best: tuple[int, ...] | None = None
+    enum = PolicyEnumeration(best_rho=np.inf, best_policy=None, table=[])
     for combo in itertools.product(*[range(k) for k in counts]):
         policy = PolicyVector.det(combo)
         if spec.kind == "entropic":
-            P, c = policy_transition_and_cost(mcp, policy)
-            rho = entropic_spectral_rho(P, c, spec.lam).rho
+            route, rho = "spectral", entropic_spectral_rho(*policy_transition_and_cost(mcp, policy), spec.lam).rho
         elif spec.kind == "neutral":
-            P, c = policy_transition_and_cost(mcp, policy)
-            rho = neutral_average_cost(P, c).rho
+            route, rho = "stationary", neutral_average_cost(*policy_transition_and_cost(mcp, policy)).rho
         else:
             res = relative_value_iteration(
                 mcp.restrict_to_policy(policy), spec, SolveConfig(tol=tol)
             )
             if not res.converged:
                 raise RuntimeError(f"fixed-policy iteration did not converge for {combo}")
-            rho = res.rho
-        table.append((combo, rho))
-        if rho < best_rho:
-            best_rho = rho
-            best = combo
-    return PolicyEnumeration(best_rho=best_rho, best_policy=PolicyVector.det(best), table=table)
+            route, rho = "rvi", res.rho
+        enum.table.append((combo, rho))
+        enum.routes.append(route)
+        if rho < enum.best_rho:
+            enum.best_rho, enum.best_policy = rho, policy
+    return enum
 
 
 def total_cost_law(

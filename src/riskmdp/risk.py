@@ -7,7 +7,8 @@ R(v) + c for scalar c) and centralized (R(0) = 0).  The supported kinds:
 - ``entropic``: (1/lam) log E[exp(lam v)], evaluated with a max shift so it
   never overflows.
 - ``density_band``: sup of E[xi v] over densities xi with g1 <= xi <= g2 and
-  E[xi] = 1 (g1 = 0, g2 = 1/beta recovers average value-at-risk).
+  E[xi] = 1 (g1 = 0, g2 = 1/beta recovers average value-at-risk).  It is
+  the distortion (Choquet) risk measure of g(s) = min(g2 s, g1 s + 1 - g1).
 - ``mean_semideviation``: mean plus lam times the upper semideviation of
   order r.
 - ``shortfall``: the utility-shortfall level, i.e. the unique m with
@@ -20,10 +21,16 @@ makes a full (rows, n) temporary: ``neutral`` is one matrix-vector product
 and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which
 falls back to a row-wise logsumexp where the product underflows or v is not
 finite.  The order-based kinds sort v once and sweep the rows in blocks of
-about 2^17 elements.  ``risk_table`` evaluates many value vectors against
-the same rows the same way, with one matrix product for neutral and
-entropic.  An (m, n) stack of value vectors paired row by row, as the axiom
-checks pass it, goes row by row, with a logsumexp for entropic.
+about 2^17 elements.  Per block, the band is v_(n) + sum_{k<n} g(C_k)
+(v_(k) - v_(k+1)), with v sorted from the top and C_k the q-mass of the k
+largest outcomes: one gather, one cumsum, the distortion and one row dot
+(a v that is not finite, or whose spread overflows, takes the weighted sum
+sum_k (g(C_k) - g(C_{k-1})) v_(k) instead).  Mean-semideviation takes its
+mean and its excess moment as row dots, with one block temporary.
+``risk_table`` evaluates many value vectors against the same rows the same
+way, with one matrix product for neutral and entropic.  An (m, n) stack of
+value vectors paired row by row, as the axiom checks pass it, takes the
+same row-block reductions, with a logsumexp for entropic.
 """
 
 from __future__ import annotations
@@ -262,19 +269,49 @@ def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
+def _rowdot(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of a row block A with one shared vector b or
+    with a paired stack b; both layouts take the same einsum reduction, so a
+    shared v and its tiled stack give the same bits."""
+    return np.einsum("ij,j->i" if b.ndim == 1 else "ij,ij->i", A, b)
+
+
 def _band(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
-    # With xi = g1 + (g2 - g1) eta, the best 0 <= eta <= 1 puts its mass
-    # (1 - g1)/(g2 - g1) on the largest outcomes, so the (g2 - g1) eta part
-    # adds min((g2 - g1) cum, 1 - g1) of q-mass, cum counted from the top.
+    # Choquet form v_(n) + sum_{k<n} g(C_k) (v_(k) - v_(k+1)) (see the
+    # module docstring): nonnegative weights times nonnegative increments,
+    # so nothing cancels.  Rows whose increments are not finite (v not
+    # finite, or a spread past the float range) are spoiled here and redone
+    # by _band_by_weights.
     out = np.empty(len(rows))
     for Vb, sls in _blocks(V, len(rows), rows.shape[1]):
         order = np.argsort(-Vb, axis=-1, kind="stable")
-        negVs = np.take_along_axis(-Vb, order, axis=-1)
-        for sl in sls:
-            Qs = _gather(rows[sl], order)
-            top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
-            out[sl] = -np.sum((g1 * Qs + top) * negVs, axis=1)
+        vs = np.take_along_axis(Vb, order, axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dv = vs[..., :-1] - vs[..., 1:]
+            for sl in sls:
+                G = _gather(rows[sl], order[..., :-1])
+                np.cumsum(G, axis=1, out=G)
+                H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
+                H += 1.0 - g1
+                G *= g2
+                np.minimum(G, H, out=G)
+                out[sl] = vs[..., -1] + _rowdot(G, dv)
+        ok = np.isfinite(vs[..., -1]) & np.all(np.isfinite(dv), axis=-1)
+        if not np.all(ok):
+            for sl in sls:
+                bad = np.flatnonzero(~np.broadcast_to(ok, out[sl].shape))
+                out[sl.start + bad] = _band_by_weights(Vb if Vb.ndim == 1 else Vb[bad], rows[sl][bad], g1, g2)
     return out
+
+
+def _band_by_weights(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
+    # sum_k w_k v_(k) with w_k = g(C_k) - g(C_{k-1}) written as g1 q + the
+    # increments of min((g2 - g1) C, 1 - g1), so an infinite outcome gives
+    # +-inf where its weight is positive and NaN where it is zero.
+    order = np.argsort(-V, axis=-1, kind="stable")
+    Qs = _gather(rows, order)
+    top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
+    return np.sum((g1 * Qs + top) * np.take_along_axis(V, order, axis=-1), axis=1)
 
 
 def _semideviation(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.ndarray:
@@ -282,9 +319,11 @@ def _semideviation(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.
     for Vb, sls in _blocks(V, len(rows), rows.shape[1]):
         for sl in sls:
             Q = rows[sl]
-            mean = np.sum(Q * Vb, axis=1)
-            excess = np.maximum(Vb - mean[:, None], 0.0)
-            out[sl] = mean + lam * np.sum(Q * excess**r, axis=1) ** (1.0 / r)
+            mean = _rowdot(Q, Vb)
+            excess = Vb - mean[:, None]
+            np.maximum(excess, 0.0, out=excess)
+            excess **= r
+            out[sl] = mean + lam * _rowdot(Q, excess) ** (1.0 / r)
     return out
 
 

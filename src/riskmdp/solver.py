@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
+from .mdp import WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
 from .risk import RiskMapSpec, risk_table, risk_values
 
 __all__ = [
@@ -84,15 +84,18 @@ def bellman_T(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.nda
 def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray) -> tuple[np.ndarray, PolicyVector]:
     """F(v)(x) = min_a [ c(x,a) + R(v|x,a) ], with the greedy policy.
 
-    Ties go to the lowest action index; a NaN counts as the minimum, as in
-    ``np.argmin``.
+    F(v)(x) is the exact minimum.  The greedy action is the lowest-indexed
+    one whose value is within a relative ``WORST_PAIR_RTOL`` of it, so that
+    actions tied in exact arithmetic keep their order whatever the kernel's
+    rounding; a NaN counts as the minimum, as in ``np.argmin``.
     """
     vals = mcp.stacked_cost + risk_values(spec, np.asarray(v, dtype=float), mcp.stacked_transition)
     starts = mcp.row_offsets[:-1]
     best = np.minimum.reduceat(vals, starts)
-    hit = (vals == best[mcp.row_state]) | np.isnan(vals)
+    cut = best + WORST_PAIR_RTOL * np.abs(np.where(np.isfinite(best), best, 0.0))
+    hit = (vals <= cut[mcp.row_state]) | np.isnan(vals)
     first = np.minimum.reduceat(np.where(hit, np.arange(len(vals)), len(vals)), starts)
-    return vals[first], PolicyVector.det(first - starts)
+    return best, PolicyVector.det(first - starts)
 
 
 def relative_value_iteration(

@@ -192,6 +192,15 @@ L2 = {"type": "l2", "w0": "zeros", "K": "coherent"}
 CONTRACTION = {"type": "contraction", "w0": "zeros", "gamma": 0.5, "K_bar": 1.0, "alpha": 0.5, "R": 5.0}
 
 
+@pytest.mark.parametrize("key, value", [("drift_bound", -1.0), ("drift_bound", float("nan")),
+                                        ("ellipticity", 0.0), ("ellipticity", float("nan"))])
+def test_bad_diffusion_bounds_are_exit_2_naming_the_field(tmp_path, capsys, key, value):
+    cfg = {"model": {"diffusion": {**DIFFUSION_1D, key: value}, "grid": {"points": 11}}, "risk": {"kind": "neutral"}}
+    code, _ = run(tmp_path, "solve", cfg)
+    assert code == 2
+    assert f"config error: model: {key} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, cfg, key",
     [

@@ -80,6 +80,17 @@ def test_diffusion_spec_rejects_bad_ellipticity():
         spec.validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("drift_bound", float("nan")), ("drift_bound", -1.0), ("drift_bound", 0.0), ("drift_bound", float("inf")),
+    ("ellipticity", float("nan")), ("ellipticity", 0.0), ("ellipticity", 0.5), ("ellipticity", float("inf")),
+])
+def test_diffusion_spec_rejects_bad_bounds_naming_the_field(field, value):
+    spec = ou_spec()
+    setattr(spec, field, value)
+    with pytest.raises(ValueError, match=field):
+        spec.validate()
+
+
 def test_diffusion_spec_rejects_missing_action_data():
     spec = ou_spec()
     del spec.drift["right"]

@@ -180,6 +180,14 @@ def test_enumeration_fixed_policy_route_for_band():
     assert enum.best_rho == pytest.approx(res.rho, abs=1e-7)
 
 
+def test_enumeration_records_each_policy_route():
+    m = builtin_chain("random_seeded", n=2, m=2, seed=28)
+    for spec, route in ((RiskMapSpec("neutral"), "stationary"), (RiskMapSpec("entropic", lam=0.5), "spectral"),
+                        (RiskMapSpec("mean_semideviation", lam=0.5), "rvi")):
+        enum = enumerate_policies(m, spec)
+        assert len(enum.table) == 4 and enum.routes == [route] * 4
+
+
 def test_enumeration_budget_enforced():
     m = builtin_chain("random_seeded", n=6, m=3, seed=26)
     with pytest.raises(ValueError):

@@ -278,6 +278,65 @@ def test_band_with_upper_bound_one_is_expectation():
     assert np.allclose(got, rows @ v, rtol=0.0, atol=1e-12)
 
 
+BAND_CORRIDORS = [(0.0, 4.0), (0.5, 1.5), (1.0, 1.0), (0.5, 1.0), (0.0, 20.0)]
+
+
+@pytest.mark.parametrize("g1, g2", BAND_CORRIDORS)
+def test_band_matches_vertex_enumeration_with_ties_and_zero_mass(g1, g2):
+    # AVaR (g1 = 0), an interior corridor, the two expectation corridors and
+    # a wide AVaR whose cap binds on the first outcome; values drawn from a
+    # few levels so ties are common, and some states carry no mass
+    rng = np.random.default_rng(23)
+    spec = RiskMapSpec("density_band", band=(g1, g2))
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        v = rng.integers(-2, 3, size=n) * 1.5 + (rng.normal(size=n) if rng.random() < 0.5 else 0.0)
+        q = random_law(rng, n) * (rng.random(n) < 0.7)
+        if q.sum() == 0.0:
+            q[0] = 1.0
+        q /= q.sum()
+        got = risk_values(spec, v, q[None, :])[0]
+        assert got == pytest.approx(brute_force_band(v, q, g1, g2), abs=1e-12)
+        # xi >= g1 puts at least g1 of the mass on the mean, the rest is at least min v
+        assert got >= g1 * float(q @ v) + (1.0 - g1) * float(v.min()) - 1e-12
+
+
+def test_band_non_finite_values_keep_their_outputs():
+    # sum_k w_k v_(k): an infinite outcome gives +-inf where its band weight
+    # is positive and NaN where it is zero (no mass, or past the cap of an
+    # AVaR band); NaN, or both infinities, give NaN
+    rows = np.array([[0.5, 0.3, 0.2, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.6, 0.4]])
+    inf, nan = np.inf, np.nan
+    cases = [
+        ((0.5, 1.5), [inf, 1.0, 0.0, 2.0], [inf, inf, nan]),  # +inf charged
+        ((0.5, 1.5), [1.0, 0.0, 2.0, inf], [nan, inf, inf]),  # +inf uncharged in row 0
+        ((0.5, 1.5), [-inf, 1.0, 0.0, 2.0], [-inf, -inf, nan]),  # -inf charged
+        ((0.5, 1.5), [1.0, 0.0, 2.0, -inf], [nan, -inf, -inf]),  # -inf uncharged in row 0
+        ((0.0, 2.0), [-inf, 1.0, 0.0, 2.0], [nan, nan, nan]),  # -inf charged, zero AVaR weight
+        ((0.5, 1.5), [nan, 1.0, 0.0, 2.0], [nan, nan, nan]),
+        ((0.5, 1.5), [inf, -inf, 0.0, 2.0], [nan, nan, nan]),
+        ((1.0, 1.0), [1.0, -inf, 0.0, inf], [nan, nan, nan]),
+    ]
+    for band, v, want in cases:
+        spec = RiskMapSpec("density_band", band=band)
+        with np.errstate(invalid="ignore"):
+            shared = risk_values(spec, np.array(v), rows)
+            paired = risk_values(spec, np.tile(v, (3, 1)), rows)
+            mixed = risk_values(spec, np.array([[0.0, 1.0, 2.0, 3.0], v, [3.0, 2.0, 1.0, 0.0]]), rows)
+        assert np.array_equal(shared, want, equal_nan=True), (band, v, shared)
+        assert np.array_equal(paired, want, equal_nan=True), (band, v, paired)
+        # a finite row paired with them keeps its finite value
+        assert np.array_equal(mixed[1], want[1], equal_nan=True) and np.all(np.isfinite(mixed[[0, 2]]))
+
+
+def test_band_spread_beyond_float_range_stays_finite():
+    # v_(k) - v_(k+1) overflows here, so the increments cannot carry the sum
+    v = np.array([1e308, -1e308])
+    q = np.array([[0.5, 0.5], [0.25, 0.75]])
+    got = risk_values(RiskMapSpec("density_band", band=(0.5, 1.5)), v, q)
+    assert np.allclose(got, [0.5e308, -0.25e308], rtol=1e-14, atol=0.0)
+
+
 def test_band_spec_rejects_bad_corridor():
     with pytest.raises(ValueError):
         RiskMapSpec("density_band", band=(1.2, 2.0))
@@ -307,6 +366,24 @@ def test_semidev_order_one_matches_direct_formula():
     m = float(q @ v)
     want = m + 0.3 * float(q @ np.maximum(v - m, 0.0))
     assert mean_semideviation(v, q, 0.3, 1.0) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [-0.6, 0.5])
+@pytest.mark.parametrize("r", [1.0, 1.5, 3.0])
+def test_semidev_matches_direct_formula_across_row_blocks(r, lam):
+    # 1000 rows of 300 states are three 2^17-element blocks
+    rng = np.random.default_rng(24)
+    rows = rng.dirichlet(np.ones(300), size=1000)
+    spec = RiskMapSpec("mean_semideviation", lam=lam, r=r)
+
+    def direct(V):
+        mean = np.sum(rows * V, axis=1)
+        return mean + lam * np.sum(rows * np.maximum(V - mean[:, None], 0.0) ** r, axis=1) ** (1.0 / r)
+
+    v = rng.normal(size=300) * 3
+    V = rng.normal(size=(1000, 300)) * 3
+    assert np.allclose(risk_values(spec, v, rows), direct(np.tile(v, (1000, 1))), rtol=1e-12, atol=1e-12)
+    assert np.allclose(risk_values(spec, V, rows), direct(V), rtol=1e-12, atol=1e-12)
 
 
 def test_semidev_lower_subgradient_bound():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from riskmdp import solver
 from riskmdp.mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
-from riskmdp.models import builtin_chain
+from riskmdp.models import DiffusionSpec, GridSpec, QuadraticCost, attach_cost, builtin_chain, discretize_diffusion
 from riskmdp.oracles import entropic_spectral_rho, neutral_average_cost
 from riskmdp.risk import RiskMapSpec, eval_risk, risk_values
 from riskmdp.solver import (
@@ -110,6 +111,51 @@ def test_bellman_F_tie_goes_to_lowest_action_index():
     )
     _, greedy = bellman_F(m, NEUTRAL, np.zeros(2))
     assert greedy.deterministic.tolist() == [0, 0]
+
+
+def two_action_loop(costs):
+    """One state with two self-looping actions of the given costs."""
+    return FiniteMCP(actions=[["a", "b"]], transition=[np.ones((2, 1))], cost=[np.asarray(costs, dtype=float)])
+
+
+def test_bellman_F_rounding_gap_goes_to_lowest_action_index():
+    # F is the exact minimum; an action within a relative 1e-12 of it counts
+    # as tied and the lowest index wins, a larger gap does not
+    vals, greedy = bellman_F(two_action_loop([np.nextafter(1.0, 2.0), 1.0]), NEUTRAL, np.zeros(1))
+    assert vals.tolist() == [1.0] and greedy.deterministic.tolist() == [0]
+    vals, greedy = bellman_F(two_action_loop([1.0 + 1e-9, 1.0]), NEUTRAL, np.zeros(1))
+    assert vals.tolist() == [1.0] and greedy.deterministic.tolist() == [1]
+    vals, greedy = bellman_F(two_action_loop([-np.inf, -np.inf]), NEUTRAL, np.zeros(1))
+    assert vals.tolist() == [-np.inf] and greedy.deterministic.tolist() == [0]
+
+
+def test_grid_band_greedy_policy_survives_rounding(monkeypatch):
+    # on the mirror-symmetric 21x21 grid the two actions tie in exact
+    # arithmetic on the middle column; evaluating the tiled stack of v with a
+    # relative 1e-14 nudge per row must not move the reported policy
+    eye = np.eye(2)
+    diff = DiffusionSpec(dim=2, A=0.5 * eye, actions=["left", "right"],
+                         drift={"left": np.array([-0.5, 0.0]), "right": np.array([0.5, 0.0])},
+                         diffusion={"left": eye, "right": eye}, gamma_tilde=0.25, drift_bound=0.2500001,
+                         ellipticity=1.0)
+    m = attach_cost(discretize_diffusion(diff, GridSpec(points=21, extent=5.0)), QuadraticCost(c0=0.1))
+    spec = RiskMapSpec("density_band", band=(0.5, 1.5))
+    h = relative_value_iteration(m, spec, SolveConfig(tol=1e-9)).h
+    vals, greedy = bellman_F(m, spec, h)
+
+    rng = np.random.default_rng(0)
+    nudge = 1.0 + 1e-14 * rng.choice([-1.0, 1.0], size=len(m.stacked_transition))
+
+    def tiled(spec, v, rows):
+        return risk_values(spec, np.tile(v, (len(rows), 1)), rows) * nudge
+
+    monkeypatch.setattr(solver, "risk_values", tiled)
+    vals_tiled, greedy_tiled = bellman_F(m, spec, h)
+    assert np.allclose(vals_tiled, vals, rtol=0.0, atol=1e-12)
+    assert np.array_equal(greedy_tiled.deterministic, greedy.deterministic)
+    # the nudge does split ties: a plain argmin would report other actions
+    strict = np.argmin((m.stacked_cost + tiled(spec, h, m.stacked_transition)).reshape(-1, 2), axis=1)
+    assert np.any(strict != greedy.deterministic)
 
 
 def uneven_chain():
