@@ -112,7 +112,9 @@ def fit_lyapunov(
     For each grid value of gamma0, the minimal feasible K0 is the largest
     residual over the (state, action) pairs under consideration; the
     certificate keeps the grid point with the smallest K0 (first such point
-    on ties, which favors the smallest gamma0).  The worst pair is the first
+    on ties).  As w0 >= 0, K0 never increases with gamma0, so that is the
+    largest grid gamma0 unless K0 is flat there: 0.95 on the default grid.
+    The worst pair is the first
     row whose residual is within ``WORST_PAIR_RTOL`` of that K0.  A
     non-finite residual at every grid point — e.g. w0 with infinite entries
     standing in for superlinear growth — flags the certificate unsatisfied.
@@ -344,7 +346,10 @@ def check_l2(
     must hold for all x, y in B0.  Random v plus adversarial single-threshold
     sign mixtures of +-(w0 + K), evaluated by ``risk_table`` in blocks of
     samples; reports the minimal slack and, as witness, the first sample
-    whose slack is within ``WORST_PAIR_RTOL`` of it.
+    whose slack is within ``WORST_PAIR_RTOL`` of it.  ``min_slack`` is the
+    minimum over the checked samples only, so it is an upper bound on the
+    true minimum over the ball, and ``passed`` means that no sample
+    violated the inequality.
     """
     w0 = np.asarray(w0, dtype=float)
     B0 = np.asarray(B0, dtype=np.intp)
@@ -403,7 +408,8 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     Starting from the common-mass pair (alpha_B, mu_B) on the subset, the
     tilt-robust mass is alpha = alpha_B mu_B[e^{-K w}] / max_rows Q[e^{K w}]
     with minorizing measure proportional to e^{-K w} d mu_B.  Computed in
-    log space so large K w cannot overflow.
+    log space through the entropic kernel, so large K w can neither
+    overflow nor underflow to a log of 0.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -412,11 +418,13 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     if not base.satisfied:
         return base
     rows = mcp.stacked_transition[_subset_row_index(mcp, subset)]
-    # log max_rows Q[e^{K w}] is K times the largest entropic value of w at lam = K
-    log_denom = K * float(np.max(risk_values(RiskMapSpec("entropic", lam=K), w, rows))) if K > 0 else 0.0
-    tilt = np.exp(-K * w)
-    num = float(base.mu @ tilt)
-    alpha = math.exp(math.log(base.alpha) + math.log(num) - log_denom)
-    mu = base.mu * tilt
+    # log max_rows Q[e^{K w}] is K times the largest entropic value of w at
+    # lam = K, and log mu_B[e^{-K w}] is -K times its entropic value at lam = -K
+    log_num = log_denom = 0.0
+    if K > 0:
+        log_denom = K * float(np.max(risk_values(RiskMapSpec("entropic", lam=K), w, rows)))
+        log_num = -K * float(risk_values(RiskMapSpec("entropic", lam=-K), w, base.mu)[0])
+    alpha = math.exp(math.log(base.alpha) + log_num - log_denom)
+    mu = base.mu * np.exp(-K * (w - np.min(w[base.mu > 0])))
     mu /= mu.sum()
     return DoeblinCertificate(subset=base.subset, alpha=alpha, mu=mu, satisfied=alpha > 0.0)

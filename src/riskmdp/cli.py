@@ -244,13 +244,16 @@ def _risk_spec(cfg: dict) -> RiskMapSpec:
 
 
 @_reading("solve")
-def _solve_config(cfg: dict) -> SolveConfig:
+def _solve_config(cfg: dict, n_states: int) -> SolveConfig:
     scfg = _table(cfg, "solve", {})
-    return SolveConfig(
+    out = SolveConfig(
         tol=float(scfg.get("tol", 1e-10)),
         max_iter=_whole(scfg, "max_iter", 100_000),
         reference_state=_whole(scfg, "reference_state", 0),
     )
+    if out.reference_state >= n_states:
+        raise ValueError(f"reference_state {out.reference_state} is not a state of the {n_states}-state model")
+    return out
 
 
 def _prepare(config_path: str, output_dir: str | None):
@@ -268,7 +271,7 @@ def _prepare(config_path: str, output_dir: str | None):
 def cmd_solve(config_path: str, output_dir: str | None) -> int:
     t0 = time.perf_counter_ns()
     cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
-    scfg = _solve_config(cfg)
+    scfg = _solve_config(cfg, mcp.n_states)
     log.info("solving %s-state model, risk kind %s", mcp.n_states, spec.kind)
     t1 = time.perf_counter_ns()
     res = relative_value_iteration(mcp, spec, scfg)
@@ -414,7 +417,7 @@ def _sweep_values(cfg: dict, spec: RiskMapSpec) -> list[float]:
 
 def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
     cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
-    scfg = _solve_config(cfg)
+    scfg = _solve_config(cfg, mcp.n_states)
     values = _sweep_values(cfg, spec)
 
     def solve_one(lam: float):

@@ -71,8 +71,10 @@ def entropic_spectral_rho(
     The multiplicative Poisson equation e^{lam rho} phi = diag(e^{lam c}) P phi
     identifies rho = (1/lam) log r(M) with M = diag(e^{lam c}) P and the bias
     h = (1/lam) log phi, centered at the reference state.  Power iteration
-    with max-norm normalization; stops when the eigenvalue estimate drifts
-    by less than ``tol`` per step.
+    with max-norm normalization.  For every positive phi the entries of
+    (1/lam) log((M phi) / phi) bracket rho (Collatz-Wielandt; Seneta 1981);
+    it stops once the bracket's half-width, the ``error_bound``, is below
+    ``tol``, and ``rho`` is the bracket's midpoint.
     """
     P = np.asarray(P, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -82,16 +84,15 @@ def entropic_spectral_rho(
         raise ValueError("spectral oracle needs an irreducible aperiodic chain")
     M = np.exp(lam * c)[:, None] * P
     phi = np.ones(len(c))
-    r_old = np.inf
     for _ in range(max_iter):
         nxt = M @ phi
-        r = float(nxt.max())
-        phi = nxt / r
-        if abs(r - r_old) < tol:
+        ratio = nxt / phi
+        lo, hi = sorted(np.log([ratio.min(), ratio.max()]) / lam)  # lam < 0 swaps the ends
+        phi = nxt / nxt.max()
+        if hi - lo < 2.0 * tol:
             h = np.log(phi) / lam
             h -= h[reference_state]
-            return OracleResult(rho=np.log(r) / lam, h=h, method="entropic_spectral", error_bound=abs(r - r_old))
-        r_old = r
+            return OracleResult(rho=0.5 * (lo + hi), h=h, method="entropic_spectral", error_bound=0.5 * (hi - lo))
     raise RuntimeError("power iteration did not converge")
 
 

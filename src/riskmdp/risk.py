@@ -15,26 +15,26 @@ R(v) + c for scalar c) and centralized (R(0) = 0).  The supported kinds:
   E[u(v - m)] = 0 for a piecewise-linear increasing u with u(0) = 0, solved
   exactly on the linear piece of E[u(v - m)] that holds it.
 
-Evaluation is vectorized over a stack of probability rows.  A value vector
-shared by all rows, as every Bellman sweep and certificate passes it, never
-makes a full (rows, n) temporary: ``neutral`` is one matrix-vector product
-and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which
-falls back to a row-wise logsumexp where the product underflows or v is not
-finite.  The order-based kinds sort v once and sweep the rows in blocks of
-about 2^17 elements.  Per block, the band is v_(n) + sum_{k<n} g(C_k)
-(v_(k) - v_(k+1)), with v sorted from the top and C_k the q-mass of the k
-largest outcomes: one gather, one cumsum, the distortion and one row dot
-(a v that is not finite, or whose spread overflows, takes the weighted sum
-sum_k (g(C_k) - g(C_{k-1})) v_(k) instead).  Mean-semideviation takes its
-mean and its excess moment as row dots, with one block temporary.
-``risk_table`` evaluates many value vectors against the same rows the same
-way, with one matrix product for neutral and entropic.  An (m, n) stack of
-value vectors paired row by row, as the axiom checks pass it, takes the
-same row-block reductions, with a logsumexp for entropic.
+Evaluation has one layout: ``risk_table(spec, V, rows)`` evaluates an
+(S, n) stack of value vectors, each shared by all of the (m, n) probability
+rows, and returns the (S, m) table; ``risk_values`` is its one-vector case,
+as every Bellman sweep and certificate calls it.  No kind makes a full
+(rows, n) temporary per value vector: ``neutral`` is one matrix product and
+``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which falls
+back to a row-wise logsumexp where the product underflows or v is not
+finite.  The order-based kinds sort each v once and sweep the rows in
+blocks of about 2^17 elements.  Per block, the band is v_(n) + sum_{k<n}
+g(C_k) (v_(k) - v_(k+1)), with v sorted from the top and C_k the q-mass of
+the k largest outcomes: one gather, one cumsum, the distortion and one row
+dot (a v that is not finite, or whose spread overflows, takes the weighted
+sum sum_k (g(C_k) - g(C_{k-1})) v_(k) instead, in the same row blocks).
+Mean-semideviation takes its mean and its excess moment as row dots, with
+one block temporary.  The axiom checks evaluate tables too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -207,52 +207,19 @@ _BLOCK_ELEMENTS = 1 << 17
 _TINY = np.finfo(float).tiny
 
 
-def _blocks(V: np.ndarray, m: int, width: int) -> list:
-    """How an order-based kernel sweeps m rows in blocks of
-    ``max(1, _BLOCK_ELEMENTS // width)``: ``(values, [row slice, ...])``
-    groups, each group's values sorted once.  A shared 1-D v is one group
-    over every block; an (m, n) stack paired with the rows gives each block
-    its own slice of values."""
+def _row_blocks(m: int, width: int) -> list[slice]:
+    """Slices that sweep m rows of ``width`` elements in blocks of
+    ``max(1, _BLOCK_ELEMENTS // width)`` rows."""
     per = max(1, _BLOCK_ELEMENTS // width)
-    sls = [slice(i, i + per) for i in range(0, m, per)]
-    if V.ndim == 1:
-        return [(V, sls)]
-    return [(V[sl], [sl]) for sl in sls]
-
-
-def _gather(Q: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The columns of the row block Q in the values' order: one shared 1-D
-    order, or a paired (mb, w) order row by row."""
-    if order.ndim == 1:
-        return np.take(Q, order, axis=1)
-    return np.take_along_axis(Q, order, axis=1)
-
-
-def _logsumexp_rows(A: np.ndarray) -> np.ndarray:
-    """log(sum(exp(A), axis=1)), shifted by each row's max so it cannot overflow."""
-    amax = np.max(A, axis=1)
-    out = np.empty_like(amax)
-    finite = np.isfinite(amax)
-    if np.any(finite):
-        Af = A[finite]
-        mf = amax[finite]
-        out[finite] = mf + np.log(np.sum(np.exp(Af - mf[:, None]), axis=1))
-    # +inf max -> +inf; all -inf (impossible for probability rows) -> -inf
-    out[~finite] = amax[~finite]
-    return out
-
-
-def _entropic_rows(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        A = np.log(rows) + lam * V
-    return _logsumexp_rows(A) / lam
+    return [slice(i, i + per) for i in range(0, m, per)]
 
 
 def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     # s + log(Q exp(lam (v - s))) / lam with s = max v (lam > 0) or min v
     # (lam < 0), so every exponent is <= 0: one gemm for all samples.  A
     # product below the normal range (underflow) or a non-finite v goes
-    # through the row-wise logsumexp instead.
+    # through the row-wise logsumexp of A = log q + lam v instead, shifted
+    # by each row's max where that max is finite.
     finite = np.isfinite(V).all(axis=1)
     Vf = V[finite]
     s = (Vf.max(axis=1) if lam > 0 else Vf.min(axis=1))[:, None]
@@ -265,108 +232,96 @@ def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     out = np.empty(ok.shape)
     out[finite] = P
     for k in np.flatnonzero(~ok.all(axis=1)):
-        out[k, ~ok[k]] = _entropic_rows(V[k], rows[~ok[k]], lam)
+        with np.errstate(divide="ignore", over="ignore"):
+            A = np.log(rows[~ok[k]]) + lam * V[k]
+            top = np.max(A, axis=1)
+            top[~np.isfinite(top)] = 0.0
+            out[k, ~ok[k]] = (top + np.log(np.sum(np.exp(A - top[:, None]), axis=1))) / lam
     return out
 
 
-def _rowdot(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of a row block A with one shared vector b or
-    with a paired stack b; both layouts take the same einsum reduction, so a
-    shared v and its tiled stack give the same bits."""
-    return np.einsum("ij,j->i" if b.ndim == 1 else "ij,ij->i", A, b)
-
-
-def _band(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
+def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
     # Choquet form v_(n) + sum_{k<n} g(C_k) (v_(k) - v_(k+1)) (see the
     # module docstring): nonnegative weights times nonnegative increments,
-    # so nothing cancels.  Rows whose increments are not finite (v not
-    # finite, or a spread past the float range) are spoiled here and redone
-    # by _band_by_weights.
-    out = np.empty(len(rows))
-    for Vb, sls in _blocks(V, len(rows), rows.shape[1]):
-        order = np.argsort(-Vb, axis=-1, kind="stable")
-        vs = np.take_along_axis(Vb, order, axis=-1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            dv = vs[..., :-1] - vs[..., 1:]
-            for sl in sls:
-                G = _gather(rows[sl], order[..., :-1])
+    # so nothing cancels.  A v whose increments are not finite (v not
+    # finite, or a spread past the float range) would spoil it and takes
+    # _band_by_weights instead.
+    g1, g2 = spec.band
+    order = np.argsort(-v, kind="stable")
+    vs = v[order]
+    with np.errstate(invalid="ignore", over="ignore"):
+        dv = vs[:-1] - vs[1:]
+        if np.isfinite(vs[-1]) and np.all(np.isfinite(dv)):
+            out = np.empty(len(rows))
+            for sl in _row_blocks(len(rows), rows.shape[1]):
+                G = np.take(rows[sl], order[:-1], axis=1)
                 np.cumsum(G, axis=1, out=G)
                 H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
                 H += 1.0 - g1
                 G *= g2
                 np.minimum(G, H, out=G)
-                out[sl] = vs[..., -1] + _rowdot(G, dv)
-        ok = np.isfinite(vs[..., -1]) & np.all(np.isfinite(dv), axis=-1)
-        if not np.all(ok):
-            for sl in sls:
-                bad = np.flatnonzero(~np.broadcast_to(ok, out[sl].shape))
-                out[sl.start + bad] = _band_by_weights(Vb if Vb.ndim == 1 else Vb[bad], rows[sl][bad], g1, g2)
-    return out
+                out[sl] = vs[-1] + np.einsum("ij,j->i", G, dv)
+            return out
+    return _band_by_weights(v, rows, g1, g2)
 
 
-def _band_by_weights(V: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
+def _band_by_weights(v: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
     # sum_k w_k v_(k) with w_k = g(C_k) - g(C_{k-1}) written as g1 q + the
     # increments of min((g2 - g1) C, 1 - g1), so an infinite outcome gives
     # +-inf where its weight is positive and NaN where it is zero.
-    order = np.argsort(-V, axis=-1, kind="stable")
-    Qs = _gather(rows, order)
-    top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
-    return np.sum((g1 * Qs + top) * np.take_along_axis(V, order, axis=-1), axis=1)
-
-
-def _semideviation(V: np.ndarray, rows: np.ndarray, lam: float, r: float) -> np.ndarray:
+    order = np.argsort(-v, kind="stable")
     out = np.empty(len(rows))
-    for Vb, sls in _blocks(V, len(rows), rows.shape[1]):
-        for sl in sls:
-            Q = rows[sl]
-            mean = _rowdot(Q, Vb)
-            excess = Vb - mean[:, None]
-            np.maximum(excess, 0.0, out=excess)
-            excess **= r
-            out[sl] = mean + lam * _rowdot(Q, excess) ** (1.0 / r)
+    for sl in _row_blocks(len(rows), rows.shape[1]):
+        Qs = np.take(rows[sl], order, axis=1)
+        top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
+        out[sl] = np.sum((g1 * Qs + top) * v[order], axis=1)
     return out
 
 
-def _shortfall(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility) -> np.ndarray:
+def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
+    out = np.empty(len(rows))
+    for sl in _row_blocks(len(rows), rows.shape[1]):
+        Q = rows[sl]
+        mean = np.einsum("ij,j->i", Q, v)
+        excess = v - mean[:, None]
+        np.maximum(excess, 0.0, out=excess)
+        excess **= spec.r
+        out[sl] = mean + spec.lam * np.einsum("ij,ij->i", Q, excess) ** (1.0 / spec.r)
+    return out
+
+
+def _shortfall(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
     # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
     # v_y - b_k.  Below every kink g(m) = A - S (m - a) with all outcomes on
     # u's top piece; passing kink t lowers S by q_y (s_{k+1} - s_k) and A by
     # that times (t - a).  The root is on the piece after the last kink where
     # g > 0.  Anchoring at the mean keeps the sums on the scale of v's spread;
     # a non-finite mean falls back to 0, so such rows give +-inf or NaN.
+    utility = spec.utility
     b, s, c = np.asarray(utility.breakpoints), np.asarray(utility.slopes), utility.intercept
     ds, k = np.diff(s), max(len(b), 1)
+    kinks = (v[:, None] - b).reshape(-1)
+    order = np.argsort(kinks, kind="stable")
+    kinks = kinks[order]
+    y, j = np.divmod(order, k)  # outcome and slope step of each sorted kink
     out = np.empty(len(rows))
-    for Vb, sls in _blocks(V, len(rows), rows.shape[1] * k):
-        kinks = (Vb[..., None] - b).reshape(*Vb.shape[:-1], -1)
-        order = np.argsort(kinks, axis=-1, kind="stable")
-        kinks = np.take_along_axis(kinks, order, axis=-1)
-        y, j = np.divmod(order, k)  # outcome and slope step of each sorted kink
-        for sl in sls:
-            Q = rows[sl]
-            a = np.nan_to_num(np.sum(Q * Vb, axis=1), nan=0.0, posinf=0.0, neginf=0.0)[:, None]
-            W = _gather(Q, y) * ds[j]
-            T = kinks - a
-            S0 = s[-1] * Q.sum(axis=1)[:, None]  # S and A below every kink
-            A0 = np.sum(Q * (s[-1] * (Vb - a) + c), axis=1)[:, None]
-            S = np.cumsum(np.concatenate((S0, -W), axis=1), axis=1)
-            A = np.cumsum(np.concatenate((A0, -W * T), axis=1), axis=1)
-            piece = np.sum(A[:, 1:] - S[:, 1:] * T > 0, axis=1)[:, None]
-            out[sl] = (a + np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
+    for sl in _row_blocks(len(rows), rows.shape[1] * k):
+        Q = rows[sl]
+        a = np.nan_to_num(np.sum(Q * v, axis=1), nan=0.0, posinf=0.0, neginf=0.0)[:, None]
+        W = np.take(Q, y, axis=1) * ds[j]
+        T = kinks - a
+        S0 = s[-1] * Q.sum(axis=1)[:, None]  # S and A below every kink
+        A0 = np.sum(Q * (s[-1] * (v - a) + c), axis=1)[:, None]
+        S = np.cumsum(np.concatenate((S0, -W), axis=1), axis=1)
+        A = np.cumsum(np.concatenate((A0, -W * T), axis=1), axis=1)
+        piece = np.sum(A[:, 1:] - S[:, 1:] * T > 0, axis=1)[:, None]
+        out[sl] = (a + np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
     return out
 
 
-def _order_based(spec: RiskMapSpec, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    if spec.kind == "density_band":
-        return _band(V, rows, *spec.band)
-    if spec.kind == "mean_semideviation":
-        return _semideviation(V, rows, spec.lam, spec.r)
-    return _shortfall(V, rows, spec.utility)
-
-
 def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
-    """R(v_k | q_i) for an (S, n) stack of value vectors against shared (m, n)
-    rows; returns (S, m).
+    """R(v_k | q_i) for an (S, n) stack of value vectors, each against all of
+    the shared (m, n) probability rows; returns (S, m).
 
     Neutral and entropic are one matrix product (entropic with one shift per
     sample, falling back to a row-wise logsumexp where the product
@@ -381,30 +336,23 @@ def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
         return V @ rows.T
     if spec.kind == "entropic":
         return _entropic_table(V, rows, spec.lam)
+    kernel = {"density_band": _band, "mean_semideviation": _semideviation, "shortfall": _shortfall}[spec.kind]
     out = np.empty((len(V), len(rows)))
     for k, v in enumerate(V):
-        out[k] = _order_based(spec, v, rows)
+        out[k] = kernel(v, rows, spec)
     return out
 
 
 def risk_values(spec: RiskMapSpec, v, rows) -> np.ndarray:
-    """Evaluate R(v | q) for a stack of probability rows.
-
-    ``rows`` has shape (m, n).  ``v`` is either a shared length-n vector,
-    evaluated as ``risk_table(spec, v[None], rows)[0]``, or an (m, n) stack
-    paired row-by-row.  Returns a length-m array.
-    """
+    """R(v | q_i) for one length-n value vector v shared by the (m, n)
+    probability rows: ``risk_table(spec, v[None], rows)[0]``, a length-m
+    array.  A stack of value vectors goes to ``risk_table``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    V = np.asarray(v, dtype=float)
-    if V.shape == rows.shape[1:]:
-        return risk_table(spec, V[None], rows)[0]
-    if V.shape != rows.shape:
-        raise ValueError(f"values {V.shape} match neither one row {rows.shape[1:]} nor the rows {rows.shape}")
-    if spec.kind == "neutral":
-        return np.sum(rows * V, axis=1)
-    if spec.kind == "entropic":
-        return _entropic_rows(V, rows, spec.lam)
-    return _order_based(spec, V, rows)
+    v = np.asarray(v, dtype=float)
+    if v.shape != rows.shape[1:]:
+        raise ValueError(f"values {v.shape} are not one vector for the rows {rows.shape}; "
+                         "evaluate a stack of vectors with risk_table")
+    return risk_table(spec, v[None], rows)[0]
 
 
 def eval_risk(spec: RiskMapSpec, v, q) -> float:
@@ -531,60 +479,62 @@ def check_axioms_of(
     rng: np.random.Generator,
     tol: float = 1e-9,
 ) -> AxiomReport:
-    """Sampled axiom checks for a batched risk evaluator.
+    """Sampled axiom checks for a risk evaluator in table form.
 
-    ``fn(V, rows)`` must accept an (m, n) stack of value vectors paired with
-    (m, n) probability rows and return m risk values.  Base axioms are always
-    exercised; convexity / positive homogeneity / subadditivity are exercised
-    too but only count when their check names are in ``claims``, and any
-    other claim name raises ``ValueError``.
+    ``fn(V, rows)`` must return the (S, m) table of an (S, n) stack of value
+    vectors against shared (m, n) probability rows, as ``risk_table`` does;
+    each (vector, row) pair is one check and a failure's witness is the
+    worst pair.  Base axioms are always exercised; convexity / positive
+    homogeneity / subadditivity are exercised too but only count when their
+    check names are in ``claims``, and any other claim name raises
+    ``ValueError``.
     """
     if unknown := set(claims).difference(_BASE_AXIOMS, _STRUCTURAL_AXIOMS):
         raise ValueError(f"unknown axiom claims {sorted(unknown)}; the checks are {_BASE_AXIOMS + _STRUCTURAL_AXIOMS}")
-    m, n = rows.shape
+    S, n = values.shape
     V = values
-    U = V + np.abs(rng.normal(0.0, 1.5, size=(m, n)))
-    shifts = rng.normal(0.0, 3.0, size=m)
-    scales = rng.uniform(0.0, 2.0, size=m)
-    alphas = rng.uniform(0.0, 1.0, size=m)
-    W = rng.normal(0.0, 2.0, size=(m, n))
+    U = V + np.abs(rng.normal(0.0, 1.5, size=(S, n)))
+    shifts = rng.normal(0.0, 3.0, size=S)
+    scales = rng.uniform(0.0, 2.0, size=S)
+    alphas = rng.uniform(0.0, 1.0, size=S)
+    W = rng.normal(0.0, 2.0, size=(S, n))
 
     rv = fn(V, rows)
-    ru = fn(U, rows)
     rw = fn(W, rows)
 
     report = AxiomReport()
 
     def record(name: str, lhs: np.ndarray, rhs: np.ndarray, extra: dict) -> None:
         viol = lhs - rhs
-        worst = int(np.argmax(viol))
-        passed = bool(viol[worst] <= tol)
+        k, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        passed = bool(viol[k, i] <= tol)
         witness = None
         if not passed:
             witness = {
                 "axiom": name,
-                "row": rows[worst].tolist(),
-                "v": V[worst].tolist(),
-                "lhs": float(lhs[worst]),
-                "rhs": float(rhs[worst]),
+                "row": rows[i].tolist(),
+                "v": V[k].tolist(),
+                "lhs": float(lhs[k, i]),
+                "rhs": float(rhs[k, i]),
             }
-            for k, vv in extra.items():
-                witness[k] = vv[worst].tolist() if vv.ndim > 1 else float(vv[worst])
+            for key, vv in extra.items():
+                witness[key] = vv[k].tolist() if vv.ndim > 1 else float(vv[k])
         report.checks[name] = AxiomCheck(
             name=name,
             claimed=name in _BASE_AXIOMS or name in claims,
             passed=passed,
-            n_checked=m,
-            max_violation=float(viol[worst]),
+            n_checked=viol.size,
+            max_violation=float(viol[k, i]),
             witness=witness,
         )
 
-    record("monotonicity", rv, ru, {"u": U})
-    record("translation_invariance", np.abs(fn(V + shifts[:, None], rows) - (rv + shifts)), np.zeros(m), {"c": shifts})
-    record("centralization", np.abs(fn(np.zeros_like(V), rows)), np.zeros(m), {})
-    mix = alphas[:, None] * V + (1 - alphas[:, None]) * W
-    record("convexity", fn(mix, rows), alphas * rv + (1 - alphas) * rw, {"u": W, "alpha": alphas})
-    record("positive_homogeneity", np.abs(fn(scales[:, None] * V, rows) - scales * rv), np.zeros(m), {"s": scales})
+    zero = np.zeros_like(rv)
+    a, c, s = alphas[:, None], shifts[:, None], scales[:, None]  # one per value vector
+    record("monotonicity", rv, fn(U, rows), {"u": U})
+    record("translation_invariance", np.abs(fn(V + c, rows) - (rv + c)), zero, {"c": shifts})
+    record("centralization", np.abs(fn(np.zeros_like(V), rows)), zero, {})
+    record("convexity", fn(a * V + (1 - a) * W, rows), a * rv + (1 - a) * rw, {"u": W, "alpha": alphas})
+    record("positive_homogeneity", np.abs(fn(s * V, rows) - s * rv), zero, {"s": scales})
     record("subadditivity", fn(V + W, rows), rv + rw, {"u": W})
     return report
 
@@ -596,10 +546,11 @@ def check_risk_axioms(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> AxiomReport:
-    """Sampled axiom checks for ``spec`` on transition rows drawn from ``mcp``."""
+    """Sampled axiom checks for ``spec`` on a ``risk_table`` of ceil(N / ceil(sqrt(N)))
+    random value vectors against ceil(sqrt(N)) rows drawn from ``mcp``, N = ``n_samples``."""
     rng = np.random.default_rng(seed)
     all_rows = mcp.stacked_transition
-    idx = rng.integers(0, all_rows.shape[0], size=n_samples)
-    rows = all_rows[idx]
-    values = rng.normal(0.0, 2.0, size=rows.shape)
-    return check_axioms_of(lambda V, R: risk_values(spec, V, R), spec.claims, rows, values, rng, tol)
+    n_rows = math.isqrt(n_samples - 1) + 1
+    rows = all_rows[rng.integers(0, all_rows.shape[0], size=n_rows)]
+    values = rng.normal(0.0, 2.0, size=(-(-n_samples // n_rows), all_rows.shape[1]))
+    return check_axioms_of(lambda V, R: risk_table(spec, V, R), spec.claims, rows, values, rng, tol)

@@ -36,9 +36,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Settings of ``relative_value_iteration``, checked on construction."""
+
     tol: float = 1e-10
     max_iter: int = 100_000
     reference_state: int = 0
+
+    def __post_init__(self) -> None:
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if self.reference_state < 0:
+            raise ValueError(f"reference_state must be >= 0, got {self.reference_state!r}")
 
 
 @dataclass
@@ -121,10 +131,7 @@ def relative_value_iteration(
     trace: list[TraceRecord] = []
     t0 = time.monotonic_ns()
     converged = False
-    m = M = 0.0
-    policy = PolicyVector.det(np.zeros(n, dtype=np.intp))
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, cfg.max_iter + 1):  # max_iter >= 1, so the loop binds it, m, M and policy
         u, greedy = bellman_F(mcp, spec, v)
         delta = u - v
         m = float(delta.min())

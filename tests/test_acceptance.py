@@ -377,13 +377,14 @@ def test_risk_axiom_suite_with_claims_and_witnesses(capsys):
     shortfall_unclaimed = not any(reports["shortfall"].checks[n].claimed for n in trio)
 
     # The shortfall map itself promises nothing beyond the base axioms, but
-    # its dominating envelope must be fully coherent.
+    # its dominating envelope must be fully coherent, on a 45 x 45 table of
+    # value vectors against drawn rows.
     rng = np.random.default_rng(5)
-    rows = pool.stacked_transition[rng.integers(0, len(pool.stacked_transition), size=2000)]
-    values = rng.normal(0.0, 2.0, size=rows.shape)
+    rows = pool.stacked_transition[rng.integers(0, len(pool.stacked_transition), size=45)]
+    values = rng.normal(0.0, 2.0, size=(45, rows.shape[1]))
 
     def envelope(V, R):
-        return np.array([shortfall_upper_envelope(V[i], R[i], 0.5, 2.0) for i in range(len(R))])
+        return np.array([[shortfall_upper_envelope(v, q, 0.5, 2.0) for q in R] for v in V])
 
     env_rep = check_axioms_of(
         envelope, frozenset(trio), rows, values, rng

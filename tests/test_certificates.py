@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from riskmdp.certificates import (
     local_doeblin,
     map_minorization_factor,
 )
+from riskmdp.cli import build_model
 from riskmdp.mdp import FiniteMCP
-from riskmdp.models import builtin_chain
-from riskmdp.risk import RiskMapSpec, risk_values
+from riskmdp.models import builtin_chain, diffusion_entropic_weight
+from riskmdp.risk import PiecewiseLinearUtility, RiskMapSpec, risk_values
 
 NEUTRAL = RiskMapSpec("neutral")
 ENTROPIC = RiskMapSpec("entropic", lam=1.0)
@@ -108,6 +110,23 @@ def test_fit_lyapunov_state_restriction_can_shrink_K0():
     assert inner.satisfied
     assert inner.K0 <= full.K0 + 1e-15
     assert inner.worst_pair[0] == 0
+
+
+def test_fit_lyapunov_K0_never_increases_with_gamma_so_gamma0_is_the_top():
+    # the benchmark's 1-D 201-point diffusion with w0 = 1 + its entropic weight
+    dyn = {"dim": 1, "A": [[0.5]], "actions": ["left", "right"],
+           "drift": {"left": [-0.5], "right": [0.5]}, "diffusion": {"left": [[1.0]], "right": [[1.0]]},
+           "gamma_tilde": 0.25, "drift_bound": 0.2500001, "ellipticity": 1.0}
+    w1 = {"entropic_w1": {"gamma": 0.5}}
+    m, meta = build_model({"model": {"diffusion": dyn, "grid": {"points": 201, "extent": 5.0},
+                                     "cost": {"form": "power", "c0": 0.1, "q": 0.5, "w1": w1}}}, Path("."))
+    w0 = 1.0 + diffusion_entropic_weight(meta["grid"], 0.5, meta["diffusion"])[0]
+    for spec in (NEUTRAL, ENTROPIC, RiskMapSpec("density_band", band=(0.5, 1.5)),
+                 RiskMapSpec("mean_semideviation", lam=0.5, r=2.0),
+                 RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([0.0], [0.5, 2.0]))):
+        cert = fit_lyapunov(m, spec, w0)
+        assert np.all(np.diff(cert.K0_by_gamma) <= 0.0), spec.kind
+        assert cert.gamma0 == 0.95
 
 
 def test_fit_lyapunov_input_validation():
@@ -411,6 +430,17 @@ def test_entropic_envelope_minorization_matches_direct_formula():
     direct = base.alpha * float(base.mu @ np.exp(-K * w)) / float((rows @ np.exp(K * w)).max())
     assert cert.alpha == pytest.approx(direct, rel=1e-10)
     assert cert.alpha <= base.alpha
+
+
+def test_entropic_envelope_minorization_survives_underflowing_tilts():
+    # exp(-K w) underflows to 0 on every state: the mass is 0, not a log of 0
+    m = builtin_chain("random_seeded", n=5, m=2, seed=1)
+    cert = entropic_envelope_minorization(m, np.arange(5), K=1.0, w=np.arange(800.0, 805.0))
+    assert cert.alpha == 0.0 and not cert.satisfied
+    assert np.all(np.isfinite(cert.mu)) and cert.mu.sum() == pytest.approx(1.0, abs=1e-15)
+    # the tilt of mu is relative, so a shift of w leaves it alone
+    near = entropic_envelope_minorization(m, np.arange(5), K=1.0, w=np.arange(0.0, 5.0))
+    assert np.allclose(cert.mu, near.mu, rtol=1e-12, atol=0.0)
 
 
 def test_entropic_envelope_minorization_rejects_negative_K():

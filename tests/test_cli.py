@@ -76,6 +76,35 @@ def test_solve_nonconvergence_still_writes_result(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("setting, words", [
+    ({"max_iter": 0}, "max_iter must be at least 1"),
+    ({"tol": 0.0}, "tol must be finite and > 0"),
+    ({"tol": -1.0}, "tol must be finite and > 0"),
+    ({"tol": float("nan")}, "tol must be finite and > 0"),
+    ({"reference_state": 5}, "reference_state 5 is not a state of the 2-state model"),
+    ({"reference_state": -1}, "reference_state must be >= 0"),
+])
+def test_bad_solve_settings_are_exit_2_naming_solve(tmp_path, capsys, command, setting, words):
+    cfg = {"model": {"builtin": "biased2"}, "risk": {"kind": "entropic", "lambda": 1.0}, "solve": setting,
+           "sweep": {"param": "lambda", "values": [0.5]}}
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solve: ") and words in err
+
+
+def test_envelope_minorization_with_underflowing_tilts_is_exit_4(tmp_path):
+    cfg = {"model": {"builtin": "random_seeded", "params": {"n": 5, "m": 2, "seed": 1}},
+           "risk": {"kind": "entropic", "lambda": 1.0},
+           "certificates": [{"type": "envelope_minorization", "subset": "all", "K": 1.0,
+                             "w": [800, 801, 802, 803, 804]}]}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 4
+    report = json.loads((out / "certificates.json").read_text())
+    assert report[0]["satisfied"] is False and report[0]["constants"]["alpha"] == 0.0
+
+
 def test_solve_ignores_the_retired_shortfall_tol_key(tmp_path):
     # older configs carry a shortfall_tol key; the level no longer has a tolerance
     risk = {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": [0.5, 2.0]}}

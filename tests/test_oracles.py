@@ -79,6 +79,19 @@ def test_spectral_satisfies_multiplicative_poisson():
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+@pytest.mark.parametrize("n", [20, 60])
+def test_spectral_bracket_bounds_the_perron_root_on_a_lazy_ring(n, lam):
+    # stay 1/2, each neighbour 1/4, cost 1 on the first half: the largest
+    # entry of M phi settles long before phi does
+    P = 0.5 * np.eye(n) + 0.25 * (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
+    c = (np.arange(n) < n // 2).astype(float)
+    res = entropic_spectral_rho(P, c, lam)
+    want = np.log(np.max(np.abs(np.linalg.eigvals(np.exp(lam * c)[:, None] * P)))) / lam
+    assert 0.0 < res.error_bound <= 1e-13
+    assert abs(res.rho - want) <= res.error_bound + 1e-14
+
+
 def test_spectral_rejects_periodic_chain():
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):

@@ -65,18 +65,9 @@ def test_risk_values_matches_scalar_eval_on_stacks():
     rows = np.array([random_law(rng, 4) for _ in range(6)])
     V = rng.normal(size=(6, 4)) * 2
     for spec in ALL_SPECS:
-        stacked = risk_values(spec, V, rows)
-        singles = [eval_risk(spec, V[i], rows[i]) for i in range(6)]
-        assert np.allclose(stacked, singles, atol=1e-10)
-        # one v shared by every row is sorted once and must equal the tiled
-        # stack; neutral and entropic share v through a matrix product, a
-        # different summation order than the paired rows
-        shared = risk_values(spec, V[0], rows)
-        tiled = risk_values(spec, np.tile(V[0], (6, 1)), rows)
-        if spec.kind in ("neutral", "entropic"):
-            assert np.allclose(shared, tiled, rtol=0.0, atol=1e-14)
-        else:
-            assert np.array_equal(shared, tiled)
+        singles = [[eval_risk(spec, v, q) for q in rows] for v in V]
+        assert np.allclose([risk_values(spec, v, rows) for v in V], singles, atol=1e-10)
+        assert np.allclose(risk_table(spec, V, rows), singles, atol=1e-10)
 
 
 ORDER_BASED = [
@@ -93,23 +84,40 @@ def test_order_based_kinds_in_row_blocks_equal_row_by_row():
     rng = np.random.default_rng(20)
     rows = rng.dirichlet(np.ones(300), size=1000)
     v = rng.normal(size=300) * 3
-    V = rng.normal(size=(1000, 300)) * 3
+    V = rng.normal(size=(2, 300)) * 3
     for spec in ORDER_BASED:
         want = [eval_risk(spec, v, q) for q in rows]
         assert np.array_equal(risk_values(spec, v, rows), want)
-        paired = [eval_risk(spec, V[i], rows[i]) for i in range(len(rows))]
-        assert np.array_equal(risk_values(spec, V, rows), paired)
+        table = [[eval_risk(spec, u, q) for q in rows] for u in V]
+        assert np.array_equal(risk_table(spec, V, rows), table)
+    # a v the band's increments cannot carry takes the weighted sum, in the
+    # same row blocks
+    spec = ORDER_BASED[0]
+    v[7] = np.inf
+    with np.errstate(invalid="ignore"):
+        want = [eval_risk(spec, v, q) for q in rows]
+        assert np.array_equal(risk_values(spec, v, rows), want, equal_nan=True)
+
+
+def logsumexp_reference(v, q, lam):
+    """(1/lam) log sum_y q(y) exp(lam v(y)) for one row, shifted by the max of log q + lam v."""
+    with np.errstate(divide="ignore"):
+        a = np.log(q) + lam * np.asarray(v)
+    top = a.max()
+    return (top + np.log(np.sum(np.exp(a - top)))) / lam
 
 
 @pytest.mark.parametrize("spread", [2.0, 40.0])
 @pytest.mark.parametrize("lam", [1.0, -1.0, 5.0])
 def test_entropic_matrix_product_matches_paired_logsumexp(lam, spread):
+    # the shifted matrix product against a logsumexp of log q + lam v taken
+    # row by row
     rng = np.random.default_rng(21)
     rows = rng.dirichlet(np.ones(200), size=300)
     v = rng.uniform(-0.5, 0.5, size=200) * spread
     spec = RiskMapSpec("entropic", lam=lam)
     got = risk_values(spec, v, rows)
-    want = risk_values(spec, np.tile(v, (300, 1)), rows)  # row-wise logsumexp
+    want = [logsumexp_reference(v, q, lam) for q in rows]
     assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
 
@@ -132,10 +140,14 @@ def test_entropic_non_finite_values_keep_logsumexp_outputs():
         spec = RiskMapSpec("entropic", lam=lam)
         for v, want in vs:
             got = risk_values(spec, v, rows)
-            assert np.array_equal(got, risk_values(spec, np.tile(v, (2, 1)), rows), equal_nan=True)
             for g, w in zip(got, want):
                 if w is not None:
                     assert g == pytest.approx(w, nan_ok=True, abs=1e-15)
+        # in a table, each sample, finite or not, gets what it gets alone
+        V = np.array([[0.0, 1.0, 2.0]] + [v for v, _ in vs])
+        table = risk_table(spec, V, rows)
+        assert np.array_equal(table[1:], [risk_values(spec, v, rows) for v in V[1:]], equal_nan=True)
+        assert np.array_equal(table[0], risk_values(spec, V[0], rows))
 
 
 def test_risk_table_equals_per_sample_risk_values():
@@ -158,6 +170,12 @@ def test_risk_table_rejects_values_of_the_wrong_shape():
     for V in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 4, 1))):
         with pytest.raises(ValueError):
             risk_table(RiskMapSpec("neutral"), V, rows)
+    # risk_values takes one vector; a stack is named with the rows' shape
+    for spec in ALL_SPECS:
+        with pytest.raises(ValueError, match=r"\(2, 4\).*\(3, 4\)"):
+            risk_values(spec, np.zeros((2, 4)), rows)
+        with pytest.raises(ValueError, match=r"\(3,\).*\(3, 4\)"):
+            risk_values(spec, np.zeros(3), rows)
 
 
 # --- entropic ---------------------------------------------------------------
@@ -321,12 +339,11 @@ def test_band_non_finite_values_keep_their_outputs():
         spec = RiskMapSpec("density_band", band=band)
         with np.errstate(invalid="ignore"):
             shared = risk_values(spec, np.array(v), rows)
-            paired = risk_values(spec, np.tile(v, (3, 1)), rows)
-            mixed = risk_values(spec, np.array([[0.0, 1.0, 2.0, 3.0], v, [3.0, 2.0, 1.0, 0.0]]), rows)
+            table = risk_table(spec, np.array([[0.0, 1.0, 2.0, 3.0], v]), rows)
         assert np.array_equal(shared, want, equal_nan=True), (band, v, shared)
-        assert np.array_equal(paired, want, equal_nan=True), (band, v, paired)
-        # a finite row paired with them keeps its finite value
-        assert np.array_equal(mixed[1], want[1], equal_nan=True) and np.all(np.isfinite(mixed[[0, 2]]))
+        # a finite sample in the same table keeps its Choquet value
+        assert np.array_equal(table[1], want, equal_nan=True)
+        assert np.array_equal(table[0], risk_values(spec, [0.0, 1.0, 2.0, 3.0], rows))
 
 
 def test_band_spread_beyond_float_range_stays_finite():
@@ -381,9 +398,10 @@ def test_semidev_matches_direct_formula_across_row_blocks(r, lam):
         return mean + lam * np.sum(rows * np.maximum(V - mean[:, None], 0.0) ** r, axis=1) ** (1.0 / r)
 
     v = rng.normal(size=300) * 3
-    V = rng.normal(size=(1000, 300)) * 3
+    V = rng.normal(size=(2, 300)) * 3
     assert np.allclose(risk_values(spec, v, rows), direct(np.tile(v, (1000, 1))), rtol=1e-12, atol=1e-12)
-    assert np.allclose(risk_values(spec, V, rows), direct(V), rtol=1e-12, atol=1e-12)
+    want = [direct(np.tile(u, (1000, 1))) for u in V]
+    assert np.allclose(risk_table(spec, V, rows), want, rtol=1e-12, atol=1e-12)
 
 
 def test_semidev_lower_subgradient_bound():
@@ -551,7 +569,7 @@ def test_shortfall_linear_utility_is_exact_at_huge_values():
 def test_shortfall_rows_with_non_finite_values_give_inf_or_nan():
     V = np.array([[0.0, np.inf, 1.0], [-np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 1.0, 2.0]])
     with np.errstate(invalid="ignore"):
-        got = risk_values(RiskMapSpec("shortfall", utility=KINKED), V, np.full((4, 3), 1.0 / 3.0))
+        got = risk_table(RiskMapSpec("shortfall", utility=KINKED), V, np.full((1, 3), 1.0 / 3.0))[:, 0]
     assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
     assert got[3] == pytest.approx(shortfall([0.0, 1.0, 2.0], np.full(3, 1.0 / 3.0), KINKED))
 
@@ -703,6 +721,10 @@ def test_axioms_entropic_homogeneity_fails_with_witness():
     assert not hom.claimed
     assert not hom.passed
     assert hom.witness is not None and "s" in hom.witness
+    # the witness is one (vector, row) pair of a table of at least 500 pairs
+    assert len(hom.witness["v"]) == len(hom.witness["row"]) == 2 and hom.n_checked >= 500
+    v, q, s = (np.array(hom.witness[k]) for k in ("v", "row", "s"))
+    assert hom.witness["lhs"] == pytest.approx(abs(entropic(s * v, q, 1.0) - s * entropic(v, q, 1.0)), abs=1e-12)
 
 
 def test_axioms_coherent_kinds_pass_coherency():
@@ -718,14 +740,15 @@ def test_axioms_coherent_kinds_pass_coherency():
 
 def test_axioms_generic_checker_on_shortfall_envelope():
     rng = np.random.default_rng(18)
-    rows = np.array([random_law(rng, 3) for _ in range(300)])
-    values = rng.normal(size=(300, 3)) * 2
+    rows = np.array([random_law(rng, 3) for _ in range(18)])
+    values = rng.normal(size=(17, 3)) * 2
 
     def fn(V, R):
-        return np.array([shortfall_upper_envelope(V[i], R[i], 1.0, 2.0) for i in range(len(R))])
+        return np.array([[shortfall_upper_envelope(v, q, 1.0, 2.0) for q in R] for v in V])
 
     rep = check_axioms_of(fn, {"convexity", "positive_homogeneity", "subadditivity"}, rows, values, rng)
     assert rep.ok, {k: (c.passed, c.max_violation) for k, c in rep.checks.items()}
+    assert all(c.n_checked == 17 * 18 for c in rep.checks.values())
 
 
 def test_axioms_checker_rejects_unknown_claim_names():
@@ -734,7 +757,7 @@ def test_axioms_checker_rejects_unknown_claim_names():
     values = rng.normal(size=(5, 3))
     for claims in ({"convex"}, {"homogeneous", "convexity"}, {"subadditive"}):
         with pytest.raises(ValueError, match="unknown axiom claims"):
-            check_axioms_of(lambda V, R: np.sum(V * R, axis=1), claims, rows, values, rng)
+            check_axioms_of(lambda V, R: V @ R.T, claims, rows, values, rng)
 
 
 def test_spec_claims_are_check_names():

@@ -131,8 +131,8 @@ def test_bellman_F_rounding_gap_goes_to_lowest_action_index():
 
 def test_grid_band_greedy_policy_survives_rounding(monkeypatch):
     # on the mirror-symmetric 21x21 grid the two actions tie in exact
-    # arithmetic on the middle column; evaluating the tiled stack of v with a
-    # relative 1e-14 nudge per row must not move the reported policy
+    # arithmetic on the middle column; a relative 1e-14 nudge per row of the
+    # risk values must not move the reported policy
     eye = np.eye(2)
     diff = DiffusionSpec(dim=2, A=0.5 * eye, actions=["left", "right"],
                          drift={"left": np.array([-0.5, 0.0]), "right": np.array([0.5, 0.0])},
@@ -146,15 +146,15 @@ def test_grid_band_greedy_policy_survives_rounding(monkeypatch):
     rng = np.random.default_rng(0)
     nudge = 1.0 + 1e-14 * rng.choice([-1.0, 1.0], size=len(m.stacked_transition))
 
-    def tiled(spec, v, rows):
-        return risk_values(spec, np.tile(v, (len(rows), 1)), rows) * nudge
+    def nudged(spec, v, rows):
+        return risk_values(spec, v, rows) * nudge
 
-    monkeypatch.setattr(solver, "risk_values", tiled)
-    vals_tiled, greedy_tiled = bellman_F(m, spec, h)
-    assert np.allclose(vals_tiled, vals, rtol=0.0, atol=1e-12)
-    assert np.array_equal(greedy_tiled.deterministic, greedy.deterministic)
+    monkeypatch.setattr(solver, "risk_values", nudged)
+    vals_nudged, greedy_nudged = bellman_F(m, spec, h)
+    assert np.allclose(vals_nudged, vals, rtol=0.0, atol=1e-12)
+    assert np.array_equal(greedy_nudged.deterministic, greedy.deterministic)
     # the nudge does split ties: a plain argmin would report other actions
-    strict = np.argmin((m.stacked_cost + tiled(spec, h, m.stacked_transition)).reshape(-1, 2), axis=1)
+    strict = np.argmin((m.stacked_cost + nudged(spec, h, m.stacked_transition)).reshape(-1, 2), axis=1)
     assert np.any(strict != greedy.deterministic)
 
 
@@ -297,6 +297,13 @@ def test_rvi_insensitive_to_start_point():
         res = relative_value_iteration(m, ENTROPIC, cfg, v0=rng.normal(size=5) * 3)
         assert res.converged
         assert abs(res.rho - base.rho) <= 100 * cfg.tol
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+                                    {"max_iter": 0}, {"max_iter": -3}, {"reference_state": -1}])
+def test_solve_config_rejects_settings_that_cannot_stop_or_anchor(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SolveConfig(**kwargs)
 
 
 def test_rvi_reference_state_pins_bias():
