@@ -74,20 +74,30 @@ def entropic_spectral_rho(
     with max-norm normalization.  For every positive phi the entries of
     (1/lam) log((M phi) / phi) bracket rho (Collatz-Wielandt; Seneta 1981);
     it stops once the bracket's half-width, the ``error_bound``, is below
-    ``tol``, and ``rho`` is the bracket's midpoint.
+    ``tol``, and ``rho`` is the bracket's midpoint.  The iteration runs on
+    M = diag(e^{lam c - s}) P with s = max(lam c), which keeps M finite and
+    moves rho by s / lam exactly.  Non-finite P or c is a ``ValueError``; a
+    ratio (M phi) / phi that is not finite and positive (M phi underflowed)
+    raises ``FloatingPointError`` at the step where it appears.
     """
     P = np.asarray(P, dtype=float)
     c = np.asarray(c, dtype=float)
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(c))):
+        raise ValueError("spectral oracle needs a finite transition matrix and cost")
     if not is_primitive(P):
         raise ValueError("spectral oracle needs an irreducible aperiodic chain")
-    M = np.exp(lam * c)[:, None] * P
+    shift = float(np.max(lam * c))
+    M = np.exp(lam * c - shift)[:, None] * P
     phi = np.ones(len(c))
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         nxt = M @ phi
-        ratio = nxt / phi
-        lo, hi = sorted(np.log([ratio.min(), ratio.max()]) / lam)  # lam < 0 swaps the ends
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = nxt / phi
+        if not (ratio.min() > 0 and np.isfinite(ratio.max())):
+            raise FloatingPointError(f"power iteration ratio outside (0, inf) at step {step}")
+        lo, hi = sorted((np.log([ratio.min(), ratio.max()]) + shift) / lam)  # lam < 0 swaps the ends
         phi = nxt / nxt.max()
         if hi - lo < 2.0 * tol:
             h = np.log(phi) / lam

@@ -29,7 +29,12 @@ the k largest outcomes: one gather, one cumsum, the distortion and one row
 dot (a v that is not finite, or whose spread overflows, takes the weighted
 sum sum_k (g(C_k) - g(C_{k-1})) v_(k) instead, in the same row blocks).
 Mean-semideviation takes its mean and its excess moment as row dots, with
-one block temporary.  The axiom checks evaluate tables too.
+one block temporary.  The shortfall cuts its N = n K sorted kinks into
+chunks of w = max(8, isqrt(N)): one product of each row block with an
+(n, 2 (nb + 1)) matrix gives E[u(v - m)] and its slope at every chunk's
+last kink, the sign count picks the root's chunk, and two width-w cumsums
+there give the exact root (a v that is not finite gives rows @ v).  The
+axiom checks evaluate tables too.
 """
 
 from __future__ import annotations
@@ -113,8 +118,10 @@ class PiecewiseLinearUtility:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        kinks = np.diff(self.slopes) * np.maximum(np.subtract(self.breakpoints, x[..., None]), 0.0)
-        return self.slopes[-1] * x + self.intercept + np.sum(kinks, axis=-1)
+        out = self.slopes[-1] * x + self.intercept
+        for b, ds in zip(self.breakpoints, np.diff(self.slopes)):
+            out += ds * np.maximum(b - x, 0.0)
+        return out
 
     def to_dict(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "slopes": list(self.slopes)}
@@ -292,30 +299,35 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.nda
 
 def _shortfall(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
     # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
-    # v_y - b_k.  Below every kink g(m) = A - S (m - a) with all outcomes on
-    # u's top piece; passing kink t lowers S by q_y (s_{k+1} - s_k) and A by
-    # that times (t - a).  The root is on the piece after the last kink where
-    # g > 0.  Anchoring at the mean keeps the sums on the scale of v's spread;
-    # a non-finite mean falls back to 0, so such rows give +-inf or NaN.
+    # v_y - b_k; passing kink t lowers its slope S by q_y (s_{k+1} - s_k).
+    # Checkpoint 0 is the first kink with none passed, checkpoint i the last
+    # kink of chunk i - 1; X holds u(v - t_i) and the slope left after the
+    # kinks at sorted positions <= that one, so Q @ X is g and S at each.
     utility = spec.utility
-    b, s, c = np.asarray(utility.breakpoints), np.asarray(utility.slopes), utility.intercept
-    ds, k = np.diff(s), max(len(b), 1)
-    kinks = (v[:, None] - b).reshape(-1)
+    if not (utility.breakpoints and np.all(np.isfinite(v))):
+        return rows @ v  # the mean; +-inf where an infinite outcome is charged, NaN for 0 inf or inf - inf
+    kinks = (v[:, None] - utility.breakpoints).reshape(-1)
     order = np.argsort(kinks, kind="stable")
-    kinks = kinks[order]
-    y, j = np.divmod(order, k)  # outcome and slope step of each sorted kink
+    y, j = np.divmod(order, len(utility.breakpoints))  # outcome and slope step of each sorted kink
+    N, w = len(kinks), max(8, math.isqrt(len(kinks)))
+    nb = -(-N // w)
+    # chunk i is row i of (nb, w) arrays; the last repeats its last kink with no weight
+    kinks, y = (np.pad(a, (0, nb * w - N), mode="edge").reshape(nb, w) for a in (kinks[order], y))
+    wk = np.pad(np.diff(utility.slopes)[j], (0, nb * w - N)).reshape(nb, w)
+    t = np.append(kinks[0, 0], kinks[:, -1])
+    passed = np.bincount((y * (nb + 1) + np.arange(1, nb + 1)[:, None]).ravel(), wk.ravel(), len(v) * (nb + 1))
+    X = np.hstack((utility(v[:, None] - t), utility.slopes[-1] - np.cumsum(passed.reshape(len(v), -1), axis=1)))
     out = np.empty(len(rows))
-    for sl in _row_blocks(len(rows), rows.shape[1] * k):
+    for sl in _row_blocks(len(rows), w):
         Q = rows[sl]
-        a = np.nan_to_num(np.sum(Q * v, axis=1), nan=0.0, posinf=0.0, neginf=0.0)[:, None]
-        W = np.take(Q, y, axis=1) * ds[j]
-        T = kinks - a
-        S0 = s[-1] * Q.sum(axis=1)[:, None]  # S and A below every kink
-        A0 = np.sum(Q * (s[-1] * (v - a) + c), axis=1)[:, None]
-        S = np.cumsum(np.concatenate((S0, -W), axis=1), axis=1)
-        A = np.cumsum(np.concatenate((A0, -W * T), axis=1), axis=1)
+        Y = Q @ X
+        i = np.clip(np.sum(Y[:, :nb + 1] > 0, axis=1) - 1, 0, nb - 1)  # chunk, and checkpoint before it
+        T = kinks[i] - t[i][:, None]
+        W = np.take_along_axis(Q, y[i], axis=1) * wk[i]
+        S = np.cumsum(np.hstack((np.take_along_axis(Y, i[:, None] + nb + 1, axis=1), -W)), axis=1)
+        A = np.cumsum(np.hstack((np.take_along_axis(Y, i[:, None], axis=1), -W * T)), axis=1)
         piece = np.sum(A[:, 1:] - S[:, 1:] * T > 0, axis=1)[:, None]
-        out[sl] = (a + np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
+        out[sl] = t[i] + (np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
     return out
 
 
@@ -548,6 +560,8 @@ def check_risk_axioms(
 ) -> AxiomReport:
     """Sampled axiom checks for ``spec`` on a ``risk_table`` of ceil(N / ceil(sqrt(N)))
     random value vectors against ceil(sqrt(N)) rows drawn from ``mcp``, N = ``n_samples``."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     all_rows = mcp.stacked_transition
     n_rows = math.isqrt(n_samples - 1) + 1

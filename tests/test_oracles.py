@@ -92,6 +92,39 @@ def test_spectral_bracket_bounds_the_perron_root_on_a_lazy_ring(n, lam):
     assert abs(res.rho - want) <= res.error_bound + 1e-14
 
 
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_spectral_costs_past_the_exp_range_shift_out(lam):
+    # lam c reaches 1011, past exp's overflow at about 709: rho moves with
+    # the costs, so the ring with costs 1001..1011 is the one with 1..11
+    # plus 1000
+    n = 20
+    P = 0.5 * np.eye(n) + 0.25 * (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
+    c = np.linspace(1001.0, 1011.0, n)
+    res = entropic_spectral_rho(P, c, lam)
+    base = entropic_spectral_rho(P, c - 1000.0, lam)
+    assert abs(res.rho - (base.rho + 1000.0)) <= res.error_bound + base.error_bound + 1e-12
+    assert np.allclose(res.h, base.h, rtol=0.0, atol=1e-9)
+    if lam == 1.0:
+        assert res.rho == pytest.approx(1010.5276600877029, abs=res.error_bound + 1e-12)  # Perron root by eigvals
+
+
+@pytest.mark.parametrize("P, c", [
+    (np.array([[0.5, np.nan], [0.5, 0.5]]), np.zeros(2)),
+    (np.full((2, 2), 0.5), np.array([0.0, np.inf])),
+    (np.full((2, 2), 0.5), np.array([np.nan, 0.0])),
+])
+def test_spectral_rejects_non_finite_inputs(P, c):
+    with pytest.raises(ValueError, match="finite"):
+        entropic_spectral_rho(P, c, 1.0)
+
+
+def test_spectral_underflow_fails_fast():
+    # costs 0 and 1000 at lam 1: e^{lam c - s} underflows to 0 on the cheap
+    # state, so M phi has a zero entry at the first step
+    with pytest.raises(FloatingPointError, match="step 1"):
+        entropic_spectral_rho(np.full((2, 2), 0.5), np.array([0.0, 1000.0]), 1.0)
+
+
 def test_spectral_rejects_periodic_chain():
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):

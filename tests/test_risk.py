@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,16 +80,23 @@ ORDER_BASED = [
 
 
 def test_order_based_kinds_in_row_blocks_equal_row_by_row():
-    # 1000 rows of 300 states are several 2^17-element blocks (436 rows, 145
-    # for three kinks) ending in a partial one
+    # 1000 rows of 300 states are several 2^17-element blocks (436 rows)
+    # ending in a partial one; the shortfall's blocks of 2^17 / w rows span
+    # many blocks in test_shortfall_temporaries_stay_in_row_blocks
     rng = np.random.default_rng(20)
     rows = rng.dirichlet(np.ones(300), size=1000)
     v = rng.normal(size=300) * 3
     V = rng.normal(size=(2, 300)) * 3
     for spec in ORDER_BASED:
         want = [eval_risk(spec, v, q) for q in rows]
-        assert np.array_equal(risk_values(spec, v, rows), want)
         table = [[eval_risk(spec, u, q) for q in rows] for u in V]
+        if spec.kind == "shortfall":
+            # its checkpoints are one matrix product per row block, and BLAS
+            # rounds a row by how many rows share the product
+            assert np.max(np.abs(risk_values(spec, v, rows) - want)) <= 1e-14 * max(1.0, np.max(np.abs(v)))
+            assert np.max(np.abs(risk_table(spec, V, rows) - table)) <= 1e-14 * max(1.0, np.max(np.abs(V)))
+            continue
+        assert np.array_equal(risk_values(spec, v, rows), want)
         assert np.array_equal(risk_table(spec, V, rows), table)
     # a v the band's increments cannot carry takes the weighted sum, in the
     # same row blocks
@@ -574,6 +582,69 @@ def test_shortfall_rows_with_non_finite_values_give_inf_or_nan():
     assert got[3] == pytest.approx(shortfall([0.0, 1.0, 2.0], np.full(3, 1.0 / 3.0), KINKED))
 
 
+INF, NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize("v, want", [
+    ([INF, 0.0, 1.0], [INF, NAN, INF, NAN]),
+    ([-INF, 0.0, 1.0], [-INF, NAN, -INF, NAN]),
+    ([NAN, 0.0, 1.0], [NAN] * 4),
+    ([INF, -INF, 1.0], [NAN] * 4),
+    ([0.0, 1.0, INF], [NAN, INF, INF, NAN]),
+    ([-INF, 0.0, INF], [NAN] * 4),
+])
+@pytest.mark.parametrize("utility", [KINKED, PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0])])
+def test_shortfall_non_finite_values_give_the_mean(v, want, utility):
+    # +-inf where the infinite outcome is charged, NaN for 0 inf or inf - inf
+    rows = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        got = risk_values(RiskMapSpec("shortfall", utility=utility), np.array(v), rows)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("breakpoints, slopes", [
+    ([0.0], [1.0, 2.0]),
+    ([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0]),
+    ([-0.5, 2.0], [1.0, 0.4, 1.0]),
+    ([-50.0], [0.5, 1.0]),  # every kink above max v: the root is below the first kink
+    ([30.0, 50.0], [1.0, 2.0, 3.0]),  # every kink below min v: the root is past the last
+])
+@pytest.mark.parametrize("n", [60, 137, 300])
+def test_shortfall_on_wide_rows_matches_kink_enumeration(n, breakpoints, slopes):
+    # many chunks of about sqrt(n K) kinks; rounded v ties kinks, and a
+    # fifth of the outcomes carry no mass
+    u = PiecewiseLinearUtility(breakpoints, slopes)
+    rng = np.random.default_rng(n + len(breakpoints))
+    rows = rng.dirichlet(np.full(n, 0.5), size=6)
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    for v in (rng.normal(size=n) * 3, np.round(rng.normal(size=n) * 3)):
+        got = risk_values(RiskMapSpec("shortfall", utility=u), v, rows)
+        want = [brute_force_shortfall(v, q, u) for q in rows]
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(v)))
+
+
+def test_shortfall_temporaries_stay_in_row_blocks():
+    # the checkpoint product and the refine both run per row block, so the
+    # kernel's peak allocation is a small part of the rows it reads
+    rng = np.random.default_rng(23)
+    rows = rng.dirichlet(np.ones(1000), size=8000)
+    v = rng.normal(size=1000) * 3
+    spec = RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0]))
+    tracemalloc.start()
+    try:
+        got = risk_values(spec, v, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes / 4
+    # 3000 kinks make w = 54 and blocks of 2427 rows: rows on both sides of
+    # each block edge agree with the rows evaluated alone
+    edges = [0, 2426, 2427, 4853, 4854, 7280, 7281, 7999]
+    alone = [eval_risk(spec, v, rows[i]) for i in edges]
+    assert np.max(np.abs(got[edges] - alone)) <= 1e-14 * np.max(np.abs(v))
+
+
 # --- ratio maximization over a box ---------------------------------------------
 
 
@@ -712,6 +783,12 @@ def test_axioms_neutral_all_pass():
     rep = check_risk_axioms(RiskMapSpec("neutral"), builtin_chain("biased2"), n_samples=500)
     assert rep.ok
     assert all(c.passed for c in rep.checks.values())
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_axioms_reject_sample_counts_below_one(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        check_risk_axioms(RiskMapSpec("neutral"), builtin_chain("biased2"), n_samples=n_samples)
 
 
 def test_axioms_entropic_homogeneity_fails_with_witness():
