@@ -29,12 +29,13 @@ the k largest outcomes: one gather, one cumsum, the distortion and one row
 dot (a v that is not finite, or whose spread overflows, takes the weighted
 sum sum_k (g(C_k) - g(C_{k-1})) v_(k) instead, in the same row blocks).
 Mean-semideviation takes its mean and its excess moment as row dots, with
-one block temporary.  The shortfall cuts its N = n K sorted kinks into
-chunks of w = max(8, isqrt(N)): one product of each row block with an
-(n, 2 (nb + 1)) matrix gives E[u(v - m)] and its slope at every chunk's
-last kink, the sign count picks the root's chunk, and two width-w cumsums
-there give the exact root (a v that is not finite gives rows @ v).  The
-axiom checks evaluate tables too.
+one block temporary.  The shortfall sorts the N = n K kinks of each v and
+cuts them into about sqrt(N) chunks, no more than sqrt(2 m) for m rows; a
+block of value vectors is evaluated at once.  One product of each row block
+with the vectors' (2 nb, n) checkpoint matrices gives E[u(v - m)] and its
+slope where each chunk starts, the sign count picks the root's chunk, and
+running sums there give the exact root (a v that is not finite gives
+rows @ v).  The axiom checks evaluate tables too.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class PiecewiseLinearUtility:
 
     @property
     def intercept(self) -> float:
-        return -float(np.sum(np.diff(self.slopes) * np.maximum(self.breakpoints, 0.0)))
+        return -sum((hi - lo) * max(b, 0.0) for b, lo, hi in zip(self.breakpoints, self.slopes, self.slopes[1:]))
 
     @classmethod
     def linear(cls) -> "PiecewiseLinearUtility":
@@ -119,8 +120,8 @@ class PiecewiseLinearUtility:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = self.slopes[-1] * x + self.intercept
-        for b, ds in zip(self.breakpoints, np.diff(self.slopes)):
-            out += ds * np.maximum(b - x, 0.0)
+        for b, lo, hi in zip(self.breakpoints, self.slopes, self.slopes[1:]):
+            out += (hi - lo) * np.maximum(b - x, 0.0)
         return out
 
     def to_dict(self) -> dict:
@@ -297,37 +298,64 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.nda
     return out
 
 
-def _shortfall(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
+def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility) -> np.ndarray:
     # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
     # v_y - b_k; passing kink t lowers its slope S by q_y (s_{k+1} - s_k).
-    # Checkpoint 0 is the first kink with none passed, checkpoint i the last
-    # kink of chunk i - 1; X holds u(v - t_i) and the slope left after the
-    # kinks at sorted positions <= that one, so Q @ X is g and S at each.
-    utility = spec.utility
-    if not (utility.breakpoints and np.all(np.isfinite(v))):
-        return rows @ v  # the mean; +-inf where an infinite outcome is charged, NaN for 0 inf or inf - inf
-    kinks = (v[:, None] - utility.breakpoints).reshape(-1)
-    order = np.argsort(kinks, kind="stable")
-    y, j = np.divmod(order, len(utility.breakpoints))  # outcome and slope step of each sorted kink
-    N, w = len(kinks), max(8, math.isqrt(len(kinks)))
+    # Chunk i of the sorted kinks is refined from checkpoint i: the first
+    # kink with none passed, else the last kink of chunk i - 1.  X holds
+    # u(v - t_i) and the slope left after the kinks at sorted positions up
+    # to t_i's, so Q @ X is g and S at each checkpoint.
+    b, ds = utility.breakpoints, np.diff(utility.slopes)
+    if not b:
+        return V @ rows.T
+    finite = np.isfinite(V).all(axis=1)
+    if not finite.all():
+        out = V @ rows.T  # the mean: +-inf where an infinite outcome is charged, NaN for 0 inf or inf - inf
+        out[finite] = _shortfall_table(V[finite], rows, utility)
+        return out
+    (m, n), K = rows.shape, len(b)
+    N = n * K
+    # About sqrt(N) chunks, but no more than sqrt(2 m) for m rows: a chunk
+    # costs about n K per vector to build and the refine m N / nb, which
+    # balance near nb = sqrt(c m) (c = 2 timed as fast as 4 on few rows and
+    # leaves one row one chunk); and few enough that X stays within two blocks.
+    nb = max(1, min(-(-N // max(8, math.isqrt(N))), math.isqrt(2 * m), _BLOCK_ELEMENTS // n))
+    w = -(-N // nb)
     nb = -(-N // w)
-    # chunk i is row i of (nb, w) arrays; the last repeats its last kink with no weight
-    kinks, y = (np.pad(a, (0, nb * w - N), mode="edge").reshape(nb, w) for a in (kinks[order], y))
-    wk = np.pad(np.diff(utility.slopes)[j], (0, nb * w - N)).reshape(nb, w)
-    t = np.append(kinks[0, 0], kinks[:, -1])
-    passed = np.bincount((y * (nb + 1) + np.arange(1, nb + 1)[:, None]).ravel(), wk.ravel(), len(v) * (nb + 1))
-    X = np.hstack((utility(v[:, None] - t), utility.slopes[-1] - np.cumsum(passed.reshape(len(v), -1), axis=1)))
-    out = np.empty(len(rows))
-    for sl in _row_blocks(len(rows), w):
-        Q = rows[sl]
-        Y = Q @ X
-        i = np.clip(np.sum(Y[:, :nb + 1] > 0, axis=1) - 1, 0, nb - 1)  # chunk, and checkpoint before it
-        T = kinks[i] - t[i][:, None]
-        W = np.take_along_axis(Q, y[i], axis=1) * wk[i]
-        S = np.cumsum(np.hstack((np.take_along_axis(Y, i[:, None] + nb + 1, axis=1), -W)), axis=1)
-        A = np.cumsum(np.hstack((np.take_along_axis(Y, i[:, None], axis=1), -W * T)), axis=1)
-        piece = np.sum(A[:, 1:] - S[:, 1:] * T > 0, axis=1)[:, None]
-        out[sl] = t[i] + (np.take_along_axis(A, piece, axis=1) / np.take_along_axis(S, piece, axis=1))[:, 0]
+    out = np.empty((len(V), m))
+    # Blocks of value vectors share every call, so many vectors against few
+    # rows (the certificates' samples) pay numpy's overhead once a block;
+    # the setup's few (nb + 1) n temporaries per vector stay within a block.
+    for vb in _row_blocks(len(V), 4 * n * (nb + 1)):
+        s = len(V[vb])
+        kinks = (V[vb, :, None] - b).reshape(s, N)
+        order = np.argsort(kinks, axis=1, kind="stable")
+        order = np.concatenate((order, np.repeat(order[:, -1:], nb * w - N, axis=1)), axis=1)
+        y, j = np.divmod(order, K)  # outcome and slope step of each sorted kink
+        wk = ds[j]
+        wk[:, N:] = 0.0  # the last chunk is padded with its last kink, with no weight
+        kinks = kinks[np.arange(s)[:, None], order]
+        t = np.concatenate((kinks[:, :1], kinks[:, w - 1:-1:w]), axis=1)
+        at = ((np.arange(0, s * (nb + 1), nb + 1)[:, None] + np.repeat(np.arange(1, nb + 1), w)) * n + y).ravel()
+        passed = np.bincount(at, wk.ravel(), s * (nb + 1) * n).reshape(s, nb + 1, n)[:, :nb]
+        X = np.concatenate((utility(V[vb, None, :] - t[:, :, None]), utility.slopes[-1] - passed.cumsum(axis=1)), axis=1)
+        # chunk c of vector k and the checkpoint before it are row k nb + c of these
+        kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
+        for sl in _row_blocks(m, s * w):
+            Q = rows[sl]
+            Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
+            i = (Y[:, :, 1:nb] > 0).sum(axis=2)  # the root's chunk: g > 0 on a prefix of the checkpoints
+            r, k = np.arange(len(Q))[:, None], np.arange(s)
+            A, S, c = Y[r, k, i], Y[r, k, i + nb], i + nb * k
+            T = kinks[c] - t[c][..., None]
+            W = Q[r[..., None], y[c]] * wk[c]
+            WT = W * T
+            # Running sums give g at each kink and so the root's piece; the
+            # line there is summed pairwise, so its rounding does not grow
+            # with the distance from the checkpoint (a row's spread for one chunk).
+            piece = (A[..., None] - WT.cumsum(axis=2) - (S[..., None] - W.cumsum(axis=2)) * T > 0).sum(axis=2)
+            before = np.arange(w) < piece[..., None]
+            out[vb, sl] = (t[c] + (A - WT.sum(axis=2, where=before)) / (S - W.sum(axis=2, where=before))).T
     return out
 
 
@@ -337,8 +365,9 @@ def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
 
     Neutral and entropic are one matrix product (entropic with one shift per
     sample, falling back to a row-wise logsumexp where the product
-    underflows or v is not finite); the order-based kinds take one v at a
-    time, sort it once and sweep the rows in blocks of bounded size.
+    underflows or v is not finite); the order-based kinds sort each v once
+    and sweep the rows in blocks of bounded size, the shortfall for a block
+    of value vectors at a time.
     """
     V = np.asarray(V, dtype=float)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -348,7 +377,9 @@ def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
         return V @ rows.T
     if spec.kind == "entropic":
         return _entropic_table(V, rows, spec.lam)
-    kernel = {"density_band": _band, "mean_semideviation": _semideviation, "shortfall": _shortfall}[spec.kind]
+    if spec.kind == "shortfall":
+        return _shortfall_table(V, rows, spec.utility)
+    kernel = {"density_band": _band, "mean_semideviation": _semideviation}[spec.kind]
     out = np.empty((len(V), len(rows)))
     for k, v in enumerate(V):
         out[k] = kernel(v, rows, spec)

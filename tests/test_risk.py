@@ -91,8 +91,8 @@ def test_order_based_kinds_in_row_blocks_equal_row_by_row():
         want = [eval_risk(spec, v, q) for q in rows]
         table = [[eval_risk(spec, u, q) for q in rows] for u in V]
         if spec.kind == "shortfall":
-            # its checkpoints are one matrix product per row block, and BLAS
-            # rounds a row by how many rows share the product
+            # a row alone is one chunk where 1000 rows cut 18 or 30, and BLAS
+            # rounds a row by how many rows share the checkpoint product
             assert np.max(np.abs(risk_values(spec, v, rows) - want)) <= 1e-14 * max(1.0, np.max(np.abs(v)))
             assert np.max(np.abs(risk_table(spec, V, rows) - table)) <= 1e-14 * max(1.0, np.max(np.abs(V)))
             continue
@@ -611,17 +611,20 @@ def test_shortfall_non_finite_values_give_the_mean(v, want, utility):
 ])
 @pytest.mark.parametrize("n", [60, 137, 300])
 def test_shortfall_on_wide_rows_matches_kink_enumeration(n, breakpoints, slopes):
-    # many chunks of about sqrt(n K) kinks; rounded v ties kinks, and a
-    # fifth of the outcomes carry no mass
+    # one row is one chunk of all n K kinks, six rows cut six chunks, and the
+    # six repeated eleven times cut about sqrt(n K); rounded v ties kinks,
+    # and a fifth of the outcomes carry no mass
     u = PiecewiseLinearUtility(breakpoints, slopes)
     rng = np.random.default_rng(n + len(breakpoints))
     rows = rng.dirichlet(np.full(n, 0.5), size=6)
     rows[rng.random(rows.shape) < 0.2] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
+    spec = RiskMapSpec("shortfall", utility=u)
     for v in (rng.normal(size=n) * 3, np.round(rng.normal(size=n) * 3)):
-        got = risk_values(RiskMapSpec("shortfall", utility=u), v, rows)
-        want = [brute_force_shortfall(v, q, u) for q in rows]
-        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(v)))
+        want = np.array([brute_force_shortfall(v, q, u) for q in rows])
+        for got in (risk_values(spec, v, rows[:1]), risk_values(spec, v, rows),
+                    risk_values(spec, v, np.tile(rows, (11, 1)))[:6]):
+            assert np.max(np.abs(got - want[:len(got)])) <= 1e-10 * max(1.0, np.max(np.abs(v)))
 
 
 def test_shortfall_temporaries_stay_in_row_blocks():
@@ -643,6 +646,35 @@ def test_shortfall_temporaries_stay_in_row_blocks():
     edges = [0, 2426, 2427, 4853, 4854, 7280, 7281, 7999]
     alone = [eval_risk(spec, v, rows[i]) for i in edges]
     assert np.max(np.abs(got[edges] - alone)) <= 1e-14 * np.max(np.abs(v))
+
+
+def test_shortfall_of_one_long_row_allocates_a_few_arrays_of_its_kinks():
+    # one row is one chunk, so no (n, chunks) matrix grows with the law
+    n = 100_000
+    rng = np.random.default_rng(24)
+    q, v = rng.dirichlet(np.ones(n)), rng.normal(size=n) * 3
+    tracemalloc.start()
+    try:
+        shortfall(v, q, KINKED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 8 * n
+
+
+def test_shortfall_table_in_vector_blocks_equals_vector_by_vector():
+    # 100 vectors of 300 states against 3 rows are blocks of 36 vectors; a
+    # vector that is not finite gives the mean and leaves the others alone
+    rng = np.random.default_rng(25)
+    rows = rng.dirichlet(np.ones(300), size=3)
+    V = rng.normal(size=(100, 300)) * 3
+    V[40, 7] = np.inf
+    spec = RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0]))
+    got = risk_table(spec, V, rows)
+    want = np.array([[eval_risk(spec, v, q) for q in rows] for v in V])
+    assert np.all(got[40] == np.inf) and np.all(want[40] == np.inf)
+    finite = np.arange(100) != 40
+    assert np.max(np.abs(got[finite] - want[finite])) <= 1e-14 * np.max(np.abs(V[finite]))
 
 
 # --- ratio maximization over a box ---------------------------------------------
