@@ -325,8 +325,8 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
     out = np.empty((len(V), m))
     # Blocks of value vectors share every call, so many vectors against few
     # rows (the certificates' samples) pay numpy's overhead once a block;
-    # the setup's few (nb + 1) n temporaries per vector stay within a block.
-    for vb in _row_blocks(len(V), 4 * n * (nb + 1)):
+    # the setup's few (nb, n) temporaries per vector stay within a block.
+    for vb in _row_blocks(len(V), 4 * n * nb):
         s = len(V[vb])
         kinks = (V[vb, :, None] - b).reshape(s, N)
         order = np.argsort(kinks, axis=1, kind="stable")
@@ -336,8 +336,10 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
         wk[:, N:] = 0.0  # the last chunk is padded with its last kink, with no weight
         kinks = kinks[np.arange(s)[:, None], order]
         t = np.concatenate((kinks[:, :1], kinks[:, w - 1:-1:w]), axis=1)
-        at = ((np.arange(0, s * (nb + 1), nb + 1)[:, None] + np.repeat(np.arange(1, nb + 1), w)) * n + y).ravel()
-        passed = np.bincount(at, wk.ravel(), s * (nb + 1) * n).reshape(s, nb + 1, n)[:, :nb]
+        # the slope steps of chunk i are passed at checkpoints i + 1 and on
+        p = (nb - 1) * w
+        at = ((np.arange(0, s * nb, nb)[:, None] + np.repeat(np.arange(1, nb), w)) * n + y[:, :p]).ravel()
+        passed = np.bincount(at, wk[:, :p].ravel(), s * nb * n).reshape(s, nb, n)
         X = np.concatenate((utility(V[vb, None, :] - t[:, :, None]), utility.slopes[-1] - passed.cumsum(axis=1)), axis=1)
         # chunk c of vector k and the checkpoint before it are row k nb + c of these
         kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
