@@ -2,9 +2,11 @@
 
 The long-run cost rho and bias h solve the fixed-point equation
 rho + h(x) = min_a [ c(x, a) + R(h | x, a) ].  Relative value iteration
-tracks the increments Delta_n = F(v_n) - v_n, whose running min/max bracket
-rho from below/above; the iterate is re-anchored at a reference state each
-sweep so the values stay bounded.
+tracks the increments Delta_n = F(v_n) - v_n, whose min/max bracket rho from
+below/above at any iterate v_n (Odoni 1969), so the iterates may be
+extrapolated: they are mixed by Anderson acceleration (Walker & Ni 2011) and
+the certified bracket is the intersection of every sweep's.  The iterate is
+re-anchored at a reference state each sweep so the values stay bounded.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,11 +56,12 @@ class SolveConfig:
 
 @dataclass
 class TraceRecord:
-    """One RVI sweep: the increment span M - m, its min m and max M, the
-    estimate (m + M)/2 and the wall time since the solve started.
+    """One RVI sweep: the certified bracket [m, M] so far (the intersection
+    of every sweep's increment bracket), its span M - m, the estimate
+    (m + M)/2 and the wall time since the solve started.
     ``policy_changes`` counts the states whose greedy action differs from
-    the previous sweep's and ``span_ratio`` is span / previous span; both
-    are None on sweep 1."""
+    the previous sweep's and ``span_ratio`` is span / previous span, the
+    per-sweep shrink of the certified bracket; both are None on sweep 1."""
 
     iter: int
     span: float
@@ -71,9 +75,9 @@ class TraceRecord:
 
 @dataclass
 class SolveResult:
-    """``rho`` is the midpoint of the last sweep's certified bracket
-    ``[rho_lower, rho_upper]`` (the min and max increment), which contains
-    the true rho."""
+    """``rho`` is the midpoint of the certified bracket ``[rho_lower,
+    rho_upper]``, the intersection of every sweep's [min, max] increment,
+    which contains the true rho."""
 
     rho: float
     rho_lower: float
@@ -108,57 +112,94 @@ def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray) -> tuple[np.ndar
     return best, PolicyVector.det(first - starts)
 
 
+_ANDERSON_PAIRS = 8  # (g, f) pairs kept by relative_value_iteration: depth 7
+
+
 def relative_value_iteration(
     mcp: FiniteMCP,
     spec: RiskMapSpec,
     cfg: SolveConfig = SolveConfig(),
     v0: np.ndarray | None = None,
 ) -> SolveResult:
-    """Solve rho + h = F(h) by relative value iteration.
+    """Solve rho + h = F(h) by Anderson-accelerated relative value iteration.
 
-    Each sweep's increment F(v) - v has min m and max M, and [m, M]
-    contains rho (Odoni 1969; Puterman 1994 sec. 8.5).  The estimate is the
-    midpoint (m + M)/2, so stopping at the first sweep with
-    (M - m)/2 < ``cfg.tol`` bounds its error by ``cfg.tol``.  Hitting
-    ``cfg.max_iter`` returns a result with ``converged=False`` rather than
-    raising, so callers can inspect the trace.  A non-finite increment span
-    raises ``FloatingPointError`` at the sweep where it appears.
+    At any iterate v, the increment F(v) - v has min m and max M with
+    m <= rho <= M (Odoni 1969; Puterman 1994 sec. 8.5): the bound does not
+    ask v to come from a plain sweep, so the iteration may extrapolate and
+    keep its certificate.  The reported bracket ``[rho_lower, rho_upper]``
+    is the intersection of all sweeps' brackets, [max m_j, min M_j], and the
+    estimate its midpoint, so stopping at the first sweep whose intersected
+    bracket has half-width below ``cfg.tol`` bounds its error by
+    ``cfg.tol``.  Hitting ``cfg.max_iter`` returns a result with
+    ``converged=False`` rather than raising, so callers can inspect the
+    trace.  A non-finite increment span raises ``FloatingPointError`` at
+    the sweep where it appears.
+
+    Each sweep evaluates u = F(v) and forms the plain iterate
+    g = u - u[ref] and its residual f = g - v.  Anderson mixing (Walker &
+    Ni 2011, SIAM J. Numer. Anal. 49) over the last ``_ANDERSON_PAIRS``
+    pairs (g, f), depth 7, solves gamma = argmin ||f_k - dF gamma||_2 on
+    the column differences dF, dG and steps to v = g_k - dG gamma,
+    re-anchored at the reference state.  The first sweep takes the plain
+    step v = g.  The history is dropped, and the sweep takes the plain
+    step, when the raw span M - m grew over the previous sweep's; a
+    non-finite extrapolation also falls back to g.  ``h`` is the last g.
     """
     n = mcp.n_states
-    if not 0 <= cfg.reference_state < n:
+    ref = cfg.reference_state
+    if not 0 <= ref < n:
         raise ValueError("reference_state out of range")
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
     trace: list[TraceRecord] = []
+    history: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=_ANDERSON_PAIRS)
+    lower, upper = -math.inf, math.inf
+    raw_span = math.inf
     t0 = time.monotonic_ns()
     converged = False
-    for it in range(1, cfg.max_iter + 1):  # max_iter >= 1, so the loop binds it, m, M and policy
+    for it in range(1, cfg.max_iter + 1):  # max_iter >= 1, so the loop binds it, g and policy
         u, greedy = bellman_F(mcp, spec, v)
         delta = u - v
         m = float(delta.min())
         M = float(delta.max())
         if not np.isfinite(M - m):
             raise FloatingPointError(f"non-finite increment at sweep {it}: min {m}, max {M}")
-        rec = TraceRecord(it, M - m, m, M, 0.5 * (m + M), time.monotonic_ns() - t0)
+        lower, upper = max(lower, m), min(upper, M)
+        rec = TraceRecord(it, upper - lower, lower, upper, 0.5 * (lower + upper), time.monotonic_ns() - t0)
         if trace:
             prev = trace[-1].span
             rec.policy_changes = int(np.count_nonzero(greedy.deterministic != policy.deterministic))
             rec.span_ratio = rec.span / prev if prev > 0 else math.nan
         trace.append(rec)
         policy = greedy
-        v = u - u[cfg.reference_state]
-        if 0.5 * (M - m) < cfg.tol:
+        g = u - u[ref]
+        if 0.5 * (upper - lower) < cfg.tol:
             converged = True
             break
+        if M - m > raw_span:
+            history.clear()
+        raw_span = M - m
+        history.append((g, g - v))
+        v = _anderson_step(history) if len(history) > 1 else g
     return SolveResult(
-        rho=0.5 * (m + M),
-        rho_lower=m,
-        rho_upper=M,
-        h=v,
+        rho=0.5 * (lower + upper),
+        rho_lower=lower,
+        rho_upper=upper,
+        h=g,
         policy=policy,
         converged=converged,
         iterations=it,
         trace=trace,
     )
+
+
+def _anderson_step(history: deque[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """g_k - dG gamma with gamma = argmin ||f_k - dF gamma||_2, anchored at
+    the reference state (where every g is 0); g_k if that is not finite."""
+    gs, fs = (np.stack(x, axis=1) for x in zip(*history))
+    g = gs[:, -1]
+    gamma = np.linalg.lstsq(np.diff(fs, axis=1), fs[:, -1], rcond=None)[0]
+    v = g - np.diff(gs, axis=1) @ gamma
+    return v if np.all(np.isfinite(v)) else g
 
 
 def poisson_residual(mcp: FiniteMCP, spec: RiskMapSpec, rho: float, h: np.ndarray) -> float:

@@ -1,7 +1,11 @@
+import collections
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from riskmdp import solver
+from riskmdp.cli import build_model
 from riskmdp.mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
 from riskmdp.models import DiffusionSpec, GridSpec, QuadraticCost, attach_cost, builtin_chain, discretize_diffusion
 from riskmdp.oracles import entropic_spectral_rho, neutral_average_cost
@@ -312,6 +316,99 @@ def test_rvi_reference_state_pins_bias():
     assert res.h[2] == 0.0
     with pytest.raises(ValueError):
         relative_value_iteration(m, NEUTRAL, SolveConfig(reference_state=7))
+
+
+# --- Anderson acceleration against plain relative value iteration ---------------
+
+
+def plain_rvi(mcp, spec, tol, v0=None):
+    """Unaccelerated RVI, v <- F(v) - F(v)[0]: the last sweep's bracket and the
+    number of sweeps to half-width below tol."""
+    v = np.zeros(mcp.n_states) if v0 is None else np.asarray(v0, dtype=float).copy()
+    for sweep in range(1, 100_001):
+        u, _ = bellman_F(mcp, spec, v)
+        delta = u - v
+        m, M = float(delta.min()), float(delta.max())
+        v = u - u[0]
+        if 0.5 * (M - m) < tol:
+            return m, M, sweep
+    raise AssertionError("plain RVI did not converge")
+
+
+BENCHMARK_KINDS = [
+    {"kind": "neutral"},
+    {"kind": "entropic", "lambda": 1.0},
+    {"kind": "density_band", "band": [0.5, 1.5]},
+    {"kind": "mean_semideviation", "lambda": 0.5, "r": 2},
+    {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": [0.5, 2.0]}},
+]
+
+
+@pytest.fixture(scope="module")
+def grid11():
+    # the benchmark's 2-D diffusion x' = 0.5 x +- 0.5 e1 + W, on an 11x11 grid
+    eye = np.eye(2).tolist()
+    model = {"diffusion": {"dim": 2, "A": [[0.5, 0.0], [0.0, 0.5]], "actions": ["left", "right"],
+                           "drift": {"left": [-0.5, 0.0], "right": [0.5, 0.0]},
+                           "diffusion": {"left": eye, "right": eye},
+                           "gamma_tilde": 0.25, "drift_bound": 0.2500001, "ellipticity": 1.0},
+             "grid": {"points": 11, "extent": 5.0},
+             "cost": {"form": "power", "c0": 0.1, "q": 0.5, "w1": {"entropic_w1": {"gamma": 0.5}}}}
+    return build_model({"model": model}, Path("."))[0]
+
+
+@pytest.mark.parametrize("risk", BENCHMARK_KINDS, ids=[d["kind"] for d in BENCHMARK_KINDS])
+def test_rvi_takes_at_most_six_tenths_of_plain_sweeps(grid11, risk):
+    # measured 8/17, 8/17, 10/21, 9/21 and 12/22 sweeps in the order above
+    spec = RiskMapSpec.from_dict(risk)
+    res = relative_value_iteration(grid11, spec, SolveConfig(tol=1e-10))
+    lo, hi, sweeps = plain_rvi(grid11, spec, 1e-10)
+    assert res.converged
+    assert res.iterations <= 0.6 * sweeps
+    assert max(lo, res.rho_lower) <= min(hi, res.rho_upper)
+
+
+def check_against_plain(m, spec, res, tol, v0=None):
+    lo, hi, _ = plain_rvi(m, spec, 1e-12, v0)
+    assert res.converged
+    assert lo <= res.rho <= hi
+    assert poisson_residual(m, spec, res.rho, res.h) <= 10 * tol
+
+
+def test_rvi_history_reset_fires_when_the_greedy_policy_switches(monkeypatch):
+    # from this start the greedy policy changes at sweeps 2, 3, 4, 7 and 8
+    # and a raw span grows on the way
+    clears = []
+
+    class CountingDeque(collections.deque):
+        def clear(self):
+            clears.append(len(self))
+            super().clear()
+
+    monkeypatch.setattr(solver, "deque", CountingDeque)
+    m = builtin_chain("random_seeded", n=8, m=3, seed=11)
+    spec = RiskMapSpec("density_band", band=(0.2, 3.0))
+    v0 = 10.0 * np.random.default_rng(11).normal(size=8)
+    res = relative_value_iteration(m, spec, SolveConfig(tol=1e-10), v0=v0)
+    assert clears
+    assert sum(1 for t in res.trace if t.policy_changes) >= 3
+    check_against_plain(m, spec, res, 1e-10, v0)
+
+
+def test_rvi_falls_back_to_the_plain_step_on_a_non_finite_extrapolation(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def poisoned(a, b, rcond=None):
+        calls.append(a.shape)
+        gamma, *rest = lstsq(a, b, rcond=rcond)
+        return (np.full_like(gamma, np.nan) if len(calls) == 3 else gamma, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", poisoned)
+    m = builtin_chain("random_seeded", n=8, m=3, seed=8)
+    res = relative_value_iteration(m, NEUTRAL, SolveConfig(tol=1e-10))
+    assert len(calls) > 3
+    check_against_plain(m, NEUTRAL, res, 1e-10)
 
 
 # --- Poisson residual ----------------------------------------------------------
