@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import WORST_PAIR_RTOL, FiniteMCP
+from .mdp import WORST_PAIR_RTOL, FiniteMCP, row_blocks
 from .risk import RiskMapSpec, risk_table, risk_values
 
 __all__ = [
@@ -37,11 +37,6 @@ DEFAULT_GAMMA_GRID = tuple(np.round(np.linspace(0.05, 0.95, 19), 10))
 # A drift residual that comes out nonpositive still certifies the inequality,
 # but the downstream bounds need a strictly positive constant.
 K0_FLOOR = 1e-12
-
-# Cells of one risk_table call in check_l2, so its (samples, rows) tables
-# stay bounded whatever n_samples is: one call for all 2002 samples of the
-# 201-state verify model raised the process's peak RSS from 69 to 88 MB.
-L2_TABLE_CELLS = 1 << 17
 
 
 @dataclass
@@ -349,8 +344,12 @@ def check_l2(
     whose slack is within ``WORST_PAIR_RTOL`` of it.  ``min_slack`` is the
     minimum over the checked samples only, so it is an upper bound on the
     true minimum over the ball, and ``passed`` means that no sample
-    violated the inequality.
+    violated the inequality.  K0 must be finite and positive and K finite
+    and nonnegative (``ValueError`` otherwise); an empty B0 passes with no
+    samples.
     """
+    if not (math.isfinite(K0) and K0 > 0 and math.isfinite(K) and K >= 0):
+        raise ValueError(f"check_l2 needs finite K0 > 0 and K >= 0, got K0={K0}, K={K}")
     w0 = np.asarray(w0, dtype=float)
     B0 = np.asarray(B0, dtype=np.intp)
     if B0.size == 0:
@@ -369,16 +368,15 @@ def check_l2(
                               rng.uniform(-1.0, 1.0, size=(n_random, n))])
     samples[4 * (n + 1) :] *= bound
 
-    step = max(1, L2_TABLE_CELLS // len(rows))
     slack = np.empty(len(samples))
     pairs = np.empty((len(samples), 2), dtype=np.intp)
-    for lo in range(0, len(samples), step):
-        RV = risk_table(spec, samples[lo : lo + step], rows)
+    for sl in row_blocks(len(samples), len(rows)):
+        RV = risk_table(spec, samples[sl], rows)
         at = np.arange(len(RV))
         i = np.argmin(r_plus - RV, axis=1)
         j = np.argmax(r_minus - RV, axis=1)  # minimizes rv - r_minus
-        slack[lo : lo + len(RV)] = (r_plus[i] - RV[at, i]) + (RV[at, j] - r_minus[j]) - 2.0 * K0
-        pairs[lo : lo + len(RV)] = np.column_stack((i, j))
+        slack[sl] = (r_plus[i] - RV[at, i]) + (RV[at, j] - r_minus[j]) - 2.0 * K0
+        pairs[sl] = np.column_stack((i, j))
     slack = np.where(np.isnan(slack), np.inf, slack)  # a NaN slack never wins
     best = int(np.argmin(slack))
     min_slack = float(slack[best])
@@ -411,8 +409,8 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     log space through the entropic kernel, so large K w can neither
     overflow nor underflow to a log of 0.
     """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    if not (math.isfinite(K) and K >= 0):
+        raise ValueError(f"K must be finite and nonnegative, got {K}")
     w = np.asarray(w, dtype=float)
     base = doeblin_minorization(mcp, subset)
     if not base.satisfied:

@@ -320,6 +320,8 @@ def _l2(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta)
     if "K0" in entry and not isinstance(entry["K0"], str):
         K0, gamma0 = float(entry["K0"]), float(entry["gamma0"])
+        if not 0 < gamma0 < 1:
+            raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
     else:
         fit = fit_lyapunov(mcp, spec, w0)
         if not fit.satisfied:
@@ -359,13 +361,13 @@ def _contraction(entry, mcp, spec, meta, seed):
         return False, {"error": str(e)}, None
     constants = {"alpha_bar": cert.alpha_bar, "gamma0": cert.gamma0,
                  "gamma1": cert.gamma1, "gamma2": cert.gamma2, "beta": cert.beta}
-    if not entry.get("measure"):
+    if "measure" not in entry:
         return True, constants, None
     mcfg = _table(entry, "measure")
     stats = measure_contraction(mcp, spec, cert.w_hat, n_trials=_whole(mcfg, "n_trials", 200),
                                 ball_radius=mcfg.get("ball_radius"), seed=seed)
     constants["measured_max_ratio"] = stats.max_ratio
-    if stats.max_ratio > cert.alpha_bar + 1e-9:
+    if not stats.max_ratio <= cert.alpha_bar + 1e-9:  # a NaN ratio fails
         return False, constants, {"measured_max_ratio": stats.max_ratio}
     return True, constants, None
 
@@ -406,30 +408,28 @@ def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:
 
 
 @_reading("sweep")
-def _sweep_values(cfg: dict, spec: RiskMapSpec) -> list[float]:
+def _sweep_specs(cfg: dict, spec: RiskMapSpec) -> list[RiskMapSpec]:
+    """The risk map at each swept lambda; a value the map rejects is a config error."""
     swcfg = cfg.get("sweep")
     if not isinstance(swcfg, dict) or swcfg.get("param") != "lambda" or not isinstance(swcfg.get("values"), list):
         raise ConfigError("sweep needs {'param': 'lambda', 'values': [...]}")
     if spec.kind not in ("entropic", "mean_semideviation"):
         raise ConfigError("lambda sweep needs an entropic or mean_semideviation risk kind")
-    return [float(v) for v in swcfg["values"]]
+    return [dataclasses.replace(spec, lam=float(v)) for v in swcfg["values"]]
 
 
 def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
     cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
     scfg = _solve_config(cfg, mcp.n_states)
-    values = _sweep_values(cfg, spec)
-
-    def solve_one(lam: float):
-        return relative_value_iteration(mcp, dataclasses.replace(spec, lam=lam), scfg)
+    specs = _sweep_specs(cfg, spec)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = list(ex.map(solve_one, values))
+        results = list(ex.map(lambda s: relative_value_iteration(mcp, s, scfg), specs))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "rho", "iterations", "converged"])
-        for lam, res in zip(values, results):
-            writer.writerow([repr(lam), repr(res.rho), res.iterations, res.converged])
+        for s, res in zip(specs, results):
+            writer.writerow([repr(s.lam), repr(res.rho), res.iterations, res.converged])
     return 3 if any(not r.converged for r in results) else 0
 
 

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "BLOCK_ELEMENTS",
     "WORST_PAIR_RTOL",
     "FiniteMCP",
     "PolicyVector",
@@ -26,6 +27,7 @@ __all__ = [
     "level_set",
     "policy_reduce",
     "policy_transition_and_cost",
+    "row_blocks",
     "validate_mcp",
     "weighted_seminorm",
 ]
@@ -36,6 +38,21 @@ __all__ = [
 # (mirror images on a symmetric model) are not told apart by last-bit
 # rounding.
 WORST_PAIR_RTOL = 1e-12
+
+# Elements of one block temporary (1 MB of float64), for every loop that
+# slices rows into blocks: the order-based risk kernels, check_l2's
+# (samples, rows) tables and the diffusion build's Gaussian rows.  A kernel
+# block is small enough to stay in cache and large enough that numpy's
+# per-call overhead is amortized; one check_l2 table for all 2002 samples of
+# the 201-state verify model raised the process's peak RSS from 69 to 88 MB.
+BLOCK_ELEMENTS = 1 << 17
+
+
+def row_blocks(count: int, width: int) -> list[slice]:
+    """Slices that sweep ``count`` rows of ``width`` elements in blocks of
+    ``max(1, BLOCK_ELEMENTS // width)`` rows."""
+    per = max(1, BLOCK_ELEMENTS // width)
+    return [slice(i, i + per) for i in range(0, count, per)]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ and a few small built-in chains used throughout the tests.
 The discretization puts a regular grid on [-extent, extent]^d, evaluates the
 one-step Gaussian transition density at the nodes, scales by the cell volume
 and renormalizes each row; probability mass that would leave the grid is
-therefore folded back proportionally.  No truncation-error bound is claimed;
-refining the grid is the intended way to study it.
+therefore folded back proportionally, one ``mdp.row_blocks`` block of source
+states at a time.  No truncation-error bound is claimed; refining the grid
+is the intended way to study it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import FiniteMCP
+from .mdp import FiniteMCP, row_blocks
 
 __all__ = [
     "DiffusionSpec",
@@ -158,17 +159,15 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
     n, k = len(nodes), len(spec.actions)
     # Stacked rows: (state x, action ai) sits at row x * k + ai.
     rows = np.empty((n * k, n))
-    # Chunk source states so dim = 3 grids do not blow up memory.
-    chunk = max(1, int(2_000_000 // n))
     for ai, a in enumerate(spec.actions):
         cov_inv = np.linalg.inv(spec.diffusion[a] @ spec.diffusion[a].T)
         means = nodes @ spec.A.T + spec.drift_at(nodes, a)
-        for start in range(0, n, chunk):
-            block = gaussian_kernel_row(means[start : start + chunk], cov_inv, nodes, vol)
+        for sl in row_blocks(n, n):
+            block = gaussian_kernel_row(means[sl], cov_inv, nodes, vol)
             sums = block.sum(axis=1, keepdims=True)
             if not np.all(sums > 0):
                 raise ValueError("a transition row lost all mass; grid too coarse or extent too small")
-            np.divide(block, sums, out=rows[start * k + ai : (start + len(block)) * k : k])
+            np.divide(block, sums, out=rows[ai::k][sl])
     return FiniteMCP(actions=[list(spec.actions)] * n, transition=rows, cost=np.zeros(n * k), state_coords=nodes)
 
 

@@ -23,7 +23,7 @@ as every Bellman sweep and certificate calls it.  No kind makes a full
 ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which falls
 back to a row-wise logsumexp where the product underflows or v is not
 finite.  The order-based kinds sort each v once and sweep the rows in
-blocks of about 2^17 elements.  Per block, the band is v_(n) + sum_{k<n}
+blocks of ``mdp.BLOCK_ELEMENTS``.  Per block, the band is v_(n) + sum_{k<n}
 g(C_k) (v_(k) - v_(k+1)), with v sorted from the top and C_k the q-mass of
 the k largest outcomes: one gather, one cumsum, the distortion and one row
 dot (a v that is not finite, or whose spread overflows, takes the weighted
@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mdp import FiniteMCP
+from .mdp import BLOCK_ELEMENTS, FiniteMCP, row_blocks
 
 __all__ = [
     "AxiomCheck",
@@ -151,6 +151,9 @@ class RiskMapSpec:
     def __post_init__(self) -> None:
         if self.kind not in RISK_KINDS:
             raise ValueError(f"unknown risk kind {self.kind!r}")
+        for name in ("lam", "r", "band"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "entropic" and self.lam == 0.0:
             raise ValueError("entropic risk needs lam != 0 (use kind='neutral' for the limit)")
         if self.kind == "mean_semideviation":
@@ -207,19 +210,7 @@ class RiskMapSpec:
 # Evaluation kernels
 # ---------------------------------------------------------------------------
 
-# Elements of one row-block temporary in the order-based kernels (1 MB of
-# float64): small enough to stay in cache, large enough that numpy's
-# per-call overhead is amortized.
-_BLOCK_ELEMENTS = 1 << 17
-
 _TINY = np.finfo(float).tiny
-
-
-def _row_blocks(m: int, width: int) -> list[slice]:
-    """Slices that sweep m rows of ``width`` elements in blocks of
-    ``max(1, _BLOCK_ELEMENTS // width)`` rows."""
-    per = max(1, _BLOCK_ELEMENTS // width)
-    return [slice(i, i + per) for i in range(0, m, per)]
 
 
 def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
@@ -261,7 +252,7 @@ def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
         dv = vs[:-1] - vs[1:]
         if np.isfinite(vs[-1]) and np.all(np.isfinite(dv)):
             out = np.empty(len(rows))
-            for sl in _row_blocks(len(rows), rows.shape[1]):
+            for sl in row_blocks(len(rows), rows.shape[1]):
                 G = np.take(rows[sl], order[:-1], axis=1)
                 np.cumsum(G, axis=1, out=G)
                 H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
@@ -279,7 +270,7 @@ def _band_by_weights(v: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> n
     # +-inf where its weight is positive and NaN where it is zero.
     order = np.argsort(-v, kind="stable")
     out = np.empty(len(rows))
-    for sl in _row_blocks(len(rows), rows.shape[1]):
+    for sl in row_blocks(len(rows), rows.shape[1]):
         Qs = np.take(rows[sl], order, axis=1)
         top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
         out[sl] = np.sum((g1 * Qs + top) * v[order], axis=1)
@@ -288,7 +279,7 @@ def _band_by_weights(v: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> n
 
 def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
     out = np.empty(len(rows))
-    for sl in _row_blocks(len(rows), rows.shape[1]):
+    for sl in row_blocks(len(rows), rows.shape[1]):
         Q = rows[sl]
         mean = np.einsum("ij,j->i", Q, v)
         excess = v - mean[:, None]
@@ -319,14 +310,14 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
     # costs about n K per vector to build and the refine m N / nb, which
     # balance near nb = sqrt(c m) (c = 2 timed as fast as 4 on few rows and
     # leaves one row one chunk); and few enough that X stays within two blocks.
-    nb = max(1, min(-(-N // max(8, math.isqrt(N))), math.isqrt(2 * m), _BLOCK_ELEMENTS // n))
+    nb = max(1, min(-(-N // max(8, math.isqrt(N))), math.isqrt(2 * m), BLOCK_ELEMENTS // n))
     w = -(-N // nb)
     nb = -(-N // w)
     out = np.empty((len(V), m))
     # Blocks of value vectors share every call, so many vectors against few
     # rows (the certificates' samples) pay numpy's overhead once a block;
     # the setup's few (nb, n) temporaries per vector stay within a block.
-    for vb in _row_blocks(len(V), 4 * n * nb):
+    for vb in row_blocks(len(V), 4 * n * nb):
         s = len(V[vb])
         kinks = (V[vb, :, None] - b).reshape(s, N)
         order = np.argsort(kinks, axis=1, kind="stable")
@@ -343,7 +334,7 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
         X = np.concatenate((utility(V[vb, None, :] - t[:, :, None]), utility.slopes[-1] - passed.cumsum(axis=1)), axis=1)
         # chunk c of vector k and the checkpoint before it are row k nb + c of these
         kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
-        for sl in _row_blocks(m, s * w):
+        for sl in row_blocks(m, s * w):
             Q = rows[sl]
             Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
             i = (Y[:, :, 1:nb] > 0).sum(axis=2)  # the root's chunk: g > 0 on a prefix of the checkpoints

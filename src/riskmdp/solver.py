@@ -278,7 +278,13 @@ def measure_contraction(
     seminorm(R^pi v - R^pi u, w_hat) / seminorm(v - u, w_hat), where R^pi
     is T^pi of the model with zero cost: one ``risk_table`` call evaluates
     both vectors on every row.  Degenerate pairs (v = u) are skipped.
+    ``n_trials`` below 1, or a ``ball_radius`` that is not finite and
+    positive, raises ``ValueError``.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if ball_radius is not None and not (math.isfinite(ball_radius) and ball_radius > 0):
+        raise ValueError(f"ball_radius must be finite and > 0, got {ball_radius}")
     rng = np.random.default_rng(seed)
     w_hat = np.asarray(w_hat, dtype=float)
     n = mcp.n_states

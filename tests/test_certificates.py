@@ -394,6 +394,17 @@ def test_check_l2_witness_is_the_first_of_rounding_ties():
         assert cert.min_slack <= np.min(rows @ bound - rv) + np.min(rv + rows @ bound) - 0.5
 
 
+@pytest.mark.parametrize("K0, K", [(math.nan, 1.0), (0.0, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                   (1.0, -1.0), (1.0, math.inf)])
+def test_check_l2_rejects_constants_it_cannot_check(K0, K):
+    # with a NaN K every slack is NaN, and a NaN K0 empties the level set:
+    # both used to pass
+    m = builtin_chain("random_seeded", n=4, m=2, seed=1)
+    for B0 in ([0, 1, 2, 3], []):
+        with pytest.raises(ValueError, match="finite K0 > 0 and K >= 0"):
+            check_l2(m, NEUTRAL, np.zeros(4), K0=K0, K=K, B0=B0, n_samples=50)
+
+
 def test_check_l2_empty_subset_vacuous():
     cert = check_l2(builtin_chain("uniform2"), NEUTRAL, np.zeros(2), 1.0, 2.0, B0=[])
     assert cert.passed
@@ -446,6 +457,14 @@ def test_entropic_envelope_minorization_survives_underflowing_tilts():
 def test_entropic_envelope_minorization_rejects_negative_K():
     with pytest.raises(ValueError):
         entropic_envelope_minorization(builtin_chain("uniform2"), [0, 1], K=-1.0, w=np.ones(2))
+
+
+@pytest.mark.parametrize("K", [math.nan, math.inf])
+def test_entropic_envelope_minorization_rejects_non_finite_K(K):
+    # a NaN K used to skip the tilts and report the un-tilted mass
+    m = builtin_chain("random_seeded", n=4, m=2, seed=1)
+    with pytest.raises(ValueError, match="K must be finite"):
+        entropic_envelope_minorization(m, np.arange(4), K=K, w=np.ones(4))
 
 
 def test_entropic_envelope_minorization_propagates_base_failure():

@@ -12,6 +12,7 @@ import pytest
 import riskmdp
 from riskmdp.cli import main
 from riskmdp.models import builtin_chain
+from riskmdp.solver import ContractionStats
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -203,6 +204,18 @@ def test_bad_configs_are_exit_2(tmp_path, cfg):
         ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
                     "certificates": [{"type": "l2", "w0": "zeros", "K": "shortfall"}]},
          "certificates[0] (l2): K rule 'shortfall' needs a shortfall risk map"),
+        # non-finite risk parameters, which JSON reads as NaN and Infinity
+        ("solve", {"model": {"builtin": "uniform2"}, "risk": {"kind": "entropic", "lambda": float("nan")}},
+         "risk: lam must be finite"),
+        ("solve", {"model": {"builtin": "uniform2"}, "risk": {"kind": "mean_semideviation", "lambda": 0.5,
+                                                              "r": float("inf")}}, "risk: r must be finite"),
+        ("solve", {"model": {"builtin": "uniform2"}, "risk": {"kind": "density_band", "band": [0.5, float("inf")]}},
+         "risk: band must be finite"),
+        # a swept value the risk map rejects fails before any solve starts
+        ("sweep", {"model": {"builtin": "uniform2"}, "risk": {"kind": "entropic", "lambda": 1.0},
+                   "sweep": {"param": "lambda", "values": [0.5, 0.0]}}, "sweep: entropic risk needs lam != 0"),
+        ("sweep", {"model": {"builtin": "uniform2"}, "risk": {"kind": "mean_semideviation", "lambda": 0.5},
+                   "sweep": {"param": "lambda", "values": [1.5]}}, "sweep: mean_semideviation needs lam in [-1, 1]"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):
@@ -415,6 +428,52 @@ def test_verify_contraction_with_measurement(tmp_path):
     rep = json.loads((out / "certificates.json").read_text())[0]
     assert rep["constants"]["alpha_bar"] == pytest.approx(3.125 / 3.25)
     assert rep["constants"]["measured_max_ratio"] <= rep["constants"]["alpha_bar"] + 1e-9
+
+
+@pytest.mark.parametrize("entry, words", [
+    ({"type": "l2", "w0": "zeros", "K": float("nan")}, "needs finite K0 > 0 and K >= 0"),
+    ({"type": "l2", "w0": "zeros", "K0": float("nan"), "gamma0": 0.5, "K": 1.0}, "needs finite K0 > 0 and K >= 0"),
+    ({"type": "l2", "w0": "zeros", "K0": 0.1, "gamma0": 1.5, "K": 1.0}, "gamma0 must be in (0, 1)"),
+    ({"type": "envelope_minorization", "subset": "all", "K": float("nan"), "w": "zeros"},
+     "K must be finite and nonnegative"),
+    ({**CONTRACTION, "measure": {"n_trials": 0}}, "n_trials must be at least 1"),
+    ({**CONTRACTION, "measure": {"ball_radius": float("nan")}}, "ball_radius must be finite and > 0"),
+])
+def test_certificate_constants_that_cannot_be_checked_are_exit_2(tmp_path, capsys, entry, words):
+    cfg = {"model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 1}},
+           "risk": {"kind": "neutral"}, "certificates": [entry]}
+    code, _ = run(tmp_path, "verify", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: certificates[0] ({entry['type']}): ") and words in err
+
+
+def test_verify_l2_with_an_empty_level_set_passes_with_no_samples(tmp_path):
+    cfg = {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+           "certificates": [{"type": "l2", "w0": [10.0, 10.0], "K0": 1.0, "gamma0": 0.5, "K": 1.0}]}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 0
+    rep = json.loads((out / "certificates.json").read_text())[0]
+    assert rep["constants"]["n_samples"] == 0 and rep["worst_witness"] is None
+
+
+def test_verify_contraction_measures_whenever_measure_is_given(tmp_path):
+    cfg = {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+           "certificates": [{**CONTRACTION, "measure": {}}]}
+    code, out = run(tmp_path, "verify", cfg, seed=1)
+    assert code == 0
+    rep = json.loads((out / "certificates.json").read_text())[0]
+    assert 0.0 < rep["constants"]["measured_max_ratio"] <= rep["constants"]["alpha_bar"]
+
+
+def test_verify_contraction_with_a_nan_measured_ratio_is_unsatisfied(tmp_path, monkeypatch):
+    monkeypatch.setattr(riskmdp.cli, "measure_contraction",
+                        lambda *a, **kw: ContractionStats(float("nan"), float("nan"), float("nan"), 1))
+    cfg = {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+           "certificates": [{**CONTRACTION, "measure": {"n_trials": 5}}]}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 4
+    assert not json.loads((out / "certificates.json").read_text())[0]["satisfied"]
 
 
 def test_verify_diffusion_entropic_weight_and_level_sets(tmp_path):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from riskmdp.mdp import (
+    BLOCK_ELEMENTS,
     FiniteMCP,
     PolicyVector,
     level_set,
     policy_transition_and_cost,
+    row_blocks,
     validate_mcp,
     weighted_seminorm,
 )
@@ -216,6 +218,17 @@ def test_seminorm_rejects_bad_weights_and_propagates_nan():
         with pytest.raises(ValueError, match="finite and strictly positive"):
             weighted_seminorm([1.0, 2.0], w)
     assert np.isnan(weighted_seminorm([1.0, np.nan, 3.0], [1.0, 2.0, 1.0]))
+
+
+# --- row blocks -----------------------------------------------------------------
+
+
+def test_row_blocks_cover_the_rows_in_order():
+    per = BLOCK_ELEMENTS // 300
+    blocks = row_blocks(1000, 300)
+    assert [(b.start, b.stop) for b in blocks] == [(i, i + per) for i in range(0, 1000, per)]
+    assert row_blocks(3, 10 * BLOCK_ELEMENTS) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert row_blocks(0, 5) == []
 
 
 # --- level sets ---------------------------------------------------------

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from riskmdp.mdp import validate_mcp
+from riskmdp import mdp
+from riskmdp.certificates import check_l2
+from riskmdp.mdp import row_blocks, validate_mcp
 from riskmdp.models import (
     DiffusionSpec,
     GridSpec,
@@ -15,6 +19,7 @@ from riskmdp.models import (
     gaussian_kernel_row,
     grid_nodes,
 )
+from riskmdp.risk import RiskMapSpec
 
 
 def ou_spec(dim=1, a=0.5, drift=0.5, gamma_tilde=0.25):
@@ -159,14 +164,19 @@ def test_gaussian_kernel_row_matches_density_with_nonsymmetric_cov_inv(dim):
     assert np.all(np.abs(got - want)[~big] <= 1e-15)
 
 
-def test_benchmark_grid_rows_match_the_difference_form():
-    # The 41 x 41 benchmark model, x' = 0.5 x +- 0.5 e1 + W on [-5, 5]^2,
-    # against the rows of the (y - m)'C(y - m) difference form.
+def benchmark_spec():
+    """The benchmark's 2-D model, x' = 0.5 x +- 0.5 e1 + W on [-5, 5]^2."""
     eye = np.eye(2)
-    spec = DiffusionSpec(dim=2, A=0.5 * eye, actions=["left", "right"],
+    return DiffusionSpec(dim=2, A=0.5 * eye, actions=["left", "right"],
                          drift={"left": [-0.5, 0.0], "right": [0.5, 0.0]},
                          diffusion={"left": eye, "right": eye},
                          gamma_tilde=0.25, drift_bound=0.2500001, ellipticity=1.0)
+
+
+def test_benchmark_grid_rows_match_the_difference_form():
+    # The 41 x 41 benchmark model against the rows of the (y - m)'C(y - m)
+    # difference form.
+    spec, eye = benchmark_spec(), np.eye(2)
     grid = GridSpec(points=41, extent=5.0)
     m = discretize_diffusion(spec, grid)
     nodes, vol = grid_nodes(grid, 2)
@@ -176,6 +186,40 @@ def test_benchmark_grid_rows_match_the_difference_form():
         rows = np.exp(-0.5 * np.einsum("snd,de,sne->sn", diff, eye, diff)) / (2 * np.pi) * vol
         rows /= rows.sum(axis=1, keepdims=True)
         assert np.max(np.abs(m.stacked_transition[ai::2] - rows)) <= 1e-16
+
+
+def test_benchmark_build_holds_little_beside_the_matrix():
+    # source states go in blocks of mdp.BLOCK_ELEMENTS, so the 41 x 41 build
+    # (a 43 MB matrix) allocates only a few MB of temporaries beside it
+    tracemalloc.start()
+    try:
+        m = discretize_diffusion(benchmark_spec(), GridSpec(points=41, extent=5.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= m.stacked_transition.nbytes + 4 * 2**20
+
+
+def test_results_do_not_depend_on_the_block_budget(monkeypatch):
+    # a budget of a few dozen elements cuts check_l2's 300 samples, the
+    # kernels' rows and the diffusion build's source states into many blocks
+    m = builtin_chain("random_seeded", n=6, m=2, seed=3)
+    w0 = np.linspace(0.0, 1.5, 6)
+    specs = [RiskMapSpec("neutral"), RiskMapSpec("density_band", band=(0.5, 1.5)),
+             RiskMapSpec("mean_semideviation", lam=0.5)]
+
+    def run():
+        certs = [check_l2(m, spec, w0, K0=0.05, K=1.0, B0=np.arange(6), n_samples=300, seed=4) for spec in specs]
+        return certs, discretize_diffusion(benchmark_spec(), GridSpec(points=9, extent=3.0)).stacked_transition
+
+    assert len(row_blocks(300, 12)) == 1 and len(row_blocks(81, 81)) == 1
+    one_block, rows = run()
+    monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", 40)
+    assert len(row_blocks(300, 12)) == 100 and len(row_blocks(81, 81)) == 81
+    blocked, blocked_rows = run()
+    for a, b in zip(one_block, blocked):
+        assert (a.min_slack, a.worst_witness, a.n_samples) == (b.min_slack, b.worst_witness, b.n_samples)
+    assert np.array_equal(rows, blocked_rows)
 
 
 def test_discretize_rejects_non_finite_drift():

@@ -899,6 +899,19 @@ def test_risk_spec_rejects_unknown_kind():
         RiskMapSpec("cvar")
 
 
+@pytest.mark.parametrize("kind, params, field", [
+    ("entropic", {"lam": np.nan}, "lam"),
+    ("entropic", {"lam": np.inf}, "lam"),
+    ("mean_semideviation", {"lam": 0.5, "r": np.inf}, "r"),
+    ("mean_semideviation", {"lam": 0.5, "r": np.nan}, "r"),
+    ("density_band", {"band": (0.5, np.inf)}, "band"),
+    ("neutral", {"lam": np.nan}, "lam"),
+])
+def test_risk_spec_rejects_non_finite_params_naming_the_field(kind, params, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RiskMapSpec(kind, **params)
+
+
 # --- hypothesis properties -----------------------------------------------------------
 
 if HAVE_HYPOTHESIS:

@@ -493,6 +493,19 @@ def test_contraction_neutral_bounded_by_dobrushin_coefficient():
     assert stats.max_ratio >= 0.25
 
 
+@pytest.mark.parametrize("n_trials, ball_radius, words", [
+    (0, None, "n_trials must be at least 1"),
+    (-1, None, "n_trials must be at least 1"),
+    (10, float("nan"), "ball_radius must be finite and > 0"),
+    (10, float("inf"), "ball_radius must be finite and > 0"),
+    (10, 0.0, "ball_radius must be finite and > 0"),
+])
+def test_contraction_measurement_rejects_what_it_cannot_measure(n_trials, ball_radius, words):
+    # zero trials used to report a max ratio of 0, and a NaN radius a NaN one
+    with pytest.raises(ValueError, match=words):
+        measure_contraction(builtin_chain("biased2"), NEUTRAL, np.ones(2), n_trials, ball_radius=ball_radius)
+
+
 def test_contraction_respects_ball_radius():
     m = builtin_chain("random_seeded", n=4, m=2, seed=19)
     stats = measure_contraction(m, ENTROPIC, np.ones(4), 200, ball_radius=0.5, seed=2)
