@@ -285,14 +285,15 @@ def contraction_certificate(
     gamma0 = gamma + 2 K_bar / R, gamma1 = (2 + beta R gamma0)/(2 + beta R),
     gamma2 = max(1 - alpha + alpha0, gamma).
     """
+    # every range check is written as "not good" so that a NaN fails it
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
-    if K_bar <= 0:
+    if not K_bar > 0:
         raise ValueError("K_bar must be positive")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     threshold = 2.0 * K_bar / (1.0 - gamma)
-    if R <= threshold:
+    if not R > threshold:
         raise ValueError(f"level radius R={R} too small: need R > 2*K_bar/(1-gamma) = {threshold}")
     if alpha0 is None:
         alpha0 = alpha / 2.0
@@ -304,7 +305,8 @@ def contraction_certificate(
     gamma1 = (2.0 + beta * R * gamma0) / (2.0 + beta * R)
     gamma2 = max(1.0 - alpha + alpha0, gamma)
     alpha_bar = max(gamma1, gamma2)
-    assert 0 < alpha_bar < 1
+    if not 0 < alpha_bar < 1:
+        raise ValueError(f"contraction factor alpha_bar={alpha_bar} is not in (0, 1)")
     return ContractionCertificate(
         gamma=gamma, K_bar=K_bar, alpha=alpha, R=R, alpha0=alpha0,
         beta=beta, gamma0=gamma0, gamma1=gamma1, gamma2=gamma2,

@@ -355,8 +355,13 @@ def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
 def _contraction(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta)
     params = {k: float(entry[k]) for k in ("gamma", "K_bar", "alpha", "R")}
+    if entry.get("alpha0") is not None:
+        params["alpha0"] = float(entry["alpha0"])
+    for k, val in params.items():
+        if not np.isfinite(val):
+            raise ConfigError(f"{k} must be finite, got {val}")
     try:
-        cert = contraction_certificate(**params, w0=w0, alpha0=entry.get("alpha0"))
+        cert = contraction_certificate(**params, w0=w0)
     except ValueError as e:
         return False, {"error": str(e)}, None
     constants = {"alpha_bar": cert.alpha_bar, "gamma0": cert.gamma0,
@@ -367,7 +372,9 @@ def _contraction(entry, mcp, spec, meta, seed):
     stats = measure_contraction(mcp, spec, cert.w_hat, n_trials=_whole(mcfg, "n_trials", 200),
                                 ball_radius=mcfg.get("ball_radius"), seed=seed)
     constants["measured_max_ratio"] = stats.max_ratio
-    if not stats.max_ratio <= cert.alpha_bar + 1e-9:  # a NaN ratio fails
+    constants["n_pairs"] = stats.n_pairs
+    # a NaN ratio fails, and so does a measurement that found no pair to measure
+    if not (stats.n_pairs > 0 and stats.max_ratio <= cert.alpha_bar + 1e-9):
         return False, constants, {"measured_max_ratio": stats.max_ratio}
     return True, constants, None
 

@@ -41,7 +41,8 @@ WORST_PAIR_RTOL = 1e-12
 
 # Elements of one block temporary (1 MB of float64), for every loop that
 # slices rows into blocks: the order-based risk kernels, check_l2's
-# (samples, rows) tables and the diffusion build's Gaussian rows.  A kernel
+# (samples, rows) tables and the diffusion build's Gaussian rows under
+# correlated noise (diagonal noise writes its rows as outer products).  A kernel
 # block is small enough to stay in cache and large enough that numpy's
 # per-call overhead is amortized; one check_l2 table for all 2002 samples of
 # the 201-state verify model raised the process's peak RSS from 69 to 88 MB.

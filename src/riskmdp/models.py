@@ -4,9 +4,12 @@ and a few small built-in chains used throughout the tests.
 The discretization puts a regular grid on [-extent, extent]^d, evaluates the
 one-step Gaussian transition density at the nodes, scales by the cell volume
 and renormalizes each row; probability mass that would leave the grid is
-therefore folded back proportionally, one ``mdp.row_blocks`` block of source
-states at a time.  No truncation-error bound is claimed; refining the grid
-is the intended way to study it.
+therefore folded back proportionally.  When D D^T is diagonal the density
+and its row sums factor over the axes, so each normalized row is the outer
+product of normalized one-dimensional rows; correlated noise evaluates the
+full density, one ``mdp.row_blocks`` block of source states at a time.  No
+truncation-error bound is claimed; refining the grid is the intended way to
+study it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ class GridSpec:
             raise ValueError("grid spec does not match the model dimension")
         if any(p < 3 for p in pts):
             raise ValueError("need at least 3 points per axis")
+        for e in ext:
+            # written as "not good" so that a NaN fails too
+            if not (np.isfinite(e) and e > 0):
+                raise ValueError(f"extent must be finite and > 0, got {e}")
         return [np.linspace(-e, e, p) for p, e in zip(pts, ext)]
 
 
@@ -155,20 +162,55 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
     spec.validate()
     if spec.dim > 3:
         raise ValueError("grid discretization supports dim <= 3")
+    axes = grid.axes(spec.dim)
     nodes, vol = grid_nodes(grid, spec.dim)
     n, k = len(nodes), len(spec.actions)
     # Stacked rows: (state x, action ai) sits at row x * k + ai.
     rows = np.empty((n * k, n))
     for ai, a in enumerate(spec.actions):
-        cov_inv = np.linalg.inv(spec.diffusion[a] @ spec.diffusion[a].T)
+        cov = spec.diffusion[a] @ spec.diffusion[a].T
         means = nodes @ spec.A.T + spec.drift_at(nodes, a)
+        if np.array_equal(cov, np.diag(np.diag(cov))):
+            _write_separable_rows(rows[ai::k], means, np.diag(cov), axes)
+            continue
+        cov_inv = np.linalg.inv(cov)
         for sl in row_blocks(n, n):
             block = gaussian_kernel_row(means[sl], cov_inv, nodes, vol)
-            sums = block.sum(axis=1, keepdims=True)
-            if not np.all(sums > 0):
-                raise ValueError("a transition row lost all mass; grid too coarse or extent too small")
-            np.divide(block, sums, out=rows[ai::k][sl])
+            np.divide(block, _row_mass(block), out=rows[ai::k][sl])
     return FiniteMCP(actions=[list(spec.actions)] * n, transition=rows, cost=np.zeros(n * k), state_coords=nodes)
+
+
+def _row_mass(rows: np.ndarray) -> np.ndarray:
+    """Row sums as a column, each checked to be > 0."""
+    sums = rows.sum(axis=1, keepdims=True)
+    if not np.all(sums > 0):
+        raise ValueError("a transition row lost all mass; grid too coarse or extent too small")
+    return sums
+
+
+def _write_separable_rows(out: np.ndarray, means: np.ndarray, variances: np.ndarray, axes: list[np.ndarray]) -> None:
+    """Normalized rows of a Gaussian with diagonal covariance, into ``out``.
+
+    The density on the tensor grid is the product of one-dimensional
+    densities, and so is its sum over the grid, so each normalized row is
+    the outer product of per-axis normalized rows: an (n, p_d) factor per
+    axis in place of one exponential per matrix entry.  The factors are
+    multiplied axis by axis, the last product written straight into a
+    view of ``out``.
+    """
+    n = len(means)
+    factors = []
+    for d, ax in enumerate(axes):
+        factor = gaussian_kernel_row(means[:, d:d + 1], np.array([[1.0 / variances[d]]]), ax[:, None], 1.0)
+        factor /= _row_mass(factor)
+        factors.append(factor)
+    prod = np.ones((n, 1))
+    for factor in factors[:-1]:
+        prod = np.einsum("ia,ib->iab", prod, factor).reshape(n, -1)
+    target = out.view()
+    # assigning .shape raises where a reshape would silently copy
+    target.shape = (n, prod.shape[1], len(axes[-1]))
+    np.einsum("ia,ib->iab", prod, factors[-1], out=target)
 
 
 @dataclass(frozen=True)

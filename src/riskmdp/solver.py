@@ -277,7 +277,8 @@ def measure_contraction(
     ``ball_radius`` when given — and measures
     seminorm(R^pi v - R^pi u, w_hat) / seminorm(v - u, w_hat), where R^pi
     is T^pi of the model with zero cost: one ``risk_table`` call evaluates
-    both vectors on every row.  Degenerate pairs (v = u) are skipped.
+    both vectors on every row.  Degenerate pairs (v = u) are skipped; when
+    every pair is degenerate the ratios are NaN and ``n_pairs`` is 0.
     ``n_trials`` below 1, or a ``ball_radius`` that is not finite and
     positive, raises ``ValueError``.
     """
@@ -300,7 +301,7 @@ def measure_contraction(
         num = weighted_seminorm(policy_reduce(mcp, pi, Rv - Ru), w_hat)
         ratios.append(num / denom)
     if not ratios:
-        return ContractionStats(0.0, 0.0, 0.0, 0)
+        return ContractionStats(math.nan, math.nan, math.nan, 0)
     arr = np.asarray(ratios)
     return ContractionStats(float(arr.max()), float(arr.mean()), float(arr.min()), len(arr))
 

@@ -332,6 +332,18 @@ def test_contraction_parameter_validation():
         contraction_certificate(gamma=0.5, K_bar=1.0, alpha=0.5, R=10.0, w0=z, alpha0=0.5)
 
 
+@pytest.mark.parametrize("field, value, words", [
+    ("gamma", float("nan"), "gamma must be in"), ("K_bar", float("nan"), "K_bar must be positive"),
+    ("alpha", float("nan"), "alpha must be in"), ("R", float("nan"), "too small"),
+    ("R", float("inf"), "alpha_bar=nan is not in"), ("alpha0", float("nan"), "alpha0 must be in"),
+])
+def test_contraction_non_finite_constants_are_value_errors(field, value, words):
+    # each used to slip past a "<=" check and end in a bare AssertionError
+    params = {"gamma": 0.5, "K_bar": 1.0, "alpha": 0.5, "R": 10.0, field: value}
+    with pytest.raises(ValueError, match=words):
+        contraction_certificate(**params, w0=np.zeros(2))
+
+
 # --- pairwise small-set inequality -------------------------------------------------
 
 

@@ -181,6 +181,13 @@ def test_bad_configs_are_exit_2(tmp_path, cfg):
     assert code == 2
 
 
+DIFFUSION_1D = {
+    "dim": 1, "A": [[0.5]], "actions": ["left", "right"],
+    "drift": {"left": [-0.5], "right": [0.5]}, "diffusion": {"left": [[1.0]], "right": [[1.0]]},
+    "gamma_tilde": 0.25, "drift_bound": 0.2500001, "ellipticity": 1.0,
+}
+
+
 @pytest.mark.parametrize(
     "command, cfg, words",
     [
@@ -216,6 +223,9 @@ def test_bad_configs_are_exit_2(tmp_path, cfg):
                    "sweep": {"param": "lambda", "values": [0.5, 0.0]}}, "sweep: entropic risk needs lam != 0"),
         ("sweep", {"model": {"builtin": "uniform2"}, "risk": {"kind": "mean_semideviation", "lambda": 0.5},
                    "sweep": {"param": "lambda", "values": [1.5]}}, "sweep: mean_semideviation needs lam in [-1, 1]"),
+        # a grid extent that is not finite and positive, not an empty-row error
+        ("solve", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 11, "extent": float("nan")}},
+                   "risk": {"kind": "neutral"}}, "model: extent must be finite and > 0, got nan"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):
@@ -225,11 +235,6 @@ def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cf
     assert err.startswith("config error: ") and words in err
 
 
-DIFFUSION_1D = {
-    "dim": 1, "A": [[0.5]], "actions": ["left", "right"],
-    "drift": {"left": [-0.5], "right": [0.5]}, "diffusion": {"left": [[1.0]], "right": [[1.0]]},
-    "gamma_tilde": 0.25, "drift_bound": 0.2500001, "ellipticity": 1.0,
-}
 L2 = {"type": "l2", "w0": "zeros", "K": "coherent"}
 CONTRACTION = {"type": "contraction", "w0": "zeros", "gamma": 0.5, "K_bar": 1.0, "alpha": 0.5, "R": 5.0}
 
@@ -438,6 +443,11 @@ def test_verify_contraction_with_measurement(tmp_path):
      "K must be finite and nonnegative"),
     ({**CONTRACTION, "measure": {"n_trials": 0}}, "n_trials must be at least 1"),
     ({**CONTRACTION, "measure": {"ball_radius": float("nan")}}, "ball_radius must be finite and > 0"),
+    ({**CONTRACTION, "K_bar": float("nan")}, "K_bar must be finite, got nan"),
+    ({**CONTRACTION, "R": float("inf")}, "R must be finite, got inf"),
+    ({**CONTRACTION, "gamma": float("nan")}, "gamma must be finite, got nan"),
+    ({**CONTRACTION, "alpha": float("-inf")}, "alpha must be finite, got -inf"),
+    ({**CONTRACTION, "alpha0": float("nan")}, "alpha0 must be finite, got nan"),
 ])
 def test_certificate_constants_that_cannot_be_checked_are_exit_2(tmp_path, capsys, entry, words):
     cfg = {"model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 1}},
@@ -464,6 +474,20 @@ def test_verify_contraction_measures_whenever_measure_is_given(tmp_path):
     assert code == 0
     rep = json.loads((out / "certificates.json").read_text())[0]
     assert 0.0 < rep["constants"]["measured_max_ratio"] <= rep["constants"]["alpha_bar"]
+    assert rep["constants"]["n_pairs"] == 200
+
+
+def test_verify_contraction_that_measured_no_pair_is_unsatisfied(tmp_path):
+    # every pair on one state is degenerate: the ratio used to read 0.0 and pass
+    model = {"n_states": 1, "actions": [["a"]], "transition": [[[1.0]]], "cost": [[0.5]]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    cfg = {"model": {"path": "model.json"}, "risk": {"kind": "neutral"},
+           "certificates": [{**CONTRACTION, "measure": {"n_trials": 50}}]}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 4
+    rep = json.loads((out / "certificates.json").read_text())[0]
+    assert not rep["satisfied"]
+    assert rep["constants"]["n_pairs"] == 0 and np.isnan(rep["constants"]["measured_max_ratio"])
 
 
 def test_verify_contraction_with_a_nan_measured_ratio_is_unsatisfied(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riskmdp import mdp
+from riskmdp import mdp, models
 from riskmdp.certificates import check_l2
 from riskmdp.mdp import row_blocks, validate_mcp
 from riskmdp.models import (
@@ -53,6 +53,17 @@ def test_grid_axes_per_dimension_tuples():
         GridSpec(points=(3, 5), extent=1.0).axes(3)
     with pytest.raises(ValueError):
         GridSpec(points=2).axes(1)
+
+
+@pytest.mark.parametrize("extent, dim, bad", [
+    (float("nan"), 1, "nan"), (float("inf"), 1, "inf"), (0.0, 1, "0.0"), (-5.0, 1, "-5.0"), (0, 1, "0"),
+    ((3.0, float("nan")), 2, "nan"), ((-1.0, 2.0), 2, "-1.0"),
+])
+def test_grid_axes_reject_an_extent_that_is_not_finite_and_positive(extent, dim, bad):
+    # with rows normalized per axis the cell volume drops out, so extent 0
+    # would build uniform rows and a negative one a reversed grid
+    with pytest.raises(ValueError, match=f"extent must be finite and > 0, got {bad}$"):
+        GridSpec(points=5, extent=extent).axes(dim)
 
 
 def test_grid_nodes_count_and_cell_volume():
@@ -189,8 +200,8 @@ def test_benchmark_grid_rows_match_the_difference_form():
 
 
 def test_benchmark_build_holds_little_beside_the_matrix():
-    # source states go in blocks of mdp.BLOCK_ELEMENTS, so the 41 x 41 build
-    # (a 43 MB matrix) allocates only a few MB of temporaries beside it
+    # the rows are written straight into the matrix from per-axis factors,
+    # so the 41 x 41 build (a 43 MB matrix) allocates only a few MB beside it
     tracemalloc.start()
     try:
         m = discretize_diffusion(benchmark_spec(), GridSpec(points=41, extent=5.0))
@@ -201,8 +212,8 @@ def test_benchmark_build_holds_little_beside_the_matrix():
 
 
 def test_results_do_not_depend_on_the_block_budget(monkeypatch):
-    # a budget of a few dozen elements cuts check_l2's 300 samples, the
-    # kernels' rows and the diffusion build's source states into many blocks
+    # a budget of a few dozen elements cuts check_l2's 300 samples and the
+    # kernels' rows into many blocks; the diagonal-noise build takes no blocks
     m = builtin_chain("random_seeded", n=6, m=2, seed=3)
     w0 = np.linspace(0.0, 1.5, 6)
     specs = [RiskMapSpec("neutral"), RiskMapSpec("density_band", band=(0.5, 1.5)),
@@ -220,6 +231,74 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
     for a, b in zip(one_block, blocked):
         assert (a.min_slack, a.worst_witness, a.n_samples) == (b.min_slack, b.worst_witness, b.n_samples)
     assert np.array_equal(rows, blocked_rows)
+
+
+def unequal_noise_spec():
+    """2-D model with unequal diagonal noise per action and an affine drift."""
+    return DiffusionSpec(dim=2, A=0.5 * np.eye(2), actions=["left", "right"],
+                         drift={"left": [-0.5, 0.0], "right": [0.5, 0.2]},
+                         diffusion={"left": np.diag([1.0, 0.7]), "right": np.diag([0.8, 1.2])},
+                         drift_linear={"right": [[0.1, 0.0], [0.05, -0.1]]},
+                         gamma_tilde=0.25, drift_bound=1.0, ellipticity=2.1)
+
+
+def correlated_noise_spec():
+    """2-D model whose "left" action has correlated noise D D^T = [[1.09, 0.3], [0.3, 1]]."""
+    eye = np.eye(2)
+    return DiffusionSpec(dim=2, A=0.5 * eye, actions=["left", "right"],
+                         drift={"left": [-0.5, 0.0], "right": [0.5, 0.0]},
+                         diffusion={"left": [[1.0, 0.3], [0.0, 1.0]], "right": eye},
+                         gamma_tilde=0.25, drift_bound=0.2500001, ellipticity=1.4)
+
+
+def oracle_transition(spec, grid):
+    """Stacked rows from the node-by-node density, each normalized to sum 1."""
+    nodes, vol = grid_nodes(grid, spec.dim)
+    per_action = []
+    for a in spec.actions:
+        D = spec.diffusion[a]
+        rows = density_rows(nodes @ spec.A.T + spec.drift_at(nodes, a), np.linalg.inv(D @ D.T), nodes, vol)
+        per_action.append(rows / rows.sum(axis=1, keepdims=True))
+    return np.stack(per_action, axis=1).reshape(-1, len(nodes))
+
+
+def kernel_widths(monkeypatch):
+    """Record the node dimension of every gaussian_kernel_row call the build makes."""
+    widths = []
+
+    def recording(mean, cov_inv, nodes, cell_volume):
+        widths.append(nodes.shape[1])
+        return gaussian_kernel_row(mean, cov_inv, nodes, cell_volume)
+
+    monkeypatch.setattr(models, "gaussian_kernel_row", recording)
+    return widths
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (ou_spec(dim=1), GridSpec(points=101, extent=5.0)),
+    (ou_spec(dim=2), GridSpec(points=9, extent=3.0)),
+    (ou_spec(dim=3), GridSpec(points=5, extent=2.0)),
+    (unequal_noise_spec(), GridSpec(points=(7, 9), extent=(3.0, 2.0))),
+], ids=["1d", "2d", "3d", "unequal-noise"])
+def test_diagonal_noise_rows_are_per_axis_outer_products_matching_the_density(monkeypatch, spec, grid):
+    widths = kernel_widths(monkeypatch)
+    got = discretize_diffusion(spec, grid).stacked_transition
+    assert set(widths) == {1}  # only one-dimensional factors, never the full density
+    assert np.max(np.abs(got - oracle_transition(spec, grid))) <= 1e-16
+
+
+def test_correlated_noise_takes_the_blocked_density_path(monkeypatch):
+    spec, grid = correlated_noise_spec(), GridSpec(points=(7, 9), extent=(3.0, 2.0))
+    widths = kernel_widths(monkeypatch)
+    got = discretize_diffusion(spec, grid).stacked_transition
+    assert 2 in widths and 1 in widths  # "left" evaluates the 2-D density, "right" factors
+    want = oracle_transition(spec, grid)
+    assert np.max(np.abs(got - want)) <= 1e-16
+    # one source state per block: the (s, 2) @ (2, n) exponent products may
+    # round differently in the last bit, so the rows match to the same bound
+    monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", 40)
+    assert len(row_blocks(63, 63)) == 63
+    assert np.max(np.abs(discretize_diffusion(spec, grid).stacked_transition - want)) <= 1e-16
 
 
 def test_discretize_rejects_non_finite_drift():

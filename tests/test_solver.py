@@ -485,6 +485,14 @@ def test_contraction_identical_rows_gives_zero_ratios():
     assert stats.max_ratio <= 1e-12
 
 
+def test_contraction_with_no_measurable_pair_reports_nan_and_zero_pairs():
+    # the seminorm of any v - u is 0 on one state, so no pair is measured
+    one = FiniteMCP(actions=[["a"]], transition=[np.array([[1.0]])], cost=[np.array([0.5])])
+    stats = measure_contraction(one, NEUTRAL, np.ones(1), 50)
+    assert stats.n_pairs == 0
+    assert np.isnan(stats.max_ratio) and np.isnan(stats.mean_ratio) and np.isnan(stats.min_ratio)
+
+
 def test_contraction_neutral_bounded_by_dobrushin_coefficient():
     # rows (0.6, 0.4) and (0.3, 0.7): total-variation distance 0.3 bounds the
     # span-seminorm contraction of the kernel, and random pairs approach it
