@@ -109,17 +109,22 @@ def fit_lyapunov(
     certificate keeps the grid point with the smallest K0 (first such point
     on ties).  As w0 >= 0, K0 never increases with gamma0, so that is the
     largest grid gamma0 unless K0 is flat there: 0.95 on the default grid.
-    The worst pair is the first
-    row whose residual is within ``WORST_PAIR_RTOL`` of that K0.  A
-    non-finite residual at every grid point — e.g. w0 with infinite entries
-    standing in for superlinear growth — flags the certificate unsatisfied.
+    The worst pair is the first row whose residual is within
+    ``WORST_PAIR_RTOL`` of that K0.  A non-finite residual at every grid
+    point flags the certificate unsatisfied, and so, before any risk map is
+    evaluated, does w0 with infinite entries standing in for superlinear
+    growth (K0 infinite at every grid point).
     """
     w0 = np.asarray(w0, dtype=float)
-    if np.any(w0 < 0) or np.any(np.isnan(w0)):
-        raise ValueError("w0 must be nonnegative")
+    if not np.all(w0 >= 0):  # written so that a NaN fails too
+        k = int(np.argmin(w0 >= 0))
+        raise ValueError(f"w0 must be nonnegative, got {w0[k]} at state {k}")
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else tuple(float(g) for g in gamma_grid)
-    if any(not 0 < g < 1 for g in grid):
-        raise ValueError("gamma grid must lie in (0, 1)")
+    if not grid or any(not 0 < g < 1 for g in grid):
+        raise ValueError(f"gamma_grid must be nonempty and lie in (0, 1), got {list(grid)}")
+    if np.any(np.isinf(w0)):
+        return LyapunovCertificate(w0=w0, gamma0=float(grid[0]), K0=math.inf, satisfied=False, worst_pair=None,
+                                   gamma_grid=grid, K0_by_gamma=(math.inf,) * len(grid))
     rows = mcp.stacked_transition
     cost = mcp.stacked_cost
     with np.errstate(invalid="ignore"):

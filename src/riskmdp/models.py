@@ -137,15 +137,16 @@ def gaussian_kernel_row(mean: np.ndarray, cov_inv: np.ndarray, nodes: np.ndarray
 
     A mean of shape (d,) gives one row of shape (n,); a stack of means of
     shape (s, d) gives one row per mean, shape (s, n).  The exponent is the
-    expanded quadratic form -(y - m)'C(y - m)/2 = (m'C) y - y'Cy/2 - m'Cm/2:
-    one (s, d) @ (d, n) product, a per-node and a per-mean vector.  Only the
+    expanded quadratic form -(y - m)'C(y - m)/2 = (m'C) y - y'Cy/2 - m'Cm/2,
+    with m'C and (m'C) y summed elementwise over the d <= 3 axes: a matrix
+    product would round a row by how many means share the call.  Only the
     symmetric part of C enters a quadratic form, so C is symmetrized first.
     """
     d = nodes.shape[1]
     C = 0.5 * (cov_inv + cov_inv.T)
     means = np.atleast_2d(mean)
-    mC = means @ C
-    rows = mC @ nodes.T
+    mC = sum(means[:, i, None] * C[i] for i in range(d))
+    rows = sum(mC[:, i, None] * nodes[:, i] for i in range(d))
     rows -= 0.5 * np.sum((nodes @ C) * nodes, axis=1)
     rows -= 0.5 * np.sum(mC * means, axis=1)[:, None]
     np.exp(rows, out=rows)

@@ -18,24 +18,23 @@ R(v) + c for scalar c) and centralized (R(0) = 0).  The supported kinds:
 Evaluation has one layout: ``risk_table(spec, V, rows)`` evaluates an
 (S, n) stack of value vectors, each shared by all of the (m, n) probability
 rows, and returns the (S, m) table; ``risk_values`` is its one-vector case,
-as every Bellman sweep and certificate calls it.  No kind makes a full
-(rows, n) temporary per value vector: ``neutral`` is one matrix product and
-``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which falls
-back to a row-wise logsumexp where the product underflows or v is not
-finite.  The order-based kinds sort each v once and sweep the rows in
-blocks of ``mdp.BLOCK_ELEMENTS``.  Per block, the band is v_(n) + sum_{k<n}
+as every Bellman sweep and certificate calls it.  Values must be finite:
+``risk_table`` rejects a NaN or infinite entry before any kernel runs.  No
+kind makes a full (rows, n) temporary per value vector: ``neutral`` is one
+matrix product and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam,
+which falls back to a row-wise logsumexp where the product underflows.
+The order-based kinds sort each v once and sweep the rows in blocks of
+``mdp.BLOCK_ELEMENTS``.  Per block, the band is v_(n) + sum_{k<n}
 g(C_k) (v_(k) - v_(k+1)), with v sorted from the top and C_k the q-mass of
 the k largest outcomes: one gather, one cumsum, the distortion and one row
-dot (a v that is not finite, or whose spread overflows, takes the weighted
-sum sum_k (g(C_k) - g(C_{k-1})) v_(k) instead, in the same row blocks).
+dot (a spread past the float range is evaluated at v / 2 and doubled).
 Mean-semideviation takes its mean and its excess moment as row dots, with
 one block temporary.  The shortfall sorts the N = n K kinks of each v and
 cuts them into about sqrt(N) chunks, no more than sqrt(2 m) for m rows; a
 block of value vectors is evaluated at once.  One product of each row block
 with the vectors' (2 nb, n) checkpoint matrices gives E[u(v - m)] and its
 slope where each chunk starts, the sign count picks the root's chunk, and
-running sums there give the exact root (a v that is not finite gives
-rows @ v).  The axiom checks evaluate tables too.
+running sums there give the exact root.  The axiom checks evaluate tables too.
 """
 
 from __future__ import annotations
@@ -216,20 +215,15 @@ _TINY = np.finfo(float).tiny
 def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     # s + log(Q exp(lam (v - s))) / lam with s = max v (lam > 0) or min v
     # (lam < 0), so every exponent is <= 0: one gemm for all samples.  A
-    # product below the normal range (underflow) or a non-finite v goes
-    # through the row-wise logsumexp of A = log q + lam v instead, shifted
-    # by each row's max where that max is finite.
-    finite = np.isfinite(V).all(axis=1)
-    Vf = V[finite]
-    s = (Vf.max(axis=1) if lam > 0 else Vf.min(axis=1))[:, None]
-    P = np.exp(lam * (Vf - s)) @ rows.T
-    ok = np.zeros((len(V), len(rows)), dtype=bool)
-    ok[finite] = P >= _TINY
-    np.log(P, out=P, where=ok[finite])
-    P /= lam
-    P += s
-    out = np.empty(ok.shape)
-    out[finite] = P
+    # product below the normal range (underflow) goes through the row-wise
+    # logsumexp of A = log q + lam v instead, shifted by each row's max
+    # where that max is finite.
+    s = (V.max(axis=1) if lam > 0 else V.min(axis=1))[:, None]
+    out = np.exp(lam * (V - s)) @ rows.T
+    ok = out >= _TINY
+    np.log(out, out=out, where=ok)
+    out /= lam
+    out += s
     for k in np.flatnonzero(~ok.all(axis=1)):
         with np.errstate(divide="ignore", over="ignore"):
             A = np.log(rows[~ok[k]]) + lam * V[k]
@@ -242,38 +236,25 @@ def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
 def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
     # Choquet form v_(n) + sum_{k<n} g(C_k) (v_(k) - v_(k+1)) (see the
     # module docstring): nonnegative weights times nonnegative increments,
-    # so nothing cancels.  A v whose increments are not finite (v not
-    # finite, or a spread past the float range) would spoil it and takes
-    # _band_by_weights instead.
+    # so nothing cancels.  A spread past the float range would overflow the
+    # increments; the band is positively homogeneous and half of any finite
+    # spread fits, so that v is evaluated at v / 2 (exact) and doubled.
     g1, g2 = spec.band
     order = np.argsort(-v, kind="stable")
     vs = v[order]
-    with np.errstate(invalid="ignore", over="ignore"):
-        dv = vs[:-1] - vs[1:]
-        if np.isfinite(vs[-1]) and np.all(np.isfinite(dv)):
-            out = np.empty(len(rows))
-            for sl in row_blocks(len(rows), rows.shape[1]):
-                G = np.take(rows[sl], order[:-1], axis=1)
-                np.cumsum(G, axis=1, out=G)
-                H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
-                H += 1.0 - g1
-                G *= g2
-                np.minimum(G, H, out=G)
-                out[sl] = vs[-1] + np.einsum("ij,j->i", G, dv)
-            return out
-    return _band_by_weights(v, rows, g1, g2)
-
-
-def _band_by_weights(v: np.ndarray, rows: np.ndarray, g1: float, g2: float) -> np.ndarray:
-    # sum_k w_k v_(k) with w_k = g(C_k) - g(C_{k-1}) written as g1 q + the
-    # increments of min((g2 - g1) C, 1 - g1), so an infinite outcome gives
-    # +-inf where its weight is positive and NaN where it is zero.
-    order = np.argsort(-v, kind="stable")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(vs[0] - vs[-1]):
+            return 2.0 * _band(v / 2.0, rows, spec)
+    dv = vs[:-1] - vs[1:]
     out = np.empty(len(rows))
     for sl in row_blocks(len(rows), rows.shape[1]):
-        Qs = np.take(rows[sl], order, axis=1)
-        top = np.diff(np.minimum((g2 - g1) * np.cumsum(Qs, axis=1), 1.0 - g1), axis=1, prepend=0.0)
-        out[sl] = np.sum((g1 * Qs + top) * v[order], axis=1)
+        G = np.take(rows[sl], order[:-1], axis=1)
+        np.cumsum(G, axis=1, out=G)
+        H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
+        H += 1.0 - g1
+        G *= g2
+        np.minimum(G, H, out=G)
+        out[sl] = vs[-1] + np.einsum("ij,j->i", G, dv)
     return out
 
 
@@ -299,11 +280,6 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
     b, ds = utility.breakpoints, np.diff(utility.slopes)
     if not b:
         return V @ rows.T
-    finite = np.isfinite(V).all(axis=1)
-    if not finite.all():
-        out = V @ rows.T  # the mean: +-inf where an infinite outcome is charged, NaN for 0 inf or inf - inf
-        out[finite] = _shortfall_table(V[finite], rows, utility)
-        return out
     (m, n), K = rows.shape, len(b)
     N = n * K
     # About sqrt(N) chunks, but no more than sqrt(2 m) for m rows: a chunk
@@ -356,16 +332,20 @@ def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
     """R(v_k | q_i) for an (S, n) stack of value vectors, each against all of
     the shared (m, n) probability rows; returns (S, m).
 
-    Neutral and entropic are one matrix product (entropic with one shift per
-    sample, falling back to a row-wise logsumexp where the product
-    underflows or v is not finite); the order-based kinds sort each v once
-    and sweep the rows in blocks of bounded size, the shortfall for a block
-    of value vectors at a time.
+    Every value must be finite; a NaN or infinite one is a ``ValueError``
+    naming it, its vector and its state.  Neutral and entropic are one
+    matrix product (entropic with one shift per sample, falling back to a
+    row-wise logsumexp where the product underflows); the order-based kinds
+    sort each v once and sweep the rows in blocks of bounded size, the
+    shortfall for a block of value vectors at a time.
     """
     V = np.asarray(V, dtype=float)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if V.ndim != 2 or V.shape[1] != rows.shape[1]:
         raise ValueError(f"values {V.shape} are not a stack of vectors of length {rows.shape[1]}")
+    if not np.isfinite(V).all():
+        k, y = np.argwhere(~np.isfinite(V))[0]
+        raise ValueError(f"values must be finite, got {V[k, y]} at vector {k}, state {y}")
     if spec.kind == "neutral":
         return V @ rows.T
     if spec.kind == "entropic":

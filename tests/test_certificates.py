@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riskmdp import certificates
 from riskmdp.certificates import (
     DEFAULT_GAMMA_GRID,
     check_l2,
@@ -95,6 +96,17 @@ def test_fit_lyapunov_infinite_weight_is_unsatisfied():
     assert cert.K0 == math.inf
 
 
+def test_fit_lyapunov_infinite_weight_evaluates_no_risk_map(monkeypatch):
+    # the risk kernels take finite values only, so an infinite w0 is settled first
+    def no_kernel(*args):
+        raise AssertionError("a risk map was evaluated")
+
+    monkeypatch.setattr(certificates, "risk_values", no_kernel)
+    cert = fit_lyapunov(builtin_chain("uniform2"), ENTROPIC, np.array([0.0, np.inf]), gamma_grid=[0.3, 0.6])
+    assert (cert.satisfied, cert.gamma0, cert.K0, cert.worst_pair) == (False, 0.3, math.inf, None)
+    assert cert.K0_by_gamma == (math.inf, math.inf)
+
+
 def test_fit_lyapunov_zero_residual_hits_floor():
     m = builtin_chain("uniform2").with_cost([np.zeros(1), np.zeros(1)])
     cert = fit_lyapunov(m, NEUTRAL, np.zeros(2))
@@ -135,6 +147,10 @@ def test_fit_lyapunov_input_validation():
         fit_lyapunov(m, NEUTRAL, np.array([-1.0, 0.0]))
     with pytest.raises(ValueError):
         fit_lyapunov(m, NEUTRAL, np.zeros(2), gamma_grid=[0.0, 0.5])
+    with pytest.raises(ValueError, match=r"gamma_grid must be nonempty and lie in \(0, 1\), got \[\]"):
+        fit_lyapunov(m, NEUTRAL, np.zeros(2), gamma_grid=[])
+    with pytest.raises(ValueError, match="w0 must be nonnegative, got nan at state 1"):
+        fit_lyapunov(m, NEUTRAL, np.array([0.0, np.nan]))
 
 
 # --- minorization -------------------------------------------------------------

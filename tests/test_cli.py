@@ -226,6 +226,21 @@ DIFFUSION_1D = {
         # a grid extent that is not finite and positive, not an empty-row error
         ("solve", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 11, "extent": float("nan")}},
                    "risk": {"kind": "neutral"}}, "model: extent must be finite and > 0, got nan"),
+        # weight vectors reach the risk kernels, which take finite values only
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "entropic", "lambda": 0.5},
+                    "certificates": [{"type": "l2", "w0": [0.0, float("inf")], "K0": 0.5, "gamma0": 0.5, "K": 1.0,
+                                      "n_samples": 50}]},
+         "certificates[0] (l2): values must be finite, got inf at vector 0, state 1"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "envelope_minorization", "subset": "all", "K": 1.0,
+                                      "w": [0.0, float("inf")]}]},
+         "certificates[0] (envelope_minorization): values must be finite, got inf at vector 0, state 1"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "lyapunov", "w0": "zeros", "gamma_grid": []}]},
+         "certificates[0] (lyapunov): gamma_grid must be nonempty and lie in (0, 1), got []"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "lyapunov", "w0": [0.0, float("nan")]}]},
+         "certificates[0] (lyapunov): w0 must be nonnegative, got nan at state 1"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):

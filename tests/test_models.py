@@ -212,8 +212,9 @@ def test_benchmark_build_holds_little_beside_the_matrix():
 
 
 def test_results_do_not_depend_on_the_block_budget(monkeypatch):
-    # a budget of a few dozen elements cuts check_l2's 300 samples and the
-    # kernels' rows into many blocks; the diagonal-noise build takes no blocks
+    # a budget of a few dozen elements cuts check_l2's 300 samples, the
+    # kernels' rows and the correlated-noise build's 63 source states into
+    # many blocks; the diagonal-noise build takes no blocks
     m = builtin_chain("random_seeded", n=6, m=2, seed=3)
     w0 = np.linspace(0.0, 1.5, 6)
     specs = [RiskMapSpec("neutral"), RiskMapSpec("density_band", band=(0.5, 1.5)),
@@ -221,16 +222,19 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
 
     def run():
         certs = [check_l2(m, spec, w0, K0=0.05, K=1.0, B0=np.arange(6), n_samples=300, seed=4) for spec in specs]
-        return certs, discretize_diffusion(benchmark_spec(), GridSpec(points=9, extent=3.0)).stacked_transition
+        builds = [discretize_diffusion(benchmark_spec(), GridSpec(points=9, extent=3.0)),
+                  discretize_diffusion(correlated_noise_spec(), GridSpec(points=(7, 9), extent=(3.0, 2.0)))]
+        return certs, [b.stacked_transition for b in builds]
 
-    assert len(row_blocks(300, 12)) == 1 and len(row_blocks(81, 81)) == 1
+    assert len(row_blocks(300, 12)) == 1 and len(row_blocks(81, 81)) == 1 and len(row_blocks(63, 63)) == 1
     one_block, rows = run()
     monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", 40)
-    assert len(row_blocks(300, 12)) == 100 and len(row_blocks(81, 81)) == 81
+    assert len(row_blocks(300, 12)) == 100 and len(row_blocks(81, 81)) == 81 and len(row_blocks(63, 63)) == 63
     blocked, blocked_rows = run()
     for a, b in zip(one_block, blocked):
         assert (a.min_slack, a.worst_witness, a.n_samples) == (b.min_slack, b.worst_witness, b.n_samples)
-    assert np.array_equal(rows, blocked_rows)
+    for a, b in zip(rows, blocked_rows):
+        assert np.array_equal(a, b)
 
 
 def unequal_noise_spec():
@@ -294,8 +298,7 @@ def test_correlated_noise_takes_the_blocked_density_path(monkeypatch):
     assert 2 in widths and 1 in widths  # "left" evaluates the 2-D density, "right" factors
     want = oracle_transition(spec, grid)
     assert np.max(np.abs(got - want)) <= 1e-16
-    # one source state per block: the (s, 2) @ (2, n) exponent products may
-    # round differently in the last bit, so the rows match to the same bound
+    # one source state per block matches the oracle as well
     monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", 40)
     assert len(row_blocks(63, 63)) == 63
     assert np.max(np.abs(discretize_diffusion(spec, grid).stacked_transition - want)) <= 1e-16

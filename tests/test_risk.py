@@ -1,9 +1,12 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from riskmdp.certificates import check_l2, entropic_envelope_minorization
+from riskmdp.mdp import PolicyVector
 from riskmdp.models import builtin_chain
 from riskmdp.risk import (
     PiecewiseLinearUtility,
@@ -21,6 +24,7 @@ from riskmdp.risk import (
     shortfall,
     shortfall_upper_envelope,
 )
+from riskmdp.solver import bellman_F, bellman_T, finite_horizon_risk
 
 try:
     from hypothesis import given, settings
@@ -71,6 +75,41 @@ def test_risk_values_matches_scalar_eval_on_stacks():
         assert np.allclose(risk_table(spec, V, rows), singles, atol=1e-10)
 
 
+Q3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+TWO_STATES, TWO_STATE_RULE = builtin_chain("biased2"), PolicyVector.det([0, 0])
+
+# Each evaluator gets x at state 2 of a 3-state v, or at state 1 of a value
+# vector of the 2-state model, and names where x sits.
+EVALUATORS = {
+    "risk_table": (lambda x: [risk_table(spec, [[0.0, 1.0, 2.0], [0.0, 1.0, x]], Q3) for spec in ALL_SPECS],
+                   "vector 1, state 2"),
+    "risk_values": (lambda x: risk_values(ALL_SPECS[0], [0.0, 1.0, x], Q3), "vector 0, state 2"),
+    "eval_risk": (lambda x: eval_risk(ALL_SPECS[3], [0.0, 1.0, x], Q3[0]), "vector 0, state 2"),
+    "entropic": (lambda x: entropic([0.0, 1.0, x], Q3[0], 1.0), "vector 0, state 2"),
+    "density_band": (lambda x: density_band([0.0, 1.0, x], Q3[0], 0.5, 1.5), "vector 0, state 2"),
+    "mean_semideviation": (lambda x: mean_semideviation([0.0, 1.0, x], Q3[0], 0.5), "vector 0, state 2"),
+    "shortfall": (lambda x: shortfall([0.0, 1.0, x], Q3[0], KINKED), "vector 0, state 2"),
+    "bellman_F": (lambda x: bellman_F(TWO_STATES, ALL_SPECS[1], [0.0, x]), "vector 0, state 1"),
+    "bellman_T": (lambda x: bellman_T(TWO_STATES, ALL_SPECS[4], TWO_STATE_RULE, [0.0, x]), "vector 0, state 1"),
+    "finite_horizon_risk": (lambda x: finite_horizon_risk(TWO_STATES, ALL_SPECS[5], [TWO_STATE_RULE] * 2, 1,
+                                                          v_terminal=[0.0, x]), "vector 0, state 1"),
+    # w0 + K is the first value vector check_l2 evaluates
+    "check_l2": (lambda x: check_l2(TWO_STATES, ALL_SPECS[2], [0.0, x], K0=0.5, K=1.0, B0=[0]), "vector 0, state 1"),
+    "entropic_envelope_minorization": (lambda x: entropic_envelope_minorization(TWO_STATES, [0, 1], 1.0, [0.0, x]),
+                                       "vector 0, state 1"),
+}
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("evaluator", list(EVALUATORS))
+def test_every_evaluator_rejects_non_finite_values(evaluator, x):
+    # values must be finite: risk_table checks them once before any kernel
+    # runs, and every evaluator passes its value vectors through it
+    call, where = EVALUATORS[evaluator]
+    with pytest.raises(ValueError, match=re.escape(f"values must be finite, got {x} at {where}")):
+        call(x)
+
+
 ORDER_BASED = [
     RiskMapSpec("density_band", band=(0.5, 1.5)),
     RiskMapSpec("mean_semideviation", lam=0.5, r=2.0),
@@ -98,13 +137,6 @@ def test_order_based_kinds_in_row_blocks_equal_row_by_row():
             continue
         assert np.array_equal(risk_values(spec, v, rows), want)
         assert np.array_equal(risk_table(spec, V, rows), table)
-    # a v the band's increments cannot carry takes the weighted sum, in the
-    # same row blocks
-    spec = ORDER_BASED[0]
-    v[7] = np.inf
-    with np.errstate(invalid="ignore"):
-        want = [eval_risk(spec, v, q) for q in rows]
-        assert np.array_equal(risk_values(spec, v, rows), want, equal_nan=True)
 
 
 def logsumexp_reference(v, q, lam):
@@ -135,27 +167,6 @@ def test_entropic_underflowing_row_falls_back_to_logsumexp():
     rows = np.array([[0.0, 1.0], [0.5, 0.5]])
     got = risk_values(RiskMapSpec("entropic", lam=1.0), [0.0, -800.0], rows)
     assert got[0] == -800.0 and got[1] == pytest.approx(np.log(0.5))
-
-
-def test_entropic_non_finite_values_keep_logsumexp_outputs():
-    rows = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
-    cases = {
-        1.0: [([0.0, np.inf, 1.0], [np.inf, np.inf]), ([0.0, -np.inf, 1.0], [np.log(0.5), None]),
-              ([np.nan, 0.0, 1.0], [np.nan, np.nan])],
-        -1.0: [([0.0, np.inf, 1.0], [-np.log(0.5), None]), ([0.0, -np.inf, 1.0], [-np.inf, -np.inf])],
-    }
-    for lam, vs in cases.items():
-        spec = RiskMapSpec("entropic", lam=lam)
-        for v, want in vs:
-            got = risk_values(spec, v, rows)
-            for g, w in zip(got, want):
-                if w is not None:
-                    assert g == pytest.approx(w, nan_ok=True, abs=1e-15)
-        # in a table, each sample, finite or not, gets what it gets alone
-        V = np.array([[0.0, 1.0, 2.0]] + [v for v, _ in vs])
-        table = risk_table(spec, V, rows)
-        assert np.array_equal(table[1:], [risk_values(spec, v, rows) for v in V[1:]], equal_nan=True)
-        assert np.array_equal(table[0], risk_values(spec, V[0], rows))
 
 
 def test_risk_table_equals_per_sample_risk_values():
@@ -325,33 +336,6 @@ def test_band_matches_vertex_enumeration_with_ties_and_zero_mass(g1, g2):
         assert got == pytest.approx(brute_force_band(v, q, g1, g2), abs=1e-12)
         # xi >= g1 puts at least g1 of the mass on the mean, the rest is at least min v
         assert got >= g1 * float(q @ v) + (1.0 - g1) * float(v.min()) - 1e-12
-
-
-def test_band_non_finite_values_keep_their_outputs():
-    # sum_k w_k v_(k): an infinite outcome gives +-inf where its band weight
-    # is positive and NaN where it is zero (no mass, or past the cap of an
-    # AVaR band); NaN, or both infinities, give NaN
-    rows = np.array([[0.5, 0.3, 0.2, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.6, 0.4]])
-    inf, nan = np.inf, np.nan
-    cases = [
-        ((0.5, 1.5), [inf, 1.0, 0.0, 2.0], [inf, inf, nan]),  # +inf charged
-        ((0.5, 1.5), [1.0, 0.0, 2.0, inf], [nan, inf, inf]),  # +inf uncharged in row 0
-        ((0.5, 1.5), [-inf, 1.0, 0.0, 2.0], [-inf, -inf, nan]),  # -inf charged
-        ((0.5, 1.5), [1.0, 0.0, 2.0, -inf], [nan, -inf, -inf]),  # -inf uncharged in row 0
-        ((0.0, 2.0), [-inf, 1.0, 0.0, 2.0], [nan, nan, nan]),  # -inf charged, zero AVaR weight
-        ((0.5, 1.5), [nan, 1.0, 0.0, 2.0], [nan, nan, nan]),
-        ((0.5, 1.5), [inf, -inf, 0.0, 2.0], [nan, nan, nan]),
-        ((1.0, 1.0), [1.0, -inf, 0.0, inf], [nan, nan, nan]),
-    ]
-    for band, v, want in cases:
-        spec = RiskMapSpec("density_band", band=band)
-        with np.errstate(invalid="ignore"):
-            shared = risk_values(spec, np.array(v), rows)
-            table = risk_table(spec, np.array([[0.0, 1.0, 2.0, 3.0], v]), rows)
-        assert np.array_equal(shared, want, equal_nan=True), (band, v, shared)
-        # a finite sample in the same table keeps its Choquet value
-        assert np.array_equal(table[1], want, equal_nan=True)
-        assert np.array_equal(table[0], risk_values(spec, [0.0, 1.0, 2.0, 3.0], rows))
 
 
 def test_band_spread_beyond_float_range_stays_finite():
@@ -574,14 +558,6 @@ def test_shortfall_linear_utility_is_exact_at_huge_values():
     assert shortfall([-1e50, 1e50], [0.5, 0.5], PiecewiseLinearUtility.linear()) == 0.0
 
 
-def test_shortfall_rows_with_non_finite_values_give_inf_or_nan():
-    V = np.array([[0.0, np.inf, 1.0], [-np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 1.0, 2.0]])
-    with np.errstate(invalid="ignore"):
-        got = risk_table(RiskMapSpec("shortfall", utility=KINKED), V, np.full((1, 3), 1.0 / 3.0))[:, 0]
-    assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
-    assert got[3] == pytest.approx(shortfall([0.0, 1.0, 2.0], np.full(3, 1.0 / 3.0), KINKED))
-
-
 INF, NAN = np.inf, np.nan
 
 
@@ -595,11 +571,15 @@ INF, NAN = np.inf, np.nan
 ])
 @pytest.mark.parametrize("utility", [KINKED, PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0])])
 def test_shortfall_non_finite_values_give_the_mean(v, want, utility):
-    # +-inf where the infinite outcome is charged, NaN for 0 inf or inf - inf
+    # the mean of such a v is +-inf where an infinite outcome is charged and
+    # NaN for 0 inf or inf - inf, so E[u(v - m)] = 0 has no finite root: the
+    # shortfall rejects v, naming its first non-finite entry
     rows = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]])
     with np.errstate(invalid="ignore"):
-        got = risk_values(RiskMapSpec("shortfall", utility=utility), np.array(v), rows)
-    np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rows @ np.array(v), want)
+    y = int(np.argmax(~np.isfinite(v)))
+    with pytest.raises(ValueError, match=re.escape(f"values must be finite, got {v[y]} at vector 0, state {y}")):
+        risk_values(RiskMapSpec("shortfall", utility=utility), v, rows)
 
 
 @pytest.mark.parametrize("breakpoints, slopes", [
@@ -663,18 +643,14 @@ def test_shortfall_of_one_long_row_allocates_a_few_arrays_of_its_kinks():
 
 
 def test_shortfall_table_in_vector_blocks_equals_vector_by_vector():
-    # 100 vectors of 300 states against 3 rows are blocks of 36 vectors; a
-    # vector that is not finite gives the mean and leaves the others alone
+    # 100 vectors of 300 states against 3 rows are blocks of 36 vectors
     rng = np.random.default_rng(25)
     rows = rng.dirichlet(np.ones(300), size=3)
     V = rng.normal(size=(100, 300)) * 3
-    V[40, 7] = np.inf
     spec = RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0]))
     got = risk_table(spec, V, rows)
     want = np.array([[eval_risk(spec, v, q) for q in rows] for v in V])
-    assert np.all(got[40] == np.inf) and np.all(want[40] == np.inf)
-    finite = np.arange(100) != 40
-    assert np.max(np.abs(got[finite] - want[finite])) <= 1e-14 * np.max(np.abs(V[finite]))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(V))
 
 
 # --- ratio maximization over a box ---------------------------------------------

@@ -188,12 +188,17 @@ def test_bellman_F_matches_per_state_argmin_with_uneven_actions():
 
 
 def test_bellman_F_nan_keeps_every_state():
+    # a NaN cost (a model validate_mcp would flag) counts as its state's
+    # minimum, as in np.argmin; the other states keep their greedy action
     m = uneven_chain()
-    v = np.array([0.0, np.nan, 0.0, 0.0])
-    vals, greedy = bellman_F(m, NEUTRAL, v)
+    cost = m.stacked_cost.copy()
+    cost[m.row_offsets[0] + 2] = cost[m.row_offsets[2] + 1] = np.nan
+    vals, greedy = bellman_F(m.with_cost(cost), NEUTRAL, np.zeros(4))
+    want_vals, want = bellman_F(m, NEUTRAL, np.zeros(4))
     assert vals.shape == (4,) and greedy.deterministic.shape == (4,)
-    assert np.all(np.isnan(vals))
-    assert greedy.deterministic.tolist() == [0, 0, 0, 0]
+    assert np.isnan(vals).tolist() == [True, False, True, False]
+    assert greedy.deterministic.tolist() == [2, 0, 1, want.deterministic[3]]
+    assert vals[[1, 3]].tolist() == want_vals[[1, 3]].tolist()
 
 
 # --- relative value iteration -------------------------------------------------
