@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import WORST_PAIR_RTOL, FiniteMCP, row_blocks
-from .risk import RiskMapSpec, risk_table, risk_values
+from .risk import RiskMapSpec, require_finite, risk_table, risk_values
 
 __all__ = [
     "ContractionCertificate",
@@ -414,11 +414,14 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     tilt-robust mass is alpha = alpha_B mu_B[e^{-K w}] / max_rows Q[e^{K w}]
     with minorizing measure proportional to e^{-K w} d mu_B.  Computed in
     log space through the entropic kernel, so large K w can neither
-    overflow nor underflow to a log of 0.
+    overflow nor underflow to a log of 0.  A NaN or infinite entry of w is
+    a ``ValueError`` naming it for every K, K = 0 included, where no risk
+    map would see it and 0 * inf would make mu NaN.
     """
     if not (math.isfinite(K) and K >= 0):
         raise ValueError(f"K must be finite and nonnegative, got {K}")
     w = np.asarray(w, dtype=float)
+    require_finite(w[None])
     base = doeblin_minorization(mcp, subset)
     if not base.satisfied:
         return base

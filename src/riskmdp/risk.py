@@ -18,7 +18,11 @@ R(v) + c for scalar c) and centralized (R(0) = 0).  The supported kinds:
 Evaluation has one layout: ``risk_table(spec, V, rows)`` evaluates an
 (S, n) stack of value vectors, each shared by all of the (m, n) probability
 rows, and returns the (S, m) table; ``risk_values`` is its one-vector case,
-as every Bellman sweep and certificate calls it.  Values must be finite:
+as every Bellman sweep and certificate calls it.  Both take an optional
+index array ``keep`` and then evaluate the rows ``rows[keep]`` only: the
+order-based kinds gather them one row block at a time inside their block
+loop, since a copy of all kept rows up front cost as much as the skipped
+rows saved.  Values must be finite:
 ``risk_table`` rejects a NaN or infinite entry before any kernel runs.  No
 kind makes a full (rows, n) temporary per value vector: ``neutral`` is one
 matrix product and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam,
@@ -61,6 +65,7 @@ __all__ = [
     "eval_risk",
     "maximize_ratio_over_box",
     "mean_semideviation",
+    "require_finite",
     "risk_table",
     "risk_values",
     "shortfall",
@@ -216,24 +221,50 @@ def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     # s + log(Q exp(lam (v - s))) / lam with s = max v (lam > 0) or min v
     # (lam < 0), so every exponent is <= 0: one gemm for all samples.  A
     # product below the normal range (underflow) goes through the row-wise
-    # logsumexp of A = log q + lam v instead, shifted by each row's max
-    # where that max is finite.
+    # logsumexp of A = log q + lam (v - t) instead, with t the row's own
+    # extreme of v on its support: there lam (v - t) <= 0 with a 0 at the
+    # extreme, so neither lam v nor a spread past the float range can
+    # overflow it, and the sum is at least that entry's q.
     s = (V.max(axis=1) if lam > 0 else V.min(axis=1))[:, None]
-    out = np.exp(lam * (V - s)) @ rows.T
+    with np.errstate(over="ignore"):  # an exponent past -inf is an exp of 0, as it should be
+        out = np.exp(lam * (V - s)) @ rows.T
     ok = out >= _TINY
     np.log(out, out=out, where=ok)
     out /= lam
     out += s
+    far = -np.inf if lam > 0 else np.inf
     for k in np.flatnonzero(~ok.all(axis=1)):
-        with np.errstate(divide="ignore", over="ignore"):
-            A = np.log(rows[~ok[k]]) + lam * V[k]
-            top = np.max(A, axis=1)
-            top[~np.isfinite(top)] = 0.0
-            out[k, ~ok[k]] = (top + np.log(np.sum(np.exp(A - top[:, None]), axis=1))) / lam
+        Q = rows[~ok[k]]
+        on = Q > 0
+        t = (np.max if lam > 0 else np.min)(np.where(on, V[k], far), axis=1, keepdims=True)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off the support, masked
+            A = np.where(on, np.log(Q) + lam * (V[k] - t), -np.inf)
+            top = np.max(A, axis=1, keepdims=True)
+            top[~np.isfinite(top)] = 0.0  # a row with no mass: t is -inf (lam > 0) or inf
+            out[k, ~ok[k]] = (t + (top + np.log(np.sum(np.exp(A - top), axis=1, keepdims=True))) / lam)[:, 0]
     return out
 
 
-def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
+def _blocks(rows: np.ndarray, keep: np.ndarray | None, width: int, block: np.ndarray | None):
+    """(output slice, row block) pairs: the rows in blocks of
+    ``row_blocks(.., width)``, or the rows ``rows[keep]`` gathered one
+    block of at most ``BLOCK_ELEMENTS`` entries at a time into ``block``
+    (a new array when None or too short).  A block is valid until the next
+    is drawn."""
+    if keep is None:
+        yield from ((sl, rows[sl]) for sl in row_blocks(len(rows), width))
+        return
+    blocks = row_blocks(len(keep), max(width, rows.shape[1]))
+    need = min(len(keep), blocks[0].stop) if blocks else 0
+    if block is None or len(block) < need:
+        block = np.empty((need, rows.shape[1]))
+    for sl in blocks:
+        idx = keep[sl]
+        # keep is checked by risk_table; mode="raise" would buffer the output
+        yield sl, np.take(rows, idx, axis=0, out=block[: len(idx)], mode="clip")
+
+
+def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep, block) -> np.ndarray:
     # Choquet form v_(n) + sum_{k<n} g(C_k) (v_(k) - v_(k+1)) (see the
     # module docstring): nonnegative weights times nonnegative increments,
     # so nothing cancels.  A spread past the float range would overflow the
@@ -244,11 +275,11 @@ def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
     vs = v[order]
     with np.errstate(over="ignore"):
         if not np.isfinite(vs[0] - vs[-1]):
-            return 2.0 * _band(v / 2.0, rows, spec)
+            return 2.0 * _band(v / 2.0, rows, spec, keep, block)
     dv = vs[:-1] - vs[1:]
-    out = np.empty(len(rows))
-    for sl in row_blocks(len(rows), rows.shape[1]):
-        G = np.take(rows[sl], order[:-1], axis=1)
+    out = np.empty(len(rows) if keep is None else len(keep))
+    for sl, Q in _blocks(rows, keep, rows.shape[1], block):
+        G = np.take(Q, order[:-1], axis=1)
         np.cumsum(G, axis=1, out=G)
         H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
         H += 1.0 - g1
@@ -258,10 +289,9 @@ def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
     return out
 
 
-def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.ndarray:
-    out = np.empty(len(rows))
-    for sl in row_blocks(len(rows), rows.shape[1]):
-        Q = rows[sl]
+def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep, block) -> np.ndarray:
+    out = np.empty(len(rows) if keep is None else len(keep))
+    for sl, Q in _blocks(rows, keep, rows.shape[1], block):
         mean = np.einsum("ij,j->i", Q, v)
         excess = v - mean[:, None]
         np.maximum(excess, 0.0, out=excess)
@@ -270,7 +300,7 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec) -> np.nda
     return out
 
 
-def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility) -> np.ndarray:
+def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, keep, block) -> np.ndarray:
     # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
     # v_y - b_k; passing kink t lowers its slope S by q_y (s_{k+1} - s_k).
     # Chunk i of the sorted kinks is refined from checkpoint i: the first
@@ -279,8 +309,8 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
     # to t_i's, so Q @ X is g and S at each checkpoint.
     b, ds = utility.breakpoints, np.diff(utility.slopes)
     if not b:
-        return V @ rows.T
-    (m, n), K = rows.shape, len(b)
+        return V @ (rows if keep is None else rows[keep]).T
+    m, n, K = len(rows) if keep is None else len(keep), rows.shape[1], len(b)
     N = n * K
     # About sqrt(N) chunks, but no more than sqrt(2 m) for m rows: a chunk
     # costs about n K per vector to build and the refine m N / nb, which
@@ -310,8 +340,7 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
         X = np.concatenate((utility(V[vb, None, :] - t[:, :, None]), utility.slopes[-1] - passed.cumsum(axis=1)), axis=1)
         # chunk c of vector k and the checkpoint before it are row k nb + c of these
         kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
-        for sl in row_blocks(m, s * w):
-            Q = rows[sl]
+        for sl, Q in _blocks(rows, keep, s * w, block):
             Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
             i = (Y[:, :, 1:nb] > 0).sum(axis=2)  # the root's chunk: g > 0 on a prefix of the checkpoints
             r, k = np.arange(len(Q))[:, None], np.arange(s)
@@ -328,9 +357,23 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
     return out
 
 
-def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
+def require_finite(V: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite entry of the
+    (S, n) stack ``V``, its vector and its state."""
+    if not np.isfinite(V).all():
+        k, y = np.argwhere(~np.isfinite(V))[0]
+        raise ValueError(f"values must be finite, got {V[k, y]} at vector {k}, state {y}")
+
+
+def risk_table(spec: RiskMapSpec, V, rows, keep=None, block=None) -> np.ndarray:
     """R(v_k | q_i) for an (S, n) stack of value vectors, each against all of
-    the shared (m, n) probability rows; returns (S, m).
+    the shared (m, n) probability rows; returns (S, m).  With an index array
+    ``keep`` only the rows ``rows[keep]`` are evaluated: (S, len(keep)).
+    The order-based kinds gather the kept rows into ``block``, a float
+    array of n columns, when it has ``min(len(keep), BLOCK_ELEMENTS // n)``
+    rows or more: a caller evaluating kept rows sweep after sweep passes the
+    same one, since a new block per call is a freshly page-faulted megabyte
+    each time.
 
     Every value must be finite; a NaN or infinite one is a ``ValueError``
     naming it, its vector and its state.  Neutral and entropic are one
@@ -343,32 +386,35 @@ def risk_table(spec: RiskMapSpec, V, rows) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if V.ndim != 2 or V.shape[1] != rows.shape[1]:
         raise ValueError(f"values {V.shape} are not a stack of vectors of length {rows.shape[1]}")
-    if not np.isfinite(V).all():
-        k, y = np.argwhere(~np.isfinite(V))[0]
-        raise ValueError(f"values must be finite, got {V[k, y]} at vector {k}, state {y}")
-    if spec.kind == "neutral":
-        return V @ rows.T
-    if spec.kind == "entropic":
-        return _entropic_table(V, rows, spec.lam)
+    require_finite(V)
+    if keep is not None:
+        keep = np.asarray(keep, dtype=np.intp)
+        if keep.ndim != 1 or (keep.size and not 0 <= keep.min() <= keep.max() < len(rows)):
+            raise ValueError(f"keep must be a 1-d array of row indices below {len(rows)}")
+    if spec.kind in ("neutral", "entropic"):
+        if keep is not None:
+            rows = rows[keep]
+        return V @ rows.T if spec.kind == "neutral" else _entropic_table(V, rows, spec.lam)
     if spec.kind == "shortfall":
-        return _shortfall_table(V, rows, spec.utility)
+        return _shortfall_table(V, rows, spec.utility, keep, block)
     kernel = {"density_band": _band, "mean_semideviation": _semideviation}[spec.kind]
-    out = np.empty((len(V), len(rows)))
+    out = np.empty((len(V), len(rows) if keep is None else len(keep)))
     for k, v in enumerate(V):
-        out[k] = kernel(v, rows, spec)
+        out[k] = kernel(v, rows, spec, keep, block)
     return out
 
 
-def risk_values(spec: RiskMapSpec, v, rows) -> np.ndarray:
+def risk_values(spec: RiskMapSpec, v, rows, keep=None, block=None) -> np.ndarray:
     """R(v | q_i) for one length-n value vector v shared by the (m, n)
-    probability rows: ``risk_table(spec, v[None], rows)[0]``, a length-m
-    array.  A stack of value vectors goes to ``risk_table``."""
+    probability rows: ``risk_table(spec, v[None], rows, keep, block)[0]``, a
+    length-m array (length ``len(keep)`` with ``keep``).  A stack of value
+    vectors goes to ``risk_table``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     v = np.asarray(v, dtype=float)
     if v.shape != rows.shape[1:]:
         raise ValueError(f"values {v.shape} are not one vector for the rows {rows.shape}; "
                          "evaluate a stack of vectors with risk_table")
-    return risk_table(spec, v[None], rows)[0]
+    return risk_table(spec, v[None], rows, keep, block)[0]
 
 
 def eval_risk(spec: RiskMapSpec, v, q) -> float:

@@ -7,6 +7,21 @@ below/above at any iterate v_n (Odoni 1969), so the iterates may be
 extrapolated: they are mixed by Anderson acceleration (Walker & Ni 2011) and
 the certified bracket is the intersection of every sweep's.  The iterate is
 re-anchored at a reference state each sweep so the values stay bounded.
+
+Every risk map here is monotone and translation invariant, so for any two
+vectors v, w and any row q, R(v | q) lies in [R(w | q) + min(v - w),
+R(w | q) + max(v - w)].  A sweep that keeps each row's last exact value
+c + R(v_j | q) and the iterate v_j it was taken at (a ``RowHistory``) can
+therefore rule out a row whose lower bound lies above its state's smallest
+upper bound plus the greedy tie band: MacQueen's test for suboptimal
+actions (MacQueen 1967, Oper. Res. 15).  The minimum and the greedy policy
+are those of the full sweep (to rounding for the shortfall, whose chunk
+count follows the number of rows evaluated).  Only the order-based kinds
+(density band, mean-semideviation, shortfall) skip rows, gathering the
+kept ones one row block at a time: a copy of all kept rows up front cost
+about what the skipped rows saved, and neutral and entropic are one matrix
+product over all rows, cheaper than any gather.  ``poisson_residual`` is a
+full sweep, independent of the history.
 """
 
 from __future__ import annotations
@@ -19,11 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
+from .mdp import BLOCK_ELEMENTS, WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
 from .risk import RiskMapSpec, risk_table, risk_values
 
 __all__ = [
     "ContractionStats",
+    "RowHistory",
     "SolveConfig",
     "SolveResult",
     "TraceRecord",
@@ -59,9 +75,12 @@ class TraceRecord:
     """One RVI sweep: the certified bracket [m, M] so far (the intersection
     of every sweep's increment bracket), its span M - m, the estimate
     (m + M)/2 and the wall time since the solve started.
-    ``policy_changes`` counts the states whose greedy action differs from
-    the previous sweep's and ``span_ratio`` is span / previous span, the
-    per-sweep shrink of the certified bracket; both are None on sweep 1."""
+    ``rows_evaluated`` is the number of (state, action) rows whose risk
+    value the sweep computed; the rest were ruled out by the bound of
+    ``RowHistory``.  ``policy_changes`` counts the states whose greedy
+    action differs from the previous sweep's and ``span_ratio`` is span /
+    previous span, the per-sweep shrink of the certified bracket; both are
+    None on sweep 1."""
 
     iter: int
     span: float
@@ -69,6 +88,7 @@ class TraceRecord:
     M: float
     rho_est: float
     wall_ns: int
+    rows_evaluated: int
     policy_changes: int | None = None
     span_ratio: float | None = None
 
@@ -95,15 +115,102 @@ def bellman_T(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.nda
     return policy_reduce(mcp, policy, vals)
 
 
-def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray) -> tuple[np.ndarray, PolicyVector]:
+# Iterates a RowHistory keeps.  A row not evaluated in this many sweeps is
+# evaluated again, so the history stays (_KEPT_ITERATES, n) on long solves.
+_KEPT_ITERATES = 32
+
+
+class RowHistory:
+    """Each (state, action) row's last exact value c + R(v_j | q) and the
+    iterate v_j it was taken at, for ``bellman_F`` to bound rows from.
+
+    The iterates of the last ``_KEPT_ITERATES`` sweeps are kept in a ring;
+    ``slot`` names each row's iterate, and ``value`` is NaN for a row with
+    no usable history.  ``evaluated`` counts the rows the last sweep
+    evaluated, and ``block`` is the one row block every sweep gathers the
+    kept rows into.
+    """
+
+    def __init__(self, mcp: FiniteMCP) -> None:
+        rows = len(mcp.stacked_cost)
+        self.value = np.full(rows, np.nan)
+        self.slot = np.zeros(rows, dtype=np.intp)
+        self.iterates = np.empty((_KEPT_ITERATES, mcp.n_states))
+        self.size = np.empty(_KEPT_ITERATES)  # max |v_j| of each iterate
+        self.block = np.empty((min(rows, max(1, BLOCK_ELEMENTS // mcp.n_states)), mcp.n_states))
+        self.sweeps = 0
+        self.evaluated = 0
+
+    def kept_rows(self, mcp: FiniteMCP, v: np.ndarray) -> np.ndarray:
+        """Indices of the rows that may hold, or tie with, their state's
+        minimum at v: all but those whose lower bound from the history lies
+        above the state's smallest upper bound plus the tie band.
+
+        Both bounds are widened by ``WORST_PAIR_RTOL`` times the magnitudes
+        involved (the row's value, max |v| and max |v_j|), which covers the
+        kernels' rounding.  A row with a NaN bound is always kept.
+        """
+        if not self.sweeps:
+            return np.arange(len(self.value))
+        k = min(self.sweeps, _KEPT_ITERATES)
+        D = v - self.iterates[:k]
+        slack = WORST_PAIR_RTOL * (self.size[:k] + np.max(np.abs(v)))
+        low, high = D.min(axis=1) - slack, D.max(axis=1) + slack
+        with np.errstate(invalid="ignore"):  # inf - inf for an infinite cost: a NaN bound
+            room = WORST_PAIR_RTOL * np.abs(self.value)
+            lo = self.value + low[self.slot] - room
+            up = self.value + high[self.slot] + room
+            top = np.fmin.reduceat(up, mcp.row_offsets[:-1])
+            top += WORST_PAIR_RTOL * np.abs(top)
+            return np.flatnonzero(~(lo > top[mcp.row_state]))
+
+    def record(self, v: np.ndarray, keep: np.ndarray, vals: np.ndarray) -> None:
+        """Store the values ``vals[keep]`` of the rows evaluated at v."""
+        s = self.sweeps % _KEPT_ITERATES
+        self.iterates[s] = v
+        self.size[s] = np.max(np.abs(v))
+        self.value[self.slot == s] = np.nan  # their iterate is overwritten
+        self.value[keep] = vals[keep]
+        self.slot[keep] = s
+        self.sweeps += 1
+        self.evaluated = len(keep)
+
+
+def _skips_rows(spec: RiskMapSpec) -> bool:
+    """Whether RVI's sweeps skip the rows a RowHistory rules out: for the
+    order-based kinds only.  Neutral, entropic and a shortfall with a
+    linear utility evaluate every row in one matrix product, which costs
+    less than gathering the kept ones."""
+    if spec.kind == "shortfall":
+        return bool(spec.utility.breakpoints)
+    return spec.kind in ("density_band", "mean_semideviation")
+
+
+def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray,
+              history: RowHistory | None = None) -> tuple[np.ndarray, PolicyVector]:
     """F(v)(x) = min_a [ c(x,a) + R(v|x,a) ], with the greedy policy.
 
     F(v)(x) is the exact minimum.  The greedy action is the lowest-indexed
     one whose value is within a relative ``WORST_PAIR_RTOL`` of it, so that
     actions tied in exact arithmetic keep their order whatever the kernel's
     rounding; a NaN counts as the minimum, as in ``np.argmin``.
+
+    Without ``history`` every row is evaluated.  With one, only the rows
+    ``history.kept_rows`` keeps are, and the history is updated with their
+    values; a skipped row lies above its state's minimum plus the tie band,
+    so the minimum and the greedy policy are those of the full sweep.
     """
-    vals = mcp.stacked_cost + risk_values(spec, np.asarray(v, dtype=float), mcp.stacked_transition)
+    v = np.asarray(v, dtype=float)
+    if history is None:
+        vals = mcp.stacked_cost + risk_values(spec, v, mcp.stacked_transition)
+    else:
+        keep = history.kept_rows(mcp, v)
+        vals = np.full(len(mcp.stacked_cost), np.inf)
+        # sorted, distinct indices: as many as rows is every row, evaluated with no gather
+        every = len(keep) == len(vals)
+        kept = risk_values(spec, v, mcp.stacked_transition, None if every else keep, history.block)
+        vals[keep] = mcp.stacked_cost[keep] + kept
+        history.record(v, keep, vals)
     starts = mcp.row_offsets[:-1]
     best = np.minimum.reduceat(vals, starts)
     cut = best + WORST_PAIR_RTOL * np.abs(np.where(np.isfinite(best), best, 0.0))
@@ -144,6 +251,11 @@ def relative_value_iteration(
     step v = g.  The history is dropped, and the sweep takes the plain
     step, when the raw span M - m grew over the previous sweep's; a
     non-finite extrapolation also falls back to g.  ``h`` is the last g.
+
+    For the order-based kinds the sweeps share one ``RowHistory``, so each
+    skips the rows the monotone bound rules out (see the module docstring);
+    the bracket, the iterates and the policy are those of full sweeps, to
+    rounding for the shortfall.
     """
     n = mcp.n_states
     ref = cfg.reference_state
@@ -154,17 +266,19 @@ def relative_value_iteration(
     history: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=_ANDERSON_PAIRS)
     lower, upper = -math.inf, math.inf
     raw_span = math.inf
+    seen = RowHistory(mcp) if _skips_rows(spec) else None
     t0 = time.monotonic_ns()
     converged = False
     for it in range(1, cfg.max_iter + 1):  # max_iter >= 1, so the loop binds it, g and policy
-        u, greedy = bellman_F(mcp, spec, v)
+        u, greedy = bellman_F(mcp, spec, v, seen)
         delta = u - v
         m = float(delta.min())
         M = float(delta.max())
         if not np.isfinite(M - m):
             raise FloatingPointError(f"non-finite increment at sweep {it}: min {m}, max {M}")
         lower, upper = max(lower, m), min(upper, M)
-        rec = TraceRecord(it, upper - lower, lower, upper, 0.5 * (lower + upper), time.monotonic_ns() - t0)
+        rec = TraceRecord(it, upper - lower, lower, upper, 0.5 * (lower + upper), time.monotonic_ns() - t0,
+                          len(mcp.stacked_cost) if seen is None else seen.evaluated)
         if trace:
             prev = trace[-1].span
             rec.policy_changes = int(np.count_nonzero(greedy.deterministic != policy.deterministic))
@@ -207,6 +321,8 @@ def poisson_residual(mcp: FiniteMCP, spec: RiskMapSpec, rho: float, h: np.ndarra
 
     Measured as the larger of the half-span of F(h) - h - rho (its
     unit-weight seminorm) and the gap between rho and the mean increment.
+    F(h) is a full sweep, with no ``RowHistory``, so the residual also
+    checks an RVI whose sweeps skipped rows.
     """
     h = np.asarray(h, dtype=float)
     Fh, _ = bellman_F(mcp, spec, h)
@@ -309,8 +425,9 @@ def measure_contraction(
 def trace_to_csv(trace: list[TraceRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "span", "m", "M", "rho_est", "wall_ns", "policy_changes", "span_ratio"])
+        writer.writerow(["iter", "span", "m", "M", "rho_est", "wall_ns", "policy_changes", "span_ratio",
+                         "rows_evaluated"])
         for rec in trace:
             writer.writerow([rec.iter, repr(rec.span), repr(rec.m), repr(rec.M), repr(rec.rho_est), rec.wall_ns,
                              "" if rec.policy_changes is None else rec.policy_changes,
-                             "" if rec.span_ratio is None else repr(rec.span_ratio)])
+                             "" if rec.span_ratio is None else repr(rec.span_ratio), rec.rows_evaluated])

@@ -44,13 +44,14 @@ def test_solve_writes_result_and_trace(tmp_path):
     assert sorted(result["timing_s"]) == ["build", "residual", "rvi"]
     assert all(isinstance(t, float) and t >= 0.0 for t in result["timing_s"].values())
     lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "iter,span,m,M,rho_est,wall_ns,policy_changes,span_ratio"
+    assert lines[0] == "iter,span,m,M,rho_est,wall_ns,policy_changes,span_ratio,rows_evaluated"
     assert len(lines) == 1 + result["iterations"]
     rows = list(csv.reader(lines[1:]))
-    assert rows[0][6:] == ["", ""]  # no previous sweep to compare with
+    assert rows[0][6:8] == ["", ""]  # no previous sweep to compare with
     for prev, row in zip(rows, rows[1:]):
         assert row[6] == "0"  # one action per state: the greedy policy never changes
         assert float(row[7]) == float(row[1]) / float(prev[1])
+    assert all(row[8] == "2" for row in rows)  # a neutral sweep evaluates both rows
 
 
 def test_solve_entropic_builtin_params(tmp_path):
@@ -241,6 +242,11 @@ DIFFUSION_1D = {
         ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
                     "certificates": [{"type": "lyapunov", "w0": [0.0, float("nan")]}]},
          "certificates[0] (lyapunov): w0 must be nonnegative, got nan at state 1"),
+        # K = 0 tilts nothing, and an infinite w is still named
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "envelope_minorization", "subset": "all", "K": 0.0,
+                                      "w": [0.0, float("inf")]}]},
+         "certificates[0] (envelope_minorization): values must be finite, got inf at vector 0, state 1"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):

@@ -97,6 +97,9 @@ EVALUATORS = {
     "check_l2": (lambda x: check_l2(TWO_STATES, ALL_SPECS[2], [0.0, x], K0=0.5, K=1.0, B0=[0]), "vector 0, state 1"),
     "entropic_envelope_minorization": (lambda x: entropic_envelope_minorization(TWO_STATES, [0, 1], 1.0, [0.0, x]),
                                        "vector 0, state 1"),
+    # K = 0 evaluates no risk map: w is checked before any tilt
+    "entropic_envelope_minorization_K0": (
+        lambda x: entropic_envelope_minorization(TWO_STATES, [0, 1], 0.0, [0.0, x]), "vector 0, state 1"),
 }
 
 
@@ -139,6 +142,33 @@ def test_order_based_kinds_in_row_blocks_equal_row_by_row():
         assert np.array_equal(risk_table(spec, V, rows), table)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS + ORDER_BASED, ids=lambda s: s.kind)
+def test_kept_rows_equal_the_full_table_at_those_rows(spec):
+    # 1000 rows of 300 states: the kept ones span several row blocks, and
+    # the order-based kinds gather them one block at a time
+    rng = np.random.default_rng(23)
+    rows = rng.dirichlet(np.ones(300), size=1000)
+    V = rng.normal(size=(2, 300)) * 3
+    keep = np.flatnonzero(rng.random(1000) < 0.55)
+    full = risk_table(spec, V, rows)
+    got = risk_table(spec, V, rows, keep)
+    assert got.shape == (2, len(keep))
+    if spec.kind in ("density_band", "mean_semideviation"):
+        assert np.array_equal(got, full[:, keep])
+    else:
+        # a matrix product rounds a row by how many rows share it, and the
+        # shortfall's chunk count follows the number of rows evaluated
+        assert np.max(np.abs(got - full[:, keep])) <= 1e-14 * np.max(np.abs(V))
+    assert np.array_equal(risk_values(spec, V[0], rows, keep), risk_table(spec, V[:1], rows, keep)[0])
+    # a caller's block is reused for the gather; one too short is replaced
+    for block in (np.full((436, 300), np.nan), np.empty((3, 300))):
+        assert np.array_equal(risk_table(spec, V, rows, keep, block), got)
+    assert risk_table(spec, V, rows, keep[:0]).shape == (2, 0)
+    for bad in ([0, 1000], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="keep must be a 1-d array of row indices below 1000"):
+            risk_table(spec, V, rows, bad)
+
+
 def logsumexp_reference(v, q, lam):
     """(1/lam) log sum_y q(y) exp(lam v(y)) for one row, shifted by the max of log q + lam v."""
     with np.errstate(divide="ignore"):
@@ -167,6 +197,18 @@ def test_entropic_underflowing_row_falls_back_to_logsumexp():
     rows = np.array([[0.0, 1.0], [0.5, 0.5]])
     got = risk_values(RiskMapSpec("entropic", lam=1.0), [0.0, -800.0], rows)
     assert got[0] == -800.0 and got[1] == pytest.approx(np.log(0.5))
+
+
+@pytest.mark.parametrize("v, q, lam, want", [
+    # lam v overflows for a finite v; lam (v - max v) does not
+    ([1.2e308, 1.19e308, 0.0], [0.0, 1.0, 0.0], 1.5, 1.19e308),
+    ([-1.2e308, -1.19e308, 0.0], [0.0, 1.0, 0.0], -1.5, -1.19e308),
+    # a spread past the float range: the row's own extreme is the shift
+    ([1e308, -1e308], [0.0, 1.0], 1.0, -1e308),
+    ([1e308, -1e308], [1.0, 0.0], -1.0, 1e308),
+])
+def test_entropic_fallback_is_finite_where_the_exponent_overflows(v, q, lam, want):
+    assert entropic(v, q, lam) == want
 
 
 def test_risk_table_equals_per_sample_risk_values():

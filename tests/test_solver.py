@@ -6,11 +6,12 @@ import pytest
 
 from riskmdp import solver
 from riskmdp.cli import build_model
-from riskmdp.mdp import FiniteMCP, PolicyVector, policy_transition_and_cost
+from riskmdp.mdp import WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_transition_and_cost
 from riskmdp.models import DiffusionSpec, GridSpec, QuadraticCost, attach_cost, builtin_chain, discretize_diffusion
 from riskmdp.oracles import entropic_spectral_rho, neutral_average_cost
-from riskmdp.risk import RiskMapSpec, eval_risk, risk_values
+from riskmdp.risk import PiecewiseLinearUtility, RiskMapSpec, eval_risk, risk_values
 from riskmdp.solver import (
+    RowHistory,
     SolveConfig,
     bellman_F,
     bellman_T,
@@ -20,6 +21,14 @@ from riskmdp.solver import (
     relative_value_iteration,
 )
 from riskmdp.solver import _random_policy
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
 
 NEUTRAL = RiskMapSpec("neutral")
 ENTROPIC = RiskMapSpec("entropic", lam=1.0)
@@ -414,6 +423,132 @@ def test_rvi_falls_back_to_the_plain_step_on_a_non_finite_extrapolation(monkeypa
     res = relative_value_iteration(m, NEUTRAL, SolveConfig(tol=1e-10))
     assert len(calls) > 3
     check_against_plain(m, NEUTRAL, res, 1e-10)
+
+
+# --- sweeps that skip the rows a monotone bound rules out ----------------------------
+
+S_SHAPED = PiecewiseLinearUtility((-0.3, 0.0, 0.4), (0.6, 2.5, 0.4, 1.2))
+SKIP_SPECS = [
+    RiskMapSpec("density_band", band=(0.3, 2.0)),
+    RiskMapSpec("mean_semideviation", lam=0.7, r=2.0),
+    RiskMapSpec("mean_semideviation", lam=-0.6, r=1.5),
+    RiskMapSpec("shortfall", utility=S_SHAPED),
+    RiskMapSpec("entropic", lam=-0.8),
+    NEUTRAL,
+]
+
+
+def spy_on_kept_rows(monkeypatch):
+    """Record the rows every risk_values call with a history's block evaluates."""
+    calls = []
+
+    def spy(spec, v, rows, keep=None, block=None):
+        if block is not None:
+            calls.append(np.arange(len(rows)) if keep is None else keep)
+        return risk_values(spec, v, rows, keep, block)
+
+    monkeypatch.setattr(solver, "risk_values", spy)
+    return calls
+
+
+def full_sweeps(monkeypatch, mcp, spec, cfg):
+    """The same RVI with every row evaluated in every sweep."""
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_skips_rows", lambda spec: False)
+        return relative_value_iteration(mcp, spec, cfg)
+
+
+@pytest.mark.parametrize("spec", SKIP_SPECS, ids=lambda s: f"{s.kind}-{s.lam}")
+def test_rvi_skipping_rows_gives_the_full_sweeps_result(monkeypatch, spec):
+    cfg = SolveConfig(tol=1e-11)
+    for seed in range(12):
+        m = builtin_chain("random_seeded", n=20, m=3, seed=seed)
+        res = relative_value_iteration(m, spec, cfg)
+        full = full_sweeps(monkeypatch, m, spec, cfg)
+        assert res.converged and res.iterations == full.iterations
+        assert np.array_equal(res.policy.deterministic, full.policy.deterministic)
+        rows = [t.rows_evaluated for t in res.trace]
+        assert [t.rows_evaluated for t in full.trace] == [60] * full.iterations
+        if spec.kind in ("neutral", "entropic"):
+            assert rows == [60] * res.iterations
+        else:
+            assert rows[0] == 60 and min(rows) <= 30, rows
+        if spec.kind == "shortfall":
+            # the chunk count follows the number of rows a call evaluates
+            assert abs(res.rho - full.rho) <= 1e-15
+            continue
+        assert (res.rho, res.rho_lower, res.rho_upper) == (full.rho, full.rho_lower, full.rho_upper)
+        assert np.array_equal(res.h, full.h)
+
+
+def test_a_linear_utility_shortfall_evaluates_every_row():
+    # it is one matrix product, like neutral, so a gather would only cost
+    m = builtin_chain("random_seeded", n=20, m=3, seed=0)
+    res = relative_value_iteration(m, RiskMapSpec("shortfall"), SolveConfig(tol=1e-11))
+    assert res.converged and [t.rows_evaluated for t in res.trace] == [60] * res.iterations
+
+
+def test_mirror_tied_rows_are_never_skipped(monkeypatch, grid11):
+    # the grid is mirror-symmetric in x1 with left and right swapped, so the
+    # two actions tie in exact arithmetic on the middle column
+    calls = spy_on_kept_rows(monkeypatch)
+    spec = RiskMapSpec("density_band", band=(0.5, 1.5))
+    res = relative_value_iteration(grid11, spec, SolveConfig(tol=1e-10))
+    middle = np.flatnonzero(grid11.state_coords[:, 0] == 0.0)
+    tied = (grid11.row_offsets[middle, None] + np.arange(2)).ravel()
+    assert len(middle) == 11 and len(calls) == res.iterations
+    assert min(len(keep) for keep in calls) < len(grid11.stacked_cost)  # other rows were skipped
+    for keep in calls:
+        assert np.isin(tied, keep).all()
+    assert np.all(res.policy.deterministic[middle] == 0)
+    full = full_sweeps(monkeypatch, grid11, spec, SolveConfig(tol=1e-10))
+    assert np.array_equal(res.policy.deterministic, full.policy.deterministic)
+
+
+@pytest.mark.parametrize("risk", BENCHMARK_KINDS[2:4], ids=[d["kind"] for d in BENCHMARK_KINDS[2:4]])
+def test_rvi_skips_rows_on_the_benchmark_dynamics(grid11, risk):
+    # measured 0.545 of the 242 rows from the fifth sweep on, for both kinds
+    res = relative_value_iteration(grid11, RiskMapSpec.from_dict(risk), SolveConfig(tol=1e-10))
+    assert res.converged and res.iterations >= 6
+    assert all(t.rows_evaluated <= 0.6 * len(grid11.stacked_cost) for t in res.trace[4:])
+
+
+def test_row_history_keeps_rows_with_a_nan_bound():
+    m = uneven_chain()
+    hist = RowHistory(m)
+    assert np.array_equal(hist.kept_rows(m, np.zeros(4)), np.arange(9))  # no history yet
+    cost = m.stacked_cost.copy()
+    cost[m.row_offsets[0]] = np.nan
+    nan_cost = m.with_cost(cost)
+    for _ in range(3):
+        vals, greedy = bellman_F(nan_cost, NEUTRAL, np.zeros(4), hist)
+        assert m.row_offsets[0] in hist.kept_rows(nan_cost, np.zeros(4))
+        assert np.isnan(vals[0]) and greedy.deterministic[0] == 0
+
+
+if HAVE_HYPOTHESIS:
+
+    @given(st.integers(0, 10_000), st.sampled_from(SKIP_SPECS[:4]), st.floats(0.0, 10.0), st.floats(0.0, 1e-3))
+    @settings(max_examples=40, deadline=None)
+    def test_every_skipped_row_lies_above_its_state_minimum_plus_the_tie_band(seed, spec, scale, jitter):
+        # plain RVI from a random start, each iterate jittered; at every sweep
+        # the rows the history rules out are checked against a full sweep
+        m = builtin_chain("random_seeded", n=8, m=3, seed=seed)
+        rng = np.random.default_rng(seed)
+        hist = RowHistory(m)
+        starts = m.row_offsets[:-1]
+        v = scale * rng.normal(size=8)
+        for _ in range(12):
+            keep = hist.kept_rows(m, v)
+            full = m.stacked_cost + risk_values(spec, v, m.stacked_transition)
+            best = np.minimum.reduceat(full, starts)
+            skipped = np.setdiff1d(np.arange(len(full)), keep)
+            cut = best + WORST_PAIR_RTOL * np.abs(best)
+            assert np.all(full[skipped] > cut[m.row_state[skipped]])
+            u, greedy = bellman_F(m, spec, v, hist)
+            want_u, want = bellman_F(m, spec, v)
+            assert np.array_equal(u, want_u) and np.array_equal(greedy.deterministic, want.deterministic)
+            v = u - u[0] + jitter * rng.normal(size=8)
 
 
 # --- Poisson residual ----------------------------------------------------------
