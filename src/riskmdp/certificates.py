@@ -261,14 +261,19 @@ def map_minorization_factor(spec: RiskMapSpec) -> float:
       density_band        g1         (admissible densities sit above g1 q)
       mean_semideviation  1 - |lam|  (subgradient weights stay above 1 - |lam|)
 
-    The remaining kinds have no reweighting of this form; asking for their
-    factor is an error rather than a silent 1.
+    The remaining kinds have no reweighting of this form, nor has a
+    mean-semideviation that is not monotone (lam < 0 and r > 1, where no
+    positive factor holds); asking for their factor is an error rather
+    than a silent 1.
     """
     if spec.kind == "neutral":
         return 1.0
     if spec.kind == "density_band":
         return float(spec.band[0])
     if spec.kind == "mean_semideviation":
+        if not spec.monotone:
+            raise ValueError(f"no coherent minorization factor for mean_semideviation with lam {spec.lam} < 0 "
+                             f"and r {spec.r} > 1: the map is not monotone")
         return max(0.0, 1.0 - abs(float(spec.lam)))
     raise ValueError(f"no coherent minorization factor for kind {spec.kind!r}")
 

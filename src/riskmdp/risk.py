@@ -1,7 +1,9 @@
 """One-step risk maps on finite probability rows, and their upper envelopes.
 
-Every map R(.|q) here is monotone, translation invariant (R(v + c) =
-R(v) + c for scalar c) and centralized (R(0) = 0).  The supported kinds:
+Every map R(.|q) here is translation invariant (R(v + c) = R(v) + c for
+scalar c) and centralized (R(0) = 0), and every one but mean-semideviation
+with lam < 0 and r > 1 is monotone (u <= v gives R(u) <= R(v); see
+``RiskMapSpec.monotone``).  The supported kinds:
 
 - ``neutral``: the plain expectation.
 - ``entropic``: (1/lam) log E[exp(lam v)], evaluated with a max shift so it
@@ -184,6 +186,15 @@ class RiskMapSpec:
             return coherent if self.lam >= 0 else frozenset({"positive_homogeneity"})
         return frozenset()
 
+    @property
+    def monotone(self) -> bool:
+        """Whether R(.|q) is monotone for every row q.  All maps are but
+        mean-semideviation with lam < 0 and r > 1: near a point mass, its
+        order-r semideviation grows like q_y^(1/r) x in v_y = x, faster
+        than the mean's q_y x, so raising v_y can lower R.  With r = 1 the
+        derivative in v_y stays at or above q_y (1 - |lam|)."""
+        return not (self.kind == "mean_semideviation" and self.lam < 0 and self.r > 1)
+
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind in ("entropic", "mean_semideviation"):
@@ -245,26 +256,23 @@ def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _blocks(rows: np.ndarray, keep: np.ndarray | None, width: int, block: np.ndarray | None):
+def _blocks(rows: np.ndarray, keep: np.ndarray | None, width: int):
     """(output slice, row block) pairs: the rows in blocks of
     ``row_blocks(.., width)``, or the rows ``rows[keep]`` gathered one
-    block of at most ``BLOCK_ELEMENTS`` entries at a time into ``block``
-    (a new array when None or too short).  A block is valid until the next
-    is drawn."""
+    block of at most ``BLOCK_ELEMENTS`` entries at a time into one array
+    allocated per call.  A block is valid until the next is drawn."""
     if keep is None:
         yield from ((sl, rows[sl]) for sl in row_blocks(len(rows), width))
         return
     blocks = row_blocks(len(keep), max(width, rows.shape[1]))
-    need = min(len(keep), blocks[0].stop) if blocks else 0
-    if block is None or len(block) < need:
-        block = np.empty((need, rows.shape[1]))
+    block = np.empty((blocks[0].stop if blocks else 0, rows.shape[1]))
     for sl in blocks:
         idx = keep[sl]
         # keep is checked by risk_table; mode="raise" would buffer the output
         yield sl, np.take(rows, idx, axis=0, out=block[: len(idx)], mode="clip")
 
 
-def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep, block) -> np.ndarray:
+def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
     # Choquet form v_(n) + sum_{k<n} g(C_k) (v_(k) - v_(k+1)) (see the
     # module docstring): nonnegative weights times nonnegative increments,
     # so nothing cancels.  A spread past the float range would overflow the
@@ -275,10 +283,10 @@ def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep, block) -> np
     vs = v[order]
     with np.errstate(over="ignore"):
         if not np.isfinite(vs[0] - vs[-1]):
-            return 2.0 * _band(v / 2.0, rows, spec, keep, block)
+            return 2.0 * _band(v / 2.0, rows, spec, keep)
     dv = vs[:-1] - vs[1:]
     out = np.empty(len(rows) if keep is None else len(keep))
-    for sl, Q in _blocks(rows, keep, rows.shape[1], block):
+    for sl, Q in _blocks(rows, keep, rows.shape[1]):
         G = np.take(Q, order[:-1], axis=1)
         np.cumsum(G, axis=1, out=G)
         H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
@@ -289,9 +297,9 @@ def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep, block) -> np
     return out
 
 
-def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep, block) -> np.ndarray:
+def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
     out = np.empty(len(rows) if keep is None else len(keep))
-    for sl, Q in _blocks(rows, keep, rows.shape[1], block):
+    for sl, Q in _blocks(rows, keep, rows.shape[1]):
         mean = np.einsum("ij,j->i", Q, v)
         excess = v - mean[:, None]
         np.maximum(excess, 0.0, out=excess)
@@ -300,7 +308,7 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep, blo
     return out
 
 
-def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, keep, block) -> np.ndarray:
+def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, keep) -> np.ndarray:
     # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
     # v_y - b_k; passing kink t lowers its slope S by q_y (s_{k+1} - s_k).
     # Chunk i of the sorted kinks is refined from checkpoint i: the first
@@ -340,7 +348,7 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
         X = np.concatenate((utility(V[vb, None, :] - t[:, :, None]), utility.slopes[-1] - passed.cumsum(axis=1)), axis=1)
         # chunk c of vector k and the checkpoint before it are row k nb + c of these
         kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
-        for sl, Q in _blocks(rows, keep, s * w, block):
+        for sl, Q in _blocks(rows, keep, s * w):
             Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
             i = (Y[:, :, 1:nb] > 0).sum(axis=2)  # the root's chunk: g > 0 on a prefix of the checkpoints
             r, k = np.arange(len(Q))[:, None], np.arange(s)
@@ -365,15 +373,11 @@ def require_finite(V: np.ndarray) -> None:
         raise ValueError(f"values must be finite, got {V[k, y]} at vector {k}, state {y}")
 
 
-def risk_table(spec: RiskMapSpec, V, rows, keep=None, block=None) -> np.ndarray:
+def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
     """R(v_k | q_i) for an (S, n) stack of value vectors, each against all of
     the shared (m, n) probability rows; returns (S, m).  With an index array
-    ``keep`` only the rows ``rows[keep]`` are evaluated: (S, len(keep)).
-    The order-based kinds gather the kept rows into ``block``, a float
-    array of n columns, when it has ``min(len(keep), BLOCK_ELEMENTS // n)``
-    rows or more: a caller evaluating kept rows sweep after sweep passes the
-    same one, since a new block per call is a freshly page-faulted megabyte
-    each time.
+    ``keep`` only the rows ``rows[keep]`` are evaluated: (S, len(keep));
+    ``keep`` must be a 1-d integer array of indices below m.
 
     Every value must be finite; a NaN or infinite one is a ``ValueError``
     naming it, its vector and its state.  Neutral and entropic are one
@@ -388,25 +392,28 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None, block=None) -> np.ndarray:
         raise ValueError(f"values {V.shape} are not a stack of vectors of length {rows.shape[1]}")
     require_finite(V)
     if keep is not None:
-        keep = np.asarray(keep, dtype=np.intp)
-        if keep.ndim != 1 or (keep.size and not 0 <= keep.min() <= keep.max() < len(rows)):
+        keep = np.asarray(keep)
+        # a boolean mask is not indices (it would convert to 0 and 1); an empty list reads as floats
+        integral = not keep.size or np.issubdtype(keep.dtype, np.integer)
+        keep = keep.astype(np.intp, copy=False) if integral else keep
+        if not integral or keep.ndim != 1 or (keep.size and not 0 <= keep.min() <= keep.max() < len(rows)):
             raise ValueError(f"keep must be a 1-d array of row indices below {len(rows)}")
     if spec.kind in ("neutral", "entropic"):
         if keep is not None:
             rows = rows[keep]
         return V @ rows.T if spec.kind == "neutral" else _entropic_table(V, rows, spec.lam)
     if spec.kind == "shortfall":
-        return _shortfall_table(V, rows, spec.utility, keep, block)
+        return _shortfall_table(V, rows, spec.utility, keep)
     kernel = {"density_band": _band, "mean_semideviation": _semideviation}[spec.kind]
     out = np.empty((len(V), len(rows) if keep is None else len(keep)))
     for k, v in enumerate(V):
-        out[k] = kernel(v, rows, spec, keep, block)
+        out[k] = kernel(v, rows, spec, keep)
     return out
 
 
-def risk_values(spec: RiskMapSpec, v, rows, keep=None, block=None) -> np.ndarray:
+def risk_values(spec: RiskMapSpec, v, rows, keep=None) -> np.ndarray:
     """R(v | q_i) for one length-n value vector v shared by the (m, n)
-    probability rows: ``risk_table(spec, v[None], rows, keep, block)[0]``, a
+    probability rows: ``risk_table(spec, v[None], rows, keep)[0]``, a
     length-m array (length ``len(keep)`` with ``keep``).  A stack of value
     vectors goes to ``risk_table``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -414,7 +421,7 @@ def risk_values(spec: RiskMapSpec, v, rows, keep=None, block=None) -> np.ndarray
     if v.shape != rows.shape[1:]:
         raise ValueError(f"values {v.shape} are not one vector for the rows {rows.shape}; "
                          "evaluate a stack of vectors with risk_table")
-    return risk_table(spec, v[None], rows, keep, block)[0]
+    return risk_table(spec, v[None], rows, keep)[0]
 
 
 def eval_risk(spec: RiskMapSpec, v, q) -> float:

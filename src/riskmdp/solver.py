@@ -8,20 +8,24 @@ extrapolated: they are mixed by Anderson acceleration (Walker & Ni 2011) and
 the certified bracket is the intersection of every sweep's.  The iterate is
 re-anchored at a reference state each sweep so the values stay bounded.
 
-Every risk map here is monotone and translation invariant, so for any two
-vectors v, w and any row q, R(v | q) lies in [R(w | q) + min(v - w),
+For a risk map that is monotone and translation invariant, and for any
+two vectors v, w and any row q, R(v | q) lies in [R(w | q) + min(v - w),
 R(w | q) + max(v - w)].  A sweep that keeps each row's last exact value
 c + R(v_j | q) and the iterate v_j it was taken at (a ``RowHistory``) can
 therefore rule out a row whose lower bound lies above its state's smallest
 upper bound plus the greedy tie band: MacQueen's test for suboptimal
-actions (MacQueen 1967, Oper. Res. 15).  The minimum and the greedy policy
-are those of the full sweep (to rounding for the shortfall, whose chunk
-count follows the number of rows evaluated).  Only the order-based kinds
-(density band, mean-semideviation, shortfall) skip rows, gathering the
-kept ones one row block at a time: a copy of all kept rows up front cost
-about what the skipped rows saved, and neutral and entropic are one matrix
-product over all rows, cheaper than any gather.  ``poisson_residual`` is a
-full sweep, independent of the history.
+actions (MacQueen 1967, Oper. Res. 15).  Every map here is translation
+invariant, but mean-semideviation with lam < 0 and r > 1 is not monotone
+(``RiskMapSpec.monotone``), so its sweeps evaluate every row.  The minimum
+and the greedy policy are those of the full sweep while the kernels'
+rounding stays within the bounds' margin (see ``RowHistory.kept_rows``),
+and to rounding for the shortfall, whose chunk count follows the number of
+rows evaluated.  Only the order-based kinds (density band,
+mean-semideviation, shortfall) skip rows, gathering the kept ones one row
+block at a time: a copy of all kept rows up front cost about what the
+skipped rows saved, and neutral and entropic are one matrix product over
+all rows, cheaper than any gather.  ``poisson_residual`` is a full sweep,
+independent of the history.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import BLOCK_ELEMENTS, WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
+from .mdp import WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
 from .risk import RiskMapSpec, risk_table, risk_values
 
 __all__ = [
@@ -127,8 +131,7 @@ class RowHistory:
     The iterates of the last ``_KEPT_ITERATES`` sweeps are kept in a ring;
     ``slot`` names each row's iterate, and ``value`` is NaN for a row with
     no usable history.  ``evaluated`` counts the rows the last sweep
-    evaluated, and ``block`` is the one row block every sweep gathers the
-    kept rows into.
+    evaluated.
     """
 
     def __init__(self, mcp: FiniteMCP) -> None:
@@ -137,7 +140,6 @@ class RowHistory:
         self.slot = np.zeros(rows, dtype=np.intp)
         self.iterates = np.empty((_KEPT_ITERATES, mcp.n_states))
         self.size = np.empty(_KEPT_ITERATES)  # max |v_j| of each iterate
-        self.block = np.empty((min(rows, max(1, BLOCK_ELEMENTS // mcp.n_states)), mcp.n_states))
         self.sweeps = 0
         self.evaluated = 0
 
@@ -146,15 +148,25 @@ class RowHistory:
         minimum at v: all but those whose lower bound from the history lies
         above the state's smallest upper bound plus the tie band.
 
-        Both bounds are widened by ``WORST_PAIR_RTOL`` times the magnitudes
-        involved (the row's value, max |v| and max |v_j|), which covers the
-        kernels' rounding.  A row with a NaN bound is always kept.
+        Both bounds are widened for rounding: by ``WORST_PAIR_RTOL`` times
+        the row's value, and by ``WORST_PAIR_RTOL`` + 8 n eps times
+        max |v| + max |v_j| for the kernel evaluations at v and at v_j.  The
+        band and the semideviation each err by about 4 n eps max |v| at
+        most, to first order: each is a sum of n nonnegative terms, of
+        total at most the spread 2 max |v|, built from an n-term cumsum or
+        row dot (the band's concave distortion keeps the cumsum's relative
+        error, and the semideviation is an L^r norm of the excess, so it
+        moves no more than the excess does).  The shortfall's root can err
+        by that much over the utility's smallest slope, so for it the
+        minimum is kept only to rounding.  A row with a NaN bound is always
+        kept.
         """
         if not self.sweeps:
             return np.arange(len(self.value))
         k = min(self.sweeps, _KEPT_ITERATES)
         D = v - self.iterates[:k]
-        slack = WORST_PAIR_RTOL * (self.size[:k] + np.max(np.abs(v)))
+        rtol = WORST_PAIR_RTOL + 8 * mcp.n_states * np.finfo(float).eps
+        slack = rtol * (self.size[:k] + np.max(np.abs(v)))
         low, high = D.min(axis=1) - slack, D.max(axis=1) + slack
         with np.errstate(invalid="ignore"):  # inf - inf for an infinite cost: a NaN bound
             room = WORST_PAIR_RTOL * np.abs(self.value)
@@ -178,12 +190,12 @@ class RowHistory:
 
 def _skips_rows(spec: RiskMapSpec) -> bool:
     """Whether RVI's sweeps skip the rows a RowHistory rules out: for the
-    order-based kinds only.  Neutral, entropic and a shortfall with a
-    linear utility evaluate every row in one matrix product, which costs
-    less than gathering the kept ones."""
+    monotone order-based kinds only.  Neutral, entropic and a shortfall
+    with a linear utility evaluate every row in one matrix product, which
+    costs less than gathering the kept ones."""
     if spec.kind == "shortfall":
         return bool(spec.utility.breakpoints)
-    return spec.kind in ("density_band", "mean_semideviation")
+    return spec.kind in ("density_band", "mean_semideviation") and spec.monotone
 
 
 def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray,
@@ -195,20 +207,21 @@ def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray,
     actions tied in exact arithmetic keep their order whatever the kernel's
     rounding; a NaN counts as the minimum, as in ``np.argmin``.
 
-    Without ``history`` every row is evaluated.  With one, only the rows
+    Without ``history``, or for a map that is not monotone (whose rows the
+    history cannot bound), every row is evaluated.  Otherwise only the rows
     ``history.kept_rows`` keeps are, and the history is updated with their
     values; a skipped row lies above its state's minimum plus the tie band,
     so the minimum and the greedy policy are those of the full sweep.
     """
     v = np.asarray(v, dtype=float)
-    if history is None:
+    if history is None or not spec.monotone:
         vals = mcp.stacked_cost + risk_values(spec, v, mcp.stacked_transition)
     else:
         keep = history.kept_rows(mcp, v)
         vals = np.full(len(mcp.stacked_cost), np.inf)
         # sorted, distinct indices: as many as rows is every row, evaluated with no gather
         every = len(keep) == len(vals)
-        kept = risk_values(spec, v, mcp.stacked_transition, None if every else keep, history.block)
+        kept = risk_values(spec, v, mcp.stacked_transition, None if every else keep)
         vals[keep] = mcp.stacked_cost[keep] + kept
         history.record(v, keep, vals)
     starts = mcp.row_offsets[:-1]
@@ -252,10 +265,10 @@ def relative_value_iteration(
     step, when the raw span M - m grew over the previous sweep's; a
     non-finite extrapolation also falls back to g.  ``h`` is the last g.
 
-    For the order-based kinds the sweeps share one ``RowHistory``, so each
-    skips the rows the monotone bound rules out (see the module docstring);
-    the bracket, the iterates and the policy are those of full sweeps, to
-    rounding for the shortfall.
+    For the monotone order-based kinds the sweeps share one ``RowHistory``,
+    so each skips the rows the monotone bound rules out (see the module
+    docstring); the bracket, the iterates and the policy are those of full
+    sweeps, to rounding for the shortfall.
     """
     n = mcp.n_states
     ref = cfg.reference_state

@@ -260,6 +260,9 @@ def test_map_minorization_factor_values():
         map_minorization_factor(ENTROPIC)
     with pytest.raises(ValueError):
         map_minorization_factor(RiskMapSpec("shortfall"))
+    # lam < 0 with r > 1 is not monotone, so no positive factor holds
+    with pytest.raises(ValueError, match="not monotone"):
+        map_minorization_factor(RiskMapSpec("mean_semideviation", lam=-0.4, r=2))
 
 
 def test_map_minorization_factor_bounds_monotone_differences():
@@ -272,6 +275,7 @@ def test_map_minorization_factor_bounds_monotone_differences():
         RiskMapSpec("density_band", band=(0.4, 1.6)),
         RiskMapSpec("mean_semideviation", lam=0.5, r=2),
         RiskMapSpec("mean_semideviation", lam=0.5, r=1),
+        RiskMapSpec("mean_semideviation", lam=-0.5, r=1),
     ):
         floor = map_minorization_factor(spec) * base.alpha
         for _ in range(200):

@@ -247,6 +247,11 @@ DIFFUSION_1D = {
                     "certificates": [{"type": "envelope_minorization", "subset": "all", "K": 0.0,
                                       "w": [0.0, float("inf")]}]},
          "certificates[0] (envelope_minorization): values must be finite, got inf at vector 0, state 1"),
+        # a mean-semideviation that is not monotone has no coherent radius
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "mean_semideviation", "lambda": -0.6, "r": 1.5},
+                    "certificates": [{"type": "l2", "w0": "zeros", "K0": 0.5, "gamma0": 0.5, "K": "coherent",
+                                      "n_samples": 50}]},
+         "certificates[0] (l2): no coherent minorization factor for mean_semideviation with lam -0.6 < 0 and r 1.5 > 1"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):

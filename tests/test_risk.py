@@ -160,13 +160,21 @@ def test_kept_rows_equal_the_full_table_at_those_rows(spec):
         # shortfall's chunk count follows the number of rows evaluated
         assert np.max(np.abs(got - full[:, keep])) <= 1e-14 * np.max(np.abs(V))
     assert np.array_equal(risk_values(spec, V[0], rows, keep), risk_table(spec, V[:1], rows, keep)[0])
-    # a caller's block is reused for the gather; one too short is replaced
-    for block in (np.full((436, 300), np.nan), np.empty((3, 300))):
-        assert np.array_equal(risk_table(spec, V, rows, keep, block), got)
-    assert risk_table(spec, V, rows, keep[:0]).shape == (2, 0)
-    for bad in ([0, 1000], [-1], [[0, 1]]):
+    assert risk_table(spec, V, rows, keep[:0]).shape == risk_table(spec, V, rows, []).shape == (2, 0)
+    # a boolean mask is not a list of indices: it would read as rows 0 and 1
+    for bad in ([0, 1000], [-1], [[0, 1]], np.ones(1000, dtype=bool), [0.0, 1.0]):
         with pytest.raises(ValueError, match="keep must be a 1-d array of row indices below 1000"):
             risk_table(spec, V, rows, bad)
+
+
+@pytest.mark.parametrize("lam, r, e", [(-0.6, 1.5, 0.01), (-1.0, 10.0, 1e-3), (-0.2, 1.2, 1e-6)])
+def test_semideviation_below_zero_lambda_and_above_order_one_is_not_monotone(lam, r, e):
+    # near a point mass the semideviation grows like e^(1/r) x, faster than
+    # the mean's e x, so raising v_1 from 0 to 1 lowers R below R(0) = 0
+    spec = RiskMapSpec("mean_semideviation", lam=lam, r=r)
+    assert not spec.monotone
+    assert eval_risk(spec, [0.0, 1.0], [1.0 - e, e]) < 0.0 == eval_risk(spec, [0.0, 0.0], [1.0 - e, e])
+    assert all(s.monotone for s in ALL_SPECS + [RiskMapSpec("mean_semideviation", lam=lam, r=1.0)])
 
 
 def logsumexp_reference(v, q, lam):
@@ -951,3 +959,14 @@ if HAVE_HYPOTHESIS:
         q = np.array([0.2, 0.5, 0.3])
         for spec in ALL_SPECS:
             assert eval_risk(spec, v, q) <= eval_risk(spec, u, q) + 1e-8
+
+    @given(vec3, vec3, st.floats(min_value=1e-4, max_value=0.5), st.floats(min_value=-1.0, max_value=0.0))
+    @settings(max_examples=150, deadline=None)
+    def test_monotonicity_property_of_order_one_semideviation_with_negative_lambda(a, b, e, lam):
+        # the derivative in v_y stays at or above q_y (1 - |lam|), even near a point mass
+        v = np.array(a)
+        u = np.maximum(v, np.array(b))
+        q = np.array([1.0 - e, e / 2, e / 2])
+        spec = RiskMapSpec("mean_semideviation", lam=lam, r=1.0)
+        assert spec.monotone
+        assert eval_risk(spec, v, q) <= eval_risk(spec, u, q) + 1e-8

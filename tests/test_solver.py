@@ -431,21 +431,22 @@ S_SHAPED = PiecewiseLinearUtility((-0.3, 0.0, 0.4), (0.6, 2.5, 0.4, 1.2))
 SKIP_SPECS = [
     RiskMapSpec("density_band", band=(0.3, 2.0)),
     RiskMapSpec("mean_semideviation", lam=0.7, r=2.0),
-    RiskMapSpec("mean_semideviation", lam=-0.6, r=1.5),
+    RiskMapSpec("mean_semideviation", lam=-0.6, r=1.0),
     RiskMapSpec("shortfall", utility=S_SHAPED),
+    # not monotone, so no row is skipped
+    RiskMapSpec("mean_semideviation", lam=-0.6, r=1.5),
     RiskMapSpec("entropic", lam=-0.8),
     NEUTRAL,
 ]
 
 
 def spy_on_kept_rows(monkeypatch):
-    """Record the rows every risk_values call with a history's block evaluates."""
+    """Record the rows every risk_values call of the solver evaluates."""
     calls = []
 
-    def spy(spec, v, rows, keep=None, block=None):
-        if block is not None:
-            calls.append(np.arange(len(rows)) if keep is None else keep)
-        return risk_values(spec, v, rows, keep, block)
+    def spy(spec, v, rows, keep=None):
+        calls.append(np.arange(len(rows)) if keep is None else keep)
+        return risk_values(spec, v, rows, keep)
 
     monkeypatch.setattr(solver, "risk_values", spy)
     return calls
@@ -458,7 +459,7 @@ def full_sweeps(monkeypatch, mcp, spec, cfg):
         return relative_value_iteration(mcp, spec, cfg)
 
 
-@pytest.mark.parametrize("spec", SKIP_SPECS, ids=lambda s: f"{s.kind}-{s.lam}")
+@pytest.mark.parametrize("spec", SKIP_SPECS, ids=lambda s: f"{s.kind}-{s.lam}-{s.r}")
 def test_rvi_skipping_rows_gives_the_full_sweeps_result(monkeypatch, spec):
     cfg = SolveConfig(tol=1e-11)
     for seed in range(12):
@@ -469,7 +470,7 @@ def test_rvi_skipping_rows_gives_the_full_sweeps_result(monkeypatch, spec):
         assert np.array_equal(res.policy.deterministic, full.policy.deterministic)
         rows = [t.rows_evaluated for t in res.trace]
         assert [t.rows_evaluated for t in full.trace] == [60] * full.iterations
-        if spec.kind in ("neutral", "entropic"):
+        if spec.kind in ("neutral", "entropic") or not spec.monotone:
             assert rows == [60] * res.iterations
         else:
             assert rows[0] == 60 and min(rows) <= 30, rows
@@ -524,6 +525,25 @@ def test_row_history_keeps_rows_with_a_nan_bound():
         vals, greedy = bellman_F(nan_cost, NEUTRAL, np.zeros(4), hist)
         assert m.row_offsets[0] in hist.kept_rows(nan_cost, np.zeros(4))
         assert np.isnan(vals[0]) and greedy.deterministic[0] == 0
+
+
+def test_a_map_that_is_not_monotone_skips_no_row():
+    # state 0 has row a, q = (1 - e, e) at cost 1.2, and row b, a point mass
+    # on state 1 at cost 0.  From w = 0 (values 1.2 and 0) to v = (0, 1) the
+    # bound would put a at or above 1.2 and b at or below 1, but for this
+    # map R(v | q_a) = e - e^(1/10) (1 - e), so a's value is about 0.70
+    e = 1e-3
+    m = FiniteMCP(actions=[["a", "b"], ["a"]], transition=[np.array([[1 - e, e], [0.0, 1.0]]), np.array([[0.0, 1.0]])],
+                  cost=[np.array([1.2, 0.0]), np.array([0.0])])
+    spec = RiskMapSpec("mean_semideviation", lam=-1.0, r=10.0)
+    hist = RowHistory(m)
+    for v in (np.zeros(2), np.array([0.0, 1.0])):
+        u, greedy = bellman_F(m, spec, v, hist)
+        want_u, want = bellman_F(m, spec, v)
+        assert np.array_equal(u, want_u) and np.array_equal(greedy.deterministic, want.deterministic)
+    assert u[0] == pytest.approx(1.2 + e - e ** 0.1 * (1 - e)) and greedy.deterministic[0] == 0
+    assert hist.sweeps == 0  # the history holds nothing for such a map
+    assert not solver._skips_rows(spec)
 
 
 if HAVE_HYPOTHESIS:
