@@ -391,13 +391,15 @@ _CERTIFICATES = {"lyapunov": _lyapunov, "doeblin": _doeblin, "local_doeblin": _l
 
 def _run_certificate(i: int, entry, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict, seed: int) -> dict:
     kind = entry.get("type") if isinstance(entry, dict) else None
+    t0 = time.perf_counter_ns()
     try:
         if not isinstance(kind, str) or kind not in _CERTIFICATES:
             raise ConfigError(f"unknown certificate type; want one of {', '.join(_CERTIFICATES)}")
         satisfied, constants, witness = _CERTIFICATES[kind](entry, mcp, spec, meta, seed)
     except (ConfigError, TypeError, ValueError) as e:
         raise ConfigError(f"certificates[{i}] ({kind}): {e}") from e
-    return {"kind": kind, "satisfied": satisfied, "constants": constants, "worst_witness": witness}
+    return {"kind": kind, "satisfied": satisfied, "constants": constants, "worst_witness": witness,
+            "timing_s": (time.perf_counter_ns() - t0) / 1e9}
 
 
 def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:

@@ -10,7 +10,10 @@ with lam < 0 and r > 1 is monotone (u <= v gives R(u) <= R(v); see
   never overflows.
 - ``density_band``: sup of E[xi v] over densities xi with g1 <= xi <= g2 and
   E[xi] = 1 (g1 = 0, g2 = 1/beta recovers average value-at-risk).  It is
-  the distortion (Choquet) risk measure of g(s) = min(g2 s, g1 s + 1 - g1).
+  the distortion (Choquet) risk measure of g(s) = min(g2 s, g1 s + 1 - g1)
+  (Wang 1996), and g1 E[v] plus g2 - g1 times the quantile form
+  beta v* + E[(v - v*)_+] of Rockafellar & Uryasev (2000), beta =
+  (1 - g1) / (g2 - g1) and v* the outcome where the top mass reaches beta.
 - ``mean_semideviation``: mean plus lam times the upper semideviation of
   order r.
 - ``shortfall``: the utility-shortfall level, i.e. the unique m with
@@ -30,17 +33,20 @@ kind makes a full (rows, n) temporary per value vector: ``neutral`` is one
 matrix product and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam,
 which falls back to a row-wise logsumexp where the product underflows.
 The order-based kinds sort each v once and sweep the rows in blocks of
-``mdp.BLOCK_ELEMENTS``.  Per block, the band is v_(n) + sum_{k<n}
-g(C_k) (v_(k) - v_(k+1)), with v sorted from the top and C_k the q-mass of
-the k largest outcomes: one gather, one cumsum, the distortion and one row
-dot (a spread past the float range is evaluated at v / 2 and doubled).
-Mean-semideviation takes its mean and its excess moment as row dots, with
-one block temporary.  The shortfall sorts the N = n K kinks of each v and
-cuts them into about sqrt(N) chunks, no more than sqrt(2 m) for m rows; a
-block of value vectors is evaluated at once.  One product of each row block
-with the vectors' (2 nb, n) checkpoint matrices gives E[u(v - m)] and its
-slope where each chunk starts, the sign count picks the root's chunk, and
-running sums there give the exact root.  The axiom checks evaluate tables too.
+``mdp.BLOCK_ELEMENTS``.  Mean-semideviation takes its mean and its excess
+moment as row dots, with one block temporary per value vector.  The band
+and the shortfall evaluate a block of value vectors at once: each sorted v
+is cut into nb chunks, about sqrt(N) for N sorted positions but no more
+than sqrt(2 m) for m rows, and the checkpoint matrix of each v, about
+2 nb rows of n, takes one matrix product per row block.  For the band (n sorted
+outcomes) it gives each row's top mass and excess above each chunk start
+and its mean; the count of chunk starts whose top mass is below beta picks
+the chunk that holds v*, and running sums of that chunk's masses find v*
+in it (a spread past the float range is evaluated at v / 2 and doubled).
+For the shortfall (the N = n K kinks) it gives E[u(v - m)] and its slope
+where each chunk starts, the sign count picks the root's chunk, and
+running sums there give the exact root.  The axiom checks evaluate tables
+too.
 """
 
 from __future__ import annotations
@@ -272,36 +278,113 @@ def _blocks(rows: np.ndarray, keep: np.ndarray | None, width: int):
         yield sl, np.take(rows, idx, axis=0, out=block[: len(idx)], mode="clip")
 
 
-def _band(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
-    # Choquet form v_(n) + sum_{k<n} g(C_k) (v_(k) - v_(k+1)) (see the
-    # module docstring): nonnegative weights times nonnegative increments,
-    # so nothing cancels.  A spread past the float range would overflow the
-    # increments; the band is positively homogeneous and half of any finite
-    # spread fits, so that v is evaluated at v / 2 (exact) and doubled.
-    g1, g2 = spec.band
-    order = np.argsort(-v, kind="stable")
-    vs = v[order]
-    with np.errstate(over="ignore"):
-        if not np.isfinite(vs[0] - vs[-1]):
-            return 2.0 * _band(v / 2.0, rows, spec, keep)
-    dv = vs[:-1] - vs[1:]
-    out = np.empty(len(rows) if keep is None else len(keep))
-    for sl, Q in _blocks(rows, keep, rows.shape[1]):
-        G = np.take(Q, order[:-1], axis=1)
-        np.cumsum(G, axis=1, out=G)
-        H = G * g1  # G becomes g(C) = min(g2 C, g1 C + 1 - g1)
-        H += 1.0 - g1
-        G *= g2
-        np.minimum(G, H, out=G)
-        out[sl] = vs[-1] + np.einsum("ij,j->i", G, dv)
+def _chunks(N: int, m: int, n: int) -> tuple[int, int]:
+    """(nb, w): nb chunks of w sorted positions that cover N, for m rows of
+    n states.  About sqrt(N) chunks, but no more than sqrt(2 m): a chunk
+    costs about n per vector to build and the refine m N / nb, which
+    balance near nb = sqrt(c m) (c = 2 timed as fast as 4 on few rows and
+    leaves one row one chunk); and few enough that a checkpoint matrix of
+    about 2 nb rows of n stays within two blocks."""
+    nb = max(1, min(-(-N // max(8, math.isqrt(N))), math.isqrt(2 * m), BLOCK_ELEMENTS // n))
+    w = -(-N // nb)
+    return -(-N // w), w
+
+
+def _crossing(Q: np.ndarray, X: np.ndarray, nb: int, before: Callable) -> tuple[np.ndarray, ...]:
+    """One product of the row block Q with the (s, c, n) checkpoint
+    matrices X of s value vectors.  Rows 0 .. nb - 1 of each hold a first
+    quantity at the nb checkpoints (chunk starts), rows nb .. 2 nb - 1 a
+    second, and any further rows are carried along.  A row's chunk i is the
+    count of checkpoints 1 .. nb - 1 where ``before`` holds of the first
+    quantity.  Returns, each (len(Q), s): the chunk as row k nb + i of the
+    vectors' stacked chunks, and both quantities at checkpoint i; and the
+    further rows' products, (len(Q), s, c - 2 nb)."""
+    Y = (Q @ X.reshape(-1, X.shape[2]).T).reshape(len(Q), len(X), -1)
+    i = before(Y[:, :, 1:nb]).sum(axis=2)
+    r, k = np.arange(len(Q))[:, None], np.arange(len(X))
+    return i + nb * k, Y[r, k, i], Y[r, k, i + nb], Y[:, :, 2 * nb:].copy()
+
+
+def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep) -> np.ndarray:
+    # With xi = g1 + (g2 - g1) eta, the band is g1 E[v] + (g2 - g1) times
+    # the sup of E[eta v] over 0 <= eta <= 1 with E[eta] = beta.  That sup
+    # is the minimum over t of beta t + E[(v - t)_+] (Rockafellar & Uryasev
+    # 2000), taken at t = v*, the value at the first sorted position k*
+    # (from the top) whose top mass reaches beta.  Anchored at v_min, with
+    # a = v - v_min >= 0:
+    #   R = v_min + g1 E[a] + (g2 - g1) (E[(a - a*)_+] + beta a*),
+    # every term nonnegative.  Checkpoint i is sorted position i w, at a
+    # value t_i: X holds the indicator of the positions before it and the
+    # excess (a - t_i)_+, and a, so Q @ X is the top mass C and the excess
+    # above each checkpoint, and E[a]; the chunk c is the count of
+    # checkpoints with C < beta.  Running sums of the chunk's masses find
+    # k* in it, and E[(a - a*)_+] is the excess above t_c, plus C (t_c - a*),
+    # plus the chunk's own excess above a*.
+    g1, g2 = band
+    if g1 == g2:  # g1 = g2 = 1: the mean
+        return V @ (rows if keep is None else rows[keep]).T
+    beta = (1.0 - g1) / (g2 - g1)
+    m, n = len(rows) if keep is None else len(keep), rows.shape[1]
+    nb, w = _chunks(n, m, n)
+    tri = np.tri(w)  # its product with a chunk's masses is their running sums
+    out = np.empty((len(V), m))
+    # The checkpoint matrices of a block of vectors take at most a quarter
+    # block; the product of a row block, and then its chunk gathers, about
+    # half of one.
+    for vb in row_blocks(len(V), 4 * (2 * nb + 1) * n):
+        a = V[vb].copy()
+        s = len(a)
+        # A spread past the float range is evaluated at v / 2 (exact; the
+        # band is positively homogeneous) and doubled.
+        with np.errstate(over="ignore"):
+            half = ~np.isfinite(np.ptp(a, axis=1))
+        a[half] /= 2.0
+        low = a.min(axis=1)
+        a -= low[:, None]
+        order = np.argsort(-a, axis=1, kind="stable")
+        rank = np.empty_like(order)
+        k = np.arange(s)[:, None]
+        rank[k, order] = np.arange(n)
+        # positions past n repeat the last one, at a = 0: they add no excess
+        order = np.concatenate((order, np.repeat(order[:, -1:], nb * w - n, axis=1)), axis=1)
+        vs = a[k, order]
+        t = vs[:, ::w]
+        X = np.empty((s, 2 * nb + 1, n))
+        np.less(rank[:, None, :], np.arange(0, n, w)[:, None], out=X[:, :nb])
+        np.subtract(a[:, None, :], t[..., None], out=X[:, nb:-1])
+        np.maximum(X[:, nb:-1], 0.0, out=X[:, nb:-1])
+        X[:, -1] = a
+        # position j of chunk c of vector k is [j, k nb + c] of these
+        order, vs, t = order.reshape(-1, w).T.copy(), vs.reshape(-1, w).T.copy(), t.ravel()
+        for sl, Q in _blocks(rows, keep, s * (2 * nb + 1 + 2 * w)):
+            # the refine runs on (position, vector, row) arrays, so that its
+            # running sums and counts take whole rows of them
+            c, C, above, mean = (x.T for x in _crossing(Q, X, nb, lambda C: C < beta))
+            at = order.take(c, axis=1)
+            at += n * np.arange(len(Q))
+            W = Q.take(at)  # the chunk's masses
+            del at
+            j = ((tri @ W.reshape(w, -1)).reshape(W.shape) < beta - C).sum(axis=0)
+            star = vs.take(np.minimum(j, w - 1) * vs.shape[1] + c)
+            Z = vs.take(c, axis=1)
+            Z -= star
+            np.maximum(Z, 0.0, out=Z)
+            Z *= W
+            bracket = above + C * (t[c] - star) + Z.sum(axis=0) + beta * star
+            out[vb, sl] = low[:, None] + (g1 * mean[0] + (g2 - g1) * bracket)
+            del W, Z  # before the next block's product
+        out[vb][half] *= 2.0
+        del X  # before the next block's
     return out
 
 
 def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
     out = np.empty(len(rows) if keep is None else len(keep))
+    blocks = row_blocks(len(out), len(v))
+    block = np.empty((blocks[0].stop if blocks else 0, len(v)))  # the excess of each row block in turn
     for sl, Q in _blocks(rows, keep, rows.shape[1]):
         mean = np.einsum("ij,j->i", Q, v)
-        excess = v - mean[:, None]
+        excess = np.subtract(v, mean[:, None], out=block[: len(Q)])
         np.maximum(excess, 0.0, out=excess)
         excess **= spec.r
         out[sl] = mean + spec.lam * np.einsum("ij,ij->i", Q, excess) ** (1.0 / spec.r)
@@ -320,13 +403,7 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
         return V @ (rows if keep is None else rows[keep]).T
     m, n, K = len(rows) if keep is None else len(keep), rows.shape[1], len(b)
     N = n * K
-    # About sqrt(N) chunks, but no more than sqrt(2 m) for m rows: a chunk
-    # costs about n K per vector to build and the refine m N / nb, which
-    # balance near nb = sqrt(c m) (c = 2 timed as fast as 4 on few rows and
-    # leaves one row one chunk); and few enough that X stays within two blocks.
-    nb = max(1, min(-(-N // max(8, math.isqrt(N))), math.isqrt(2 * m), BLOCK_ELEMENTS // n))
-    w = -(-N // nb)
-    nb = -(-N // w)
+    nb, w = _chunks(N, m, n)
     out = np.empty((len(V), m))
     # Blocks of value vectors share every call, so many vectors against few
     # rows (the certificates' samples) pay numpy's overhead once a block;
@@ -349,10 +426,8 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
         # chunk c of vector k and the checkpoint before it are row k nb + c of these
         kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
         for sl, Q in _blocks(rows, keep, s * w):
-            Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
-            i = (Y[:, :, 1:nb] > 0).sum(axis=2)  # the root's chunk: g > 0 on a prefix of the checkpoints
-            r, k = np.arange(len(Q))[:, None], np.arange(s)
-            A, S, c = Y[r, k, i], Y[r, k, i + nb], i + nb * k
+            c, A, S, _ = _crossing(Q, X, nb, lambda g: g > 0)  # the root's chunk: g > 0 on a prefix of the checkpoints
+            r = np.arange(len(Q))[:, None]
             T = kinks[c] - t[c][..., None]
             W = Q[r[..., None], y[c]] * wk[c]
             WT = W * T
@@ -384,7 +459,7 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
     matrix product (entropic with one shift per sample, falling back to a
     row-wise logsumexp where the product underflows); the order-based kinds
     sort each v once and sweep the rows in blocks of bounded size, the
-    shortfall for a block of value vectors at a time.
+    band and the shortfall for a block of value vectors at a time.
     """
     V = np.asarray(V, dtype=float)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -404,10 +479,11 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
         return V @ rows.T if spec.kind == "neutral" else _entropic_table(V, rows, spec.lam)
     if spec.kind == "shortfall":
         return _shortfall_table(V, rows, spec.utility, keep)
-    kernel = {"density_band": _band, "mean_semideviation": _semideviation}[spec.kind]
+    if spec.kind == "density_band":
+        return _band_table(V, rows, spec.band, keep)
     out = np.empty((len(V), len(rows) if keep is None else len(keep)))
     for k, v in enumerate(V):
-        out[k] = kernel(v, rows, spec, keep)
+        out[k] = _semideviation(v, rows, spec, keep)
     return out
 
 
@@ -624,4 +700,6 @@ def check_risk_axioms(
     n_rows = math.isqrt(n_samples - 1) + 1
     rows = all_rows[rng.integers(0, all_rows.shape[0], size=n_rows)]
     values = rng.normal(0.0, 2.0, size=(-(-n_samples // n_rows), all_rows.shape[1]))
-    return check_axioms_of(lambda V, R: risk_table(spec, V, R), spec.claims, rows, values, rng, tol)
+    report = check_axioms_of(lambda V, R: risk_table(spec, V, R), spec.claims, rows, values, rng, tol)
+    report.checks["monotonicity"].claimed = spec.monotone
+    return report

@@ -18,14 +18,15 @@ actions (MacQueen 1967, Oper. Res. 15).  Every map here is translation
 invariant, but mean-semideviation with lam < 0 and r > 1 is not monotone
 (``RiskMapSpec.monotone``), so its sweeps evaluate every row.  The minimum
 and the greedy policy are those of the full sweep while the kernels'
-rounding stays within the bounds' margin (see ``RowHistory.kept_rows``),
-and to rounding for the shortfall, whose chunk count follows the number of
-rows evaluated.  Only the order-based kinds (density band,
-mean-semideviation, shortfall) skip rows, gathering the kept ones one row
-block at a time: a copy of all kept rows up front cost about what the
-skipped rows saved, and neutral and entropic are one matrix product over
-all rows, cheaper than any gather.  ``poisson_residual`` is a full sweep,
-independent of the history.
+rounding stays within the bounds' margin (see ``RowHistory.kept_rows``):
+bit for bit for mean-semideviation, and to rounding for the band and the
+shortfall, whose checkpoint products round a row by the rows that share
+them and whose chunk count follows the number of rows evaluated.  Only
+the order-based kinds (density band, mean-semideviation, shortfall) skip
+rows, gathering the kept ones one row block at a time: a copy of all kept
+rows up front cost about what the skipped rows saved, and neutral and
+entropic are one matrix product over all rows, cheaper than any gather.
+``poisson_residual`` is a full sweep, independent of the history.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, weighted_seminorm
+from .mdp import WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, row_blocks, weighted_seminorm
 from .risk import RiskMapSpec, risk_table, risk_values
 
 __all__ = [
@@ -150,16 +151,24 @@ class RowHistory:
 
         Both bounds are widened for rounding: by ``WORST_PAIR_RTOL`` times
         the row's value, and by ``WORST_PAIR_RTOL`` + 8 n eps times
-        max |v| + max |v_j| for the kernel evaluations at v and at v_j.  The
-        band and the semideviation each err by about 4 n eps max |v| at
-        most, to first order: each is a sum of n nonnegative terms, of
-        total at most the spread 2 max |v|, built from an n-term cumsum or
-        row dot (the band's concave distortion keeps the cumsum's relative
-        error, and the semideviation is an L^r norm of the excess, so it
-        moves no more than the excess does).  The shortfall's root can err
-        by that much over the utility's smallest slope, so for it the
-        minimum is kept only to rounding.  A row with a NaN bound is always
-        kept.
+        max |v| + max |v_j| for the kernel evaluations at v and at v_j, to
+        first order.  Mean-semideviation errs by at most about
+        4 n eps max |v|: it is a sum of n nonnegative terms, of total at
+        most the spread 2 max |v|, built from an n-term row dot, and its
+        L^r norm of the excess moves no more than the excess does.  The
+        band is v_min + g1 E[a] + (g2 - g1) (E[(a - a*)_+] + beta a*), with
+        a = v - v_min.  Its two parts are nonnegative and at most the
+        spread, and each is a sum of at most n + 3 nonnegative terms, each
+        rounded a few times: (n + 4) eps times the spread, in whatever order
+        a matrix product sums them.  A top mass off by n eps can move a* to
+        a neighbouring position, which moves the second part by g2 - g1
+        times that error times their gap, so by at most n eps times the
+        spread, since (g2 - g1) beta = 1 - g1.  With the last sum, that is
+        (4 n + 9) eps max |v|, within 8 n eps max |v| for n >= 3 states;
+        for fewer, ``WORST_PAIR_RTOL`` (above 4000 eps) holds it.  The
+        shortfall's root can err by that much over the utility's smallest
+        slope, so for it the minimum is kept only to rounding.  A row with
+        a NaN bound is always kept.
         """
         if not self.sweeps:
             return np.arange(len(self.value))
@@ -268,7 +277,7 @@ def relative_value_iteration(
     For the monotone order-based kinds the sweeps share one ``RowHistory``,
     so each skips the rows the monotone bound rules out (see the module
     docstring); the bracket, the iterates and the policy are those of full
-    sweeps, to rounding for the shortfall.
+    sweeps, to rounding for the band and the shortfall.
     """
     n = mcp.n_states
     ref = cfg.reference_state
@@ -405,8 +414,10 @@ def measure_contraction(
     inside the unit-weight seminorm (half-span) ball of radius
     ``ball_radius`` when given — and measures
     seminorm(R^pi v - R^pi u, w_hat) / seminorm(v - u, w_hat), where R^pi
-    is T^pi of the model with zero cost: one ``risk_table`` call evaluates
-    both vectors on every row.  Degenerate pairs (v = u) are skipped; when
+    is T^pi of the model with zero cost.  Every trial is drawn first; then
+    one ``risk_table`` call per block of trials evaluates their pairs on
+    every row, each table within ``BLOCK_ELEMENTS``.  Degenerate pairs
+    (v = u) are skipped; when
     every pair is degenerate the ratios are NaN and ``n_pairs`` is 0.
     ``n_trials`` below 1, or a ``ball_radius`` that is not finite and
     positive, raises ``ValueError``.
@@ -417,18 +428,21 @@ def measure_contraction(
         raise ValueError(f"ball_radius must be finite and > 0, got {ball_radius}")
     rng = np.random.default_rng(seed)
     w_hat = np.asarray(w_hat, dtype=float)
-    n = mcp.n_states
-    ratios = []
+    n, rows = mcp.n_states, mcp.stacked_transition
+    trials = []
     for _ in range(n_trials):
         v = _random_in_ball(n, rng, ball_radius)
         u = _random_in_ball(n, rng, ball_radius)
         denom = weighted_seminorm(v - u, w_hat)
         if denom < 1e-300:
             continue
-        pi = _random_policy(mcp, rng)
-        Rv, Ru = risk_table(spec, np.stack((v, u)), mcp.stacked_transition)
-        num = weighted_seminorm(policy_reduce(mcp, pi, Rv - Ru), w_hat)
-        ratios.append(num / denom)
+        trials.append((v, u, denom, _random_policy(mcp, rng)))
+    ratios = []
+    for sl in row_blocks(len(trials), 2 * len(rows)):
+        block = trials[sl]
+        R = risk_table(spec, [x for v, u, *_ in block for x in (v, u)], rows)
+        for (_, _, denom, pi), Rv, Ru in zip(block, R[0::2], R[1::2]):
+            ratios.append(weighted_seminorm(policy_reduce(mcp, pi, Rv - Ru), w_hat) / denom)
     if not ratios:
         return ContractionStats(math.nan, math.nan, math.nan, 0)
     arr = np.asarray(ratios)

@@ -375,7 +375,9 @@ def test_verify_certificates_report(tmp_path):
     report = json.loads((out / "certificates.json").read_text())
     assert [r["kind"] for r in report] == ["lyapunov", "doeblin", "local_doeblin"]
     assert all(r["satisfied"] for r in report)
-    assert all(set(r) == {"kind", "satisfied", "constants", "worst_witness"} for r in report)
+    assert all(set(r) == {"kind", "satisfied", "constants", "worst_witness", "timing_s"} for r in report)
+    # each certificate's own wall time, outside its constants
+    assert all(isinstance(r["timing_s"], float) and r["timing_s"] >= 0.0 for r in report)
     assert report[1]["constants"]["alpha"] == pytest.approx(0.7)
     assert report[2]["constants"]["lambda_minus"] == pytest.approx(2.0 / 3.0)
 
@@ -610,6 +612,8 @@ def test_state_set_forms_name_the_same_states(tmp_path):
     code, out = run(tmp_path, "verify", cfg)
     assert code == 0
     report = json.loads((out / "certificates.json").read_text())
+    for r in report:
+        del r["timing_s"]  # the only part of an entry that differs from run to run
     assert [r["constants"]["alpha"] for r in report[:3]] == [pytest.approx(0.7)] * 3
     assert report[3] == report[4]
     assert report[5] == report[6] == report[7]

@@ -132,7 +132,7 @@ def test_order_based_kinds_in_row_blocks_equal_row_by_row():
     for spec in ORDER_BASED:
         want = [eval_risk(spec, v, q) for q in rows]
         table = [[eval_risk(spec, u, q) for q in rows] for u in V]
-        if spec.kind == "shortfall":
+        if spec.kind in ("shortfall", "density_band"):
             # a row alone is one chunk where 1000 rows cut 18 or 30, and BLAS
             # rounds a row by how many rows share the checkpoint product
             assert np.max(np.abs(risk_values(spec, v, rows) - want)) <= 1e-14 * max(1.0, np.max(np.abs(v)))
@@ -394,6 +394,82 @@ def test_band_spread_beyond_float_range_stays_finite():
     q = np.array([[0.5, 0.5], [0.25, 0.75]])
     got = risk_values(RiskMapSpec("density_band", band=(0.5, 1.5)), v, q)
     assert np.allclose(got, [0.5e308, -0.25e308], rtol=1e-14, atol=0.0)
+
+
+def band_edge_cases():
+    """(name, v, rows, g1, g2): laws of ten states or fewer, which the kernel
+    cuts into two chunks of five sorted positions when it evaluates two rows
+    or more, and into one for a single row."""
+    v = np.arange(10.0, 0.0, -1.0)  # sorted from the top, so rank is index
+    eighth, sixteenth = 0.125, 0.0625
+    dyadic = np.array([eighth, eighth, eighth, sixteenth, sixteenth] * 2)
+    rng = np.random.default_rng(41)
+    laws = np.array([random_law(rng, 10) for _ in range(3)])
+    zero_mass = laws.copy()
+    zero_mass[:, 3:7] = 0.0  # the crossing of beta = 0.5 falls among them
+    zero_mass /= zero_mass.sum(axis=1, keepdims=True)
+    tail = np.vstack([np.full(10, 0.099), np.r_[np.full(9, 0.0999), 0.1009]])
+    tail /= tail.sum(axis=1, keepdims=True)
+    return [
+        # the top five carry exactly beta = 0.5: k* is the last position of chunk 0
+        ("k* on a chunk boundary", v, np.vstack([dyadic, dyadic[::-1]]), 0.0, 2.0),
+        # beta = 1 / 1.0001 exceeds the mass above the last outcome
+        ("beta only at the last position", v, tail, 0.0, 1.0001),
+        ("ties straddling a boundary", np.r_[9.0, 8.0, 7.0, 5.0, 5.0, 5.0, 5.0, 2.0, 1.0, 0.0], laws, 0.3, 1.7),
+        ("zero mass in the crossing chunk", v, zero_mass, 0.0, 2.0),
+        ("one row", rng.normal(size=10), laws[:1], 0.25, 2.5),
+        ("fewer states than a chunk", rng.normal(size=3), np.array([random_law(rng, 3) for _ in range(6)]), 0.0, 3.0),
+        ("a padded last chunk", rng.normal(size=9), np.array([random_law(rng, 9) for _ in range(4)]), 0.5, 1.5),
+        ("average value at risk", rng.normal(size=10), laws, 0.0, 4.0),
+        ("the mean", rng.normal(size=10), laws, 1.0, 1.0),
+        ("a wide corridor", rng.normal(size=10), laws, 0.2, 30.0),
+    ]
+
+
+@pytest.mark.parametrize("name, v, rows, g1, g2", band_edge_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_band_edge_cases_match_vertex_enumeration(name, v, rows, g1, g2):
+    got = risk_values(RiskMapSpec("density_band", band=(g1, g2)), v, rows)
+    want = [brute_force_band(v, q, g1, g2) for q in rows]
+    assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+def test_band_table_in_vector_blocks_equals_vector_by_vector():
+    # 100 vectors of 300 states against 3 rows are 5 blocks of 21 vectors;
+    # one vector's spread is past the float range, and is evaluated halved
+    rng = np.random.default_rng(42)
+    rows = rng.dirichlet(np.ones(300), size=3)
+    V = rng.normal(size=(100, 300)) * 3
+    V[30, :2] = 1e308, -1e308
+    spec = RiskMapSpec("density_band", band=(0.3, 2.5))
+    got = risk_table(spec, V, rows)
+    want = np.array([[eval_risk(spec, v, q) for q in rows] for v in V])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.max(np.abs(V), axis=1))[:, None])
+
+
+def test_band_is_translation_invariant_far_from_zero():
+    rng = np.random.default_rng(43)
+    rows = rng.dirichlet(np.ones(200), size=50)
+    V = rng.normal(size=(8, 200)) * 3
+    spec = RiskMapSpec("density_band", band=(0.5, 1.5))
+    assert np.max(np.abs(risk_table(spec, V + 1e6, rows) - (risk_table(spec, V, rows) + 1e6))) <= 1e-9
+
+
+def test_band_table_temporaries_stay_within_the_block_budget():
+    # check_l2's blocks on the 201-state verify model: 326 samples against its
+    # 402 rows, a 1 MiB table.  The kernel's temporaries for all of them stay
+    # within 1.26 MiB, which is what one (rows, n) gather and its distortion
+    # took per sample.
+    rng = np.random.default_rng(44)
+    rows = rng.dirichlet(np.ones(200), size=402)
+    V = rng.normal(size=(326, 200)) * 3
+    spec = RiskMapSpec("density_band", band=(0.5, 1.5))
+    tracemalloc.start()
+    try:
+        risk_table(spec, V, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.26 * 2 ** 20
 
 
 def test_band_spec_rejects_bad_corridor():
@@ -893,6 +969,18 @@ def test_axioms_checker_rejects_unknown_claim_names():
     for claims in ({"convex"}, {"homogeneous", "convexity"}, {"subadditive"}):
         with pytest.raises(ValueError, match="unknown axiom claims"):
             check_axioms_of(lambda V, R: V @ R.T, claims, rows, values, rng)
+
+
+def test_axiom_checks_do_not_claim_monotonicity_for_a_map_that_is_not_monotone():
+    # lam -0.6, r 1.5 fails only near a point mass, which these draws never
+    # reach, so the check passes; it is reported but not claimed
+    pool = builtin_chain("random_seeded", n=6, m=3, seed=7)
+    spec = RiskMapSpec("mean_semideviation", lam=-0.6, r=1.5)
+    check = check_risk_axioms(spec, pool, n_samples=10_000, seed=3).checks["monotonicity"]
+    assert not spec.monotone and not check.claimed and check.n_checked >= 10_000
+    steep = check_risk_axioms(RiskMapSpec("mean_semideviation", lam=-1.0, r=10.0), pool, n_samples=10_000, seed=3)
+    assert not steep.checks["monotonicity"].claimed and not steep.checks["monotonicity"].passed
+    assert steep.ok
 
 
 def test_spec_claims_are_check_names():

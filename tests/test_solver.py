@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskmdp import solver
+from riskmdp import mdp, solver
 from riskmdp.cli import build_model
-from riskmdp.mdp import WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_transition_and_cost
+from riskmdp.mdp import (WORST_PAIR_RTOL, FiniteMCP, PolicyVector, policy_reduce, policy_transition_and_cost,
+                         weighted_seminorm)
 from riskmdp.models import DiffusionSpec, GridSpec, QuadraticCost, attach_cost, builtin_chain, discretize_diffusion
 from riskmdp.oracles import entropic_spectral_rho, neutral_average_cost
-from riskmdp.risk import PiecewiseLinearUtility, RiskMapSpec, eval_risk, risk_values
+from riskmdp.risk import PiecewiseLinearUtility, RiskMapSpec, eval_risk, risk_table, risk_values
 from riskmdp.solver import (
     RowHistory,
     SolveConfig,
@@ -20,7 +21,7 @@ from riskmdp.solver import (
     poisson_residual,
     relative_value_iteration,
 )
-from riskmdp.solver import _random_policy
+from riskmdp.solver import _random_in_ball, _random_policy
 
 try:
     from hypothesis import given, settings
@@ -651,6 +652,40 @@ def test_contraction_with_no_measurable_pair_reports_nan_and_zero_pairs():
     stats = measure_contraction(one, NEUTRAL, np.ones(1), 50)
     assert stats.n_pairs == 0
     assert np.isnan(stats.max_ratio) and np.isnan(stats.mean_ratio) and np.isnan(stats.min_ratio)
+
+
+def contraction_trial_by_trial(mcp, spec, w_hat, n_trials, ball_radius, seed):
+    """The ratios of measure_contraction, each pair evaluated on its own."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(n_trials):
+        v = _random_in_ball(mcp.n_states, rng, ball_radius)
+        u = _random_in_ball(mcp.n_states, rng, ball_radius)
+        denom = weighted_seminorm(v - u, w_hat)
+        if denom < 1e-300:
+            continue
+        pi = _random_policy(mcp, rng)
+        Rv, Ru = risk_table(spec, np.stack((v, u)), mcp.stacked_transition)
+        ratios.append(weighted_seminorm(policy_reduce(mcp, pi, Rv - Ru), w_hat) / denom)
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize("spec", [ENTROPIC, RiskMapSpec("density_band", band=(0.3, 2.0)),
+                                  RiskMapSpec("mean_semideviation", lam=0.5),
+                                  RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([0.0], [0.5, 2.0]))],
+                         ids=lambda s: s.kind)
+def test_contraction_trials_in_blocks_match_trial_by_trial(monkeypatch, spec):
+    # a budget of 7 trials' tables (2 x 36 rows each) cuts 60 trials into 9 blocks
+    m = builtin_chain("random_seeded", n=12, m=3, seed=5)
+    w_hat = 1.0 + np.linspace(0.0, 1.0, 12)
+    monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", 7 * 2 * 36)
+    calls = []
+    monkeypatch.setattr(solver, "risk_table", lambda spec, V, rows: calls.append(len(V)) or risk_table(spec, V, rows))
+    stats = measure_contraction(m, spec, w_hat, 60, ball_radius=2.0, seed=3)
+    want = contraction_trial_by_trial(m, spec, w_hat, 60, 2.0, 3)
+    assert calls == [14] * 8 + [8] and stats.n_pairs == len(want) == 60
+    got = (stats.max_ratio, stats.mean_ratio, stats.min_ratio)
+    assert got == pytest.approx((want.max(), want.mean(), want.min()), rel=1e-12, abs=0.0)
 
 
 def test_contraction_neutral_bounded_by_dobrushin_coefficient():
