@@ -381,7 +381,7 @@ def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep
 def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
     out = np.empty(len(rows) if keep is None else len(keep))
     blocks = row_blocks(len(out), len(v))
-    block = np.empty((blocks[0].stop if blocks else 0, len(v)))  # the excess of each row block in turn
+    block = np.empty((min(len(out), blocks[0].stop) if blocks else 0, len(v)))  # each row block's excess in turn
     for sl, Q in _blocks(rows, keep, rows.shape[1]):
         mean = np.einsum("ij,j->i", Q, v)
         excess = np.subtract(v, mean[:, None], out=block[: len(Q)])

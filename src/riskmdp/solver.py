@@ -414,10 +414,11 @@ def measure_contraction(
     inside the unit-weight seminorm (half-span) ball of radius
     ``ball_radius`` when given — and measures
     seminorm(R^pi v - R^pi u, w_hat) / seminorm(v - u, w_hat), where R^pi
-    is T^pi of the model with zero cost.  Every trial is drawn first; then
-    one ``risk_table`` call per block of trials evaluates their pairs on
-    every row, each table within ``BLOCK_ELEMENTS``.  Degenerate pairs
-    (v = u) are skipped; when
+    is T^pi of the model with zero cost.  The trials are drawn and
+    evaluated a block at a time, in the order of one stream: one
+    ``risk_table`` call evaluates a block's pairs on every row, a table of
+    at most a quarter of ``BLOCK_ELEMENTS``, and only that block's trials
+    are held.  Degenerate pairs (v = u) are skipped; when
     every pair is degenerate the ratios are NaN and ``n_pairs`` is 0.
     ``n_trials`` below 1, or a ``ball_radius`` that is not finite and
     positive, raises ``ValueError``.
@@ -429,20 +430,20 @@ def measure_contraction(
     rng = np.random.default_rng(seed)
     w_hat = np.asarray(w_hat, dtype=float)
     n, rows = mcp.n_states, mcp.stacked_transition
-    trials = []
-    for _ in range(n_trials):
-        v = _random_in_ball(n, rng, ball_radius)
-        u = _random_in_ball(n, rng, ball_radius)
-        denom = weighted_seminorm(v - u, w_hat)
-        if denom < 1e-300:
-            continue
-        trials.append((v, u, denom, _random_policy(mcp, rng)))
     ratios = []
-    for sl in row_blocks(len(trials), 2 * len(rows)):
-        block = trials[sl]
-        R = risk_table(spec, [x for v, u, *_ in block for x in (v, u)], rows)
-        for (_, _, denom, pi), Rv, Ru in zip(block, R[0::2], R[1::2]):
-            ratios.append(weighted_seminorm(policy_reduce(mcp, pi, Rv - Ru), w_hat) / denom)
+    for sl in row_blocks(n_trials, 8 * len(rows)):
+        trials = []
+        for _ in range(n_trials)[sl]:
+            v = _random_in_ball(n, rng, ball_radius)
+            u = _random_in_ball(n, rng, ball_radius)
+            denom = weighted_seminorm(v - u, w_hat)
+            if denom < 1e-300:
+                continue
+            trials.append((v, u, denom, _random_policy(mcp, rng)))
+        if trials:
+            R = risk_table(spec, [x for v, u, *_ in trials for x in (v, u)], rows)
+            for (_, _, denom, pi), Rv, Ru in zip(trials, R[0::2], R[1::2]):
+                ratios.append(weighted_seminorm(policy_reduce(mcp, pi, Rv - Ru), w_hat) / denom)
     if not ratios:
         return ContractionStats(math.nan, math.nan, math.nan, 0)
     arr = np.asarray(ratios)
