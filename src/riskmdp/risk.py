@@ -38,15 +38,15 @@ moment as row dots, with one block temporary per value vector.  The band
 and the shortfall evaluate a block of value vectors at once: each sorted v
 is cut into nb chunks, about sqrt(N) for N sorted positions but no more
 than sqrt(2 m) for m rows, and the checkpoint matrix of each v, about
-2 nb rows of n, takes one matrix product per row block.  For the band (n sorted
-outcomes) it gives each row's top mass and excess above each chunk start
-and its mean; the count of chunk starts whose top mass is below beta picks
-the chunk that holds v*, and running sums of that chunk's masses find v*
-in it (a spread past the float range is evaluated at v / 2 and doubled).
-For the shortfall (the N = n K kinks) it gives E[u(v - m)] and its slope
-where each chunk starts, the sign count picks the root's chunk, and
-running sums there give the exact root.  The axiom checks evaluate tables
-too.
+2 nb rows of n, takes one matrix product per row block.  For the band (n
+sorted outcomes) it gives each row's top mass and excess above each chunk
+start and its mean; the count of chunk starts whose top mass is below beta
+picks the chunk that holds v*, and running sums of that chunk's masses
+find v* in it (a spread past the float range is evaluated at v / 2 and
+doubled).  For the shortfall (the N = n K kinks) it gives E[u(v - m)] and
+its slope where each chunk starts, the sign count picks the root's chunk,
+and running sums there give the exact root.  The axiom checks evaluate
+tables too.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep
         for sl, Q in _blocks(rows, keep, s * (2 * nb + 1 + 2 * w)):
             # the refine runs on (position, vector, row) arrays, so that its
             # running sums and counts take whole rows of them
-            c, C, above, mean = (x.T for x in _crossing(Q, X, nb, lambda C: C < beta))
+            c, C, above, mean = (x.T for x in _crossing(Q, X, nb, lambda top: top < beta))
             at = order.take(c, axis=1)
             at += n * np.arange(len(Q))
             W = Q.take(at)  # the chunk's masses

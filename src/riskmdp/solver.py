@@ -417,8 +417,9 @@ def measure_contraction(
     is T^pi of the model with zero cost.  The trials are drawn and
     evaluated a block at a time, in the order of one stream: one
     ``risk_table`` call evaluates a block's pairs on every row, a table of
-    at most a quarter of ``BLOCK_ELEMENTS``, and only that block's trials
-    are held.  Degenerate pairs (v = u) are skipped; when
+    at most a sixteenth of ``BLOCK_ELEMENTS``, and only that block's trials
+    are held (larger blocks left the process's heap larger and were no
+    faster end to end).  Degenerate pairs (v = u) are skipped; when
     every pair is degenerate the ratios are NaN and ``n_pairs`` is 0.
     ``n_trials`` below 1, or a ``ball_radius`` that is not finite and
     positive, raises ``ValueError``.
@@ -431,7 +432,7 @@ def measure_contraction(
     w_hat = np.asarray(w_hat, dtype=float)
     n, rows = mcp.n_states, mcp.stacked_transition
     ratios = []
-    for sl in row_blocks(n_trials, 8 * len(rows)):
+    for sl in row_blocks(n_trials, 32 * len(rows)):
         trials = []
         for _ in range(n_trials)[sl]:
             v = _random_in_ball(n, rng, ball_radius)

@@ -675,10 +675,10 @@ def contraction_trial_by_trial(mcp, spec, w_hat, n_trials, ball_radius, seed):
                                   RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([0.0], [0.5, 2.0]))],
                          ids=lambda s: s.kind)
 def test_contraction_trials_in_blocks_match_trial_by_trial(monkeypatch, spec):
-    # tables of a quarter of a budget of 7 * 8 * 36 cut 60 trials into 9 blocks
+    # tables of a sixteenth of a budget of 7 * 32 * 36 cut 60 trials into 9 blocks
     m = builtin_chain("random_seeded", n=12, m=3, seed=5)
     w_hat = 1.0 + np.linspace(0.0, 1.0, 12)
-    monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", 7 * 8 * 36)
+    monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", 7 * 32 * 36)
     calls = []
     monkeypatch.setattr(solver, "risk_table", lambda spec, V, rows: calls.append(len(V)) or risk_table(spec, V, rows))
     stats = measure_contraction(m, spec, w_hat, 60, ball_radius=2.0, seed=3)
