@@ -307,19 +307,15 @@ def _crossing(Q: np.ndarray, X: np.ndarray, nb: int, before: Callable) -> tuple[
 
 def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep) -> np.ndarray:
     # With xi = g1 + (g2 - g1) eta, the band is g1 E[v] + (g2 - g1) times
-    # the sup of E[eta v] over 0 <= eta <= 1 with E[eta] = beta.  That sup
-    # is the minimum over t of beta t + E[(v - t)_+] (Rockafellar & Uryasev
-    # 2000), taken at t = v*, the value at the first sorted position k*
-    # (from the top) whose top mass reaches beta.  Anchored at v_min, with
-    # a = v - v_min >= 0:
+    # the sup of E[eta v] over 0 <= eta <= 1 with E[eta] = beta: the minimum
+    # over t of beta t + E[(v - t)_+] (Rockafellar & Uryasev 2000), taken at
+    # v*, the value at the first sorted position whose top mass reaches
+    # beta.  Anchored at v_min, with a = v - v_min >= 0,
     #   R = v_min + g1 E[a] + (g2 - g1) (E[(a - a*)_+] + beta a*),
-    # every term nonnegative.  Checkpoint i is sorted position i w, at a
-    # value t_i: X holds the indicator of the positions before it and the
-    # excess (a - t_i)_+, and a, so Q @ X is the top mass C and the excess
-    # above each checkpoint, and E[a]; the chunk c is the count of
-    # checkpoints with C < beta.  Running sums of the chunk's masses find
-    # k* in it, and E[(a - a*)_+] is the excess above t_c, plus C (t_c - a*),
-    # plus the chunk's own excess above a*.
+    # every term nonnegative.  At checkpoint i (sorted position i w, value
+    # t_i) X holds the indicator of the positions above it and (a - t_i)_+;
+    # in chunk c, E[(a - a*)_+] is the excess above t_c, plus C (t_c - a*)
+    # for the top mass C above t_c, plus the chunk's own excess above a*.
     g1, g2 = band
     if g1 == g2:  # g1 = g2 = 1: the mean
         return V @ (rows if keep is None else rows[keep]).T
@@ -426,7 +422,8 @@ def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUt
         # chunk c of vector k and the checkpoint before it are row k nb + c of these
         kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
         for sl, Q in _blocks(rows, keep, s * w):
-            c, A, S, _ = _crossing(Q, X, nb, lambda g: g > 0)  # the root's chunk: g > 0 on a prefix of the checkpoints
+            # the root's chunk: g > 0 on a prefix of the checkpoints
+            c, A, S, _ = _crossing(Q, X, nb, lambda g: g > 0)
             r = np.arange(len(Q))[:, None]
             T = kinks[c] - t[c][..., None]
             W = Q[r[..., None], y[c]] * wk[c]

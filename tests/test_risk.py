@@ -397,9 +397,9 @@ def test_band_spread_beyond_float_range_stays_finite():
 
 
 def band_edge_cases():
-    """(name, v, rows, g1, g2): laws of ten states or fewer, which the kernel
-    cuts into two chunks of five sorted positions when it evaluates two rows
-    or more, and into one for a single row."""
+    """name -> (v, rows, g1, g2): laws of ten states or fewer, which the
+    kernel cuts into two chunks of five sorted positions when it evaluates
+    two rows or more, and into one for a single row."""
     v = np.arange(10.0, 0.0, -1.0)  # sorted from the top, so rank is index
     eighth, sixteenth = 0.125, 0.0625
     dyadic = np.array([eighth, eighth, eighth, sixteenth, sixteenth] * 2)
@@ -410,27 +410,31 @@ def band_edge_cases():
     zero_mass /= zero_mass.sum(axis=1, keepdims=True)
     tail = np.vstack([np.full(10, 0.099), np.r_[np.full(9, 0.0999), 0.1009]])
     tail /= tail.sum(axis=1, keepdims=True)
-    return [
+    return {
         # the top five carry exactly beta = 0.5: k* is the last position of chunk 0
-        ("k* on a chunk boundary", v, np.vstack([dyadic, dyadic[::-1]]), 0.0, 2.0),
+        "kstar_on_a_chunk_boundary": (v, np.vstack([dyadic, dyadic[::-1]]), 0.0, 2.0),
         # beta = 1 / 1.0001 exceeds the mass above the last outcome
-        ("beta only at the last position", v, tail, 0.0, 1.0001),
-        ("ties straddling a boundary", np.r_[9.0, 8.0, 7.0, 5.0, 5.0, 5.0, 5.0, 2.0, 1.0, 0.0], laws, 0.3, 1.7),
-        ("zero mass in the crossing chunk", v, zero_mass, 0.0, 2.0),
-        ("one row", rng.normal(size=10), laws[:1], 0.25, 2.5),
-        ("fewer states than a chunk", rng.normal(size=3), np.array([random_law(rng, 3) for _ in range(6)]), 0.0, 3.0),
-        ("a padded last chunk", rng.normal(size=9), np.array([random_law(rng, 9) for _ in range(4)]), 0.5, 1.5),
-        ("average value at risk", rng.normal(size=10), laws, 0.0, 4.0),
-        ("the mean", rng.normal(size=10), laws, 1.0, 1.0),
-        ("a wide corridor", rng.normal(size=10), laws, 0.2, 30.0),
-    ]
+        "beta_only_at_the_last_position": (v, tail, 0.0, 1.0001),
+        "ties_straddling_a_boundary": (np.r_[9.0, 8.0, 7.0, 5.0, 5.0, 5.0, 5.0, 2.0, 1.0, 0.0], laws, 0.3, 1.7),
+        "zero_mass_in_the_crossing_chunk": (v, zero_mass, 0.0, 2.0),
+        "one_row": (rng.normal(size=10), laws[:1], 0.25, 2.5),
+        "fewer_states_than_a_chunk": (rng.normal(size=3), np.array([random_law(rng, 3) for _ in range(6)]), 0.0, 3.0),
+        "a_padded_last_chunk": (rng.normal(size=9), np.array([random_law(rng, 9) for _ in range(4)]), 0.5, 1.5),
+        "average_value_at_risk": (rng.normal(size=10), laws, 0.0, 4.0),
+        "the_mean": (rng.normal(size=10), laws, 1.0, 1.0),
+        "a_wide_corridor": (rng.normal(size=10), laws, 0.2, 30.0),
+    }
 
 
-@pytest.mark.parametrize("name, v, rows, g1, g2", band_edge_cases(), ids=lambda x: x if isinstance(x, str) else "")
-def test_band_edge_cases_match_vertex_enumeration(name, v, rows, g1, g2):
+BAND_EDGE_CASES = band_edge_cases()
+
+
+@pytest.mark.parametrize("name", list(BAND_EDGE_CASES))
+def test_band_edge_cases_match_vertex_enumeration(name):
+    v, rows, g1, g2 = BAND_EDGE_CASES[name]
     got = risk_values(RiskMapSpec("density_band", band=(g1, g2)), v, rows)
     want = [brute_force_band(v, q, g1, g2) for q in rows]
-    assert np.max(np.abs(got - want)) <= 1e-12, name
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_band_table_in_vector_blocks_equals_vector_by_vector():
@@ -457,8 +461,7 @@ def test_band_is_translation_invariant_far_from_zero():
 def test_band_table_temporaries_stay_within_the_block_budget():
     # check_l2's blocks on the 201-state verify model: 326 samples against its
     # 402 rows, a 1 MiB table.  The kernel's temporaries for all of them stay
-    # within 1.26 MiB, which is what one (rows, n) gather and its distortion
-    # took per sample.
+    # within 1.26 MiB, about two (rows, n) arrays.
     rng = np.random.default_rng(44)
     rows = rng.dirichlet(np.ones(200), size=402)
     V = rng.normal(size=(326, 200)) * 3
