@@ -160,15 +160,15 @@ class RowHistory:
         a = v - v_min.  Its two parts are nonnegative and at most the
         spread, and each is a sum of at most n + 3 nonnegative terms, each
         rounded a few times: (n + 4) eps times the spread, in whatever order
-        a matrix product sums them.  A top mass off by n eps can move a* to
-        a neighbouring position, which moves the second part by g2 - g1
-        times that error times their gap, so by at most n eps times the
-        spread, since (g2 - g1) beta = 1 - g1.  With the last sum, that is
-        (4 n + 9) eps max |v|, within 8 n eps max |v| for n >= 3 states;
-        for fewer, ``WORST_PAIR_RTOL`` (above 4000 eps) holds it.  The
-        shortfall's root can err by that much over the utility's smallest
-        slope, so for it the minimum is kept only to rounding.  A row with
-        a NaN bound is always kept.
+        a matrix product sums them.  A top mass off by n eps of itself, about
+        beta where it decides, can move a* to a neighbouring position; that
+        moves the second part by g2 - g1 times n eps beta times their gap,
+        at most n eps times the spread as (g2 - g1) beta = 1 - g1.  With the
+        last sum, that is (4 n + 9) eps max |v|, within 8 n eps max |v| for
+        n >= 3 states; for fewer, ``WORST_PAIR_RTOL`` (above 4000 eps) holds
+        it.  The shortfall's root can err by that much over the utility's
+        smallest slope, so for it the minimum is kept only to rounding.  A
+        row with a NaN bound is always kept.
         """
         if not self.sweeps:
             return np.arange(len(self.value))
