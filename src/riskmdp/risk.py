@@ -33,20 +33,17 @@ kind makes a full (rows, n) temporary per value vector: ``neutral`` is one
 matrix product and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam,
 which falls back to a row-wise logsumexp where the product underflows.
 The order-based kinds sort each v once and sweep the rows in blocks of
-``mdp.BLOCK_ELEMENTS``.  Mean-semideviation takes its mean and its excess
-moment as row dots, with one block temporary per value vector.  The band
-and the shortfall evaluate a block of value vectors at once: each sorted v
-is cut into nb chunks, about sqrt(N) for N sorted positions but no more
-than sqrt(2 m) for m rows, and the checkpoint matrix of each v, about
-2 nb rows of n, takes one matrix product per row block.  For the band (n
-sorted outcomes) it gives each row's top mass and excess above each chunk
-start and its mean; the count of chunk starts whose top mass is below beta
-picks the chunk that holds v*, and running sums of that chunk's masses
-find v* in it (a spread past the float range is evaluated at v / 2 and
-doubled).  For the shortfall (the N = n K kinks) it gives E[u(v - m)] and
-its slope where each chunk starts, the sign count picks the root's chunk,
-and running sums there give the exact root.  The axiom checks evaluate
-tables too.
+``mdp.BLOCK_ELEMENTS``.  Mean-semideviation takes its mean and excess
+moment as row dots at v 2^-e (e the exponent of max |v|), scaled back.
+The band and the shortfall share one checkpoint kernel, for a block of
+value vectors at once: both are expectations of a piecewise-linear
+function of v - t with kinks at the n K points v_y - b_k (the band: K = 1,
+b = 0).  Sorted from the top and cut into about sqrt(n K) chunks (at most
+sqrt(2 m) for m rows), the kinks of each v make a checkpoint matrix of
+2 nb + 1 rows of n, one matrix product per row block; a count over the
+chunk starts picks each row's chunk and running sums there find v* or
+the exact root.  A spread of kinks past the float range is evaluated at
+v / 2 and b / 2 and doubled.  The axiom checks evaluate tables too.
 """
 
 from __future__ import annotations
@@ -290,91 +287,138 @@ def _chunks(N: int, m: int, n: int) -> tuple[int, int]:
     return -(-N // w), w
 
 
-def _crossing(Q: np.ndarray, X: np.ndarray, nb: int, before: Callable) -> tuple[np.ndarray, ...]:
-    """One product of the row block Q with the (s, c, n) checkpoint
-    matrices X of s value vectors.  Rows 0 .. nb - 1 of each hold a first
-    quantity at the nb checkpoints (chunk starts), rows nb .. 2 nb - 1 a
-    second, and any further rows are carried along.  A row's chunk i is the
-    count of checkpoints 1 .. nb - 1 where ``before`` holds of the first
-    quantity.  Returns, each (len(Q), s): the chunk as row k nb + i of the
-    vectors' stacked chunks, and both quantities at checkpoint i; and the
-    further rows' products, (len(Q), s, c - 2 nb)."""
+def _crossing(Q: np.ndarray, X: np.ndarray, t: np.ndarray, before: Callable) -> tuple[np.ndarray, ...]:
+    """One product of the row block Q with the (s, 2 nb + 1, n) checkpoint
+    matrices X of s value vectors with checkpoints t, (s, nb): each row's
+    mass above and excess over each checkpoint, and its mean.  A row's
+    chunk i counts the checkpoints 1 .. nb - 1 where ``before(mass,
+    excess, mean, t)`` holds.  Returns, each (len(Q), s): the chunk as row
+    k nb + i of the stacked chunks, the mass and excess at i, the mean."""
+    nb = t.shape[1]
     Y = (Q @ X.reshape(-1, X.shape[2]).T).reshape(len(Q), len(X), -1)
-    i = before(Y[:, :, 1:nb]).sum(axis=2)
+    i = before(Y[:, :, 1:nb], Y[:, :, nb + 1:-1], Y[:, :, -1:], t[:, 1:]).sum(axis=2)
     r, k = np.arange(len(Q))[:, None], np.arange(len(X))
-    return i + nb * k, Y[r, k, i], Y[r, k, i + nb], Y[:, :, 2 * nb:].copy()
+    return i + nb * k, Y[r, k, i], Y[r, k, i + nb], Y[:, :, -1].copy()
 
 
-def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep) -> np.ndarray:
-    # With xi = g1 + (g2 - g1) eta, the band is g1 E[v] + (g2 - g1) times
-    # the sup of E[eta v] over 0 <= eta <= 1 with E[eta] = beta: the minimum
-    # over t of beta t + E[(v - t)_+] (Rockafellar & Uryasev 2000), taken at
-    # v*, the value at the first sorted position whose top mass reaches
-    # beta.  Anchored at v_min, with a = v - v_min >= 0,
-    #   R = v_min + g1 E[a] + (g2 - g1) (E[(a - a*)_+] + beta a*),
-    # every term nonnegative.  At checkpoint i (sorted position i w, value
-    # t_i) X holds the indicator of the positions above it and (a - t_i)_+;
-    # in chunk c, E[(a - a*)_+] is the excess above t_c, plus C (t_c - a*)
-    # for the top mass C above t_c, plus the chunk's own excess above a*.
-    g1, g2 = band
-    if g1 == g2:  # g1 = g2 = 1: the mean
-        return V @ (rows if keep is None else rows[keep]).T
-    beta = (1.0 - g1) / (g2 - g1)
-    m, n = len(rows) if keep is None else len(keep), rows.shape[1]
-    nb, w = _chunks(n, m, n)
-    tri = np.tri(w)  # its product with a chunk's masses is their running sums
+def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.ndarray, s0: float,
+                band: tuple[float, float] | None = None) -> np.ndarray:
+    # Both maps are expectations of a piecewise-linear function of v - t
+    # with kinks at the n K points v_y - b_k, of weights ds_k, sorted from
+    # the top and anchored at the lowest (low): a = v_y - b_k - low >= 0.
+    # Chunk c holds w sorted positions from checkpoint t_c.  X holds, per
+    # state, the weight of its kinks above each checkpoint, their sum of
+    # ds_k (a - t_c)_+, and v - x0 - low, so Q @ X is each row's weighted
+    # mass M and excess E above every checkpoint, and its mean.
+    # The band (K = 1, b = 0, unit weight, x0 = 0) is g1 E[v] + (g2 - g1)
+    # min_t (beta t + E[(v - t)_+]) (Rockafellar & Uryasev 2000), the
+    # minimum at a*, the first sorted position whose top mass reaches beta:
+    #   R = low + g1 E[a] + (g2 - g1) (E[(a - a*)_+] + beta a*),
+    # every term nonnegative.  Its chunk is the count of checkpoints with M
+    # below beta; running sums of its masses find a*, and E[(a - a*)_+] is
+    # E, plus M (t_c - a*), plus the chunk's own excess above a*.
+    # The shortfall: u(x) = s0 (x - x0) + sum_k ds_k (x - b_k)_+, s0 the
+    # lowest slope, so g(t) = E[u(v - low - t)] = s0 (mean - t) + E at a
+    # checkpoint.  Its chunk is the count of checkpoints with g < 0; running
+    # sums of the weights q_y ds_k give g at each kink of it, and the root
+    # is exact on the line past the last kink with g < 0 (or the start).
+    m, n, K = len(rows) if keep is None else len(keep), rows.shape[1], len(b)
+    N = n * K
+    nb, w = _chunks(N, m, n)
+    if band is not None:
+        g1, g2 = band
+        beta = (1.0 - g1) / (g2 - g1)
+        before = lambda M, E, mean, t: M < beta
+    else:
+        before = lambda M, E, mean, t: s0 * (mean - t) + E < 0
+    top = b[-1] + np.sum(ds * np.minimum(b, 0.0)) / s0  # b_K - x0, as u(0) = 0
+    starts = np.arange(0, N, w)[:, None]
+    # Running sums along a chunk: numpy's cumsum adds one element at a
+    # time, so a short chunk takes a product with a triangle instead.
+    tri = np.tri(w) if w <= 64 else None
+    run = lambda W: np.cumsum(W, axis=0) if tri is None else (tri @ W.reshape(w, -1)).reshape(W.shape)
     out = np.empty((len(V), m))
     # The checkpoint matrices of a block of vectors take at most a quarter
     # block; the product of a row block, and then its chunk gathers, about
     # half of one.
     for vb in row_blocks(len(V), 4 * (2 * nb + 1) * n):
-        a = V[vb].copy()
-        s = len(a)
-        # A spread past the float range is evaluated at v / 2 (exact; the
-        # band is positively homogeneous) and doubled.
-        with np.errstate(over="ignore"):
+        s = len(V[vb])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (V[vb, :, None] - b).reshape(s, N)
             half = ~np.isfinite(np.ptp(a, axis=1))
-        a[half] /= 2.0
+        if half.any():
+            # a spread past the float range is evaluated at v / 2 and b / 2
+            # (exact, as u_b(2 x) = 2 u_{b/2}(x)) and doubled
+            a[half] = (V[vb][half, :, None] / 2.0 - b / 2.0).reshape(-1, N)
         low = a.min(axis=1)
         a -= low[:, None]
         order = np.argsort(-a, axis=1, kind="stable")
         rank = np.empty_like(order)
         k = np.arange(s)[:, None]
-        rank[k, order] = np.arange(n)
-        # positions past n repeat the last one, at a = 0: they add no excess
-        order = np.concatenate((order, np.repeat(order[:, -1:], nb * w - n, axis=1)), axis=1)
+        rank[k, order] = np.arange(N)
+        # positions past N repeat the last one, at a = 0: they add no excess,
+        # and the shortfall gives them no weight
+        order = np.concatenate((order, np.repeat(order[:, -1:], nb * w - N, axis=1)), axis=1)
         vs = a[k, order]
         t = vs[:, ::w]
         X = np.empty((s, 2 * nb + 1, n))
-        np.less(rank[:, None, :], np.arange(0, n, w)[:, None], out=X[:, :nb])
-        np.subtract(a[:, None, :], t[..., None], out=X[:, nb:-1])
-        np.maximum(X[:, nb:-1], 0.0, out=X[:, nb:-1])
-        X[:, -1] = a
+        M, E = X[:, :nb], X[:, nb:-1]
+        np.less(rank[:, None, ::K], starts, out=M)  # each state's first kink, unweighted
+        np.maximum(np.subtract(a[:, None, ::K], t[..., None], out=E), 0.0, out=E)
+        if K > 1 or ds[0] != 1.0:  # not the band's one kink of unit weight
+            M *= ds[0]
+            E *= ds[0]
+            for j in range(1, K):
+                M += ds[j] * (rank[:, None, j::K] < starts)
+                E += ds[j] * np.maximum(a[:, None, j::K] - t[..., None], 0.0)
+        X[:, -1] = a[:, K - 1::K] + np.where(half, top / 2.0, top)[:, None]
+        del a, rank
+        y, kink = np.divmod(order, K)  # the state and the kink at each position
+        wk = ds[kink]
+        wk[:, N:] = 0.0
         # position j of chunk c of vector k is [j, k nb + c] of these
-        order, vs, t = order.reshape(-1, w).T.copy(), vs.reshape(-1, w).T.copy(), t.ravel()
+        y, wk, vs = (x.reshape(-1, w).T.copy() for x in (y, wk, vs))
         for sl, Q in _blocks(rows, keep, s * (2 * nb + 1 + 2 * w)):
             # the refine runs on (position, vector, row) arrays, so that its
             # running sums and counts take whole rows of them
-            c, C, above, mean = (x.T for x in _crossing(Q, X, nb, lambda top: top < beta))
-            at = order.take(c, axis=1)
-            at += n * np.arange(len(Q))
-            W = Q.take(at)  # the chunk's masses
-            del at
-            j = ((tri @ W.reshape(w, -1)).reshape(W.shape) < beta - C).sum(axis=0)
-            star = vs.take(np.minimum(j, w - 1) * vs.shape[1] + c)
-            Z = vs.take(c, axis=1)
-            Z -= star
-            np.maximum(Z, 0.0, out=Z)
-            Z *= W
-            bracket = above + C * (t[c] - star) + Z.sum(axis=0) + beta * star
-            out[vb, sl] = low[:, None] + (g1 * mean[0] + (g2 - g1) * bracket)
-            del W, Z  # before the next block's product
+            c, M, E, mean = (x.T for x in _crossing(Q, X, t, before))
+            W = Q.take(y.take(c, axis=1) + n * np.arange(len(Q)))  # the chunk's masses
+            A, tc = vs.take(c, axis=1), t.ravel()[c]
+            if band is not None:
+                j = (run(W) < beta - M).sum(axis=0)
+                star = vs.take(np.minimum(j, w - 1) * vs.shape[1] + c)
+                A -= star
+                np.maximum(A, 0.0, out=A)
+                A *= W
+                bracket = E + M * (tc - star) + A.sum(axis=0) + beta * star
+                out[vb, sl] = low[:, None] + (g1 * mean + (g2 - g1) * bracket)
+            else:
+                # with d = t_c - A, g = g_c + (s0 + M + sum W) d - sum W d
+                # over the kinks above; the root's line is summed pairwise,
+                # so its rounding does not grow with the chunk's length
+                W *= wk.take(c, axis=1)  # the weights q_y ds_k
+                g, S = s0 * (mean - tc) + E, s0 + M
+                np.subtract(tc, A, out=A)
+                WD = W * A
+                past = (g + (S + run(W)) * A - run(WD) < 0).sum(axis=0)
+                on = np.arange(w)[:, None, None] < past
+                out[vb, sl] = low[:, None] + (tc + (g - WD.sum(axis=0, where=on)) / (S + W.sum(axis=0, where=on)))
+            del W, A  # before the next block's product
         out[vb][half] *= 2.0
         del X  # before the next block's
     return out
 
 
+def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep) -> np.ndarray:
+    if band[0] == band[1]:  # g1 = g2 = 1: the mean
+        return V @ (rows if keep is None else rows[keep]).T
+    return _kink_table(V, rows, keep, np.zeros(1), np.ones(1), 1.0, band)
+
+
 def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
+    # at v 2^-e and scaled back (exact: R is positively homogeneous), so no r-th power over- or underflows
+    e = np.frexp(np.max(np.abs(v)))[1]
+    v = np.ldexp(v, -e)
     out = np.empty(len(rows) if keep is None else len(keep))
     blocks = row_blocks(len(out), len(v))
     block = np.empty((min(len(out), blocks[0].stop) if blocks else 0, len(v)))  # each row block's excess in turn
@@ -384,57 +428,16 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> 
         np.maximum(excess, 0.0, out=excess)
         excess **= spec.r
         out[sl] = mean + spec.lam * np.einsum("ij,ij->i", Q, excess) ** (1.0 / spec.r)
-    return out
+    return np.ldexp(out, e)
 
 
 def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, keep) -> np.ndarray:
-    # g(m) = E[u(v - m)] is piecewise linear and decreasing, with kinks at
-    # v_y - b_k; passing kink t lowers its slope S by q_y (s_{k+1} - s_k).
-    # Chunk i of the sorted kinks is refined from checkpoint i: the first
-    # kink with none passed, else the last kink of chunk i - 1.  X holds
-    # u(v - t_i) and the slope left after the kinks at sorted positions up
-    # to t_i's, so Q @ X is g and S at each checkpoint.
-    b, ds = utility.breakpoints, np.diff(utility.slopes)
-    if not b:
+    if not utility.breakpoints:  # linear: the mean
         return V @ (rows if keep is None else rows[keep]).T
-    m, n, K = len(rows) if keep is None else len(keep), rows.shape[1], len(b)
-    N = n * K
-    nb, w = _chunks(N, m, n)
-    out = np.empty((len(V), m))
-    # Blocks of value vectors share every call, so many vectors against few
-    # rows (the certificates' samples) pay numpy's overhead once a block;
-    # the setup's few (nb, n) temporaries per vector stay within a block.
-    for vb in row_blocks(len(V), 4 * n * nb):
-        s = len(V[vb])
-        kinks = (V[vb, :, None] - b).reshape(s, N)
-        order = np.argsort(kinks, axis=1, kind="stable")
-        order = np.concatenate((order, np.repeat(order[:, -1:], nb * w - N, axis=1)), axis=1)
-        y, j = np.divmod(order, K)  # outcome and slope step of each sorted kink
-        wk = ds[j]
-        wk[:, N:] = 0.0  # the last chunk is padded with its last kink, with no weight
-        kinks = kinks[np.arange(s)[:, None], order]
-        t = np.concatenate((kinks[:, :1], kinks[:, w - 1:-1:w]), axis=1)
-        # the slope steps of chunk i are passed at checkpoints i + 1 and on
-        p = (nb - 1) * w
-        at = ((np.arange(0, s * nb, nb)[:, None] + np.repeat(np.arange(1, nb), w)) * n + y[:, :p]).ravel()
-        passed = np.bincount(at, wk[:, :p].ravel(), s * nb * n).reshape(s, nb, n)
-        X = np.concatenate((utility(V[vb, None, :] - t[:, :, None]), utility.slopes[-1] - passed.cumsum(axis=1)), axis=1)
-        # chunk c of vector k and the checkpoint before it are row k nb + c of these
-        kinks, y, wk, t = kinks.reshape(-1, w), y.reshape(-1, w), wk.reshape(-1, w), t.ravel()
-        for sl, Q in _blocks(rows, keep, s * w):
-            # the root's chunk: g > 0 on a prefix of the checkpoints
-            c, A, S, _ = _crossing(Q, X, nb, lambda g: g > 0)
-            r = np.arange(len(Q))[:, None]
-            T = kinks[c] - t[c][..., None]
-            W = Q[r[..., None], y[c]] * wk[c]
-            WT = W * T
-            # Running sums give g at each kink and so the root's piece; the
-            # line there is summed pairwise, so its rounding does not grow
-            # with the distance from the checkpoint (a row's spread for one chunk).
-            piece = (A[..., None] - WT.cumsum(axis=2) - (S[..., None] - W.cumsum(axis=2)) * T > 0).sum(axis=2)
-            before = np.arange(w) < piece[..., None]
-            out[vb, sl] = (t[c] + (A - WT.sum(axis=2, where=before)) / (S - W.sum(axis=2, where=before))).T
-    return out
+    # E[u] / 2^k has the same root; with every slope below 1/2 its values,
+    # and the kernel's, stay within the kinks' spread (exact: k is whole)
+    slopes = np.ldexp(utility.slopes, -1 - np.frexp(utility.L)[1])
+    return _kink_table(V, rows, keep, np.array(utility.breakpoints), np.diff(slopes), slopes[0])
 
 
 def require_finite(V: np.ndarray) -> None:

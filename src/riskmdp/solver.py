@@ -11,14 +11,14 @@ re-anchored at a reference state each sweep so the values stay bounded.
 For a risk map that is monotone and translation invariant, and for any
 two vectors v, w and any row q, R(v | q) lies in [R(w | q) + min(v - w),
 R(w | q) + max(v - w)].  A sweep that keeps each row's last exact value
-c + R(v_j | q) and the iterate v_j it was taken at (a ``RowHistory``) can
-therefore rule out a row whose lower bound lies above its state's smallest
-upper bound plus the greedy tie band: MacQueen's test for suboptimal
-actions (MacQueen 1967, Oper. Res. 15).  Every map here is translation
+c + R(v_j | q) and bounds on min(v - v_j) and max(v - v_j), carried from
+sweep to sweep (a ``RowHistory``), can therefore rule out a row whose lower
+bound lies above its state's smallest upper bound plus the greedy tie band:
+MacQueen's test for suboptimal actions (MacQueen 1967, Oper. Res. 15).  Every map here is translation
 invariant, but mean-semideviation with lam < 0 and r > 1 is not monotone
 (``RiskMapSpec.monotone``), so its sweeps evaluate every row.  The minimum
 and the greedy policy are those of the full sweep while the kernels'
-rounding stays within the bounds' margin (see ``RowHistory.kept_rows``):
+rounding stays within the bounds' margin (see ``RowHistory._step``):
 bit for bit for mean-semideviation, and to rounding for the band and the
 shortfall, whose checkpoint products round a row by the rows that share
 them and whose chunk count follows the number of rows evaluated.  Only
@@ -120,80 +120,74 @@ def bellman_T(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.nda
     return policy_reduce(mcp, policy, vals)
 
 
-# Iterates a RowHistory keeps.  A row not evaluated in this many sweeps is
-# evaluated again, so the history stays (_KEPT_ITERATES, n) on long solves.
-_KEPT_ITERATES = 32
-
-
 class RowHistory:
-    """Each (state, action) row's last exact value c + R(v_j | q) and the
-    iterate v_j it was taken at, for ``bellman_F`` to bound rows from.
-
-    The iterates of the last ``_KEPT_ITERATES`` sweeps are kept in a ring;
-    ``slot`` names each row's iterate, and ``value`` is NaN for a row with
-    no usable history.  ``evaluated`` counts the rows the last sweep
-    evaluated.
+    """Each (state, action) row's last exact value c + R(v_j | q), NaN for a
+    row with no history, and bounds ``low`` and ``high`` on min(v - v_j)
+    and max(v - v_j) at the last iterate ``last`` (None before the first
+    sweep), for ``bellman_F`` to bound rows from.  ``evaluated`` counts the
+    rows the last sweep evaluated.
     """
 
     def __init__(self, mcp: FiniteMCP) -> None:
         rows = len(mcp.stacked_cost)
         self.value = np.full(rows, np.nan)
-        self.slot = np.zeros(rows, dtype=np.intp)
-        self.iterates = np.empty((_KEPT_ITERATES, mcp.n_states))
-        self.size = np.empty(_KEPT_ITERATES)  # max |v_j| of each iterate
-        self.sweeps = 0
+        self.low = np.zeros(rows)
+        self.high = np.zeros(rows)
+        self.last: np.ndarray | None = None
         self.evaluated = 0
+        self.rtol = WORST_PAIR_RTOL + 8 * mcp.n_states * np.finfo(float).eps
+
+    def _step(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's bounds moved by the min and max of the step from
+        ``last`` to v, each widened by ``rtol`` times max |v| + max |last|.
+        Over the steps from v_j to v that covers the kernel's rounding at v
+        and at v_j, to first order.  Mean-semideviation errs by at most about
+        4 n eps max |v|: it is a sum of n nonnegative terms, of total at most
+        the spread 2 max |v|, built from an n-term row dot, and its L^r norm
+        of the excess moves no more than the excess does.  The band and the
+        shortfall share one checkpoint kernel.  The band is v_min + g1 E[a] +
+        (g2 - g1) (E[(a - a*)_+] + beta a*), a = v - v_min: two nonnegative
+        parts, each at most the spread and a sum of at most n + 3 nonnegative
+        terms rounded a few times, (n + 4) eps times the spread in any order
+        of summation.  A top mass off by n eps of itself, about beta where it
+        decides, can move a* to a neighbouring position, which moves the
+        second part by at most n eps times the spread, as (g2 - g1) beta =
+        1 - g1.  In all (4 n + 9) eps max |v|, within 8 n eps max |v| from
+        n = 3 states; for fewer, ``WORST_PAIR_RTOL`` (above 4000 eps) holds
+        it.  The shortfall's root, from the same sums over its kinks, can err
+        by that much over the utility's smallest slope, so for it the minimum
+        is kept only to rounding.
+        """
+        d = v - self.last
+        slack = self.rtol * (np.max(np.abs(self.last)) + np.max(np.abs(v)))
+        return self.low + (d.min() - slack), self.high + (d.max() + slack)
 
     def kept_rows(self, mcp: FiniteMCP, v: np.ndarray) -> np.ndarray:
         """Indices of the rows that may hold, or tie with, their state's
         minimum at v: all but those whose lower bound from the history lies
-        above the state's smallest upper bound plus the tie band.
-
-        Both bounds are widened for rounding: by ``WORST_PAIR_RTOL`` times
-        the row's value, and by ``WORST_PAIR_RTOL`` + 8 n eps times
-        max |v| + max |v_j| for the kernel evaluations at v and at v_j, to
-        first order.  Mean-semideviation errs by at most about
-        4 n eps max |v|: it is a sum of n nonnegative terms, of total at
-        most the spread 2 max |v|, built from an n-term row dot, and its
-        L^r norm of the excess moves no more than the excess does.  The
-        band is v_min + g1 E[a] + (g2 - g1) (E[(a - a*)_+] + beta a*), with
-        a = v - v_min.  Its two parts are nonnegative and at most the
-        spread, and each is a sum of at most n + 3 nonnegative terms, each
-        rounded a few times: (n + 4) eps times the spread, in whatever order
-        a matrix product sums them.  A top mass off by n eps of itself, about
-        beta where it decides, can move a* to a neighbouring position; that
-        moves the second part by g2 - g1 times n eps beta times their gap,
-        at most n eps times the spread as (g2 - g1) beta = 1 - g1.  With the
-        last sum, that is (4 n + 9) eps max |v|, within 8 n eps max |v| for
-        n >= 3 states; for fewer, ``WORST_PAIR_RTOL`` (above 4000 eps) holds
-        it.  The shortfall's root can err by that much over the utility's
-        smallest slope, so for it the minimum is kept only to rounding.  A
-        row with a NaN bound is always kept.
-        """
-        if not self.sweeps:
+        above the state's smallest upper bound plus the tie band.  The
+        bounds are c + R(v_j | q) moved by those of ``_step``, each widened
+        by ``WORST_PAIR_RTOL`` times the row's value.  A row with a NaN
+        bound is always kept."""
+        if self.last is None:
             return np.arange(len(self.value))
-        k = min(self.sweeps, _KEPT_ITERATES)
-        D = v - self.iterates[:k]
-        rtol = WORST_PAIR_RTOL + 8 * mcp.n_states * np.finfo(float).eps
-        slack = rtol * (self.size[:k] + np.max(np.abs(v)))
-        low, high = D.min(axis=1) - slack, D.max(axis=1) + slack
+        low, high = self._step(v)
         with np.errstate(invalid="ignore"):  # inf - inf for an infinite cost: a NaN bound
             room = WORST_PAIR_RTOL * np.abs(self.value)
-            lo = self.value + low[self.slot] - room
-            up = self.value + high[self.slot] + room
+            lo = self.value + low - room
+            up = self.value + high + room
             top = np.fmin.reduceat(up, mcp.row_offsets[:-1])
             top += WORST_PAIR_RTOL * np.abs(top)
             return np.flatnonzero(~(lo > top[mcp.row_state]))
 
     def record(self, v: np.ndarray, keep: np.ndarray, vals: np.ndarray) -> None:
-        """Store the values ``vals[keep]`` of the rows evaluated at v."""
-        s = self.sweeps % _KEPT_ITERATES
-        self.iterates[s] = v
-        self.size[s] = np.max(np.abs(v))
-        self.value[self.slot == s] = np.nan  # their iterate is overwritten
+        """Store the values ``vals[keep]`` of the rows evaluated at v, and
+        move every other row's bounds to v."""
+        if self.last is not None:
+            self.low, self.high = self._step(v)
+        self.low[keep] = self.high[keep] = 0.0
         self.value[keep] = vals[keep]
-        self.slot[keep] = s
-        self.sweeps += 1
+        self.last = v.copy()
         self.evaluated = len(keep)
 
 

@@ -324,6 +324,19 @@ def test_static_risk_general_kinds_run_on_the_law():
     assert np.all(static >= neutral - 1e-12)
 
 
+def test_static_band_on_a_long_law_matches_the_distortion_form():
+    # T = 8 is 4^8 = 65536 outcomes per start state, one long row each:
+    # the band's running sums must not grow as the square of the law
+    m = builtin_chain("random_seeded", n=4, m=2, seed=3)
+    pi = PolicyVector.det([0, 1, 0, 1])
+    static = static_total_cost_risk(m, pi, RiskMapSpec("density_band", band=(0.5, 1.5)), T=8)
+    for got, (probs, costs) in zip(static, total_cost_law(m, pi, 8)):
+        assert len(costs) == 4 ** 8
+        order = np.argsort(-costs)
+        C = np.concatenate(([0.0], np.cumsum(probs[order])))
+        assert got == pytest.approx(costs[order] @ np.diff(np.minimum(1.5 * C, 0.5 * C + 0.5)), abs=1e-12)
+
+
 def test_semideviation_nested_differs_from_static():
     # unlike the entropic case, recursive composition genuinely changes the
     # number for the semideviation map

@@ -540,6 +540,17 @@ def test_semidev_lower_subgradient_bound():
             assert lhs >= rhs - 1e-9
 
 
+@pytest.mark.parametrize("v, want", [
+    ([1e160, -1e160], 1e160 / 8 ** 0.5),  # the square of 1e160 overflows
+    ([1e308, -1e308], 1e308 / 8 ** 0.5),
+    ([1e-200, 0.0], 5e-201 * (1 + 8 ** -0.5)),  # the square of 5e-201 underflows
+])
+def test_semidev_squares_neither_overflow_nor_underflow(v, want):
+    # the mean is 0 (5e-201) and the excess x / 2 (5e-201) sits on half the
+    # mass, so R = mean + (x / 2) sqrt(1 / 2) / 2; warnings are errors here
+    assert mean_semideviation(v, [0.5, 0.5], 0.5, 2) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_semidev_spec_rejects_bad_params():
     with pytest.raises(ValueError):
         RiskMapSpec("mean_semideviation", lam=1.5)
@@ -769,6 +780,36 @@ def test_shortfall_of_one_long_row_allocates_a_few_arrays_of_its_kinks():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 8 * n
+
+
+def test_band_of_one_long_row_allocates_a_few_arrays_of_its_outcomes():
+    # one row is one chunk of all n outcomes, whose running sums are a
+    # cumulative sum, not a product with an (n, n) triangle
+    n = 100_000
+    rng = np.random.default_rng(26)
+    q, v = rng.dirichlet(np.ones(n)), rng.normal(size=n) * 3
+    tracemalloc.start()
+    try:
+        got = density_band(v, q, 0.5, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 8 * n
+    # the distortion form: sum of v_(k) (g(C_k) - g(C_(k-1))) for the top mass C_k
+    order = np.argsort(-v)
+    C = np.concatenate(([0.0], np.cumsum(q[order])))
+    assert got == pytest.approx(v[order] @ np.diff(np.minimum(1.5 * C, 0.5 * C + 0.5)), abs=1e-12)
+
+
+def test_shortfall_spread_beyond_float_range_stays_finite():
+    # the kinks 1e308 and -1e308 are halved with the breakpoints, and E[u]
+    # at a kink (up to L times the spread) is scaled below the float range;
+    # the root solves 2 q_1 (1e308 - m) = 0.5 q_2 (1e308 + m)
+    u = PiecewiseLinearUtility([0.0], [0.5, 2.0])
+    assert shortfall([1e308, -1e308], [0.5, 0.5], u) == pytest.approx(6e307, rel=1e-15)
+    q = np.array([[0.5, 0.5], [0.25, 0.75]])
+    got = risk_values(RiskMapSpec("shortfall", utility=u), np.array([1e308, -1e308]), q)
+    assert np.allclose(got, [6e307, 1e308 / 7], rtol=1e-15, atol=0.0)
 
 
 def test_shortfall_table_in_vector_blocks_equals_vector_by_vector():
