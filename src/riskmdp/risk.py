@@ -287,20 +287,6 @@ def _chunks(N: int, m: int, n: int) -> tuple[int, int]:
     return -(-N // w), w
 
 
-def _crossing(Q: np.ndarray, X: np.ndarray, t: np.ndarray, before: Callable) -> tuple[np.ndarray, ...]:
-    """One product of the row block Q with the (s, 2 nb + 1, n) checkpoint
-    matrices X of s value vectors with checkpoints t, (s, nb): each row's
-    mass above and excess over each checkpoint, and its mean.  A row's
-    chunk i counts the checkpoints 1 .. nb - 1 where ``before(mass,
-    excess, mean, t)`` holds.  Returns, each (len(Q), s): the chunk as row
-    k nb + i of the stacked chunks, the mass and excess at i, the mean."""
-    nb = t.shape[1]
-    Y = (Q @ X.reshape(-1, X.shape[2]).T).reshape(len(Q), len(X), -1)
-    i = before(Y[:, :, 1:nb], Y[:, :, nb + 1:-1], Y[:, :, -1:], t[:, 1:]).sum(axis=2)
-    r, k = np.arange(len(Q))[:, None], np.arange(len(X))
-    return i + nb * k, Y[r, k, i], Y[r, k, i + nb], Y[:, :, -1].copy()
-
-
 def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.ndarray, s0: float,
                 band: tuple[float, float] | None = None) -> np.ndarray:
     # Both maps are expectations of a piecewise-linear function of v - t
@@ -328,9 +314,6 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
     if band is not None:
         g1, g2 = band
         beta = (1.0 - g1) / (g2 - g1)
-        before = lambda M, E, mean, t: M < beta
-    else:
-        before = lambda M, E, mean, t: s0 * (mean - t) + E < 0
     top = b[-1] + np.sum(ds * np.minimum(b, 0.0)) / s0  # b_K - x0, as u(0) = 0
     starts = np.arange(0, N, w)[:, None]
     # Running sums along a chunk: numpy's cumsum adds one element at a
@@ -371,7 +354,9 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
             for j in range(1, K):
                 M += ds[j] * (rank[:, None, j::K] < starts)
                 E += ds[j] * np.maximum(a[:, None, j::K] - t[..., None], 0.0)
-        X[:, -1] = a[:, K - 1::K] + np.where(half, top / 2.0, top)[:, None]
+        X[:, -1] = a[:, K - 1::K]
+        if top:  # the band's is 0
+            X[:, -1] += np.where(half, top / 2.0, top)[:, None]
         del a, rank
         y, kink = np.divmod(order, K)  # the state and the kink at each position
         wk = ds[kink]
@@ -379,9 +364,16 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
         # position j of chunk c of vector k is [j, k nb + c] of these
         y, wk, vs = (x.reshape(-1, w).T.copy() for x in (y, wk, vs))
         for sl, Q in _blocks(rows, keep, s * (2 * nb + 1 + 2 * w)):
+            Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
+            if band is not None:
+                i = (Y[:, :, 1:nb] < beta).sum(axis=2)
+            else:
+                i = (s0 * (Y[:, :, -1:] - t[:, 1:]) + Y[:, :, nb + 1:-1] < 0).sum(axis=2)
             # the refine runs on (position, vector, row) arrays, so that its
             # running sums and counts take whole rows of them
-            c, M, E, mean = (x.T for x in _crossing(Q, X, t, before))
+            r = np.arange(len(Q))[:, None]
+            c, M, E, mean = (x.T for x in (i + nb * k.T, Y[r, k.T, i], Y[r, k.T, i + nb], Y[:, :, -1].copy()))
+            del Y
             W = Q.take(y.take(c, axis=1) + n * np.arange(len(Q)))  # the chunk's masses
             A, tc = vs.take(c, axis=1), t.ravel()[c]
             if band is not None:
@@ -416,9 +408,6 @@ def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep
 
 
 def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
-    # at v 2^-e and scaled back (exact: R is positively homogeneous), so no r-th power over- or underflows
-    e = np.frexp(np.max(np.abs(v)))[1]
-    v = np.ldexp(v, -e)
     out = np.empty(len(rows) if keep is None else len(keep))
     blocks = row_blocks(len(out), len(v))
     block = np.empty((min(len(out), blocks[0].stop) if blocks else 0, len(v)))  # each row block's excess in turn
@@ -428,7 +417,7 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> 
         np.maximum(excess, 0.0, out=excess)
         excess **= spec.r
         out[sl] = mean + spec.lam * np.einsum("ij,ij->i", Q, excess) ** (1.0 / spec.r)
-    return np.ldexp(out, e)
+    return out
 
 
 def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, keep) -> np.ndarray:
@@ -481,10 +470,13 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
         return _shortfall_table(V, rows, spec.utility, keep)
     if spec.kind == "density_band":
         return _band_table(V, rows, spec.band, keep)
+    # at v 2^-e, e the exponent of max |v|, scaled back (exact: R is
+    # positively homogeneous), so that no r-th power over- or underflows
+    e = np.frexp(np.abs(V).max(axis=1))[1][:, None]
     out = np.empty((len(V), len(rows) if keep is None else len(keep)))
-    for k, v in enumerate(V):
+    for k, v in enumerate(np.ldexp(V, -e)):
         out[k] = _semideviation(v, rows, spec, keep)
-    return out
+    return np.ldexp(out, e)
 
 
 def risk_values(spec: RiskMapSpec, v, rows, keep=None) -> np.ndarray:

@@ -12,9 +12,10 @@ For a risk map that is monotone and translation invariant, and for any
 two vectors v, w and any row q, R(v | q) lies in [R(w | q) + min(v - w),
 R(w | q) + max(v - w)].  A sweep that keeps each row's last exact value
 c + R(v_j | q) and bounds on min(v - v_j) and max(v - v_j), carried from
-sweep to sweep (a ``RowHistory``), can therefore rule out a row whose lower
-bound lies above its state's smallest upper bound plus the greedy tie band:
-MacQueen's test for suboptimal actions (MacQueen 1967, Oper. Res. 15).  Every map here is translation
+sweep to sweep (a ``RowHistory``), can therefore rule out a row whose
+lower bound lies above its state's smallest upper bound plus the greedy
+tie band: MacQueen's test for suboptimal actions (MacQueen 1967, Oper.
+Res. 15).  Every map here is translation
 invariant, but mean-semideviation with lam < 0 and r > 1 is not monotone
 (``RiskMapSpec.monotone``), so its sweeps evaluate every row.  The minimum
 and the greedy policy are those of the full sweep while the kernels'
