@@ -319,7 +319,7 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
     # Running sums along a chunk: numpy's cumsum adds one element at a
     # time, so a short chunk takes a product with a triangle instead.
     tri = np.tri(w) if w <= 64 else None
-    run = lambda W: np.cumsum(W, axis=0) if tri is None else (tri @ W.reshape(w, -1)).reshape(W.shape)
+    running_sums = lambda W: np.cumsum(W, axis=0) if tri is None else (tri @ W.reshape(w, -1)).reshape(W.shape)
     out = np.empty((len(V), m))
     # The checkpoint matrices of a block of vectors take at most a quarter
     # block; the product of a row block, and then its chunk gathers, about
@@ -377,7 +377,7 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
             W = Q.take(y.take(c, axis=1) + n * np.arange(len(Q)))  # the chunk's masses
             A, tc = vs.take(c, axis=1), t.ravel()[c]
             if band is not None:
-                j = (run(W) < beta - M).sum(axis=0)
+                j = (running_sums(W) < beta - M).sum(axis=0)
                 star = vs.take(np.minimum(j, w - 1) * vs.shape[1] + c)
                 A -= star
                 np.maximum(A, 0.0, out=A)
@@ -392,7 +392,7 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
                 g, S = s0 * (mean - tc) + E, s0 + M
                 np.subtract(tc, A, out=A)
                 WD = W * A
-                past = (g + (S + run(W)) * A - run(WD) < 0).sum(axis=0)
+                past = (g + (S + running_sums(W)) * A - running_sums(WD) < 0).sum(axis=0)
                 on = np.arange(w)[:, None, None] < past
                 out[vb, sl] = low[:, None] + (tc + (g - WD.sum(axis=0, where=on)) / (S + W.sum(axis=0, where=on)))
             del W, A  # before the next block's product

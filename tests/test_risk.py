@@ -546,8 +546,9 @@ def test_semidev_lower_subgradient_bound():
     ([1e-200, 0.0], 5e-201 * (1 + 8 ** -0.5)),  # the square of 5e-201 underflows
 ])
 def test_semidev_squares_neither_overflow_nor_underflow(v, want):
-    # the mean is 0 (5e-201) and the excess x / 2 (5e-201) sits on half the
-    # mass, so R = mean + (x / 2) sqrt(1 / 2) / 2; warnings are errors here
+    # half the mass on each outcome: R = mean + lam sqrt(d^2 / 2) for the top
+    # outcome's excess d, 1e160 (mean 0) or 5e-201 (mean 5e-201); warnings
+    # are errors here
     assert mean_semideviation(v, [0.5, 0.5], 0.5, 2) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
