@@ -34,7 +34,8 @@ matrix product and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam
 which falls back to a row-wise logsumexp where the product underflows.
 The order-based kinds sort each v once and sweep the rows in blocks of
 ``mdp.BLOCK_ELEMENTS``.  Mean-semideviation takes its mean and excess
-moment as row dots at v 2^-e (e the exponent of max |v|), scaled back.
+moment as row dots, at v 2^-e (e the exponent of max |v|) and scaled back
+where the r-th powers would leave the float range.
 The band and the shortfall share one checkpoint kernel, for a block of
 value vectors at once: both are expectations of a piecewise-linear
 function of v - t with kinks at the n K points v_y - b_k (the band: K = 1,
@@ -316,10 +317,6 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
         beta = (1.0 - g1) / (g2 - g1)
     top = b[-1] + np.sum(ds * np.minimum(b, 0.0)) / s0  # b_K - x0, as u(0) = 0
     starts = np.arange(0, N, w)[:, None]
-    # Running sums along a chunk: numpy's cumsum adds one element at a
-    # time, so a short chunk takes a product with a triangle instead.
-    tri = np.tri(w) if w <= 64 else None
-    running_sums = lambda W: np.cumsum(W, axis=0) if tri is None else (tri @ W.reshape(w, -1)).reshape(W.shape)
     out = np.empty((len(V), m))
     # The checkpoint matrices of a block of vectors take at most a quarter
     # block; the product of a row block, and then its chunk gathers, about
@@ -358,11 +355,13 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
         if top:  # the band's is 0
             X[:, -1] += np.where(half, top / 2.0, top)[:, None]
         del a, rank
-        y, kink = np.divmod(order, K)  # the state and the kink at each position
-        wk = ds[kink]
-        wk[:, N:] = 0.0
         # position j of chunk c of vector k is [j, k nb + c] of these
-        y, wk, vs = (x.reshape(-1, w).T.copy() for x in (y, wk, vs))
+        by_position = lambda x: x.reshape(-1, w).T.copy()
+        y, vs = by_position(order if K == 1 else order // K), by_position(vs)  # the state at each position
+        if band is None:
+            wk = ds[order % K]  # the weight of the kink at each position
+            wk[:, N:] = 0.0
+            wk = by_position(wk)
         for sl, Q in _blocks(rows, keep, s * (2 * nb + 1 + 2 * w)):
             Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
             if band is not None:
@@ -377,7 +376,7 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
             W = Q.take(y.take(c, axis=1) + n * np.arange(len(Q)))  # the chunk's masses
             A, tc = vs.take(c, axis=1), t.ravel()[c]
             if band is not None:
-                j = (running_sums(W) < beta - M).sum(axis=0)
+                j = (np.cumsum(W, axis=0) < beta - M).sum(axis=0)
                 star = vs.take(np.minimum(j, w - 1) * vs.shape[1] + c)
                 A -= star
                 np.maximum(A, 0.0, out=A)
@@ -392,7 +391,7 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
                 g, S = s0 * (mean - tc) + E, s0 + M
                 np.subtract(tc, A, out=A)
                 WD = W * A
-                past = (g + (S + running_sums(W)) * A - running_sums(WD) < 0).sum(axis=0)
+                past = (g + (S + np.cumsum(W, axis=0)) * A - np.cumsum(WD, axis=0) < 0).sum(axis=0)
                 on = np.arange(w)[:, None, None] < past
                 out[vb, sl] = low[:, None] + (tc + (g - WD.sum(axis=0, where=on)) / (S + W.sum(axis=0, where=on)))
             del W, A  # before the next block's product
@@ -470,9 +469,15 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
         return _shortfall_table(V, rows, spec.utility, keep)
     if spec.kind == "density_band":
         return _band_table(V, rows, spec.band, keep)
-    # at v 2^-e, e the exponent of max |v|, scaled back (exact: R is
-    # positively homogeneous), so that no r-th power over- or underflows
-    e = np.frexp(np.abs(V).max(axis=1))[1][:, None]
+    # R is positively homogeneous, so a v whose r-th powers would leave the
+    # float range is evaluated at v 2^-e, e the exponent of max |v|, and
+    # scaled back: the spread's r-th power, below 2^(r (e + 1)), would
+    # overflow, or max |v|'s, above 2^(r (e - 1)), would lose bits below
+    # the normal range.  The scaling is exact for integer r and within a
+    # rounding otherwise; every other v is evaluated as it is
+    e = np.frexp(np.abs(V).max(axis=1))[1]
+    e[(spec.r * (e + 1) < 1024) & (spec.r * (e - 1) > -969)] = 0
+    e = e[:, None]
     out = np.empty((len(V), len(rows) if keep is None else len(keep)))
     for k, v in enumerate(np.ldexp(V, -e)):
         out[k] = _semideviation(v, rows, spec, keep)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from riskmdp.certificates import check_l2, entropic_envelope_minorization
-from riskmdp.mdp import PolicyVector
+from riskmdp import risk
+from riskmdp.mdp import PolicyVector, row_blocks
 from riskmdp.models import builtin_chain
 from riskmdp.risk import (
     PiecewiseLinearUtility,
@@ -552,6 +553,15 @@ def test_semidev_squares_neither_overflow_nor_underflow(v, want):
     assert mean_semideviation(v, [0.5, 0.5], 0.5, 2) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("c", [1e300, 1e-300, 3.0])
+def test_semidev_of_a_non_integer_order_scales_within_a_rounding(c):
+    # half the mass on c and on -c: mean 0 and semideviation
+    # (c^1.5 / 2)^(1 / 1.5) = c 2^(-2/3); c^1.5 overflows (1e300) or
+    # underflows (1e-300) unless v is scaled, and 2^(-1.5 e) is no power of two
+    got = mean_semideviation([c, -c], [0.5, 0.5], 0.5, 1.5)
+    assert got == pytest.approx(0.5 * c * 2 ** (-2 / 3), rel=4e-16, abs=0.0)
+
+
 def test_semidev_spec_rejects_bad_params():
     with pytest.raises(ValueError):
         RiskMapSpec("mean_semideviation", lam=1.5)
@@ -767,6 +777,23 @@ def test_shortfall_temporaries_stay_in_row_blocks():
     edges = [0, 2426, 2427, 4853, 4854, 7280, 7281, 7999]
     alone = [eval_risk(spec, v, rows[i]) for i in edges]
     assert np.max(np.abs(got[edges] - alone)) <= 1e-14 * np.max(np.abs(v))
+
+
+def test_shortfall_rows_on_both_sides_of_each_row_block_edge_agree_with_rows_alone():
+    # the rows are evaluated in blocks of the checkpoint product's width for
+    # one value vector; the product rounds a row by the rows beside it, so
+    # each edge is checked from the kernel's own chunking
+    rng = np.random.default_rng(23)
+    rows = rng.dirichlet(np.ones(1000), size=8000)
+    v = rng.normal(size=1000) * 3
+    spec = RiskMapSpec("shortfall", utility=PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0]))
+    nb, w = risk._chunks(3000, len(rows), 1000)
+    blocks = row_blocks(len(rows), 2 * nb + 1 + 2 * w)
+    assert len(blocks) > 2
+    edges = [i for sl in blocks[1:] for i in (sl.start - 1, sl.start)]
+    got = risk_values(spec, v, rows)[edges]
+    alone = [eval_risk(spec, v, rows[i]) for i in edges]
+    assert np.max(np.abs(got - alone)) <= 1e-14 * np.max(np.abs(v))
 
 
 def test_shortfall_of_one_long_row_allocates_a_few_arrays_of_its_kinks():
