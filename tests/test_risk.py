@@ -541,25 +541,19 @@ def test_semidev_lower_subgradient_bound():
             assert lhs >= rhs - 1e-9
 
 
-@pytest.mark.parametrize("v, want", [
-    ([1e160, -1e160], 1e160 / 8 ** 0.5),  # the square of 1e160 overflows
-    ([1e308, -1e308], 1e308 / 8 ** 0.5),
-    ([1e-200, 0.0], 5e-201 * (1 + 8 ** -0.5)),  # the square of 5e-201 underflows
+@pytest.mark.parametrize("v, r, want", [
+    ([1e160, -1e160], 2, 1e160 / 8 ** 0.5),  # the square of 1e160 overflows
+    ([1e308, -1e308], 2, 1e308 / 8 ** 0.5),
+    ([1e-200, 0.0], 2, 5e-201 * (1 + 8 ** -0.5)),  # the square of 5e-201 underflows
+    # (c^1.5 / 2)^(1 / 1.5) = c 2^(-2/3) for mean 0, where c^1.5 overflows
+    # (1e300) or underflows (1e-300) and 2^(-1.5 e) is no power of two
+    ([1e300, -1e300], 1.5, 1e300 * 2 ** (-5 / 3)),
+    ([1e-300, -1e-300], 1.5, 1e-300 * 2 ** (-5 / 3)),
 ])
-def test_semidev_squares_neither_overflow_nor_underflow(v, want):
-    # half the mass on each outcome: R = mean + lam sqrt(d^2 / 2) for the top
-    # outcome's excess d, 1e160 (mean 0) or 5e-201 (mean 5e-201); warnings
-    # are errors here
-    assert mean_semideviation(v, [0.5, 0.5], 0.5, 2) == pytest.approx(want, rel=1e-15, abs=0.0)
-
-
-@pytest.mark.parametrize("c", [1e300, 1e-300, 3.0])
-def test_semidev_of_a_non_integer_order_scales_within_a_rounding(c):
-    # half the mass on c and on -c: mean 0 and semideviation
-    # (c^1.5 / 2)^(1 / 1.5) = c 2^(-2/3); c^1.5 overflows (1e300) or
-    # underflows (1e-300) unless v is scaled, and 2^(-1.5 e) is no power of two
-    got = mean_semideviation([c, -c], [0.5, 0.5], 0.5, 1.5)
-    assert got == pytest.approx(0.5 * c * 2 ** (-2 / 3), rel=4e-16, abs=0.0)
+def test_semidev_powers_neither_overflow_nor_underflow(v, r, want):
+    # half the mass on each outcome: R = mean + lam (d^r / 2)^(1/r) for the
+    # top outcome's excess d; warnings are errors here
+    assert mean_semideviation(v, [0.5, 0.5], 0.5, r) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_semidev_spec_rejects_bad_params():
