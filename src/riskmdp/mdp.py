@@ -2,9 +2,11 @@
 
 A model is a finite state set {0..n-1}, a per-state list of action labels,
 a transition row for each (state, action) pair and a scalar running cost
-for each pair, stored once as read-only stacked arrays with per-state views
-(see :class:`FiniteMCP`).  Value functions are plain 1-d numpy arrays
-indexed by state.
+for each pair, stored once, stacked, with per-state views (see
+:class:`FiniteMCP`).  The rows sit in one row store: a dense ``(rows, n)``
+array (:class:`DenseRows`) or, for rows that are outer products of
+per-axis rows, those per-axis factors (:class:`FactoredRows`).  Value
+functions are plain 1-d numpy arrays indexed by state.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,13 +25,17 @@ import numpy as np
 __all__ = [
     "BLOCK_ELEMENTS",
     "WORST_PAIR_RTOL",
+    "DenseRows",
+    "FactoredRows",
     "FiniteMCP",
     "PolicyVector",
     "ValidationReport",
     "level_set",
+    "outer_rows",
     "policy_reduce",
     "policy_transition_and_cost",
     "row_blocks",
+    "row_store",
     "validate_mcp",
     "weighted_seminorm",
 ]
@@ -42,7 +50,7 @@ WORST_PAIR_RTOL = 1e-12
 # Elements of one block temporary (1 MB of float64), for every loop that
 # slices rows into blocks: the order-based risk kernels, check_l2's
 # (samples, rows) tables and the diffusion build's Gaussian rows under
-# correlated noise (diagonal noise writes its rows as outer products).  A kernel
+# correlated noise, the factored rows' products and their dense build.  A kernel
 # block is small enough to stay in cache and large enough that numpy's
 # per-call overhead is amortized; one check_l2 table for all 2002 samples of
 # the 201-state verify model raised the process's peak RSS from 69 to 88 MB.
@@ -92,6 +100,150 @@ def _stacked(data, counts: np.ndarray, tail: tuple[int, ...], name: str) -> np.n
     return _read_only(np.concatenate(blocks))
 
 
+def outer_rows(factors: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Row r of ``out`` (each row contiguous) set to the outer product of
+    the rows ``f[r]`` of the ``(m, p_d)`` factors, the last axis varying
+    fastest: the factors multiplied axis by axis and the last product
+    written straight into a view of ``out``."""
+    prod = np.ones((len(out), 1))
+    for f in factors[:-1]:
+        prod = np.einsum("ia,ib->iab", prod, f).reshape(len(out), -1)
+    target = out.view()
+    # assigning .shape raises where a reshape would silently copy
+    target.shape = (len(out), prod.shape[1], factors[-1].shape[1])
+    np.einsum("ia,ib->iab", prod, factors[-1], out=target)
+    return out
+
+
+class DenseRows:
+    """Transition rows stored as one read-only ``(rows, n)`` array, ``dense``.
+
+    A row store answers ``product(W, keep)``, the ``(S, m)`` table
+    ``W @ Q.T`` of an ``(S, n)`` stack of vectors against the rows Q (the
+    rows ``keep`` only, when given), ``take(idx)``, the dense rows ``idx``,
+    and ``dense``, all rows as one read-only array; ``built`` tells whether
+    that array exists.
+    """
+
+    layout = "dense"
+    built = True
+
+    def __init__(self, dense: np.ndarray) -> None:
+        self.dense = dense
+        self.shape = dense.shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def product(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        return W @ (self.dense if keep is None else self.dense[keep]).T
+
+    def take(self, idx) -> np.ndarray:
+        return self.dense[idx]
+
+
+class FactoredRows:
+    """Transition rows that are outer products of per-axis rows.
+
+    Axis d holds a read-only ``(u_d, p_d)`` array ``units[d]`` of
+    one-dimensional rows and an index ``index[d]`` of one entry per stacked
+    row.  Row r is the outer product of the rows ``units[d][index[d][r]]``
+    (the last axis varying fastest), so a row has ``n = prod(p_d)``
+    entries: the row-wise Kronecker (face-splitting) product of the per-row
+    factors ``units[d][index[d]]``.
+
+    ``product`` contracts a stack of vectors with the factors axis by axis
+    and never forms a whole row.  When the units' outer-product tensor, and
+    each partial contraction toward it, has at most ``m max(p_d)`` entries
+    per vector for m rows (a grid whose per-axis rows depend on that axis's
+    coordinate only), it contracts each axis with its units, one matrix
+    product per axis, and reads each row's entry from the tensor;
+    otherwise it contracts row by row, the last axis by one matrix product,
+    in row blocks of ``row_blocks``.  ``dense``, for the readers
+    that need whole rows, writes every row once, on first access, and keeps
+    the array; models that share the store (``with_cost``) share it, and
+    concurrent first readers build it once.  The interface is that of
+    :class:`DenseRows`.
+    """
+
+    layout = "factored"
+
+    def __init__(self, units, index) -> None:
+        self.units = [_read_only(np.asarray(u, dtype=float)) for u in units]
+        self.index = [_read_only(np.asarray(i, dtype=np.intp)) for i in index]
+        m = len(self.index[0]) if self.index else 0
+        if (not self.units or len(self.index) != len(self.units) or any(u.ndim != 2 for u in self.units)
+                or any(i.shape != (m,) or (m and not 0 <= i.min() <= i.max() < len(u))
+                       for u, i in zip(self.units, self.index))):
+            raise ValueError("need a 2-d array of rows per axis and, per axis, one index into them per stacked row")
+        dims, widths = [len(u) for u in self.units], [u.shape[1] for u in self.units]
+        self.shape = (m, math.prod(widths))
+        # the most entries per vector of a partial contraction toward the
+        # units' outer-product tensor, and each row's flat index into it; the
+        # tensor order is taken while that is at most max(p_d) entries per
+        # row (a dense row has n), else _place is None
+        self._largest = max(math.prod(dims[:d] + widths[d:]) for d in range(len(dims) + 1))
+        self._place = np.ravel_multi_index(self.index, dims) if self._largest <= m * max(widths) else None
+        self._dense: np.ndarray | None = None
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def built(self) -> bool:
+        return self._dense is not None
+
+    @property
+    def dense(self) -> np.ndarray:
+        with self._lock:
+            if self._dense is None:
+                out = np.empty(self.shape)
+                # write's one temporary has n / p_D entries per row
+                for sl in row_blocks(len(out), out.shape[1] // self.units[-1].shape[1]):
+                    self.write(out[sl], sl)
+                self._dense = _read_only(out)
+        return self._dense
+
+    def take(self, idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.intp)
+        return self.write(np.empty((len(idx), self.shape[1])), idx)
+
+    def write(self, out: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """The rows ``idx`` written into ``out`` by :func:`outer_rows`."""
+        return outer_rows([u[i[idx]] for u, i in zip(self.units, self.index)], out)
+
+    def product(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        rows = np.arange(self.shape[0]) if keep is None else keep
+        out = np.empty((len(W), len(rows)))
+        for vb in row_blocks(len(W), W.shape[1] if self._place is None else self._largest):
+            s = len(out[vb])
+            if self._place is not None:
+                T = W[vb].reshape(s, *(u.shape[1] for u in self.units))
+                for u in self.units:  # (s, p_d .. p_D, u_1 .. u_d-1) -> (s, p_d+1 .. p_D, u_1 .. u_d)
+                    T = np.tensordot(T, u, axes=(1, 1))
+                out[vb] = T.reshape(s, -1)[:, self._place[rows]]
+                continue
+            flat = W[vb].reshape(-1, self.units[-1].shape[1])  # (s n / p_D, p_D)
+            # T[k, y_1 .. y_d, r]: the vectors summed over the axes past d,
+            # each weighted by row r's factors there
+            for sl in row_blocks(len(rows), len(flat)):
+                factors = [u[i[rows[sl]]] for u, i in zip(self.units, self.index)]
+                T = flat @ factors[-1].T
+                for f in reversed(factors[:-1]):
+                    T = np.einsum("kayr,ry->kar", T.reshape(s, -1, f.shape[1], T.shape[-1]), f)
+                out[vb, sl] = T.reshape(s, -1)
+        return out
+
+
+def row_store(rows) -> DenseRows | FactoredRows:
+    """``rows`` as a row store: a store as it is, an ``(m, n)`` array as a
+    :class:`DenseRows`."""
+    if isinstance(rows, (DenseRows, FactoredRows)):
+        return rows
+    return DenseRows(np.atleast_2d(np.asarray(rows, dtype=float)))
+
+
 class _StateBlocks(Sequence):
     """Per-state read-only views ``data[offsets[x]:offsets[x + 1]]``."""
 
@@ -109,18 +261,26 @@ class _StateBlocks(Sequence):
 class FiniteMCP:
     """Finite-state, finite-action controlled Markov chain with running costs.
 
-    The rows are stored once, stacked: ``stacked_transition`` holds one
-    probability row per (state, action) pair in state order, state x owning
-    rows ``row_offsets[x]:row_offsets[x + 1]`` (``row_state`` maps a row back
-    to its state), and ``stacked_cost`` the matching costs.  ``transition[x]``
-    (shape ``(n_actions(x), n_states)``) and ``cost[x]`` are views into them.
-    Action sets may differ in size between states.  ``state_coords``
-    optionally embeds states in R^d (grid discretizations, coordinate costs).
+    The rows are stored once, stacked, one probability row per (state,
+    action) pair in state order, state x owning rows
+    ``row_offsets[x]:row_offsets[x + 1]`` (``row_state`` maps a row back to
+    its state); ``stacked_cost`` holds the matching costs.  The rows sit in
+    one row store, ``rows``: dense (:class:`DenseRows`) or, for a grid
+    diffusion with diagonal noise in dim >= 2, per-axis factors
+    (:class:`FactoredRows`).  The risk kernels reach the rows through it:
+    the neutral and entropic products contract the factors and never form
+    a whole row.  ``stacked_transition`` is the read-only dense
+    ``(rows, n)`` array, written on first access for a factored store, and
+    ``transition[x]`` (shape ``(n_actions(x), n_states)``) and ``cost[x]``
+    are views into the stacked arrays.  Action sets may differ in size
+    between states.  ``state_coords`` optionally embeds states in R^d (grid
+    discretizations, coordinate costs).
 
     ``transition`` and ``cost`` are given per state or already stacked (a
-    2-d ``(rows, n)`` array and a 1-d cost array).  A wrong shape or an empty
-    action set raises ``ValueError`` naming the state.  The stored arrays are
-    read-only so that models can share them: derive a new model instead.
+    2-d ``(rows, n)`` array or a row store, and a 1-d cost array).  A wrong
+    shape or an empty action set raises ``ValueError`` naming the state.
+    The stored arrays are read-only so that models can share them: derive a
+    new model instead.
     """
 
     def __init__(self, actions: list[list[str]], transition, cost, state_coords=None) -> None:
@@ -132,7 +292,12 @@ class FiniteMCP:
             raise ValueError(f"empty action set at x={empty[0]}")
         self.row_offsets = _read_only(np.concatenate([[0], np.cumsum(counts)]).astype(np.intp))
         self.row_state = _read_only(np.repeat(np.arange(n), counts))
-        self.stacked_transition = _stacked(transition, counts, (n,), "transition")
+        if isinstance(transition, (DenseRows, FactoredRows)):
+            if transition.shape != (len(self.row_state), n):
+                raise ValueError(f"stacked transition shape {transition.shape}, want {(len(self.row_state), n)}")
+            self.rows = transition
+        else:
+            self.rows = DenseRows(_stacked(transition, counts, (n,), "transition"))
         self.stacked_cost = _stacked(cost, counts, (), "cost")
         if state_coords is not None:
             coords = np.asarray(state_coords, dtype=float)
@@ -148,6 +313,10 @@ class FiniteMCP:
 
     def n_actions(self, x: int) -> int:
         return len(self.actions[x])
+
+    @property
+    def stacked_transition(self) -> np.ndarray:
+        return self.rows.dense
 
     @property
     def transition(self) -> Sequence[np.ndarray]:
@@ -174,7 +343,7 @@ class FiniteMCP:
             raise ValueError("restrict_to_policy needs a deterministic policy")
         policy.validate(self)
         rows = self.row_offsets[:-1] + policy.deterministic
-        return FiniteMCP(self.row_labels[rows, None].tolist(), self.stacked_transition[rows],
+        return FiniteMCP(self.row_labels[rows, None].tolist(), self.rows.take(rows),
                          self.stacked_cost[rows], self.state_coords)
 
     # JSON interchange.  Field names are part of the on-disk contract.
@@ -264,19 +433,32 @@ class ValidationReport:
 def validate_mcp(mcp: FiniteMCP, row_sum_tol: float = 1e-12) -> ValidationReport:
     """Stochastic rows and finite costs, checked over the stacked rows at once.
 
-    Shapes are already enforced when a model is built.  Violations are listed
-    by state, then action.
+    Factored rows are checked on their per-axis rows: entries >= 0, and
+    the product of each row's per-axis sums (its sum) within
+    ``row_sum_tol`` of 1, which a NaN or infinite entry fails too; no whole
+    row is formed.
+    Shapes are already enforced when a model is built.  Violations are
+    listed by state, then action.
     """
-    rows = mcp.stacked_transition
+    store = mcp.rows
     x_of = mcp.row_state
-    a_of = np.arange(len(rows)) - mcp.row_offsets[x_of]
+    a_of = np.arange(store.shape[0]) - mcp.row_offsets[x_of]
     found: list[tuple[int, int, int, str]] = []
     for x in np.flatnonzero(np.logical_or.reduceat(~np.isfinite(mcp.stacked_cost), mcp.row_offsets[:-1])):
         found.append((int(x), -1, 0, f"non-finite cost at x={x}"))
-    for r in np.flatnonzero(rows.min(axis=1) < 0):
-        x, a, y = int(x_of[r]), int(a_of[r]), int(np.argmax(rows[r] < 0))
-        found.append((x, a, 0, f"negative entry {rows[r, y]:.12g} at (x={x}, a={a}, y={y})"))
-    sums = rows.sum(axis=1)
+    if isinstance(store, FactoredRows):
+        for d, (units, index) in enumerate(zip(store.units, store.index)):
+            for r in np.flatnonzero((units.min(axis=1) < 0)[index]):
+                x, a, row = int(x_of[r]), int(a_of[r]), units[index[r]]
+                y = int(np.argmax(row < 0))
+                found.append((x, a, 0, f"negative factor entry {row[y]:.12g} at (x={x}, a={a}, axis={d}, y={y})"))
+        sums = math.prod(units.sum(axis=1)[index] for units, index in zip(store.units, store.index))
+    else:
+        rows = store.dense
+        for r in np.flatnonzero(rows.min(axis=1) < 0):
+            x, a, y = int(x_of[r]), int(a_of[r]), int(np.argmax(rows[r] < 0))
+            found.append((x, a, 0, f"negative entry {rows[r, y]:.12g} at (x={x}, a={a}, y={y})"))
+        sums = rows.sum(axis=1)
     for r in np.flatnonzero(~(np.abs(sums - 1.0) <= row_sum_tol)):
         x, a = int(x_of[r]), int(a_of[r])
         found.append((x, a, 1, f"row sum {sums[r]:.12g} at (x={x}, a={a})"))
@@ -328,6 +510,11 @@ def policy_reduce(mcp: FiniteMCP, policy: PolicyVector, vals: np.ndarray) -> np.
 
 
 def policy_transition_and_cost(mcp: FiniteMCP, policy: PolicyVector) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel and cost of the chain induced by a single-step policy."""
+    """Kernel and cost of the chain induced by a single-step policy.  A
+    deterministic policy takes its own rows from the row store, so a
+    factored model forms those rows only."""
     policy.validate(mcp)
+    if policy.is_deterministic:
+        rows = mcp.row_offsets[:-1] + policy.deterministic
+        return mcp.rows.take(rows), mcp.stacked_cost[rows]
     return policy_reduce(mcp, policy, mcp.stacked_transition), policy_reduce(mcp, policy, mcp.stacked_cost)

@@ -6,10 +6,13 @@ one-step Gaussian transition density at the nodes, scales by the cell volume
 and renormalizes each row; probability mass that would leave the grid is
 therefore folded back proportionally.  When D D^T is diagonal the density
 and its row sums factor over the axes, so each normalized row is the outer
-product of normalized one-dimensional rows; correlated noise evaluates the
-full density, one ``mdp.row_blocks`` block of source states at a time.  No
-truncation-error bound is claimed; refining the grid is the intended way to
-study it.
+product of normalized one-dimensional rows.  With every action's noise
+diagonal in dim >= 2 the model keeps those per-axis rows as its row store
+(``mdp.FactoredRows``) and never writes the dense matrix; in 1-D, and when
+some action has correlated noise, the rows are written into one dense
+matrix, correlated noise evaluating the full density one ``mdp.row_blocks``
+block of source states at a time.  No truncation-error bound is claimed;
+refining the grid is the intended way to study it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import FiniteMCP, row_blocks
+from .mdp import FactoredRows, FiniteMCP, outer_rows, row_blocks
 
 __all__ = [
     "DiffusionSpec",
@@ -158,7 +161,9 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
     """Finite chain on the grid nodes with renormalized Gaussian rows.
 
     Costs are zero; attach them with :func:`attach_cost`.  Supported up to
-    dim = 3 (the node count explodes beyond that).
+    dim = 3 (the node count explodes beyond that).  A model whose every
+    action has diagonal noise, in dim >= 2, stores its rows as per-axis
+    factors (see the module docstring).
     """
     spec.validate()
     if spec.dim > 3:
@@ -166,18 +171,30 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
     axes = grid.axes(spec.dim)
     nodes, vol = grid_nodes(grid, spec.dim)
     n, k = len(nodes), len(spec.actions)
+    means = [nodes @ spec.A.T + spec.drift_at(nodes, a) for a in spec.actions]
+    covs = [spec.diffusion[a] @ spec.diffusion[a].T for a in spec.actions]
+    diagonal = [np.array_equal(cov, np.diag(np.diag(cov))) for cov in covs]
     # Stacked rows: (state x, action ai) sits at row x * k + ai.
-    rows = np.empty((n * k, n))
-    for ai, a in enumerate(spec.actions):
-        cov = spec.diffusion[a] @ spec.diffusion[a].T
-        means = nodes @ spec.A.T + spec.drift_at(nodes, a)
-        if np.array_equal(cov, np.diag(np.diag(cov))):
-            _write_separable_rows(rows[ai::k], means, np.diag(cov), axes)
-            continue
-        cov_inv = np.linalg.inv(cov)
-        for sl in row_blocks(n, n):
-            block = gaussian_kernel_row(means[sl], cov_inv, nodes, vol)
-            np.divide(block, _row_mass(block), out=rows[ai::k][sl])
+    if spec.dim > 1 and all(diagonal):
+        # per axis, one normalized row per distinct mean of each action, and
+        # each stacked row's index into them
+        units, index = [[] for _ in axes], [[] for _ in axes]
+        for mu, cov in zip(means, covs):
+            for d, ax in enumerate(axes):
+                centers, inv = np.unique(mu[:, d], return_inverse=True)
+                index[d].append(inv.reshape(-1) + sum(map(len, units[d])))
+                units[d].append(_axis_rows(centers, cov[d, d], ax))
+        rows = FactoredRows([np.concatenate(u) for u in units], [np.stack(i, axis=1).reshape(-1) for i in index])
+    else:
+        rows = np.empty((n * k, n))
+        for ai, cov in enumerate(covs):
+            if diagonal[ai]:
+                outer_rows([_axis_rows(means[ai][:, d], cov[d, d], ax) for d, ax in enumerate(axes)], rows[ai::k])
+                continue
+            cov_inv = np.linalg.inv(cov)
+            for sl in row_blocks(n, n):
+                block = gaussian_kernel_row(means[ai][sl], cov_inv, nodes, vol)
+                np.divide(block, _row_mass(block), out=rows[ai::k][sl])
     return FiniteMCP(actions=[list(spec.actions)] * n, transition=rows, cost=np.zeros(n * k), state_coords=nodes)
 
 
@@ -189,29 +206,16 @@ def _row_mass(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _write_separable_rows(out: np.ndarray, means: np.ndarray, variances: np.ndarray, axes: list[np.ndarray]) -> None:
-    """Normalized rows of a Gaussian with diagonal covariance, into ``out``.
-
-    The density on the tensor grid is the product of one-dimensional
-    densities, and so is its sum over the grid, so each normalized row is
-    the outer product of per-axis normalized rows: an (n, p_d) factor per
-    axis in place of one exponential per matrix entry.  The factors are
-    multiplied axis by axis, the last product written straight into a
-    view of ``out``.
-    """
-    n = len(means)
-    factors = []
-    for d, ax in enumerate(axes):
-        factor = gaussian_kernel_row(means[:, d:d + 1], np.array([[1.0 / variances[d]]]), ax[:, None], 1.0)
-        factor /= _row_mass(factor)
-        factors.append(factor)
-    prod = np.ones((n, 1))
-    for factor in factors[:-1]:
-        prod = np.einsum("ia,ib->iab", prod, factor).reshape(n, -1)
-    target = out.view()
-    # assigning .shape raises where a reshape would silently copy
-    target.shape = (n, prod.shape[1], len(axes[-1]))
-    np.einsum("ia,ib->iab", prod, factors[-1], out=target)
+def _axis_rows(centers: np.ndarray, variance: float, ax: np.ndarray) -> np.ndarray:
+    """Normalized one-dimensional Gaussian rows on the axis nodes ``ax``,
+    one per center.  With diagonal covariance the density on the tensor
+    grid is the product of these densities, and so is its sum over the
+    grid, so each normalized row is the outer product of the rows of its
+    mean's coordinates: one exponential per axis node in place of one per
+    matrix entry."""
+    rows = gaussian_kernel_row(centers[:, None], np.array([[1.0 / variance]]), ax[:, None], 1.0)
+    rows /= _row_mass(rows)
+    return rows
 
 
 @dataclass(frozen=True)

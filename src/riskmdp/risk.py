@@ -28,10 +28,15 @@ index array ``keep`` and then evaluate the rows ``rows[keep]`` only: the
 order-based kinds gather them one row block at a time inside their block
 loop, since a copy of all kept rows up front cost as much as the skipped
 rows saved.  Values must be finite:
-``risk_table`` rejects a NaN or infinite entry before any kernel runs.  No
-kind makes a full (rows, n) temporary per value vector: ``neutral`` is one
-matrix product and ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam,
-which falls back to a row-wise logsumexp where the product underflows.
+``risk_table`` rejects a NaN or infinite entry before any kernel runs.  The
+rows are an (m, n) array or a row store of ``mdp`` (a model's ``rows``).
+No kind makes a full (rows, n) temporary per value vector: ``neutral``
+(and the band with g1 = g2, the shortfall with a linear utility) is one
+product of the store, ``product``, and ``entropic`` a shifted one,
+s + log(Q exp(lam (v - s))) / lam, which falls back to a row-wise
+logsumexp on the rows (``take``) where the product underflows.  For rows
+stored as per-axis factors the product contracts the factors and forms no
+row; the order-based kinds read the store's dense rows.
 The order-based kinds sort each v once and sweep the rows in blocks of
 ``mdp.BLOCK_ELEMENTS``.  Mean-semideviation takes its mean and excess
 moment as row dots, at v 2^-e (e the exponent of max |v|) and scaled back
@@ -55,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mdp import BLOCK_ELEMENTS, FiniteMCP, row_blocks
+from .mdp import BLOCK_ELEMENTS, DenseRows, FactoredRows, FiniteMCP, row_blocks, row_store
 
 __all__ = [
     "AxiomCheck",
@@ -232,24 +237,25 @@ class RiskMapSpec:
 _TINY = np.finfo(float).tiny
 
 
-def _entropic_table(V: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
+def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, lam: float) -> np.ndarray:
     # s + log(Q exp(lam (v - s))) / lam with s = max v (lam > 0) or min v
-    # (lam < 0), so every exponent is <= 0: one gemm for all samples.  A
+    # (lam < 0), so every exponent is <= 0: one product for all samples.  A
     # product below the normal range (underflow) goes through the row-wise
-    # logsumexp of A = log q + lam (v - t) instead, with t the row's own
-    # extreme of v on its support: there lam (v - t) <= 0 with a 0 at the
-    # extreme, so neither lam v nor a spread past the float range can
-    # overflow it, and the sum is at least that entry's q.
+    # logsumexp of A = log q + lam (v - t) instead, on those rows only, with
+    # t the row's own extreme of v on its support: there lam (v - t) <= 0
+    # with a 0 at the extreme, so neither lam v nor a spread past the float
+    # range can overflow it, and the sum is at least that entry's q.
     s = (V.max(axis=1) if lam > 0 else V.min(axis=1))[:, None]
     with np.errstate(over="ignore"):  # an exponent past -inf is an exp of 0, as it should be
-        out = np.exp(lam * (V - s)) @ rows.T
+        out = rows.product(np.exp(lam * (V - s)), keep)
     ok = out >= _TINY
     np.log(out, out=out, where=ok)
     out /= lam
     out += s
     far = -np.inf if lam > 0 else np.inf
+    index = np.arange(out.shape[1]) if keep is None else keep
     for k in np.flatnonzero(~ok.all(axis=1)):
-        Q = rows[~ok[k]]
+        Q = rows.take(index[~ok[k]])
         on = Q > 0
         t = (np.max if lam > 0 else np.min)(np.where(on, V[k], far), axis=1, keepdims=True)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off the support, masked
@@ -400,12 +406,6 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
     return out
 
 
-def _band_table(V: np.ndarray, rows: np.ndarray, band: tuple[float, float], keep) -> np.ndarray:
-    if band[0] == band[1]:  # g1 = g2 = 1: the mean
-        return V @ (rows if keep is None else rows[keep]).T
-    return _kink_table(V, rows, keep, np.zeros(1), np.ones(1), 1.0, band)
-
-
 def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
     out = np.empty(len(rows) if keep is None else len(keep))
     blocks = row_blocks(len(out), len(v))
@@ -420,8 +420,6 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> 
 
 
 def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, keep) -> np.ndarray:
-    if not utility.breakpoints:  # linear: the mean
-        return V @ (rows if keep is None else rows[keep]).T
     # E[u] / 2^k has the same root; with every slope below 1/2 its values,
     # and the kernel's, stay within the kinks' spread (exact: k is whole)
     slopes = np.ldexp(utility.slopes, -1 - np.frexp(utility.L)[1])
@@ -442,33 +440,38 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
     ``keep`` only the rows ``rows[keep]`` are evaluated: (S, len(keep));
     ``keep`` must be a 1-d integer array of indices below m.
 
-    Every value must be finite; a NaN or infinite one is a ``ValueError``
-    naming it, its vector and its state.  Neutral and entropic are one
-    matrix product (entropic with one shift per sample, falling back to a
-    row-wise logsumexp where the product underflows); the order-based kinds
-    sort each v once and sweep the rows in blocks of bounded size, the
-    band and the shortfall for a block of value vectors at a time.
+    ``rows`` is an array or a row store (``mdp.DenseRows`` or
+    ``mdp.FactoredRows``).  Every value must be finite; a NaN or infinite
+    one is a ``ValueError`` naming it, its vector and its state.  Neutral
+    and entropic are one product of the store (entropic with one shift per
+    sample, falling back to a row-wise logsumexp where the product
+    underflows); the order-based kinds sort each v once and sweep the
+    store's dense rows in blocks of bounded size, the band and the
+    shortfall for a block of value vectors at a time.
     """
     V = np.asarray(V, dtype=float)
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if V.ndim != 2 or V.shape[1] != rows.shape[1]:
-        raise ValueError(f"values {V.shape} are not a stack of vectors of length {rows.shape[1]}")
+    rows = row_store(rows)
+    m, n = rows.shape
+    if V.ndim != 2 or V.shape[1] != n:
+        raise ValueError(f"values {V.shape} are not a stack of vectors of length {n}")
     require_finite(V)
     if keep is not None:
         keep = np.asarray(keep)
         # a boolean mask is not indices (it would convert to 0 and 1); an empty list reads as floats
         integral = not keep.size or np.issubdtype(keep.dtype, np.integer)
         keep = keep.astype(np.intp, copy=False) if integral else keep
-        if not integral or keep.ndim != 1 or (keep.size and not 0 <= keep.min() <= keep.max() < len(rows)):
-            raise ValueError(f"keep must be a 1-d array of row indices below {len(rows)}")
-    if spec.kind in ("neutral", "entropic"):
-        if keep is not None:
-            rows = rows[keep]
-        return V @ rows.T if spec.kind == "neutral" else _entropic_table(V, rows, spec.lam)
+        if not integral or keep.ndim != 1 or (keep.size and not 0 <= keep.min() <= keep.max() < m):
+            raise ValueError(f"keep must be a 1-d array of row indices below {m}")
+    if (spec.kind == "neutral" or (spec.kind == "density_band" and spec.band[0] == spec.band[1])
+            or (spec.kind == "shortfall" and not spec.utility.breakpoints)):
+        return rows.product(V, keep)  # the mean: g1 = g2 = 1, or a linear utility
+    if spec.kind == "entropic":
+        return _entropic_table(V, rows, keep, spec.lam)
+    rows = rows.dense
     if spec.kind == "shortfall":
         return _shortfall_table(V, rows, spec.utility, keep)
     if spec.kind == "density_band":
-        return _band_table(V, rows, spec.band, keep)
+        return _kink_table(V, rows, keep, np.zeros(1), np.ones(1), 1.0, spec.band)
     # R is positively homogeneous, so a v whose r-th powers would leave the
     # float range is evaluated at v 2^-e, e the exponent of max |v|, and
     # scaled back: the spread's r-th power, below 2^(r (e + 1)), would
@@ -489,7 +492,7 @@ def risk_values(spec: RiskMapSpec, v, rows, keep=None) -> np.ndarray:
     probability rows: ``risk_table(spec, v[None], rows, keep)[0]``, a
     length-m array (length ``len(keep)`` with ``keep``).  A stack of value
     vectors goes to ``risk_table``."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = row_store(rows)
     v = np.asarray(v, dtype=float)
     if v.shape != rows.shape[1:]:
         raise ValueError(f"values {v.shape} are not one vector for the rows {rows.shape}; "
@@ -693,10 +696,10 @@ def check_risk_axioms(
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    all_rows = mcp.stacked_transition
+    m, n = mcp.rows.shape
     n_rows = math.isqrt(n_samples - 1) + 1
-    rows = all_rows[rng.integers(0, all_rows.shape[0], size=n_rows)]
-    values = rng.normal(0.0, 2.0, size=(-(-n_samples // n_rows), all_rows.shape[1]))
+    rows = mcp.rows.take(rng.integers(0, m, size=n_rows))
+    values = rng.normal(0.0, 2.0, size=(-(-n_samples // n_rows), n))
     report = check_axioms_of(lambda V, R: risk_table(spec, V, R), spec.claims, rows, values, rng, tol)
     report.checks["monotonicity"].claimed = spec.monotone
     return report

@@ -26,7 +26,8 @@ them and whose chunk count follows the number of rows evaluated.  Only
 the order-based kinds (density band, mean-semideviation, shortfall) skip
 rows, gathering the kept ones one row block at a time: a copy of all kept
 rows up front cost about what the skipped rows saved, and neutral and
-entropic are one matrix product over all rows, cheaper than any gather.
+entropic are one product over all rows (of the matrix, or of per-axis
+factors: see ``mdp.FactoredRows``), cheaper than any gather.
 ``poisson_residual`` is a full sweep, independent of the history.
 """
 
@@ -117,7 +118,7 @@ class SolveResult:
 
 def bellman_T(mcp: FiniteMCP, spec: RiskMapSpec, policy: PolicyVector, v: np.ndarray) -> np.ndarray:
     """T^pi(v)(x) = sum_a pi(a|x) [ c(x,a) + R(v|x,a) ]."""
-    vals = mcp.stacked_cost + risk_values(spec, np.asarray(v, dtype=float), mcp.stacked_transition)
+    vals = mcp.stacked_cost + risk_values(spec, np.asarray(v, dtype=float), mcp.rows)
     return policy_reduce(mcp, policy, vals)
 
 
@@ -219,13 +220,13 @@ def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray,
     """
     v = np.asarray(v, dtype=float)
     if history is None or not spec.monotone:
-        vals = mcp.stacked_cost + risk_values(spec, v, mcp.stacked_transition)
+        vals = mcp.stacked_cost + risk_values(spec, v, mcp.rows)
     else:
         keep = history.kept_rows(mcp, v)
         vals = np.full(len(mcp.stacked_cost), np.inf)
         # sorted, distinct indices: as many as rows is every row, evaluated with no gather
         every = len(keep) == len(vals)
-        kept = risk_values(spec, v, mcp.stacked_transition, None if every else keep)
+        kept = risk_values(spec, v, mcp.rows, None if every else keep)
         vals[keep] = mcp.stacked_cost[keep] + kept
         history.record(v, keep, vals)
     starts = mcp.row_offsets[:-1]
@@ -425,7 +426,7 @@ def measure_contraction(
         raise ValueError(f"ball_radius must be finite and > 0, got {ball_radius}")
     rng = np.random.default_rng(seed)
     w_hat = np.asarray(w_hat, dtype=float)
-    n, rows = mcp.n_states, mcp.stacked_transition
+    n, rows = mcp.n_states, mcp.rows
     ratios = []
     for sl in row_blocks(n_trials, 32 * len(rows)):
         trials = []

@@ -4,12 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import riskmdp
+from riskmdp import mdp
 from riskmdp.cli import main
 from riskmdp.models import builtin_chain
 from riskmdp.solver import ContractionStats
@@ -664,6 +666,45 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
         code2, out2 = run(tmp_path, "sweep", cfg, jobs=jobs)
         assert code1 == code2 == 0
         assert (out2 / "sweep.csv").read_text() == serial
+
+
+@pytest.mark.parametrize("model, risk, layout, built", [
+    (SWEEP_2D, {"kind": "neutral"}, "factored", False),
+    (SWEEP_2D, {"kind": "entropic", "lambda": -0.5}, "factored", False),
+    (SWEEP_2D, {"kind": "density_band", "band": [0.5, 1.5]}, "factored", True),
+    ({"diffusion": DIFFUSION_1D, "grid": {"points": 21, "extent": 4.0}}, {"kind": "neutral"}, "dense", True),
+    ({"builtin": "biased2"}, {"kind": "entropic", "lambda": 1.0}, "dense", True),
+], ids=["2d-neutral", "2d-entropic", "2d-band", "1d", "builtin"])
+def test_solve_records_the_row_layout(tmp_path, model, risk, layout, built):
+    # a 2-D grid with diagonal noise stores per-axis factors; only the
+    # order-based kinds write out the dense rows
+    code, out = run(tmp_path, "solve", {"model": model, "risk": risk})
+    assert code == 0
+    result = json.loads((out / "result.json").read_text())
+    assert (result["row_layout"], result["dense_rows_built"]) == (layout, built)
+
+
+def test_two_job_sweep_on_a_factored_grid_builds_the_dense_rows_once(tmp_path, monkeypatch):
+    # mean-semideviation reads whole rows, so both jobs ask for the dense
+    # rows in their first sweep; each write is slowed so that the second
+    # job asks while the first is building
+    writes = []
+    write = mdp.FactoredRows.write
+
+    def slow_write(self, out, idx=slice(None)):
+        writes.append(idx)
+        time.sleep(0.02)
+        return write(self, out, idx)
+
+    monkeypatch.setattr(mdp.FactoredRows, "write", slow_write)
+    cfg = {"model": SWEEP_2D, "risk": {"kind": "mean_semideviation", "lambda": 0.5},
+           "sweep": {"param": "lambda", "values": [0.25, 0.5]}}
+    code, _ = run(tmp_path, "sweep", cfg, jobs=2)
+    assert code == 0
+    written = np.zeros(2 * 21 * 21, dtype=int)
+    for idx in writes:
+        written[idx] += 1
+    assert (written == 1).all()  # every row once
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from riskmdp.models import (
     gaussian_kernel_row,
     grid_nodes,
 )
-from riskmdp.risk import RiskMapSpec
+from riskmdp.risk import RiskMapSpec, risk_table
 
 
 def ou_spec(dim=1, a=0.5, drift=0.5, gamma_tilde=0.25):
@@ -352,6 +352,78 @@ def test_discretization_symmetric_pair_mirrors():
     m = discretize_diffusion(ou_spec(), GridSpec(points=21, extent=4.0))
     center = 10  # x = 0: pushing left then reading reversed equals pushing right
     assert np.allclose(m.transition[center][0], m.transition[center][1][::-1], atol=1e-12)
+
+
+# --- factored rows ---------------------------------------------------------------------
+
+
+def clipped_spec(dim, drift_bound=0.5):
+    """Two actions with unequal diagonal noise per axis; "right" has an
+    affine drift that the drift bound clips at some nodes and not others
+    (none with a drift bound of 10).  The noise of "left" is so narrow
+    that its rows have no float mass at the far nodes."""
+    return DiffusionSpec(dim=dim, A=0.5 * np.eye(dim), actions=["left", "right"],
+                         drift={"left": [-0.5, 0.0, 0.2][:dim], "right": [0.6, 0.3, 0.0][:dim]},
+                         diffusion={"left": np.diag([0.15, 0.2, 0.18][:dim]), "right": np.diag([0.8, 1.2, 1.0][:dim])},
+                         drift_linear={"right": np.diag([0.2, -0.1, 0.1][:dim])},
+                         gamma_tilde=0.25, drift_bound=drift_bound, ellipticity=50.0)
+
+
+GRID_2D, GRID_3D = GridSpec(points=(9, 11), extent=(4.0, 3.0)), GridSpec(points=(5, 7, 9), extent=(3.0, 3.5, 3.0))
+# clipped drifts make each axis's rows depend on every coordinate, so the
+# product contracts row by row; unclipped, on the tensor of distinct rows
+FACTORED = [(clipped_spec(2), GRID_2D), (clipped_spec(3), GRID_3D),
+            (clipped_spec(2, drift_bound=10.0), GRID_2D), (clipped_spec(3, drift_bound=10.0), GRID_3D)]
+FACTORED_IDS = ["2d-clipped", "3d-clipped", "2d", "3d"]
+
+
+@pytest.mark.parametrize("spec, grid", FACTORED, ids=FACTORED_IDS)
+def test_factored_rows_are_bit_identical_to_the_per_action_outer_products(spec, grid):
+    m = discretize_diffusion(spec, grid)
+    assert m.rows.layout == "factored" and not m.rows.built
+    nodes, _ = grid_nodes(grid, spec.dim)
+    raw = spec.drift["right"] + nodes @ spec.drift_linear["right"].T  # the drift before clipping
+    clipped = np.linalg.norm(raw, axis=1) > np.sqrt(spec.drift_bound)
+    assert clipped.any() != (spec.drift_bound == 10.0) and not clipped.all()
+    assert (m.rows._place is None) == clipped.any()
+    for ai, a in enumerate(spec.actions):
+        # the dense build's rows: one normalized row per node and axis,
+        # multiplied axis by axis
+        means, variances = nodes @ spec.A.T + spec.drift_at(nodes, a), np.diag(spec.diffusion[a] @ spec.diffusion[a].T)
+        rows = np.ones((len(nodes), 1))
+        for d, ax in enumerate(grid.axes(spec.dim)):
+            f = gaussian_kernel_row(means[:, d:d + 1], np.array([[1.0 / variances[d]]]), ax[:, None], 1.0)
+            f /= f.sum(axis=1, keepdims=True)
+            rows = (rows[:, :, None] * f[:, None, :]).reshape(len(nodes), -1)
+        assert np.array_equal(m.stacked_transition[ai::2], rows)
+
+
+@pytest.mark.parametrize("spec, grid", FACTORED, ids=FACTORED_IDS)
+def test_factored_neutral_and_entropic_tables_match_the_dense_rows(spec, grid):
+    m = discretize_diffusion(spec, grid)
+    rows = mdp.FactoredRows(m.rows.units, m.rows.index).dense  # a twin, so m's own store stays unbuilt
+    rng = np.random.default_rng(spec.dim)
+    x = m.state_coords
+    V = np.stack([5.0 * x.sum(axis=1), 2.0 * np.sum(x**2, axis=1), rng.normal(0.0, 3.0, size=len(x))])
+    keep = np.sort(rng.choice(len(rows), size=len(rows) // 3, replace=False))
+    scale = np.abs(V).max()
+    for risk in (RiskMapSpec("neutral"), RiskMapSpec("entropic", lam=40.0), RiskMapSpec("entropic", lam=-40.0),
+                 RiskMapSpec("entropic", lam=0.7)):
+        if risk.kind == "entropic" and abs(risk.lam) == 40.0:  # some rows take the underflow fallback
+            s = (V.max if risk.lam > 0 else V.min)(axis=1, keepdims=True)
+            assert (np.exp(risk.lam * (V - s)) @ rows.T < np.finfo(float).tiny).any()
+        full = risk_table(risk, V, rows)
+        for k in (None, keep):
+            got = risk_table(risk, V, m.rows, k)
+            np.testing.assert_allclose(got, risk_table(risk, V, rows, k), rtol=0, atol=1e-15 * scale)
+            np.testing.assert_allclose(got, full if k is None else full[:, k], rtol=0, atol=1e-15 * scale)
+    assert not m.rows.built
+
+
+def test_one_dimensional_and_correlated_models_stay_dense():
+    for spec, grid in ((ou_spec(dim=1), GridSpec(points=21, extent=3.0)),
+                       (correlated_noise_spec(), GridSpec(points=(7, 9), extent=(3.0, 2.0)))):
+        assert discretize_diffusion(spec, grid).rows.layout == "dense"
 
 
 # --- costs ------------------------------------------------------------------------------

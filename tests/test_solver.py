@@ -714,3 +714,54 @@ def test_contraction_respects_ball_radius():
     stats = measure_contraction(m, ENTROPIC, np.ones(4), 200, ball_radius=0.5, seed=2)
     assert stats.n_pairs > 0
     assert stats.max_ratio < 1.0
+
+
+# --- factored rows ------------------------------------------------------------------
+
+
+def factored_grid():
+    """A 2-D grid model whose rows are stored as per-axis factors."""
+    eye = np.eye(2)
+    spec = DiffusionSpec(dim=2, A=0.5 * eye, actions=["left", "right"],
+                         drift={"left": [-0.5, 0.0], "right": [0.5, 0.2]},
+                         diffusion={"left": np.diag([1.0, 0.8]), "right": eye},
+                         gamma_tilde=0.25, drift_bound=0.3, ellipticity=1.6)
+    m = attach_cost(discretize_diffusion(spec, GridSpec(points=(13, 11), extent=(4.0, 3.0))), QuadraticCost(c0=0.1))
+    assert m.rows.layout == "factored"
+    return m
+
+
+def dense_twin(m):
+    """The same model with its rows in one dense array, from a store of its own."""
+    return FiniteMCP(m.actions, mdp.FactoredRows(m.rows.units, m.rows.index).dense, m.stacked_cost,
+                     m.state_coords)
+
+
+@pytest.mark.parametrize("spec", [NEUTRAL, RiskMapSpec("entropic", lam=-0.8), RiskMapSpec("entropic", lam=1.5)],
+                         ids=["neutral", "entropic-", "entropic+"])
+def test_neutral_and_entropic_on_factored_rows_never_build_the_dense_rows(spec):
+    m = factored_grid()
+    cfg = SolveConfig(tol=1e-10)
+    res = relative_value_iteration(m, spec, cfg)
+    residual = poisson_residual(m, spec, res.rho, res.h)
+    T = bellman_T(m, spec, res.policy, res.h)
+    stats = measure_contraction(m, spec, np.ones(m.n_states), n_trials=20, seed=1)
+    assert not m.rows.built
+    twin = dense_twin(m)
+    want = relative_value_iteration(twin, spec, cfg)
+    assert res.converged and res.iterations == want.iterations
+    assert np.array_equal(res.policy.deterministic, want.policy.deterministic)
+    assert abs(res.rho - want.rho) <= 1e-14
+    assert residual == pytest.approx(poisson_residual(twin, spec, want.rho, want.h), abs=1e-14)
+    np.testing.assert_allclose(T, bellman_T(twin, spec, res.policy, res.h), rtol=0, atol=1e-14)
+    twin_stats = measure_contraction(twin, spec, np.ones(m.n_states), n_trials=20, seed=1)
+    assert stats.n_pairs == twin_stats.n_pairs == 20
+    assert stats.max_ratio == pytest.approx(twin_stats.max_ratio, rel=1e-12)
+
+
+def test_models_that_share_factored_rows_share_one_dense_build():
+    m = factored_grid()
+    other = m.with_cost(2.0 * m.stacked_cost)
+    res = relative_value_iteration(other, RiskMapSpec("density_band", band=(0.5, 1.5)), SolveConfig(tol=1e-8))
+    assert res.converged and m.rows.built  # the band reads whole rows
+    assert m.stacked_transition is other.stacked_transition
