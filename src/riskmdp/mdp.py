@@ -4,9 +4,10 @@ A model is a finite state set {0..n-1}, a per-state list of action labels,
 a transition row for each (state, action) pair and a scalar running cost
 for each pair, stored once, stacked, with per-state views (see
 :class:`FiniteMCP`).  The rows sit in one row store: a dense ``(rows, n)``
-array (:class:`DenseRows`) or, for rows that are outer products of
-per-axis rows, those per-axis factors (:class:`FactoredRows`).  Value
-functions are plain 1-d numpy arrays indexed by state.
+array (:class:`DenseRows`) or, for rows whose every action's block is a
+Kronecker product of per-axis matrices, those factors
+(:class:`FactoredRows`).  Value functions are plain 1-d numpy arrays
+indexed by state.
 """
 
 from __future__ import annotations
@@ -143,47 +144,37 @@ class DenseRows:
 
 
 class FactoredRows:
-    """Transition rows that are outer products of per-axis rows.
+    """Transition rows of k actions per state, each action's rows the
+    Kronecker product of per-axis matrices.
 
-    Axis d holds a read-only ``(u_d, p_d)`` array ``units[d]`` of
-    one-dimensional rows and an index ``index[d]`` of one entry per stacked
-    row.  Row r is the outer product of the rows ``units[d][index[d][r]]``
-    (the last axis varying fastest), so a row has ``n = prod(p_d)``
-    entries: the row-wise Kronecker (face-splitting) product of the per-row
-    factors ``units[d][index[d]]``.
+    Axis d holds a read-only ``(k, p_d, p_d)`` array ``factors[d]``: row i
+    of ``factors[d][a]`` is action a's one-dimensional row from the axis's
+    node i.  The n = prod(p_d) states are the node indices (i_1 .. i_D) in
+    row-major order (the last axis varying fastest); state x owns rows
+    x k .. x k + k - 1, and row x k + a is the outer product of the rows
+    ``factors[d][a][i_d]``, so action a's rows form the (n, n) matrix
+    ``factors[0][a] ⊗ .. ⊗ factors[D-1][a]``.  Such rows come from a grid
+    whose per-axis rows depend on that axis's coordinate only.
 
-    ``product`` contracts a stack of vectors with the factors axis by axis
-    and never forms a whole row.  When the units' outer-product tensor, and
-    each partial contraction toward it, has at most ``m max(p_d)`` entries
-    per vector for m rows (a grid whose per-axis rows depend on that axis's
-    coordinate only), it contracts each axis with its units, one matrix
-    product per axis, and reads each row's entry from the tensor;
-    otherwise it contracts row by row, the last axis by one matrix product,
-    in row blocks of ``row_blocks``.  ``dense``, for the readers
-    that need whole rows, writes every row once, on first access, and keeps
-    the array; models that share the store (``with_cost``) share it, and
-    concurrent first readers build it once.  The interface is that of
-    :class:`DenseRows`.
+    ``product`` contracts a stack of vectors with each action's factors,
+    one matrix product per axis, and never forms a whole row: n sum(p_d)
+    multiply-adds per vector and action in place of n^2.  ``dense``, for
+    the readers that need whole rows, writes every row once, on first
+    access, and keeps the array; models that share the store
+    (``with_cost``) share it, and concurrent first readers build it once.
+    The interface is that of :class:`DenseRows`.
     """
 
     layout = "factored"
 
-    def __init__(self, units, index) -> None:
-        self.units = [_read_only(np.asarray(u, dtype=float)) for u in units]
-        self.index = [_read_only(np.asarray(i, dtype=np.intp)) for i in index]
-        m = len(self.index[0]) if self.index else 0
-        if (not self.units or len(self.index) != len(self.units) or any(u.ndim != 2 for u in self.units)
-                or any(i.shape != (m,) or (m and not 0 <= i.min() <= i.max() < len(u))
-                       for u, i in zip(self.units, self.index))):
-            raise ValueError("need a 2-d array of rows per axis and, per axis, one index into them per stacked row")
-        dims, widths = [len(u) for u in self.units], [u.shape[1] for u in self.units]
-        self.shape = (m, math.prod(widths))
-        # the most entries per vector of a partial contraction toward the
-        # units' outer-product tensor, and each row's flat index into it; the
-        # tensor order is taken while that is at most max(p_d) entries per
-        # row (a dense row has n), else _place is None
-        self._largest = max(math.prod(dims[:d] + widths[d:]) for d in range(len(dims) + 1))
-        self._place = np.ravel_multi_index(self.index, dims) if self._largest <= m * max(widths) else None
+    def __init__(self, factors) -> None:
+        self.factors = [_read_only(np.asarray(f, dtype=float)) for f in factors]
+        if not self.factors or any(f.ndim != 3 or f.shape[1] != f.shape[2] or len(f) != len(self.factors[0])
+                                   for f in self.factors):
+            raise ValueError("need one (k, p_d, p_d) array per axis d, the same k actions on every axis")
+        self.widths = tuple(f.shape[1] for f in self.factors)
+        n = math.prod(self.widths)
+        self.shape = (len(self.factors[0]) * n, n)
         self._dense: np.ndarray | None = None
         self._lock = threading.Lock()
 
@@ -200,7 +191,7 @@ class FactoredRows:
             if self._dense is None:
                 out = np.empty(self.shape)
                 # write's one temporary has n / p_D entries per row
-                for sl in row_blocks(len(out), out.shape[1] // self.units[-1].shape[1]):
+                for sl in row_blocks(len(out), out.shape[1] // self.widths[-1]):
                     self.write(out[sl], sl)
                 self._dense = _read_only(out)
         return self._dense
@@ -209,31 +200,27 @@ class FactoredRows:
         idx = np.asarray(idx, dtype=np.intp)
         return self.write(np.empty((len(idx), self.shape[1])), idx)
 
+    def coords(self, idx=slice(None)) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The rows ``idx`` as their actions and their states' node index per axis."""
+        x, a = np.divmod(np.arange(len(self))[idx], len(self.factors[0]))
+        return a, np.unravel_index(x, self.widths)
+
     def write(self, out: np.ndarray, idx=slice(None)) -> np.ndarray:
         """The rows ``idx`` written into ``out`` by :func:`outer_rows`."""
-        return outer_rows([u[i[idx]] for u, i in zip(self.units, self.index)], out)
+        a, nodes = self.coords(idx)
+        return outer_rows([f[a, i] for f, i in zip(self.factors, nodes)], out)
 
     def product(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        rows = np.arange(self.shape[0]) if keep is None else keep
-        out = np.empty((len(W), len(rows)))
-        for vb in row_blocks(len(W), W.shape[1] if self._place is None else self._largest):
-            s = len(out[vb])
-            if self._place is not None:
-                T = W[vb].reshape(s, *(u.shape[1] for u in self.units))
-                for u in self.units:  # (s, p_d .. p_D, u_1 .. u_d-1) -> (s, p_d+1 .. p_D, u_1 .. u_d)
-                    T = np.tensordot(T, u, axes=(1, 1))
-                out[vb] = T.reshape(s, -1)[:, self._place[rows]]
-                continue
-            flat = W[vb].reshape(-1, self.units[-1].shape[1])  # (s n / p_D, p_D)
-            # T[k, y_1 .. y_d, r]: the vectors summed over the axes past d,
-            # each weighted by row r's factors there
-            for sl in row_blocks(len(rows), len(flat)):
-                factors = [u[i[rows[sl]]] for u, i in zip(self.units, self.index)]
-                T = flat @ factors[-1].T
-                for f in reversed(factors[:-1]):
-                    T = np.einsum("kayr,ry->kar", T.reshape(s, -1, f.shape[1], T.shape[-1]), f)
-                out[vb, sl] = T.reshape(s, -1)
-        return out
+        k = len(self.factors[0])
+        out = np.empty((len(W), len(self)))
+        # each contraction's temporaries hold n entries per vector
+        for vb in row_blocks(len(W), self.shape[1]):
+            for a in range(k):
+                T = W[vb].reshape(-1, *self.widths)
+                for f in self.factors:  # (s, p_d .. p_D, p_1 .. p_d-1) -> (s, p_d+1 .. p_D, p_1 .. p_d)
+                    T = np.tensordot(T, f[a], axes=(1, 1))
+                out[vb, a::k] = T.reshape(len(T), -1)
+        return out if keep is None else out[:, keep]
 
 
 def row_store(rows) -> DenseRows | FactoredRows:
@@ -266,10 +253,10 @@ class FiniteMCP:
     ``row_offsets[x]:row_offsets[x + 1]`` (``row_state`` maps a row back to
     its state); ``stacked_cost`` holds the matching costs.  The rows sit in
     one row store, ``rows``: dense (:class:`DenseRows`) or, for a grid
-    diffusion with diagonal noise in dim >= 2, per-axis factors
-    (:class:`FactoredRows`).  The risk kernels reach the rows through it:
-    the neutral and entropic products contract the factors and never form
-    a whole row.  ``stacked_transition`` is the read-only dense
+    diffusion in dim >= 2 whose rows are Kronecker products of per-axis
+    rows, those factors (:class:`FactoredRows`).  The risk kernels reach
+    the rows through it: the neutral and entropic products contract the
+    factors and never form a whole row.  ``stacked_transition`` is the read-only dense
     ``(rows, n)`` array, written on first access for a factored store, and
     ``transition[x]`` (shape ``(n_actions(x), n_states)``) and ``cost[x]``
     are views into the stacked arrays.  Action sets may differ in size
@@ -447,12 +434,13 @@ def validate_mcp(mcp: FiniteMCP, row_sum_tol: float = 1e-12) -> ValidationReport
     for x in np.flatnonzero(np.logical_or.reduceat(~np.isfinite(mcp.stacked_cost), mcp.row_offsets[:-1])):
         found.append((int(x), -1, 0, f"non-finite cost at x={x}"))
     if isinstance(store, FactoredRows):
-        for d, (units, index) in enumerate(zip(store.units, store.index)):
-            for r in np.flatnonzero((units.min(axis=1) < 0)[index]):
-                x, a, row = int(x_of[r]), int(a_of[r]), units[index[r]]
+        action, nodes = store.coords()
+        for d, (f, node) in enumerate(zip(store.factors, nodes)):
+            for r in np.flatnonzero((f.min(axis=2) < 0)[action, node]):
+                x, a, row = int(x_of[r]), int(a_of[r]), f[action[r], node[r]]
                 y = int(np.argmax(row < 0))
                 found.append((x, a, 0, f"negative factor entry {row[y]:.12g} at (x={x}, a={a}, axis={d}, y={y})"))
-        sums = math.prod(units.sum(axis=1)[index] for units, index in zip(store.units, store.index))
+        sums = math.prod(f.sum(axis=2)[action, node] for f, node in zip(store.factors, nodes))
     else:
         rows = store.dense
         for r in np.flatnonzero(rows.min(axis=1) < 0):

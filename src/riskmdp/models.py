@@ -6,10 +6,13 @@ one-step Gaussian transition density at the nodes, scales by the cell volume
 and renormalizes each row; probability mass that would leave the grid is
 therefore folded back proportionally.  When D D^T is diagonal the density
 and its row sums factor over the axes, so each normalized row is the outer
-product of normalized one-dimensional rows.  With every action's noise
-diagonal in dim >= 2 the model keeps those per-axis rows as its row store
-(``mdp.FactoredRows``) and never writes the dense matrix; in 1-D, and when
-some action has correlated noise, the rows are written into one dense
+product of normalized one-dimensional rows.  In dim >= 2, when every
+action's noise is diagonal and each axis's mean coordinate depends on that
+axis's coordinate alone, the one-dimensional rows from each axis's nodes
+make each action's rows a Kronecker product: the model keeps those
+per-axis factors as its row store (``mdp.FactoredRows``) and never writes
+the dense matrix.  Otherwise (1-D, correlated noise, coupled axes or a
+drift clipped at some nodes only) the rows are written into one dense
 matrix, correlated noise evaluating the full density one ``mdp.row_blocks``
 block of source states at a time.  No truncation-error bound is claimed;
 refining the grid is the intended way to study it.
@@ -161,8 +164,8 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
     """Finite chain on the grid nodes with renormalized Gaussian rows.
 
     Costs are zero; attach them with :func:`attach_cost`.  Supported up to
-    dim = 3 (the node count explodes beyond that).  A model whose every
-    action has diagonal noise, in dim >= 2, stores its rows as per-axis
+    dim = 3 (the node count explodes beyond that).  A model in dim >= 2
+    whose rows are Kronecker products of per-axis rows stores those
     factors (see the module docstring).
     """
     spec.validate()
@@ -175,16 +178,10 @@ def discretize_diffusion(spec: DiffusionSpec, grid: GridSpec) -> FiniteMCP:
     covs = [spec.diffusion[a] @ spec.diffusion[a].T for a in spec.actions]
     diagonal = [np.array_equal(cov, np.diag(np.diag(cov))) for cov in covs]
     # Stacked rows: (state x, action ai) sits at row x * k + ai.
-    if spec.dim > 1 and all(diagonal):
-        # per axis, one normalized row per distinct mean of each action, and
-        # each stacked row's index into them
-        units, index = [[] for _ in axes], [[] for _ in axes]
-        for mu, cov in zip(means, covs):
-            for d, ax in enumerate(axes):
-                centers, inv = np.unique(mu[:, d], return_inverse=True)
-                index[d].append(inv.reshape(-1) + sum(map(len, units[d])))
-                units[d].append(_axis_rows(centers, cov[d, d], ax))
-        rows = FactoredRows([np.concatenate(u) for u in units], [np.stack(i, axis=1).reshape(-1) for i in index])
+    factors = [_separable_factors(mu, np.diag(cov), axes) if diag and spec.dim > 1 else None
+               for mu, cov, diag in zip(means, covs, diagonal)]
+    if all(f is not None for f in factors):
+        rows = FactoredRows([np.stack(f) for f in zip(*factors)])
     else:
         rows = np.empty((n * k, n))
         for ai, cov in enumerate(covs):
@@ -204,6 +201,22 @@ def _row_mass(rows: np.ndarray) -> np.ndarray:
     if not np.all(sums > 0):
         raise ValueError("a transition row lost all mass; grid too coarse or extent too small")
     return sums
+
+
+def _separable_factors(means: np.ndarray, variances: np.ndarray, axes: list[np.ndarray]) -> list[np.ndarray] | None:
+    """Per axis d, the ``(p_d, p_d)`` normalized rows from each of the
+    axis's nodes (:func:`_axis_rows`), when every node's mean coordinate d
+    depends on the node's coordinate d alone (a diagonal A, and a drift
+    that is constant or has a diagonal ``drift_linear`` clipped at no
+    node); else None."""
+    shape = tuple(len(ax) for ax in axes)
+    factors = []
+    for d, ax in enumerate(axes):
+        centers = np.moveaxis(means[:, d].reshape(shape), d, 0).reshape(len(ax), -1)
+        if not (centers == centers[:, :1]).all():
+            return None
+        factors.append(_axis_rows(centers[:, 0], variances[d], ax))
+    return factors
 
 
 def _axis_rows(centers: np.ndarray, variance: float, ax: np.ndarray) -> np.ndarray:

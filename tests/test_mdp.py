@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import json
 import sys
 import threading
@@ -157,60 +158,66 @@ def test_validate_lists_violations_by_state_then_action():
     ]
 
 
-def per_row(factors):
-    """A store with one factor row per stacked row on every axis."""
-    return FactoredRows(factors, [np.arange(len(f)) for f in factors])
+def stochastic(rng, shape):
+    f = rng.uniform(0.1, 1.0, size=shape)
+    return f / f.sum(axis=-1, keepdims=True)
 
 
-def factored_chain(store, n_actions=2):
-    """A model on prod(p_d) states with the rows of ``store``, n_actions per state."""
+def kron_store(rng, k, widths):
+    """A store of k actions per state whose per-axis factors are random stochastic matrices."""
+    return FactoredRows([stochastic(rng, (k, p, p)) for p in widths])
+
+
+def factored_chain(store, n_actions=None):
+    """A model on prod(p_d) states with the rows of ``store``, n_actions (by default k) per state."""
     n = store.shape[1]
+    n_actions = len(store) // n if n_actions is None else n_actions
     return FiniteMCP(actions=[[f"a{j}" for j in range(n_actions)]] * n, transition=store,
                      cost=np.zeros(n * n_actions))
 
 
-def stochastic_factors(rng, rows, widths):
-    return [f / f.sum(axis=1, keepdims=True) for f in (rng.uniform(0.1, 1.0, size=(rows, p)) for p in widths)]
+def kron_rows(store):
+    """The store's rows, each action's as the Kronecker product of its factors."""
+    k = len(store.factors[0])
+    rows = np.empty(store.shape)
+    for a in range(k):
+        rows[a::k] = functools.reduce(np.kron, [f[a] for f in store.factors])
+    return rows
 
 
 def test_validate_checks_factored_rows_on_their_factors():
-    factors = stochastic_factors(np.random.default_rng(3), 12, (2, 3))  # 6 states, 2 actions each
-    assert validate_mcp(factored_chain(per_row(factors))).ok
-    factors[1][5, 1] += factors[1][5, 0] + 0.1  # (x=2, a=1): a negative entry on axis 1,
-    factors[1][5, 0] = -0.1  # in a row that still sums to one
-    factors[0][6] *= 1.1  # (x=3, a=0): row sum 1.1
-    m = factored_chain(per_row(factors))
-    assert validate_mcp(m).violations == [
+    factors = [stochastic(np.random.default_rng(3), (2, p, p)) for p in (2, 3)]  # 6 states, 2 actions each
+    assert validate_mcp(factored_chain(FactoredRows(factors))).ok
+    factors[1][1, 2, 1] += factors[1][1, 2, 0] + 0.1  # action 1 from node 2 of axis 1: a negative
+    factors[1][1, 2, 0] = -0.1  # entry, in a row that still sums to one
+    factors[0][0, 1] *= 1.1  # action 0 from node 1 of axis 0: row sum 1.1
+    m = factored_chain(FactoredRows(factors))
+    assert validate_mcp(m).violations == [  # every row that has such a factor row is named
         "negative factor entry -0.1 at (x=2, a=1, axis=1, y=0)",
         "row sum 1.1 at (x=3, a=0)",
+        "row sum 1.1 at (x=4, a=0)",
+        "row sum 1.1 at (x=5, a=0)",
+        "negative factor entry -0.1 at (x=5, a=1, axis=1, y=0)",
     ]
     assert not m.rows.built  # checked without forming a whole row
 
 
-def test_validate_names_every_row_that_shares_a_bad_factor_row():
-    rng = np.random.default_rng(7)
-    units = [stochastic_factors(rng, 2, (2,))[0], stochastic_factors(rng, 3, (3,))[0]]
-    units[0][1] *= 1.1
-    m = factored_chain(FactoredRows(units, [[0, 1, 0, 0, 1, 0], [0, 1, 2, 0, 1, 2]]), n_actions=1)
-    assert validate_mcp(m).violations == ["row sum 1.1 at (x=1, a=0)", "row sum 1.1 at (x=4, a=0)"]
-
-
 def test_validate_flags_non_finite_factor_entries_by_their_row_sum():
-    factors = stochastic_factors(np.random.default_rng(4), 8, (2, 2))
-    factors[0][3, 1] = np.nan
-    factors[1][6, 0] = np.inf
-    assert validate_mcp(factored_chain(per_row(factors))).violations == [
-        "row sum nan at (x=1, a=1)",
-        "row sum inf at (x=3, a=0)",
+    factors = [stochastic(np.random.default_rng(4), (2, 2, 2)) for _ in range(2)]
+    factors[0][1, 1, 1] = np.nan  # action 1 from node 1 of axis 0
+    factors[1][0, 0, 0] = np.inf  # action 0 from node 0 of axis 1
+    assert validate_mcp(factored_chain(FactoredRows(factors))).violations == [
+        "row sum inf at (x=0, a=0)",
+        "row sum inf at (x=2, a=0)",
+        "row sum nan at (x=2, a=1)",
+        "row sum nan at (x=3, a=1)",
     ]
 
 
-def test_factored_rows_are_row_wise_outer_products():
-    rng = np.random.default_rng(5)
-    factors = stochastic_factors(rng, 10, (2, 3, 4))
-    store = per_row(factors)
-    want = np.stack([np.einsum("a,b,c->abc", *(f[r] for f in factors)).ravel() for r in range(10)])
-    assert store.shape == (10, 24) and len(store) == 10
+def test_factored_rows_are_kronecker_products_of_each_actions_factors():
+    store = kron_store(np.random.default_rng(5), 2, (2, 3, 4))
+    want = kron_rows(store)
+    assert store.shape == (48, 24) and len(store) == 48
     assert not store.built
     np.testing.assert_allclose(store.take([7, 2, 7]), want[[7, 2, 7]], rtol=1e-15, atol=0)
     assert not store.built  # take forms the rows asked for only
@@ -221,37 +228,31 @@ def test_factored_rows_are_row_wise_outer_products():
 
 
 @pytest.mark.parametrize("widths", [(5,), (4, 7), (3, 5, 2)])
-@pytest.mark.parametrize("shared", [False, True], ids=["row-by-row", "tensor"])
-def test_factored_product_matches_the_dense_rows(monkeypatch, widths, shared):
-    # rows that share two factor rows per axis have a tensor of 2^D <= 23
-    # entries, which the product contracts in place of the rows; so has
-    # one axis of 23 rows
-    rng = np.random.default_rng(len(widths))
-    units = stochastic_factors(rng, 2 if shared else 23, widths)
-    index = [rng.integers(0, 2, size=23) if shared else np.arange(23) for _ in widths]
-    store = FactoredRows(units, index)
-    assert (store._place is not None) == (shared or len(widths) == 1)
-    dense = DenseRows(FactoredRows(units, index).dense)
+@pytest.mark.parametrize("k", [1, 3])
+def test_factored_product_matches_the_dense_rows(monkeypatch, widths, k):
+    rng = np.random.default_rng(len(widths) + k)
+    store = kron_store(rng, k, widths)
+    dense = DenseRows(kron_rows(store))
     W = rng.normal(0.0, 5.0, size=(6, store.shape[1]))
-    keep = np.array([22, 0, 5, 5, 13])
-    for k in (None, keep, keep[:0]):
-        want = dense.product(W, k)
-        for budget in (BLOCK_ELEMENTS, 7):  # one block, or one row and vector at a time
+    keep = rng.integers(0, len(store), size=5)
+    for kept in (None, keep, keep[:0]):
+        want = dense.product(W, kept)
+        for budget in (BLOCK_ELEMENTS, 7):  # one block, or one vector at a time
             monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", budget)
-            np.testing.assert_allclose(store.product(W, k), want, rtol=0, atol=1e-15 * np.abs(W).max())
+            np.testing.assert_allclose(store.product(W, kept), want, rtol=0, atol=1e-15 * np.abs(W).max())
     assert not store.built
 
 
 def test_a_store_of_the_wrong_shape_is_rejected():
     with pytest.raises(ValueError, match=r"stacked transition shape \(12, 6\), want \(6, 6\)"):
-        factored_chain(per_row(stochastic_factors(np.random.default_rng(0), 12, (2, 3))), n_actions=1)
-    for index in ([np.arange(3), np.arange(4)], [np.arange(3), np.arange(3) + 1], [np.arange(3)]):
-        with pytest.raises(ValueError, match="one index into them per stacked row"):
-            FactoredRows([np.ones((3, 2)), np.ones((3, 2))], index)
+        factored_chain(kron_store(np.random.default_rng(0), 2, (2, 3)), n_actions=1)
+    for factors in ([], [np.ones((2, 2))], [np.ones((2, 3, 2))], [np.ones((2, 2, 2)), np.ones((3, 3, 3))]):
+        with pytest.raises(ValueError, match=r"one \(k, p_d, p_d\) array per axis d"):
+            FactoredRows(factors)
 
 
 def test_concurrent_first_readers_build_the_dense_rows_once(monkeypatch):
-    store = per_row(stochastic_factors(np.random.default_rng(9), 40, (3, 4)))
+    store = kron_store(np.random.default_rng(9), 2, (4, 5))
     writes = []
     write = FactoredRows.write
 
@@ -282,7 +283,7 @@ def test_concurrent_first_readers_build_the_dense_rows_once(monkeypatch):
 
 
 def test_factored_model_restricts_and_round_trips_through_json_as_dense_rows():
-    m = factored_chain(per_row(stochastic_factors(np.random.default_rng(8), 12, (2, 3))))
+    m = factored_chain(kron_store(np.random.default_rng(8), 2, (2, 3)))
     one = m.restrict_to_policy(PolicyVector.det([1, 0, 0, 1, 1, 0]))
     assert one.rows.layout == "dense" and not m.rows.built
     back = FiniteMCP.from_dict(json.loads(json.dumps(m.to_dict())))
@@ -291,7 +292,7 @@ def test_factored_model_restricts_and_round_trips_through_json_as_dense_rows():
 
 
 def test_policy_kernel_of_a_factored_model_takes_the_policy_rows_only():
-    m = factored_chain(per_row(stochastic_factors(np.random.default_rng(6), 12, (2, 3))))
+    m = factored_chain(kron_store(np.random.default_rng(6), 2, (2, 3)))
     pi = PolicyVector.det([1, 0, 0, 1, 1, 0])
     P, c = policy_transition_and_cost(m, pi)
     assert not m.rows.built

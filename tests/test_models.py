@@ -357,35 +357,55 @@ def test_discretization_symmetric_pair_mirrors():
 # --- factored rows ---------------------------------------------------------------------
 
 
-def clipped_spec(dim, drift_bound=0.5):
-    """Two actions with unequal diagonal noise per axis; "right" has an
-    affine drift that the drift bound clips at some nodes and not others
-    (none with a drift bound of 10).  The noise of "left" is so narrow
-    that its rows have no float mass at the far nodes."""
-    return DiffusionSpec(dim=dim, A=0.5 * np.eye(dim), actions=["left", "right"],
-                         drift={"left": [-0.5, 0.0, 0.2][:dim], "right": [0.6, 0.3, 0.0][:dim]},
+def two_action_spec(dim, A, linear, drift_bound):
+    """Two actions with unequal diagonal noise per axis.  "left" has the
+    diagonal affine drift ``linear`` on a constant one, "right" a constant
+    drift of norm 1.34.  The noise of "left" is so narrow that its rows have
+    no float mass at the far nodes."""
+    return DiffusionSpec(dim=dim, A=A, actions=["left", "right"],
+                         drift={"left": [-0.5, 0.0, 0.2][:dim], "right": [1.2, 0.6, 0.0][:dim]},
                          diffusion={"left": np.diag([0.15, 0.2, 0.18][:dim]), "right": np.diag([0.8, 1.2, 1.0][:dim])},
-                         drift_linear={"right": np.diag([0.2, -0.1, 0.1][:dim])},
+                         drift_linear={"left": np.diag(linear[:dim])},
                          gamma_tilde=0.25, drift_bound=drift_bound, ellipticity=50.0)
 
 
+def factored_spec(dim):
+    # "right" is clipped alike at every node, "left" (at most 0.77) at none
+    return two_action_spec(dim, np.diag([0.5, 0.3, 0.4][:dim]), [0.05, -0.04, 0.03], drift_bound=1.0)
+
+
+def clipped_spec(dim):
+    # "left" is clipped at some nodes, by a factor that depends on every coordinate
+    return two_action_spec(dim, np.diag([0.5, 0.3, 0.4][:dim]), [0.3, -0.2, 0.1], drift_bound=2.0)
+
+
+def coupled_spec():
+    return two_action_spec(2, np.array([[0.4, 0.1], [0.1, 0.3]]), [0.05, -0.04], drift_bound=1.0)
+
+
+def clipped_nodes(spec, nodes, a):
+    raw = spec.drift[a] + nodes @ spec.drift_linear.get(a, np.zeros((spec.dim, spec.dim))).T
+    return np.linalg.norm(raw, axis=1) > np.sqrt(spec.drift_bound)
+
+
 GRID_2D, GRID_3D = GridSpec(points=(9, 11), extent=(4.0, 3.0)), GridSpec(points=(5, 7, 9), extent=(3.0, 3.5, 3.0))
-# clipped drifts make each axis's rows depend on every coordinate, so the
-# product contracts row by row; unclipped, on the tensor of distinct rows
-FACTORED = [(clipped_spec(2), GRID_2D), (clipped_spec(3), GRID_3D),
-            (clipped_spec(2, drift_bound=10.0), GRID_2D), (clipped_spec(3, drift_bound=10.0), GRID_3D)]
-FACTORED_IDS = ["2d-clipped", "3d-clipped", "2d", "3d"]
+FACTORED = [(factored_spec(2), GRID_2D), (factored_spec(3), GRID_3D)]
 
 
-@pytest.mark.parametrize("spec, grid", FACTORED, ids=FACTORED_IDS)
-def test_factored_rows_are_bit_identical_to_the_per_action_outer_products(spec, grid):
+@pytest.mark.parametrize("spec, grid, layout", [
+    (*FACTORED[0], "factored"), (*FACTORED[1], "factored"),
+    (clipped_spec(2), GRID_2D, "dense"), (clipped_spec(3), GRID_3D, "dense"), (coupled_spec(), GRID_2D, "dense"),
+], ids=["2d", "3d", "2d-clipped", "3d-clipped", "2d-coupled"])
+def test_separable_rows_are_bit_identical_to_the_per_action_outer_products(spec, grid, layout):
+    # rows whose per-axis rows depend on that axis's coordinate alone are
+    # stored as factors; a drift clipped at some nodes only, or coupled
+    # axes, keep the dense rows
     m = discretize_diffusion(spec, grid)
-    assert m.rows.layout == "factored" and not m.rows.built
+    assert m.rows.layout == layout and m.rows.built == (layout == "dense")
     nodes, _ = grid_nodes(grid, spec.dim)
-    raw = spec.drift["right"] + nodes @ spec.drift_linear["right"].T  # the drift before clipping
-    clipped = np.linalg.norm(raw, axis=1) > np.sqrt(spec.drift_bound)
-    assert clipped.any() != (spec.drift_bound == 10.0) and not clipped.all()
-    assert (m.rows._place is None) == clipped.any()
+    left, right = clipped_nodes(spec, nodes, "left"), clipped_nodes(spec, nodes, "right")
+    assert (left.any() and not left.all()) == (spec.drift_bound == 2.0)  # clipped at some nodes only
+    assert right.all() == (spec.drift_bound == 1.0)  # clipped alike at every node
     for ai, a in enumerate(spec.actions):
         # the dense build's rows: one normalized row per node and axis,
         # multiplied axis by axis
@@ -398,10 +418,10 @@ def test_factored_rows_are_bit_identical_to_the_per_action_outer_products(spec, 
         assert np.array_equal(m.stacked_transition[ai::2], rows)
 
 
-@pytest.mark.parametrize("spec, grid", FACTORED, ids=FACTORED_IDS)
+@pytest.mark.parametrize("spec, grid", FACTORED, ids=["2d", "3d"])
 def test_factored_neutral_and_entropic_tables_match_the_dense_rows(spec, grid):
     m = discretize_diffusion(spec, grid)
-    rows = mdp.FactoredRows(m.rows.units, m.rows.index).dense  # a twin, so m's own store stays unbuilt
+    rows = mdp.FactoredRows(m.rows.factors).dense  # a twin, so m's own store stays unbuilt
     rng = np.random.default_rng(spec.dim)
     x = m.state_coords
     V = np.stack([5.0 * x.sum(axis=1), 2.0 * np.sum(x**2, axis=1), rng.normal(0.0, 3.0, size=len(x))])

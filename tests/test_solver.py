@@ -733,7 +733,7 @@ def factored_grid():
 
 def dense_twin(m):
     """The same model with its rows in one dense array, from a store of its own."""
-    return FiniteMCP(m.actions, mdp.FactoredRows(m.rows.units, m.rows.index).dense, m.stacked_cost,
+    return FiniteMCP(m.actions, mdp.FactoredRows(m.rows.factors).dense, m.stacked_cost,
                      m.state_coords)
 
 
