@@ -125,7 +125,7 @@ def fit_lyapunov(
     if np.any(np.isinf(w0)):
         return LyapunovCertificate(w0=w0, gamma0=float(grid[0]), K0=math.inf, satisfied=False, worst_pair=None,
                                    gamma_grid=grid, K0_by_gamma=(math.inf,) * len(grid))
-    rows = mcp.stacked_transition
+    rows = mcp.rows
     cost = mcp.stacked_cost
     with np.errstate(invalid="ignore"):
         up = cost + risk_values(spec, w0, rows)
@@ -174,8 +174,10 @@ def doeblin_minorization(mcp: FiniteMCP, subset) -> DoeblinCertificate:
     subset = np.asarray(subset, dtype=np.intp)
     if subset.size == 0:
         raise ValueError("subset must be nonempty")
-    rows = mcp.stacked_transition[_subset_row_index(mcp, subset)]
-    mu_tilde = rows.min(axis=0)
+    row_idx = _subset_row_index(mcp, subset)
+    mu_tilde = np.full(mcp.n_states, np.inf)
+    for sl in row_blocks(len(row_idx), mcp.n_states):
+        np.minimum(mu_tilde, mcp.rows.take(row_idx[sl]).min(axis=0), out=mu_tilde)
     alpha = float(mu_tilde.sum())
     if alpha <= 0.0:
         return DoeblinCertificate(subset=subset, alpha=0.0, mu=None, satisfied=False)
@@ -194,7 +196,7 @@ def local_doeblin(mcp: FiniteMCP, subset) -> DoeblinCertificate:
     subset = np.asarray(subset, dtype=np.intp)
     if subset.size == 0:
         raise ValueError("subset must be nonempty")
-    block = mcp.stacked_transition[_subset_row_index(mcp, subset)][:, subset]
+    block = mcp.rows.take(_subset_row_index(mcp, subset))[:, subset]
     avg = block.mean(axis=0)
     total = avg.sum()
     if total <= 0.0:
@@ -368,7 +370,7 @@ def check_l2(
         return L2Certificate(passed=True, min_slack=math.inf, K0=K0, K=K, n_samples=0)
     rng = np.random.default_rng(seed)
     row_idx = _subset_row_index(mcp, B0)
-    rows = mcp.stacked_transition[row_idx]
+    rows = mcp.rows.take(row_idx)
     bound = w0 + K
     r_plus = risk_values(spec, bound, rows)
     r_minus = risk_values(spec, -bound, rows)
@@ -430,7 +432,7 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     base = doeblin_minorization(mcp, subset)
     if not base.satisfied:
         return base
-    rows = mcp.stacked_transition[_subset_row_index(mcp, subset)]
+    rows = mcp.rows.take(_subset_row_index(mcp, subset))
     # log max_rows Q[e^{K w}] is K times the largest entropic value of w at
     # lam = K, and log mu_B[e^{-K w}] is -K times its entropic value at lam = -K
     log_num = log_denom = 0.0

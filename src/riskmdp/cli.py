@@ -281,8 +281,7 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
     result = {"rho": res.rho, "rho_lower": res.rho_lower, "rho_upper": res.rho_upper,
               "policy": res.policy.deterministic.tolist(), "iterations": res.iterations,
               "converged": res.converged, "residual": residual,
-              # how the model stores its rows, and whether the solve wrote them out as one matrix
-              "row_layout": mcp.rows.layout, "dense_rows_built": mcp.rows.built,
+              "row_layout": mcp.rows.layout,  # how the model stores its rows
               "timing_s": {"build": (t1 - t0) / 1e9, "rvi": (t2 - t1) / 1e9, "residual": (t3 - t2) / 1e9}}
     with open(out / "result.json", "w") as fh:
         json.dump(result, fh, indent=2)

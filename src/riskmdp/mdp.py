@@ -6,8 +6,9 @@ for each pair, stored once, stacked, with per-state views (see
 :class:`FiniteMCP`).  The rows sit in one row store: a dense ``(rows, n)``
 array (:class:`DenseRows`) or, for rows whose every action's block is a
 Kronecker product of per-axis matrices, those factors
-(:class:`FactoredRows`).  Value functions are plain 1-d numpy arrays
-indexed by state.
+(:class:`FactoredRows`).  A store is read through two methods only,
+``product`` and ``take``: no store keeps a second, dense copy of factored
+rows.  Value functions are plain 1-d numpy arrays indexed by state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import copy
 import itertools
 import json
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,7 +51,7 @@ WORST_PAIR_RTOL = 1e-12
 # Elements of one block temporary (1 MB of float64), for every loop that
 # slices rows into blocks: the order-based risk kernels, check_l2's
 # (samples, rows) tables and the diffusion build's Gaussian rows under
-# correlated noise, the factored rows' products and their dense build.  A kernel
+# correlated noise and the factored rows' products.  A kernel
 # block is small enough to stay in cache and large enough that numpy's
 # per-call overhead is amortized; one check_l2 table for all 2002 samples of
 # the 201-state verify model raised the process's peak RSS from 69 to 88 MB.
@@ -119,15 +119,15 @@ def outer_rows(factors: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 class DenseRows:
     """Transition rows stored as one read-only ``(rows, n)`` array, ``dense``.
 
-    A row store answers ``product(W, keep)``, the ``(S, m)`` table
-    ``W @ Q.T`` of an ``(S, n)`` stack of vectors against the rows Q (the
-    rows ``keep`` only, when given), ``take(idx)``, the dense rows ``idx``,
-    and ``dense``, all rows as one read-only array; ``built`` tells whether
-    that array exists.
+    A row store has a ``shape`` ``(rows, n)``, a ``layout`` name and two
+    readers: ``product(W)``, the ``(S, rows)`` table ``W @ Q.T`` of an
+    ``(S, n)`` stack of vectors against the rows Q, and ``take(idx, out)``,
+    the dense rows ``idx`` (an index array or a slice).  Here a slice is a
+    read-only view and an index array is gathered, into ``out`` when given;
+    ``out``'s indices are the caller's to check.
     """
 
     layout = "dense"
-    built = True
 
     def __init__(self, dense: np.ndarray) -> None:
         self.dense = dense
@@ -136,11 +136,14 @@ class DenseRows:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def product(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        return W @ (self.dense if keep is None else self.dense[keep]).T
+    def product(self, W: np.ndarray) -> np.ndarray:
+        return W @ self.dense.T
 
-    def take(self, idx) -> np.ndarray:
-        return self.dense[idx]
+    def take(self, idx, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None or isinstance(idx, slice):
+            return self.dense[idx]
+        # the callers check idx; mode="raise" would buffer the output
+        return np.take(self.dense, idx, axis=0, out=out, mode="clip")
 
 
 class FactoredRows:
@@ -158,10 +161,8 @@ class FactoredRows:
 
     ``product`` contracts a stack of vectors with each action's factors,
     one matrix product per axis, and never forms a whole row: n sum(p_d)
-    multiply-adds per vector and action in place of n^2.  ``dense``, for
-    the readers that need whole rows, writes every row once, on first
-    access, and keeps the array; models that share the store
-    (``with_cost``) share it, and concurrent first readers build it once.
+    multiply-adds per vector and action in place of n^2.  ``take`` writes
+    the rows asked for, into ``out`` when given, and keeps none of them.
     The interface is that of :class:`DenseRows`.
     """
 
@@ -175,42 +176,24 @@ class FactoredRows:
         self.widths = tuple(f.shape[1] for f in self.factors)
         n = math.prod(self.widths)
         self.shape = (len(self.factors[0]) * n, n)
-        self._dense: np.ndarray | None = None
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return self.shape[0]
 
-    @property
-    def built(self) -> bool:
-        return self._dense is not None
-
-    @property
-    def dense(self) -> np.ndarray:
-        with self._lock:
-            if self._dense is None:
-                out = np.empty(self.shape)
-                # write's one temporary has n / p_D entries per row
-                for sl in row_blocks(len(out), out.shape[1] // self.widths[-1]):
-                    self.write(out[sl], sl)
-                self._dense = _read_only(out)
-        return self._dense
-
-    def take(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.intp)
-        return self.write(np.empty((len(idx), self.shape[1])), idx)
-
     def coords(self, idx=slice(None)) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The rows ``idx`` as their actions and their states' node index per axis."""
-        x, a = np.divmod(np.arange(len(self))[idx], len(self.factors[0]))
+        """The rows ``idx`` (a slice or indices) as their actions and their
+        states' node index per axis."""
+        r = np.arange(*idx.indices(len(self))) if isinstance(idx, slice) else np.arange(len(self))[idx]
+        x, a = np.divmod(r, len(self.factors[0]))
         return a, np.unravel_index(x, self.widths)
 
-    def write(self, out: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """The rows ``idx`` written into ``out`` by :func:`outer_rows`."""
+    def take(self, idx, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows ``idx`` written by :func:`outer_rows`, into ``out`` when given."""
         a, nodes = self.coords(idx)
+        out = np.empty((len(a), self.shape[1])) if out is None else out
         return outer_rows([f[a, i] for f, i in zip(self.factors, nodes)], out)
 
-    def product(self, W: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    def product(self, W: np.ndarray) -> np.ndarray:
         k = len(self.factors[0])
         out = np.empty((len(W), len(self)))
         # each contraction's temporaries hold n entries per vector
@@ -220,7 +203,7 @@ class FactoredRows:
                 for f in self.factors:  # (s, p_d .. p_D, p_1 .. p_d-1) -> (s, p_d+1 .. p_D, p_1 .. p_d)
                     T = np.tensordot(T, f[a], axes=(1, 1))
                 out[vb, a::k] = T.reshape(len(T), -1)
-        return out if keep is None else out[:, keep]
+        return out
 
 
 def row_store(rows) -> DenseRows | FactoredRows:
@@ -254,10 +237,13 @@ class FiniteMCP:
     its state); ``stacked_cost`` holds the matching costs.  The rows sit in
     one row store, ``rows``: dense (:class:`DenseRows`) or, for a grid
     diffusion in dim >= 2 whose rows are Kronecker products of per-axis
-    rows, those factors (:class:`FactoredRows`).  The risk kernels reach
-    the rows through it: the neutral and entropic products contract the
-    factors and never form a whole row.  ``stacked_transition`` is the read-only dense
-    ``(rows, n)`` array, written on first access for a factored store, and
+    rows, those factors (:class:`FactoredRows`).  Every risk kernel and
+    certificate reaches the rows through the store's ``product`` and
+    ``take``: the neutral and entropic products contract the factors and
+    never form a whole row, and the other readers take bounded blocks of
+    rows or a subset's rows.  ``stacked_transition``, the read-only dense
+    ``(rows, n)`` array, is an export for ``to_dict`` and randomized
+    policies' kernels, written once on first access for a factored store;
     ``transition[x]`` (shape ``(n_actions(x), n_states)``) and ``cost[x]``
     are views into the stacked arrays.  Action sets may differ in size
     between states.  ``state_coords`` optionally embeds states in R^d (grid
@@ -301,9 +287,9 @@ class FiniteMCP:
     def n_actions(self, x: int) -> int:
         return len(self.actions[x])
 
-    @property
+    @cached_property
     def stacked_transition(self) -> np.ndarray:
-        return self.rows.dense
+        return _read_only(self.rows.take(slice(None)))
 
     @property
     def transition(self) -> Sequence[np.ndarray]:
@@ -442,7 +428,7 @@ def validate_mcp(mcp: FiniteMCP, row_sum_tol: float = 1e-12) -> ValidationReport
                 found.append((x, a, 0, f"negative factor entry {row[y]:.12g} at (x={x}, a={a}, axis={d}, y={y})"))
         sums = math.prod(f.sum(axis=2)[action, node] for f, node in zip(store.factors, nodes))
     else:
-        rows = store.dense
+        rows = store.take(slice(None))
         for r in np.flatnonzero(rows.min(axis=1) < 0):
             x, a, y = int(x_of[r]), int(a_of[r]), int(np.argmax(rows[r] < 0))
             found.append((x, a, 0, f"negative entry {rows[r, y]:.12g} at (x={x}, a={a}, y={y})"))

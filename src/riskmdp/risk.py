@@ -24,19 +24,19 @@ Evaluation has one layout: ``risk_table(spec, V, rows)`` evaluates an
 (S, n) stack of value vectors, each shared by all of the (m, n) probability
 rows, and returns the (S, m) table; ``risk_values`` is its one-vector case,
 as every Bellman sweep and certificate calls it.  Both take an optional
-index array ``keep`` and then evaluate the rows ``rows[keep]`` only: the
-order-based kinds gather them one row block at a time inside their block
-loop, since a copy of all kept rows up front cost as much as the skipped
-rows saved.  Values must be finite:
+index array ``keep`` and then return the rows ``keep`` only: the
+order-based kinds read just those rows, one row block at a time, since a
+copy of all kept rows up front cost as much as the skipped rows saved.
+Values must be finite:
 ``risk_table`` rejects a NaN or infinite entry before any kernel runs.  The
-rows are an (m, n) array or a row store of ``mdp`` (a model's ``rows``).
-No kind makes a full (rows, n) temporary per value vector: ``neutral``
-(and the band with g1 = g2, the shortfall with a linear utility) is one
-product of the store, ``product``, and ``entropic`` a shifted one,
-s + log(Q exp(lam (v - s))) / lam, which falls back to a row-wise
-logsumexp on the rows (``take``) where the product underflows.  For rows
-stored as per-axis factors the product contracts the factors and forms no
-row; the order-based kinds read the store's dense rows.
+rows are an (m, n) array or a row store of ``mdp`` (a model's ``rows``),
+read through its ``product`` and ``take`` only.
+No kind makes a full (rows, n) temporary per value vector: the mean
+(``RiskMapSpec.is_mean``) is one product of the store over every row, and
+``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which falls
+back to a row-wise logsumexp on row blocks where the product underflows.
+For rows stored as per-axis factors the product contracts the factors and
+forms no row, and a row block is written from the factors as it is read.
 The order-based kinds sort each v once and sweep the rows in blocks of
 ``mdp.BLOCK_ELEMENTS``.  Mean-semideviation takes its mean and excess
 moment as row dots, at v 2^-e (e the exponent of max |v|) and scaled back
@@ -196,6 +196,13 @@ class RiskMapSpec:
         return frozenset()
 
     @property
+    def is_mean(self) -> bool:
+        """Whether the map is the plain expectation: ``neutral``, a band with
+        g1 = g2 (= 1), or a shortfall with a linear utility (slope 1)."""
+        return (self.kind == "neutral" or (self.kind == "density_band" and self.band[0] == self.band[1])
+                or (self.kind == "shortfall" and not self.utility.breakpoints))
+
+    @property
     def monotone(self) -> bool:
         """Whether R(.|q) is monotone for every row q.  All maps are but
         mean-semideviation with lam < 0 and r > 1: near a point mass, its
@@ -237,7 +244,7 @@ class RiskMapSpec:
 _TINY = np.finfo(float).tiny
 
 
-def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, lam: float) -> np.ndarray:
+def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, lam: float) -> np.ndarray:
     # s + log(Q exp(lam (v - s))) / lam with s = max v (lam > 0) or min v
     # (lam < 0), so every exponent is <= 0: one product for all samples.  A
     # product below the normal range (underflow) goes through the row-wise
@@ -247,39 +254,39 @@ def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, lam: fl
     # range can overflow it, and the sum is at least that entry's q.
     s = (V.max(axis=1) if lam > 0 else V.min(axis=1))[:, None]
     with np.errstate(over="ignore"):  # an exponent past -inf is an exp of 0, as it should be
-        out = rows.product(np.exp(lam * (V - s)), keep)
+        out = rows.product(np.exp(lam * (V - s)))
     ok = out >= _TINY
     np.log(out, out=out, where=ok)
     out /= lam
     out += s
     far = -np.inf if lam > 0 else np.inf
-    index = np.arange(out.shape[1]) if keep is None else keep
     for k in np.flatnonzero(~ok.all(axis=1)):
-        Q = rows.take(index[~ok[k]])
-        on = Q > 0
-        t = (np.max if lam > 0 else np.min)(np.where(on, V[k], far), axis=1, keepdims=True)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off the support, masked
-            A = np.where(on, np.log(Q) + lam * (V[k] - t), -np.inf)
-            top = np.max(A, axis=1, keepdims=True)
-            top[~np.isfinite(top)] = 0.0  # a row with no mass: t is -inf (lam > 0) or inf
-            out[k, ~ok[k]] = (t + (top + np.log(np.sum(np.exp(A - top), axis=1, keepdims=True))) / lam)[:, 0]
+        low = np.flatnonzero(~ok[k])
+        for sl, Q in _blocks(rows, low, rows.shape[1]):
+            on = Q > 0
+            t = (np.max if lam > 0 else np.min)(np.where(on, V[k], far), axis=1, keepdims=True)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off the support, masked
+                A = np.where(on, np.log(Q) + lam * (V[k] - t), -np.inf)
+                top = np.max(A, axis=1, keepdims=True)
+                top[~np.isfinite(top)] = 0.0  # a row with no mass: t is -inf (lam > 0) or inf
+                out[k, low[sl]] = (t + (top + np.log(np.sum(np.exp(A - top), axis=1, keepdims=True))) / lam)[:, 0]
     return out
 
 
-def _blocks(rows: np.ndarray, keep: np.ndarray | None, width: int):
-    """(output slice, row block) pairs: the rows in blocks of
-    ``row_blocks(.., width)``, or the rows ``rows[keep]`` gathered one
-    block of at most ``BLOCK_ELEMENTS`` entries at a time into one array
-    allocated per call.  A block is valid until the next is drawn."""
-    if keep is None:
-        yield from ((sl, rows[sl]) for sl in row_blocks(len(rows), width))
-        return
-    blocks = row_blocks(len(keep), max(width, rows.shape[1]))
-    block = np.empty((blocks[0].stop if blocks else 0, rows.shape[1]))
+def _blocks(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int):
+    """(output slice, row block) pairs: the store's rows, or its rows
+    ``keep`` (checked indices), in blocks of ``row_blocks(.., max(width,
+    n))``, each read with ``take``: a dense store's consecutive rows as a
+    view, others into one buffer allocated per call.  A block is valid
+    until the next is drawn."""
+    count, n = len(store) if keep is None else len(keep), store.shape[1]
+    blocks = row_blocks(count, max(width, n))
+    buffer = None
+    if blocks and (keep is not None or store.layout != "dense"):
+        buffer = np.empty((min(count, blocks[0].stop), n))
     for sl in blocks:
-        idx = keep[sl]
-        # keep is checked by risk_table; mode="raise" would buffer the output
-        yield sl, np.take(rows, idx, axis=0, out=block[: len(idx)], mode="clip")
+        idx = sl if keep is None else keep[sl]
+        yield sl, store.take(idx, out=None if buffer is None else buffer[: len(range(count)[sl])])
 
 
 def _chunks(N: int, m: int, n: int) -> tuple[int, int]:
@@ -294,7 +301,7 @@ def _chunks(N: int, m: int, n: int) -> tuple[int, int]:
     return -(-N // w), w
 
 
-def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.ndarray, s0: float,
+def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarray, ds: np.ndarray, s0: float,
                 band: tuple[float, float] | None = None) -> np.ndarray:
     # Both maps are expectations of a piecewise-linear function of v - t
     # with kinks at the n K points v_y - b_k, of weights ds_k, sorted from
@@ -406,7 +413,7 @@ def _kink_table(V: np.ndarray, rows: np.ndarray, keep, b: np.ndarray, ds: np.nda
     return out
 
 
-def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> np.ndarray:
+def _semideviation(v: np.ndarray, rows: DenseRows | FactoredRows, spec: RiskMapSpec, keep) -> np.ndarray:
     out = np.empty(len(rows) if keep is None else len(keep))
     blocks = row_blocks(len(out), len(v))
     block = np.empty((min(len(out), blocks[0].stop) if blocks else 0, len(v)))  # each row block's excess in turn
@@ -419,7 +426,8 @@ def _semideviation(v: np.ndarray, rows: np.ndarray, spec: RiskMapSpec, keep) -> 
     return out
 
 
-def _shortfall_table(V: np.ndarray, rows: np.ndarray, utility: PiecewiseLinearUtility, keep) -> np.ndarray:
+def _shortfall_table(V: np.ndarray, rows: DenseRows | FactoredRows, utility: PiecewiseLinearUtility,
+                     keep) -> np.ndarray:
     # E[u] / 2^k has the same root; with every slope below 1/2 its values,
     # and the kernel's, stay within the kinks' spread (exact: k is whole)
     slopes = np.ldexp(utility.slopes, -1 - np.frexp(utility.L)[1])
@@ -442,12 +450,12 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
 
     ``rows`` is an array or a row store (``mdp.DenseRows`` or
     ``mdp.FactoredRows``).  Every value must be finite; a NaN or infinite
-    one is a ``ValueError`` naming it, its vector and its state.  Neutral
-    and entropic are one product of the store (entropic with one shift per
-    sample, falling back to a row-wise logsumexp where the product
-    underflows); the order-based kinds sort each v once and sweep the
-    store's dense rows in blocks of bounded size, the band and the
-    shortfall for a block of value vectors at a time.
+    one is a ``ValueError`` naming it, its vector and its state.  The mean
+    and entropic are one product of the store over every row (entropic
+    with one shift per sample, falling back to a row-wise logsumexp where
+    the product underflows); the order-based kinds sort each v once and
+    read the store's rows (the kept ones) in blocks of bounded size, the
+    band and the shortfall for a block of value vectors at a time.
     """
     V = np.asarray(V, dtype=float)
     rows = row_store(rows)
@@ -462,12 +470,9 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
         keep = keep.astype(np.intp, copy=False) if integral else keep
         if not integral or keep.ndim != 1 or (keep.size and not 0 <= keep.min() <= keep.max() < m):
             raise ValueError(f"keep must be a 1-d array of row indices below {m}")
-    if (spec.kind == "neutral" or (spec.kind == "density_band" and spec.band[0] == spec.band[1])
-            or (spec.kind == "shortfall" and not spec.utility.breakpoints)):
-        return rows.product(V, keep)  # the mean: g1 = g2 = 1, or a linear utility
-    if spec.kind == "entropic":
-        return _entropic_table(V, rows, keep, spec.lam)
-    rows = rows.dense
+    if spec.is_mean or spec.kind == "entropic":  # one product over every row costs less than a gather
+        out = rows.product(V) if spec.is_mean else _entropic_table(V, rows, spec.lam)
+        return out if keep is None else out[:, keep]
     if spec.kind == "shortfall":
         return _shortfall_table(V, rows, spec.utility, keep)
     if spec.kind == "density_band":

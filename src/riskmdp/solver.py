@@ -23,10 +23,11 @@ rounding stays within the bounds' margin (see ``RowHistory._step``):
 bit for bit for mean-semideviation, and to rounding for the band and the
 shortfall, whose checkpoint products round a row by the rows that share
 them and whose chunk count follows the number of rows evaluated.  Only
-the order-based kinds (density band, mean-semideviation, shortfall) skip
-rows, gathering the kept ones one row block at a time: a copy of all kept
-rows up front cost about what the skipped rows saved, and neutral and
-entropic are one product over all rows (of the matrix, or of per-axis
+the order-based kinds (density band, mean-semideviation, shortfall, but
+not where they are the mean: ``RiskMapSpec.is_mean``) skip rows, reading
+the kept ones from the row store one row block at a time: a copy of all
+kept rows up front cost about what the skipped rows saved, and the mean
+and entropic are one product over all rows (of the matrix, or of per-axis
 factors: see ``mdp.FactoredRows``), cheaper than any gather.
 ``poisson_residual`` is a full sweep, independent of the history.
 """
@@ -195,12 +196,10 @@ class RowHistory:
 
 def _skips_rows(spec: RiskMapSpec) -> bool:
     """Whether RVI's sweeps skip the rows a RowHistory rules out: for the
-    monotone order-based kinds only.  Neutral, entropic and a shortfall
-    with a linear utility evaluate every row in one matrix product, which
-    costs less than gathering the kept ones."""
-    if spec.kind == "shortfall":
-        return bool(spec.utility.breakpoints)
-    return spec.kind in ("density_band", "mean_semideviation") and spec.monotone
+    monotone order-based kinds only.  The mean (``RiskMapSpec.is_mean``)
+    and entropic evaluate every row in one product, which costs less than
+    gathering the kept ones."""
+    return not spec.is_mean and spec.kind != "entropic" and spec.monotone
 
 
 def bellman_F(mcp: FiniteMCP, spec: RiskMapSpec, v: np.ndarray,

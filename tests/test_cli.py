@@ -4,7 +4,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -668,43 +667,95 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
         assert (out2 / "sweep.csv").read_text() == serial
 
 
-@pytest.mark.parametrize("model, risk, layout, built", [
-    (SWEEP_2D, {"kind": "neutral"}, "factored", False),
-    (SWEEP_2D, {"kind": "entropic", "lambda": -0.5}, "factored", False),
-    (SWEEP_2D, {"kind": "density_band", "band": [0.5, 1.5]}, "factored", True),
-    ({"diffusion": DIFFUSION_1D, "grid": {"points": 21, "extent": 4.0}}, {"kind": "neutral"}, "dense", True),
-    ({"builtin": "biased2"}, {"kind": "entropic", "lambda": 1.0}, "dense", True),
+@pytest.mark.parametrize("model, risk, layout", [
+    (SWEEP_2D, {"kind": "neutral"}, "factored"),
+    (SWEEP_2D, {"kind": "entropic", "lambda": -0.5}, "factored"),
+    (SWEEP_2D, {"kind": "density_band", "band": [0.5, 1.5]}, "factored"),
+    ({"diffusion": DIFFUSION_1D, "grid": {"points": 21, "extent": 4.0}}, {"kind": "neutral"}, "dense"),
+    ({"builtin": "biased2"}, {"kind": "entropic", "lambda": 1.0}, "dense"),
 ], ids=["2d-neutral", "2d-entropic", "2d-band", "1d", "builtin"])
-def test_solve_records_the_row_layout(tmp_path, model, risk, layout, built):
-    # a 2-D grid with diagonal noise stores per-axis factors; only the
-    # order-based kinds write out the dense rows
+def test_solve_records_the_row_layout(tmp_path, model, risk, layout):
+    # a 2-D grid with diagonal noise stores per-axis factors, for every kind
     code, out = run(tmp_path, "solve", {"model": model, "risk": risk})
     assert code == 0
     result = json.loads((out / "result.json").read_text())
-    assert (result["row_layout"], result["dense_rows_built"]) == (layout, built)
+    assert result["row_layout"] == layout and "dense_rows_built" not in result
 
 
-def test_two_job_sweep_on_a_factored_grid_builds_the_dense_rows_once(tmp_path, monkeypatch):
-    # mean-semideviation reads whole rows, so both jobs ask for the dense
-    # rows in their first sweep; each write is slowed so that the second
-    # job asks while the first is building
-    writes = []
-    write = mdp.FactoredRows.write
+LEVEL = {"level": {"w0": "coords_sq", "radius": 4.0}}  # 49 of the 441 states
+ONE_READER_RISKS = [
+    {"kind": "neutral"}, {"kind": "entropic", "lambda": -0.5}, {"kind": "density_band", "band": [0.5, 1.5]},
+    {"kind": "density_band", "band": [1.0, 1.0]}, {"kind": "mean_semideviation", "lambda": 0.5},
+    {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": [0.5, 2.0]}},
+]
+ONE_READER_CERTIFICATES = [
+    {"type": "lyapunov", "w0": "coords_sq", "states": LEVEL},
+    {"type": "doeblin", "subset": LEVEL},
+    {"type": "local_doeblin", "subset": LEVEL},
+    {"type": "l2", "w0": "coords_sq", "K0": 1.0, "gamma0": 0.5, "K": 2.0, "n_samples": 300},
+    {"type": "contraction", "w0": "coords_sq", "gamma": 0.5, "K_bar": 1.0, "alpha": 0.5, "R": 5.0,
+     "measure": {"n_trials": 20}},
+    {"type": "envelope_minorization", "subset": LEVEL, "K": 1.0, "w": "coords_sq"},
+]
 
-    def slow_write(self, out, idx=slice(None)):
-        writes.append(idx)
-        time.sleep(0.02)
-        return write(self, out, idx)
 
-    monkeypatch.setattr(mdp.FactoredRows, "write", slow_write)
-    cfg = {"model": SWEEP_2D, "risk": {"kind": "mean_semideviation", "lambda": 0.5},
-           "sweep": {"param": "lambda", "values": [0.25, 0.5]}}
-    code, _ = run(tmp_path, "sweep", cfg, jobs=2)
-    assert code == 0
-    written = np.zeros(2 * 21 * 21, dtype=int)
-    for idx in writes:
-        written[idx] += 1
-    assert (written == 1).all()  # every row once
+def one_reader_outputs(tmp_path):
+    """A solve of every kind, a two-job semideviation sweep and a verify
+    with every certificate type on SWEEP_2D: the numbers each wrote."""
+    got = []
+    for risk in ONE_READER_RISKS:
+        code, out = run(tmp_path, "solve", {"model": SWEEP_2D, "risk": risk})
+        result = json.loads((out / "result.json").read_text())
+        got.append((code, result["rho"], result["residual"], result["policy"], result["iterations"]))
+    code, out = run(tmp_path, "sweep", {"model": SWEEP_2D, "risk": {"kind": "mean_semideviation", "lambda": 0.5},
+                                        "sweep": {"param": "lambda", "values": [0.25, 0.5]}}, jobs=2)
+    got.append((code, (out / "sweep.csv").read_text().splitlines()))
+    code, out = run(tmp_path, "verify", {"model": SWEEP_2D, "risk": {"kind": "density_band", "band": [0.5, 1.5]},
+                                         "certificates": ONE_READER_CERTIFICATES})
+    report = json.loads((out / "certificates.json").read_text())
+    got.append((code, [(r["kind"], r["satisfied"], r["constants"]) for r in report]))
+    return got
+
+
+def test_a_factored_grid_reads_its_rows_through_the_store_only(tmp_path, monkeypatch):
+    # every kernel and certificate reads rows through the row store: with
+    # the dense export disabled every command still runs, no call forms
+    # every row at once, and the numbers are those of the dense twin
+    whole = []
+    take = mdp.FactoredRows.take
+
+    def recording(self, idx, out=None):
+        rows = take(self, idx, out)
+        whole.append(len(rows) == len(self))
+        return rows
+
+    def refuse(self):
+        raise AssertionError("the dense stack was formed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mdp.FactoredRows, "take", recording)
+        mp.setattr(mdp.FiniteMCP, "stacked_transition", property(refuse))
+        got = one_reader_outputs(tmp_path)
+    assert whole and not any(whole)
+    build = riskmdp.cli.build_model
+
+    def dense_twin(cfg, base):
+        m, meta = build(cfg, base)
+        assert m.rows.layout == "factored"
+        return mdp.FiniteMCP(m.actions, m.rows.take(slice(None)), m.stacked_cost, m.state_coords), meta
+
+    monkeypatch.setattr(riskmdp.cli, "build_model", dense_twin)
+    want = one_reader_outputs(tmp_path)
+    for (code, rho, residual, policy, iterations), want_solve in zip(got[:-2], want[:-2]):
+        assert (code, policy, iterations) == (0, want_solve[3], want_solve[4])
+        assert rho == pytest.approx(want_solve[1], abs=1e-14)
+        assert residual == pytest.approx(want_solve[2], abs=1e-14)
+    assert got[-2] == want[-2] and got[-2][0] == 0
+    (code, report), (want_code, want_report) = got[-1], want[-1]
+    assert code == want_code and len(report) == 6
+    for (kind, ok, constants), (want_kind, want_ok, want_constants) in zip(report, want_report):
+        assert (kind, ok) == (want_kind, want_ok)
+        assert constants == pytest.approx(want_constants, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize(

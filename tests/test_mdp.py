@@ -1,9 +1,5 @@
-import concurrent.futures
 import functools
 import json
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -199,7 +195,7 @@ def test_validate_checks_factored_rows_on_their_factors():
         "row sum 1.1 at (x=5, a=0)",
         "negative factor entry -0.1 at (x=5, a=1, axis=1, y=0)",
     ]
-    assert not m.rows.built  # checked without forming a whole row
+    assert "stacked_transition" not in vars(m)  # checked without the dense export
 
 
 def test_validate_flags_non_finite_factor_entries_by_their_row_sum():
@@ -218,13 +214,13 @@ def test_factored_rows_are_kronecker_products_of_each_actions_factors():
     store = kron_store(np.random.default_rng(5), 2, (2, 3, 4))
     want = kron_rows(store)
     assert store.shape == (48, 24) and len(store) == 48
-    assert not store.built
     np.testing.assert_allclose(store.take([7, 2, 7]), want[[7, 2, 7]], rtol=1e-15, atol=0)
-    assert not store.built  # take forms the rows asked for only
-    dense = store.dense
-    assert store.built and dense is store.dense and not dense.flags.writeable
+    dense = store.take(slice(None))
     np.testing.assert_allclose(dense, want, rtol=1e-15, atol=0)
     assert np.array_equal(store.take([7, 2]), dense[[7, 2]])  # one way of writing rows
+    assert np.array_equal(store.take(slice(5, 9)), dense[5:9])
+    out = np.full((2, 24), np.nan)
+    assert store.take([7, 2], out=out) is out and np.array_equal(out, dense[[7, 2]])
 
 
 @pytest.mark.parametrize("widths", [(5,), (4, 7), (3, 5, 2)])
@@ -234,13 +230,10 @@ def test_factored_product_matches_the_dense_rows(monkeypatch, widths, k):
     store = kron_store(rng, k, widths)
     dense = DenseRows(kron_rows(store))
     W = rng.normal(0.0, 5.0, size=(6, store.shape[1]))
-    keep = rng.integers(0, len(store), size=5)
-    for kept in (None, keep, keep[:0]):
-        want = dense.product(W, kept)
-        for budget in (BLOCK_ELEMENTS, 7):  # one block, or one vector at a time
-            monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", budget)
-            np.testing.assert_allclose(store.product(W, kept), want, rtol=0, atol=1e-15 * np.abs(W).max())
-    assert not store.built
+    want = dense.product(W)
+    for budget in (BLOCK_ELEMENTS, 7):  # one block, or one vector at a time
+        monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", budget)
+        np.testing.assert_allclose(store.product(W), want, rtol=0, atol=1e-15 * np.abs(W).max())
 
 
 def test_a_store_of_the_wrong_shape_is_rejected():
@@ -251,41 +244,10 @@ def test_a_store_of_the_wrong_shape_is_rejected():
             FactoredRows(factors)
 
 
-def test_concurrent_first_readers_build_the_dense_rows_once(monkeypatch):
-    store = kron_store(np.random.default_rng(9), 2, (4, 5))
-    writes = []
-    write = FactoredRows.write
-
-    def recording(self, out, idx=slice(None)):
-        writes.append(idx)
-        time.sleep(0.001)  # lets the other readers run while a build is under way
-        return write(self, out, idx)
-
-    monkeypatch.setattr(FactoredRows, "write", recording)
-    start = threading.Barrier(8, timeout=60)
-
-    def read(_):
-        start.wait()  # every reader asks at once
-        return store.dense
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
-            got = list(ex.map(read, range(8), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(d is got[0] for d in got)
-    written = np.zeros(40, dtype=int)
-    for idx in writes:
-        written[idx] += 1
-    assert (written == 1).all()  # every row once
-
-
 def test_factored_model_restricts_and_round_trips_through_json_as_dense_rows():
     m = factored_chain(kron_store(np.random.default_rng(8), 2, (2, 3)))
     one = m.restrict_to_policy(PolicyVector.det([1, 0, 0, 1, 1, 0]))
-    assert one.rows.layout == "dense" and not m.rows.built
+    assert one.rows.layout == "dense" and "stacked_transition" not in vars(m)
     back = FiniteMCP.from_dict(json.loads(json.dumps(m.to_dict())))
     assert back.rows.layout == "dense" and np.array_equal(back.stacked_transition, m.stacked_transition)
     assert np.array_equal(one.stacked_transition, m.stacked_transition[[1, 2, 4, 7, 9, 10]])
@@ -295,7 +257,7 @@ def test_policy_kernel_of_a_factored_model_takes_the_policy_rows_only():
     m = factored_chain(kron_store(np.random.default_rng(6), 2, (2, 3)))
     pi = PolicyVector.det([1, 0, 0, 1, 1, 0])
     P, c = policy_transition_and_cost(m, pi)
-    assert not m.rows.built
+    assert "stacked_transition" not in vars(m)
     assert np.array_equal(P, m.stacked_transition[m.row_offsets[:-1] + pi.deterministic])
     mix = PolicyVector.rand([[0.5, 0.5]] * 6)
     P_mix, _ = policy_transition_and_cost(m, mix)

@@ -401,7 +401,7 @@ def test_separable_rows_are_bit_identical_to_the_per_action_outer_products(spec,
     # stored as factors; a drift clipped at some nodes only, or coupled
     # axes, keep the dense rows
     m = discretize_diffusion(spec, grid)
-    assert m.rows.layout == layout and m.rows.built == (layout == "dense")
+    assert m.rows.layout == layout
     nodes, _ = grid_nodes(grid, spec.dim)
     left, right = clipped_nodes(spec, nodes, "left"), clipped_nodes(spec, nodes, "right")
     assert (left.any() and not left.all()) == (spec.drift_bound == 2.0)  # clipped at some nodes only
@@ -421,7 +421,7 @@ def test_separable_rows_are_bit_identical_to_the_per_action_outer_products(spec,
 @pytest.mark.parametrize("spec, grid", FACTORED, ids=["2d", "3d"])
 def test_factored_neutral_and_entropic_tables_match_the_dense_rows(spec, grid):
     m = discretize_diffusion(spec, grid)
-    rows = mdp.FactoredRows(m.rows.factors).dense  # a twin, so m's own store stays unbuilt
+    rows = m.rows.take(slice(None))  # the dense twin; m's dense export stays unwritten
     rng = np.random.default_rng(spec.dim)
     x = m.state_coords
     V = np.stack([5.0 * x.sum(axis=1), 2.0 * np.sum(x**2, axis=1), rng.normal(0.0, 3.0, size=len(x))])
@@ -437,7 +437,7 @@ def test_factored_neutral_and_entropic_tables_match_the_dense_rows(spec, grid):
             got = risk_table(risk, V, m.rows, k)
             np.testing.assert_allclose(got, risk_table(risk, V, rows, k), rtol=0, atol=1e-15 * scale)
             np.testing.assert_allclose(got, full if k is None else full[:, k], rtol=0, atol=1e-15 * scale)
-    assert not m.rows.built
+    assert "stacked_transition" not in vars(m)
 
 
 def test_one_dimensional_and_correlated_models_stay_dense():

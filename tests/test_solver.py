@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +491,20 @@ def test_a_linear_utility_shortfall_evaluates_every_row():
     assert res.converged and [t.rows_evaluated for t in res.trace] == [60] * res.iterations
 
 
+def test_a_band_with_g1_equal_to_g2_is_the_mean_and_evaluates_every_row():
+    # the mean's one product over every row, as for neutral: no history,
+    # no gather, and neutral's result bit for bit
+    m = builtin_chain("random_seeded", n=20, m=3, seed=0)
+    band = RiskMapSpec("density_band", band=(1.0, 1.0))
+    assert band.is_mean and NEUTRAL.is_mean and RiskMapSpec("shortfall").is_mean and not solver._skips_rows(band)
+    cfg = SolveConfig(tol=1e-11)
+    res, want = relative_value_iteration(m, band, cfg), relative_value_iteration(m, NEUTRAL, cfg)
+    assert res.converged and [t.rows_evaluated for t in res.trace] == [60] * res.iterations
+    assert (res.rho, res.rho_lower, res.rho_upper, res.iterations) == (want.rho, want.rho_lower, want.rho_upper,
+                                                                        want.iterations)
+    assert np.array_equal(res.h, want.h)
+
+
 def test_mirror_tied_rows_are_never_skipped(monkeypatch, grid11):
     # the grid is mirror-symmetric in x1 with left and right swapped, so the
     # two actions tie in exact arithmetic on the middle column
@@ -733,8 +748,7 @@ def factored_grid():
 
 def dense_twin(m):
     """The same model with its rows in one dense array, from a store of its own."""
-    return FiniteMCP(m.actions, mdp.FactoredRows(m.rows.factors).dense, m.stacked_cost,
-                     m.state_coords)
+    return FiniteMCP(m.actions, m.rows.take(slice(None)), m.stacked_cost, m.state_coords)
 
 
 @pytest.mark.parametrize("spec", [NEUTRAL, RiskMapSpec("entropic", lam=-0.8), RiskMapSpec("entropic", lam=1.5)],
@@ -746,7 +760,7 @@ def test_neutral_and_entropic_on_factored_rows_never_build_the_dense_rows(spec):
     residual = poisson_residual(m, spec, res.rho, res.h)
     T = bellman_T(m, spec, res.policy, res.h)
     stats = measure_contraction(m, spec, np.ones(m.n_states), n_trials=20, seed=1)
-    assert not m.rows.built
+    assert "stacked_transition" not in vars(m)
     twin = dense_twin(m)
     want = relative_value_iteration(twin, spec, cfg)
     assert res.converged and res.iterations == want.iterations
@@ -759,9 +773,21 @@ def test_neutral_and_entropic_on_factored_rows_never_build_the_dense_rows(spec):
     assert stats.max_ratio == pytest.approx(twin_stats.max_ratio, rel=1e-12)
 
 
-def test_models_that_share_factored_rows_share_one_dense_build():
-    m = factored_grid()
-    other = m.with_cost(2.0 * m.stacked_cost)
-    res = relative_value_iteration(other, RiskMapSpec("density_band", band=(0.5, 1.5)), SolveConfig(tol=1e-8))
-    assert res.converged and m.rows.built  # the band reads whole rows
-    assert m.stacked_transition is other.stacked_transition
+def test_a_factored_band_solve_holds_no_dense_stack():
+    # on an 11^3 grid the dense stack alone would take 28 MB; the band reads
+    # its rows in blocks of about 1 MB written from the per-axis factors
+    eye = np.eye(3)
+    spec = DiffusionSpec(dim=3, A=0.5 * eye, actions=["left", "right"],
+                         drift={"left": [-0.5, 0.0, 0.0], "right": [0.5, 0.2, 0.0]},
+                         diffusion={"left": np.diag([1.0, 0.8, 1.0]), "right": eye},
+                         gamma_tilde=0.25, drift_bound=0.3, ellipticity=1.6)
+    m = attach_cost(discretize_diffusion(spec, GridSpec(points=(11, 11, 11), extent=(4.0, 3.0, 3.0))),
+                    QuadraticCost(c0=0.1))
+    assert m.rows.layout == "factored" and 8 * m.rows.shape[0] * m.rows.shape[1] > 3 * 8 * 2**20
+    tracemalloc.start()
+    try:
+        res = relative_value_iteration(m, RiskMapSpec("density_band", band=(0.5, 1.5)), SolveConfig(tol=1e-8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged and peak < 8 * 2**20, peak
