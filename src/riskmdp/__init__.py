@@ -50,13 +50,10 @@ from .risk import (
     check_risk_axioms,
     density_band,
     entropic,
-    entropic_upper_envelope,
     eval_risk,
-    maximize_ratio_over_box,
     mean_semideviation,
     risk_values,
     shortfall,
-    shortfall_upper_envelope,
 )
 from .solver import (
     ContractionStats,

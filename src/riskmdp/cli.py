@@ -46,7 +46,7 @@ from .models import (
     diffusion_entropic_weight,
     discretize_diffusion,
 )
-from .risk import RiskMapSpec
+from .risk import RiskMapSpec, _real
 from .solver import (
     SolveConfig,
     measure_contraction,
@@ -247,7 +247,7 @@ def _risk_spec(cfg: dict) -> RiskMapSpec:
 def _solve_config(cfg: dict, n_states: int) -> SolveConfig:
     scfg = _table(cfg, "solve", {})
     out = SolveConfig(
-        tol=float(scfg.get("tol", 1e-10)),
+        tol=_real(scfg.get("tol", 1e-10), "tol"),
         max_iter=_whole(scfg, "max_iter", 100_000),
         reference_state=_whole(scfg, "reference_state", 0),
     )

@@ -1,4 +1,4 @@
-"""One-step risk maps on finite probability rows, and their upper envelopes.
+"""One-step risk maps on finite probability rows, and their axiom checks.
 
 Every map R(.|q) here is translation invariant (R(v + c) = R(v) + c for
 scalar c) and centralized (R(0) = 0), and every one but mean-semideviation
@@ -72,18 +72,30 @@ __all__ = [
     "check_risk_axioms",
     "density_band",
     "entropic",
-    "entropic_upper_envelope",
     "eval_risk",
-    "maximize_ratio_over_box",
     "mean_semideviation",
     "require_finite",
     "risk_table",
     "risk_values",
     "shortfall",
-    "shortfall_upper_envelope",
 ]
 
 RISK_KINDS = ("neutral", "entropic", "density_band", "mean_semideviation", "shortfall")
+
+
+def _real(val, key: str) -> float:
+    """The value ``val`` of config key ``key`` as a float: a JSON number, while
+    "2" and true, which ``float`` takes, are a ``ValueError`` naming the key."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"{key!r} must be a real number, got {val!r}")
+    return float(val)
+
+
+def _reals(val, key: str, count: int | None = None) -> tuple[float, ...]:
+    """A list of config numbers, entry i read by ``_real`` as key[i]; ``count`` of them when given."""
+    if not isinstance(val, (list, tuple)) or count not in (None, len(val)):
+        raise ValueError(f"{key!r} must be a list of {'' if count is None else f'{count} '}real numbers, got {val!r}")
+    return tuple(_real(x, f"{key}[{i}]") for i, x in enumerate(val))
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,7 @@ class PiecewiseLinearUtility:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseLinearUtility":
-        return cls(data.get("breakpoints", ()), data.get("slopes", (1.0,)))
+        return cls(_reals(data.get("breakpoints", ()), "breakpoints"), _reals(data.get("slopes", (1.0,)), "slopes"))
 
 
 @dataclass(frozen=True)
@@ -230,9 +242,9 @@ class RiskMapSpec:
         util = data.get("utility")
         return cls(
             kind=data["kind"],
-            lam=float(data.get("lambda", 0.0)),
-            r=float(data.get("r", 2.0)),
-            band=tuple(data.get("band", (1.0, 1.0))),
+            lam=_real(data.get("lambda", 0.0), "lambda"),
+            r=_real(data.get("r", 2.0), "r"),
+            band=_reals(data.get("band", (1.0, 1.0)), "band", count=2),
             utility=None if util is None else PiecewiseLinearUtility.from_dict(util),
         )
 
@@ -526,70 +538,11 @@ def mean_semideviation(v, q, lam: float, r: float = 2.0) -> float:
 
 
 def shortfall(v, q, utility: PiecewiseLinearUtility) -> float:
-    """Unique m with sum_y q(y) u(v(y) - m) = 0, solved exactly on its linear piece."""
+    """Unique m with sum_y q(y) u(v(y) - m) = 0, solved exactly on its linear piece.
+    R(v) - R(w) is at most E(v - w), the dominating envelope: the sup over delta
+    in [l, L] of sum(delta q v) / sum(delta q), which is this map for the utility
+    ``PiecewiseLinearUtility((0.0,), (1.0, L / l))`` (the mean when l = L)."""
     return eval_risk(RiskMapSpec("shortfall", utility=utility), v, q)
-
-
-# ---------------------------------------------------------------------------
-# Linear-fractional maximization and upper envelopes
-# ---------------------------------------------------------------------------
-
-
-def maximize_ratio_over_box(u, p, lo, hi):
-    """Maximize sum(p d u) / sum(p d) over the box lo <= d <= hi.
-
-    The maximum sits at a threshold vertex: d_y = hi_y on the j largest u_y
-    and lo_y on the rest, which is the inner maximizer of sum(p d (u - theta))
-    at the optimal ratio theta.  With u sorted once from the top, prefix sums
-    of the hi part and suffix sums of the lo part give all n + 1 candidate
-    ratios exactly; the first best (fewest hi entries, so ties go to lo) wins.
-    Returns (value, argmax d).
-    """
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), u.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), u.shape)
-    if np.any(lo <= 0):
-        raise ValueError("box lower bounds must be positive")
-    if np.any(hi < lo):
-        raise ValueError("box upper bounds must dominate lower bounds")
-
-    order = np.argsort(-u, kind="stable")
-    ph, pl, us = (p * hi)[order], (p * lo)[order], u[order]
-
-    def split_sums(top, rest):
-        # entry j: the first j of ``top`` plus the rest of ``rest``, j = 0..n
-        return np.concatenate(([0.0], np.cumsum(top))) + np.concatenate((np.cumsum(rest[::-1])[::-1], [0.0]))
-
-    j = int(np.argmax(split_sums(ph * us, pl * us) / split_sums(ph, pl)))
-    d = lo.copy()
-    d[order[:j]] = hi[order[:j]]
-    return float(np.dot(p * d, u) / np.dot(p, d)), d
-
-
-def entropic_upper_envelope(u, q, b) -> float:
-    """sup over |f| <= b of sum q e^f u / sum q e^f.
-
-    Because the objective only depends on the tilt e^f, this is a ratio
-    maximization over the box [exp(-b), exp(b)].  Entries of b above 700
-    are rejected rather than silently overflowing.
-    """
-    b = np.broadcast_to(np.asarray(b, dtype=float), np.shape(u)).astype(float)
-    if np.any(b < 0):
-        raise ValueError("bound b must be nonnegative")
-    if np.any(b > 700):
-        raise ValueError("bound b exceeds the exp overflow guard (700)")
-    value, _ = maximize_ratio_over_box(u, q, np.exp(-b), np.exp(b))
-    return value
-
-
-def shortfall_upper_envelope(u, q, l: float, L: float) -> float:
-    """sup over slope reweightings delta in [l, L] of sum(delta q u)/sum(delta q)."""
-    if not 0 < l <= L:
-        raise ValueError("need 0 < l <= L")
-    u = np.asarray(u, dtype=float)
-    value, _ = maximize_ratio_over_box(u, q, np.full(u.shape, l), np.full(u.shape, L))
-    return value
 
 
 # ---------------------------------------------------------------------------

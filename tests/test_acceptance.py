@@ -48,7 +48,7 @@ from riskmdp.risk import (
     check_axioms_of,
     check_risk_axioms,
     eval_risk,
-    shortfall_upper_envelope,
+    risk_table,
 )
 from riskmdp.solver import (
     SolveConfig,
@@ -377,18 +377,14 @@ def test_risk_axiom_suite_with_claims_and_witnesses(capsys):
     shortfall_unclaimed = not any(reports["shortfall"].checks[n].claimed for n in trio)
 
     # The shortfall map itself promises nothing beyond the base axioms, but
-    # its dominating envelope must be fully coherent, on a 45 x 45 table of
-    # value vectors against drawn rows.
+    # its dominating envelope, the sup over slope reweightings in [l, L] =
+    # [0.5, 2], must be fully coherent, on a 45 x 45 table of value vectors
+    # against drawn rows.  It is the shortfall map of slopes (1, L / l).
     rng = np.random.default_rng(5)
     rows = pool.stacked_transition[rng.integers(0, len(pool.stacked_transition), size=45)]
     values = rng.normal(0.0, 2.0, size=(45, rows.shape[1]))
-
-    def envelope(V, R):
-        return np.array([[shortfall_upper_envelope(v, q, 0.5, 2.0) for q in R] for v in V])
-
-    env_rep = check_axioms_of(
-        envelope, frozenset(trio), rows, values, rng
-    )
+    envelope = RiskMapSpec("shortfall", utility=PiecewiseLinearUtility((0.0,), (1.0, KINKED.L / KINKED.l)))
+    env_rep = check_axioms_of(lambda V, R: risk_table(envelope, V, R), frozenset(trio), rows, values, rng)
     env_ok = env_rep.ok and all(
         env_rep.checks[name].claimed and env_rep.checks[name].passed for name in trio
     )

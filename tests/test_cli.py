@@ -198,7 +198,7 @@ DIFFUSION_1D = {
         ("solve", {"model": {"diffusion": {"dim": 1}}, "risk": {"kind": "neutral"}}, "missing key 'A'"),
         ("solve", {"model": {"builtin": "uniform2", "cost": 5}, "risk": {"kind": "neutral"}}, "'cost'"),
         ("solve", {"model": {"builtin": "uniform2"}, "risk": {"kind": "neutral"}, "solve": {"tol": "abc"}},
-         "solve: could not convert string to float: 'abc'"),
+         "solve: 'tol' must be a real number, got 'abc'"),
         ("sweep", {"model": {"builtin": "uniform2"}, "risk": {"kind": "entropic", "lambda": 1.0},
                    "sweep": {"param": "lambda", "values": ["x"]}}, "sweep: could not convert string to float: 'x'"),
         ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
@@ -253,6 +253,25 @@ DIFFUSION_1D = {
                     "certificates": [{"type": "l2", "w0": "zeros", "K0": 0.5, "gamma0": 0.5, "K": "coherent",
                                       "n_samples": 50}]},
          "certificates[0] (l2): no coherent minorization factor for mean_semideviation with lam -0.6 < 0 and r 1.5 > 1"),
+        # numbers are JSON numbers: a bool or a string, which float() would take, is not one
+        ("solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "entropic", "lambda": True}},
+         "risk: 'lambda' must be a real number, got True"),
+        ("solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "mean_semideviation", "lambda": 0.5, "r": "2"}},
+         "risk: 'r' must be a real number, got '2'"),
+        ("solve", {"model": {"builtin": "biased2"},
+                   "risk": {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": ["0.5", True]}}},
+         "risk: 'slopes[0]' must be a real number, got '0.5'"),
+        ("solve", {"model": {"builtin": "biased2"},
+                   "risk": {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": [0.5, True]}}},
+         "risk: 'slopes[1]' must be a real number, got True"),
+        ("solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}, "solve": {"tol": "1e-9"}},
+         "solve: 'tol' must be a real number, got '1e-9'"),
+        ("solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "density_band", "band": [0.5, 1.5, 3.0]}},
+         "risk: 'band' must be a list of 2 real numbers, got [0.5, 1.5, 3.0]"),
+        ("solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "density_band", "band": [0.5, "2"]}},
+         "risk: 'band[1]' must be a real number, got '2'"),
+        ("solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "density_band", "band": 2.0}},
+         "risk: 'band' must be a list of 2 real numbers, got 2.0"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):
@@ -292,6 +311,25 @@ def test_integer_settings_must_be_whole_numbers(tmp_path, capsys, command, cfg, 
     code, _ = run(tmp_path, command, {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}, **cfg})
     assert code == 2
     assert f"{key!r} must be a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("as_ints, as_floats", [
+    ({"risk": {"kind": "entropic", "lambda": 1}}, {"risk": {"kind": "entropic", "lambda": 1.0}}),
+    ({"risk": {"kind": "mean_semideviation", "lambda": 1, "r": 3}},
+     {"risk": {"kind": "mean_semideviation", "lambda": 1.0, "r": 3.0}}),
+    ({"risk": {"kind": "density_band", "band": [0, 2]}}, {"risk": {"kind": "density_band", "band": [0.0, 2.0]}}),
+    ({"risk": {"kind": "shortfall", "utility": {"breakpoints": [0], "slopes": [1, 2]}}},
+     {"risk": {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": [1.0, 2.0]}}}),
+    ({"risk": {"kind": "neutral"}, "solve": {"tol": 1}}, {"risk": {"kind": "neutral"}, "solve": {"tol": 1.0}}),
+])
+def test_real_settings_accept_integers(tmp_path, as_ints, as_floats):
+    # an integer reads as the float of the same value
+    rhos = []
+    for cfg in (as_ints, as_floats):
+        code, out = run(tmp_path, "solve", {"model": {"builtin": "biased2"}, **cfg})
+        assert code == 0
+        rhos.append(json.loads((out / "result.json").read_text())["rho"])
+    assert rhos[0] == rhos[1]
 
 
 def test_integer_settings_accept_integral_floats(tmp_path):

@@ -16,14 +16,11 @@ from riskmdp.risk import (
     check_risk_axioms,
     density_band,
     entropic,
-    entropic_upper_envelope,
     eval_risk,
-    maximize_ratio_over_box,
     mean_semideviation,
     risk_table,
     risk_values,
     shortfall,
-    shortfall_upper_envelope,
 )
 from riskmdp.solver import bellman_F, bellman_T, finite_horizon_risk
 
@@ -845,7 +842,13 @@ def test_shortfall_table_in_vector_blocks_equals_vector_by_vector():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(V))
 
 
-# --- ratio maximization over a box ---------------------------------------------
+# --- the shortfall's dominating envelope -------------------------------------------
+
+
+def envelope_spec(l, L):
+    """The shortfall map of slopes (1, L / l) kinked at 0: the sup over slope
+    reweightings delta in [l, L] of sum(delta q u) / sum(delta q)."""
+    return RiskMapSpec("shortfall", utility=PiecewiseLinearUtility((0.0,), (1.0, L / l)))
 
 
 def brute_force_ratio(u, p, lo, hi):
@@ -857,23 +860,8 @@ def brute_force_ratio(u, p, lo, hi):
     return best
 
 
-def test_ratio_box_collapsed_box_is_weighted_mean():
-    rng = np.random.default_rng(11)
-    u = rng.normal(size=4)
-    p = random_law(rng, 4)
-    d = rng.uniform(0.5, 2.0, size=4)
-    val, arg = maximize_ratio_over_box(u, p, d, d)
-    assert val == pytest.approx(float(np.dot(p * d, u) / np.dot(p, d)), abs=1e-12)
-    assert np.array_equal(arg, d)
-
-
-def test_ratio_box_hand_value():
-    val, arg = maximize_ratio_over_box([0.0, 1.0], [0.5, 0.5], [1.0, 1.0], [1.0, 3.0])
-    assert val == pytest.approx(0.75, abs=1e-12)
-    assert np.array_equal(arg, [1.0, 3.0])
-
-
 def test_ratio_box_matches_vertex_enumeration():
+    # the envelope over a constant box [l, L] is the vertex maximum, ties included
     rng = np.random.default_rng(12)
     for tied in (False, True):
         for _ in range(80):
@@ -882,98 +870,43 @@ def test_ratio_box_matches_vertex_enumeration():
             if tied:
                 u = np.round(u / 3)  # mostly repeated values in {-2, ..., 2}
             p = random_law(rng, n)
-            lo = rng.uniform(0.2, 1.0, size=n)
-            hi = lo + rng.uniform(0.0, 3.0, size=n)
-            val, arg = maximize_ratio_over_box(u, p, lo, hi)
-            want = brute_force_ratio(u, p, lo, hi)
-            assert val == pytest.approx(want, abs=1e-10)
-            # the reported maximizer must achieve the reported value
-            assert float(np.dot(p * arg, u) / np.dot(p, arg)) == pytest.approx(val, abs=1e-12)
-
-
-def test_ratio_box_rejects_bad_boxes():
-    with pytest.raises(ValueError):
-        maximize_ratio_over_box([1.0], [1.0], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        maximize_ratio_over_box([1.0, 1.0], [0.5, 0.5], [2.0, 2.0], [1.0, 1.0])
-
-
-# --- upper envelopes ------------------------------------------------------------
-
-
-def test_entropic_envelope_zero_bound_is_expectation():
-    rng = np.random.default_rng(13)
-    u = rng.normal(size=5)
-    q = random_law(rng, 5)
-    assert entropic_upper_envelope(u, q, np.zeros(5)) == pytest.approx(float(q @ u), abs=1e-10)
-
-
-def test_entropic_envelope_constant_input():
-    q = np.array([0.4, 0.6])
-    assert entropic_upper_envelope([2.5, 2.5], q, np.array([3.0, 3.0])) == pytest.approx(2.5, abs=1e-12)
-
-
-def test_entropic_envelope_rejects_huge_bounds():
-    with pytest.raises(ValueError):
-        entropic_upper_envelope([0.0, 1.0], [0.5, 0.5], np.array([0.0, 701.0]))
-    with pytest.raises(ValueError):
-        entropic_upper_envelope([0.0, 1.0], [0.5, 0.5], np.array([-1.0, 1.0]))
-
-
-def test_entropic_envelope_dominates_tilted_means():
-    # the envelope is the sup over tilts, so any specific tilt stays below it
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        u = rng.normal(size=n) * 2
-        q = random_law(rng, n)
-        b = rng.uniform(0.2, 3.0, size=n)
-        env = entropic_upper_envelope(u, q, b)
-        f = rng.uniform(-1.0, 1.0, size=n) * b
-        tilt = q * np.exp(f)
-        assert float(tilt @ u / tilt.sum()) <= env + 1e-9
-
-
-def test_entropic_envelope_dominates_entropic_increments():
-    # R(v) - R(w) <= envelope(v - w) when both arguments fit in the tilt box
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        q = random_law(rng, n)
-        b = rng.uniform(0.5, 4.0, size=n)
-        v = rng.uniform(-0.5, 0.5, size=n) * b
-        w = rng.uniform(-0.5, 0.5, size=n) * b
-        lhs = entropic(v, q, 1.0) - entropic(w, q, 1.0)
-        assert lhs <= entropic_upper_envelope(v - w, q, b) + 1e-9
+            l = rng.uniform(0.2, 1.0)
+            L = l + rng.uniform(0.0, 3.0)
+            val = shortfall(u, p, envelope_spec(l, L).utility)
+            assert val == pytest.approx(brute_force_ratio(u, p, np.full(n, l), np.full(n, L)), abs=1e-10)
+            # the value is the root of E[L (u - m)_+ - l (u - m)_-]
+            root = np.dot(p, L * np.maximum(u - val, 0.0) - l * np.maximum(val - u, 0.0))
+            assert root == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shortfall_envelope_collapsed_slopes_is_mean():
     rng = np.random.default_rng(16)
     u = rng.normal(size=4)
     q = random_law(rng, 4)
-    assert shortfall_upper_envelope(u, q, 1.0, 1.0) == pytest.approx(float(q @ u), abs=1e-12)
+    assert shortfall(u, q, envelope_spec(1.0, 1.0).utility) == pytest.approx(float(q @ u), abs=1e-12)
 
 
 def test_shortfall_envelope_hand_value():
-    assert shortfall_upper_envelope([0.0, 1.0], [0.5, 0.5], 1.0, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    # (0 - m) / 2 + 2 (1 - m) / 2 = 0
+    assert shortfall([0.0, 1.0], [0.5, 0.5], envelope_spec(1.0, 2.0).utility) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+S_SHAPED = PiecewiseLinearUtility([-1.0, 1.0], [0.5, 2.0, 0.8])  # mixed preferences: l = 0.5, L = 2
 
 
 def test_shortfall_envelope_dominates_shortfall_increments():
+    # R(v) - R(w) <= S(v - w), S the shortfall of slopes (1, L / l); for an
+    # S-shaped u this is more than subadditivity, which fails on some draws
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        q = random_law(rng, n)
-        v = rng.normal(size=n) * 2
-        w = rng.normal(size=n) * 2
-        lhs = shortfall(v, q, KINKED) - shortfall(w, q, KINKED)
-        assert lhs <= shortfall_upper_envelope(v - w, q, KINKED.l, KINKED.L) + 1e-8
-
-
-def test_shortfall_envelope_rejects_bad_slopes():
-    with pytest.raises(ValueError):
-        shortfall_upper_envelope([0.0], [1.0], 0.0, 1.0)
-    with pytest.raises(ValueError):
-        shortfall_upper_envelope([0.0], [1.0], 2.0, 1.0)
+    spec, env = RiskMapSpec("shortfall", utility=S_SHAPED), envelope_spec(S_SHAPED.l, S_SHAPED.L)
+    past_subadditivity = 0.0
+    for n in (2, 3, 5):
+        rows = np.array([random_law(rng, n) for _ in range(20)])
+        V, W = rng.normal(size=(2, 30, n)) * 2
+        lhs = risk_table(spec, V, rows) - risk_table(spec, W, rows)
+        assert np.all(lhs <= risk_table(env, V - W, rows) + 1e-12)
+        past_subadditivity = max(past_subadditivity, np.max(lhs - risk_table(spec, V - W, rows)))
+    assert past_subadditivity > 0.1
 
 
 # --- axiom checking ---------------------------------------------------------------
@@ -1020,10 +953,9 @@ def test_axioms_generic_checker_on_shortfall_envelope():
     rows = np.array([random_law(rng, 3) for _ in range(18)])
     values = rng.normal(size=(17, 3)) * 2
 
-    def fn(V, R):
-        return np.array([[shortfall_upper_envelope(v, q, 1.0, 2.0) for q in R] for v in V])
-
-    rep = check_axioms_of(fn, {"convexity", "positive_homogeneity", "subadditivity"}, rows, values, rng)
+    spec = envelope_spec(1.0, 2.0)
+    rep = check_axioms_of(lambda V, R: risk_table(spec, V, R), {"convexity", "positive_homogeneity", "subadditivity"},
+                          rows, values, rng)
     assert rep.ok, {k: (c.passed, c.max_violation) for k, c in rep.checks.items()}
     assert all(c.n_checked == 17 * 18 for c in rep.checks.values())
 
