@@ -151,9 +151,9 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
             actions=list(dcfg["actions"]),
             drift=_arrays(dcfg, "drift"),
             diffusion=_arrays(dcfg, "diffusion"),
-            gamma_tilde=float(dcfg["gamma_tilde"]),
-            drift_bound=float(dcfg["drift_bound"]),
-            ellipticity=float(dcfg["ellipticity"]),
+            gamma_tilde=_real(dcfg["gamma_tilde"], "gamma_tilde"),
+            drift_bound=_real(dcfg["drift_bound"], "drift_bound"),
+            ellipticity=_real(dcfg["ellipticity"], "ellipticity"),
             drift_linear=_arrays(dcfg, "drift_linear", {}),
         )
         mcp = discretize_diffusion(spec, grid)
@@ -182,10 +182,10 @@ def _cost_form(ccfg: dict, mcp: FiniteMCP, meta: dict):
     if form == "tabulated":
         return TabulatedCost(ccfg["table"])
     if form == "quadratic":
-        return QuadraticCost(c0=float(ccfg["c0"]), action_terms=ccfg.get("action_terms"))
+        return QuadraticCost(c0=_real(ccfg["c0"], "c0"), action_terms=ccfg.get("action_terms"))
     if form == "power":
         w1 = _resolve_weight(ccfg["w1"], mcp, meta)
-        return PowerCost(c0=float(ccfg["c0"]), q=float(ccfg["q"]), w1=w1)
+        return PowerCost(c0=_real(ccfg["c0"], "c0"), q=_real(ccfg["q"], "q"), w1=w1)
     raise ConfigError(f"unknown cost form {form!r}")
 
 
@@ -206,9 +206,9 @@ def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
         sub = _table(wcfg, "entropic_w1")
         if "diffusion" not in meta:
             raise ConfigError("entropic_w1 weight needs a diffusion model")
-        w1_hat, _ = diffusion_entropic_weight(meta["grid"], float(sub["gamma"]), meta["diffusion"])
+        w1_hat, _ = diffusion_entropic_weight(meta["grid"], _real(sub["gamma"], "gamma"), meta["diffusion"])
         w1 = 1.0 + w1_hat
-        return w1 ** float(sub.get("power", 1.0))
+        return w1 ** _real(sub.get("power", 1.0), "power")
     raise ConfigError(f"cannot resolve weight spec {wcfg!r}")
 
 
@@ -225,7 +225,7 @@ def _state_set(scfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
         states = np.flatnonzero(np.all(np.abs(mcp.state_coords) <= lim + 1e-12, axis=1))
     elif isinstance(scfg, dict) and "level" in scfg:
         sub = _table(scfg, "level")
-        states = level_set(_resolve_weight(sub["w0"], mcp, meta), float(sub["radius"]))
+        states = level_set(_resolve_weight(sub["w0"], mcp, meta), _real(sub["radius"], "radius"))
     elif isinstance(scfg, list) and all(type(x) is int for x in scfg):
         if not all(0 <= x < n for x in scfg) or len(set(scfg)) < len(scfg):
             raise ConfigError(f"state list {scfg} needs distinct indices in [0, {n})")
@@ -320,7 +320,7 @@ def _local_doeblin(entry, mcp, spec, meta, seed):
 def _l2(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta)
     if "K0" in entry and not isinstance(entry["K0"], str):
-        K0, gamma0 = float(entry["K0"]), float(entry["gamma0"])
+        K0, gamma0 = _real(entry["K0"], "K0"), _real(entry["gamma0"], "gamma0")
         if not 0 < gamma0 < 1:
             raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
     else:
@@ -330,7 +330,7 @@ def _l2(entry, mcp, spec, meta, seed):
         K0, gamma0 = fit.K0, fit.gamma0
     B0 = level_set(w0, 2.0 * K0 / (1.0 - gamma0))
     K = entry.get("K")
-    K = float(_invariant_K(K or "coherent", mcp, spec, K0, B0) if K is None or isinstance(K, str) else K)
+    K = float(_invariant_K(K or "coherent", mcp, spec, K0, B0)) if K is None or isinstance(K, str) else _real(K, "K")
     cert = check_l2(mcp, spec, w0, K0, K, B0, n_samples=_whole(entry, "n_samples", 2000), seed=seed)
     constants = {"K0": K0, "K": K, "min_slack": cert.min_slack, "n_samples": cert.n_samples}
     return cert.passed, constants, cert.worst_witness
@@ -355,9 +355,9 @@ def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
 
 def _contraction(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta)
-    params = {k: float(entry[k]) for k in ("gamma", "K_bar", "alpha", "R")}
+    params = {k: _real(entry[k], k) for k in ("gamma", "K_bar", "alpha", "R")}
     if entry.get("alpha0") is not None:
-        params["alpha0"] = float(entry["alpha0"])
+        params["alpha0"] = _real(entry["alpha0"], "alpha0")
     for k, val in params.items():
         if not np.isfinite(val):
             raise ConfigError(f"{k} must be finite, got {val}")
@@ -382,7 +382,7 @@ def _contraction(entry, mcp, spec, meta, seed):
 
 def _envelope_minorization(entry, mcp, spec, meta, seed):
     sub = _state_set(entry["subset"], mcp, meta)
-    cert = entropic_envelope_minorization(mcp, sub, float(entry["K"]), _resolve_weight(entry["w"], mcp, meta))
+    cert = entropic_envelope_minorization(mcp, sub, _real(entry["K"], "K"), _resolve_weight(entry["w"], mcp, meta))
     return cert.satisfied, {"alpha": cert.alpha}, None
 
 
@@ -425,7 +425,7 @@ def _sweep_specs(cfg: dict, spec: RiskMapSpec) -> list[RiskMapSpec]:
         raise ConfigError("sweep needs {'param': 'lambda', 'values': [...]}")
     if spec.kind not in ("entropic", "mean_semideviation"):
         raise ConfigError("lambda sweep needs an entropic or mean_semideviation risk kind")
-    return [dataclasses.replace(spec, lam=float(v)) for v in swcfg["values"]]
+    return [dataclasses.replace(spec, lam=_real(v, f"values[{i}]")) for i, v in enumerate(swcfg["values"])]
 
 
 def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:

@@ -6,9 +6,11 @@ for each pair, stored once, stacked, with per-state views (see
 :class:`FiniteMCP`).  The rows sit in one row store: a dense ``(rows, n)``
 array (:class:`DenseRows`) or, for rows whose every action's block is a
 Kronecker product of per-axis matrices, those factors
-(:class:`FactoredRows`).  A store is read through two methods only,
-``product`` and ``take``: no store keeps a second, dense copy of factored
-rows.  Value functions are plain 1-d numpy arrays indexed by state.
+(:class:`FactoredRows`).  A store is read through three methods only:
+``product``, a stack of vectors against every row; ``dots``, one vector
+per row against a set of rows; and ``take``, the rows themselves.  No
+store keeps a second, dense copy of factored rows, and only ``take``
+writes a row.  Value functions are plain 1-d numpy arrays indexed by state.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def outer_rows(factors: list[np.ndarray], out: np.ndarray) -> np.ndarray:
     written straight into a view of ``out``."""
     prod = np.ones((len(out), 1))
     for f in factors[:-1]:
-        prod = np.einsum("ia,ib->iab", prod, f).reshape(len(out), -1)
+        prod = np.einsum("ia,ib->iab", prod, f).reshape(len(out), prod.shape[1] * f.shape[1])
     target = out.view()
     # assigning .shape raises where a reshape would silently copy
     target.shape = (len(out), prod.shape[1], factors[-1].shape[1])
@@ -119,12 +121,16 @@ def outer_rows(factors: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 class DenseRows:
     """Transition rows stored as one read-only ``(rows, n)`` array, ``dense``.
 
-    A row store has a ``shape`` ``(rows, n)``, a ``layout`` name and two
+    A row store has a ``shape`` ``(rows, n)``, a ``layout`` name and three
     readers: ``product(W)``, the ``(S, rows)`` table ``W @ Q.T`` of an
-    ``(S, n)`` stack of vectors against the rows Q, and ``take(idx, out)``,
-    the dense rows ``idx`` (an index array or a slice).  Here a slice is a
-    read-only view and an index array is gathered, into ``out`` when given;
-    ``out``'s indices are the caller's to check.
+    ``(S, n)`` stack of vectors against the rows Q; ``dots(idx, G)``, the
+    row dots ``sum_y Q[idx_i, y] G[i, y]`` of the rows ``idx`` with a
+    ``(len(idx), n)`` block G, or a ``(1, n)`` row that they all share;
+    and ``take(idx, out)``, the dense rows
+    ``idx``.  ``idx`` is a slice or an index array, whose indices are the
+    caller's to check.  Here a slice is a read-only view and an index array
+    is gathered, into ``out`` when given; ``dots`` is one ``einsum`` over
+    the rows it takes.
     """
 
     layout = "dense"
@@ -138,6 +144,9 @@ class DenseRows:
 
     def product(self, W: np.ndarray) -> np.ndarray:
         return W @ self.dense.T
+
+    def dots(self, idx, G: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.dense[idx], G)
 
     def take(self, idx, out: np.ndarray | None = None) -> np.ndarray:
         if out is None or isinstance(idx, slice):
@@ -161,9 +170,11 @@ class FactoredRows:
 
     ``product`` contracts a stack of vectors with each action's factors,
     one matrix product per axis, and never forms a whole row: n sum(p_d)
-    multiply-adds per vector and action in place of n^2.  ``take`` writes
-    the rows asked for, into ``out`` when given, and keeps none of them.
-    The interface is that of :class:`DenseRows`.
+    multiply-adds per vector and action in place of n^2.  ``dots``
+    contracts each row's own vector with its per-axis rows, and forms no
+    row either.  ``take`` writes the rows asked for, into ``out`` when
+    given, and keeps none of them.  The interface is that of
+    :class:`DenseRows`.
     """
 
     layout = "factored"
@@ -192,6 +203,19 @@ class FactoredRows:
         a, nodes = self.coords(idx)
         out = np.empty((len(a), self.shape[1])) if out is None else out
         return outer_rows([f[a, i] for f, i in zip(self.factors, nodes)], out)
+
+    def dots(self, idx, G: np.ndarray) -> np.ndarray:
+        """Row i's dot with G[i] (G broadcast to one row each), its factor
+        rows contracted into G[i] last axis first, one batched matrix
+        product per axis: about n multiply-adds per row, nested sums of p_d
+        terms."""
+        a, nodes = self.coords(idx)
+        width = self.shape[1]
+        T = np.broadcast_to(G, (len(a), width))
+        for f, i in zip(self.factors[::-1], nodes[::-1]):
+            width //= f.shape[1]
+            T = np.matmul(T.reshape(len(a), width, f.shape[1]), f[a, i][:, :, None])
+        return T.reshape(len(a))
 
     def product(self, W: np.ndarray) -> np.ndarray:
         k = len(self.factors[0])
@@ -238,12 +262,13 @@ class FiniteMCP:
     one row store, ``rows``: dense (:class:`DenseRows`) or, for a grid
     diffusion in dim >= 2 whose rows are Kronecker products of per-axis
     rows, those factors (:class:`FactoredRows`).  Every risk kernel and
-    certificate reaches the rows through the store's ``product`` and
-    ``take``: the neutral and entropic products contract the factors and
-    never form a whole row, and the other readers take bounded blocks of
-    rows or a subset's rows.  ``stacked_transition``, the read-only dense
-    ``(rows, n)`` array, is an export for ``to_dict`` and randomized
-    policies' kernels, written once on first access for a factored store;
+    certificate reaches the rows through the store's ``product``, ``dots``
+    and ``take``: the neutral and entropic products and mean-semideviation's
+    row dots contract the factors and never form a whole row, and the other
+    readers take bounded blocks of rows or a subset's rows.
+    ``stacked_transition``, the read-only dense ``(rows, n)`` array, is an
+    export for ``to_dict`` and randomized policies' kernels, written once
+    on first access for a factored store;
     ``transition[x]`` (shape ``(n_actions(x), n_states)``) and ``cost[x]``
     are views into the stacked arrays.  Action sets may differ in size
     between states.  ``state_coords`` optionally embeds states in R^d (grid

@@ -30,19 +30,20 @@ copy of all kept rows up front cost as much as the skipped rows saved.
 Values must be finite:
 ``risk_table`` rejects a NaN or infinite entry before any kernel runs.  The
 rows are an (m, n) array or a row store of ``mdp`` (a model's ``rows``),
-read through its ``product`` and ``take`` only.
+read through its three readers ``product``, ``dots`` and ``take`` only.
 No kind makes a full (rows, n) temporary per value vector: the mean
 (``RiskMapSpec.is_mean``) is one product of the store over every row, and
 ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which falls
 back to a row-wise logsumexp on row blocks where the product underflows.
-For rows stored as per-axis factors the product contracts the factors and
-forms no row, and a row block is written from the factors as it is read.
-The order-based kinds sort each v once and sweep the rows in blocks of
-``mdp.BLOCK_ELEMENTS``.  Mean-semideviation takes its mean and excess
-moment as row dots, at v 2^-e (e the exponent of max |v|) and scaled back
-where the r-th powers would leave the float range.
-The band and the shortfall share one checkpoint kernel, for a block of
-value vectors at once: both are expectations of a piecewise-linear
+The order-based kinds sweep the rows in blocks of ``mdp.BLOCK_ELEMENTS``.
+Mean-semideviation takes its mean and excess moment with ``dots``, one
+block of rows at a time, at v 2^-e (e the exponent of max |v|) and scaled
+back where the r-th powers would leave the float range.  For rows stored
+as per-axis factors the product and the row dots contract the factors and
+form no row; the band, the shortfall and the logsumexp fallback write each
+row block from the factors as they read it.  The band and the shortfall
+sort each v once and share one checkpoint kernel, for a block of value
+vectors at once: both are expectations of a piecewise-linear
 function of v - t with kinks at the n K points v_y - b_k (the band: K = 1,
 b = 0).  Sorted from the top and cut into about sqrt(n K) chunks (at most
 sqrt(2 m) for m rows), the kinks of each v make a checkpoint matrix of
@@ -156,6 +157,8 @@ class PiecewiseLinearUtility:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseLinearUtility":
+        if not isinstance(data, dict):
+            raise ValueError(f"'utility' must be a JSON object, got {data!r}")
         return cls(_reals(data.get("breakpoints", ()), "breakpoints"), _reals(data.get("slopes", (1.0,)), "slopes"))
 
 
@@ -285,20 +288,38 @@ def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, lam: float) -
     return out
 
 
-def _blocks(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int):
-    """(output slice, row block) pairs: the store's rows, or its rows
-    ``keep`` (checked indices), in blocks of ``row_blocks(.., max(width,
-    n))``, each read with ``take``: a dense store's consecutive rows as a
-    view, others into one buffer allocated per call.  A block is valid
-    until the next is drawn."""
+def _reads(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int):
+    """(output slice, store, rows) triples that sweep the store's rows, or
+    its rows ``keep`` (checked indices), in blocks of ``row_blocks(..,
+    max(width, n))``.  A dense store's kept rows are gathered once per
+    block, into one buffer allocated per call, and read as a store of
+    their own at ``slice(None)``, so that two readers of a block gather it
+    once; all other rows are read where they are.  A block is valid until
+    the next is drawn."""
     count, n = len(store) if keep is None else len(keep), store.shape[1]
     blocks = row_blocks(count, max(width, n))
-    buffer = None
-    if blocks and (keep is not None or store.layout != "dense"):
-        buffer = np.empty((min(count, blocks[0].stop), n))
+    gather = keep is not None and store.layout == "dense"
+    buffer = np.empty((min(count, blocks[0].stop), n)) if blocks and gather else None
     for sl in blocks:
         idx = sl if keep is None else keep[sl]
-        yield sl, store.take(idx, out=None if buffer is None else buffer[: len(range(count)[sl])])
+        if gather:
+            yield sl, DenseRows(store.take(idx, out=buffer[: len(idx)])), slice(None)
+        else:
+            yield sl, store, idx
+
+
+def _blocks(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int):
+    """(output slice, row block) pairs over the blocks of ``_reads``, each
+    read with ``take``: a dense block as a view, a factored one written
+    into one buffer allocated per call."""
+    count, buffer = len(store) if keep is None else len(keep), None
+    for sl, reader, idx in _reads(store, keep, width):
+        if reader.layout == "dense":
+            yield sl, reader.take(idx)
+            continue
+        rows = len(range(count)[sl])
+        buffer = np.empty((rows, store.shape[1])) if buffer is None else buffer
+        yield sl, reader.take(idx, out=buffer[:rows])
 
 
 def _chunks(N: int, m: int, n: int) -> tuple[int, int]:
@@ -429,12 +450,12 @@ def _semideviation(v: np.ndarray, rows: DenseRows | FactoredRows, spec: RiskMapS
     out = np.empty(len(rows) if keep is None else len(keep))
     blocks = row_blocks(len(out), len(v))
     block = np.empty((min(len(out), blocks[0].stop) if blocks else 0, len(v)))  # each row block's excess in turn
-    for sl, Q in _blocks(rows, keep, rows.shape[1]):
-        mean = np.einsum("ij,j->i", Q, v)
-        excess = np.subtract(v, mean[:, None], out=block[: len(Q)])
+    for sl, store, idx in _reads(rows, keep, rows.shape[1]):
+        mean = store.dots(idx, v[None])
+        excess = np.subtract(v, mean[:, None], out=block[: len(mean)])
         np.maximum(excess, 0.0, out=excess)
         excess **= spec.r
-        out[sl] = mean + spec.lam * np.einsum("ij,ij->i", Q, excess) ** (1.0 / spec.r)
+        out[sl] = mean + spec.lam * store.dots(idx, excess) ** (1.0 / spec.r)
     return out
 
 
@@ -465,9 +486,10 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
     one is a ``ValueError`` naming it, its vector and its state.  The mean
     and entropic are one product of the store over every row (entropic
     with one shift per sample, falling back to a row-wise logsumexp where
-    the product underflows); the order-based kinds sort each v once and
-    read the store's rows (the kept ones) in blocks of bounded size, the
-    band and the shortfall for a block of value vectors at a time.
+    the product underflows); the order-based kinds read the store's rows
+    (the kept ones) in blocks of bounded size: mean-semideviation as row
+    dots, the band and the shortfall sorting each v once, for a block of
+    value vectors at a time.
     """
     V = np.asarray(V, dtype=float)
     rows = row_store(rows)

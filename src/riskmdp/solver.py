@@ -25,7 +25,8 @@ shortfall, whose checkpoint products round a row by the rows that share
 them and whose chunk count follows the number of rows evaluated.  Only
 the order-based kinds (density band, mean-semideviation, shortfall, but
 not where they are the mean: ``RiskMapSpec.is_mean``) skip rows, reading
-the kept ones from the row store one row block at a time: a copy of all
+the kept ones from the row store one row block at a time (factored rows
+contracted by mean-semideviation, never written): a copy of all
 kept rows up front cost about what the skipped rows saved, and the mean
 and entropic are one product over all rows (of the matrix, or of per-axis
 factors: see ``mdp.FactoredRows``), cheaper than any gather.
@@ -145,9 +146,15 @@ class RowHistory:
         ``last`` to v, each widened by ``rtol`` times max |v| + max |last|.
         Over the steps from v_j to v that covers the kernel's rounding at v
         and at v_j, to first order.  Mean-semideviation errs by at most about
-        4 n eps max |v|: it is a sum of n nonnegative terms, of total at most
-        the spread 2 max |v|, built from an n-term row dot, and its L^r norm
-        of the excess moves no more than the excess does.  The band and the
+        4 N eps max |v|, N the roundings on one term's path through a row
+        dot: its moment is a sum of nonnegative terms, of total at most the
+        spread 2 max |v|, built from a row dot, and its L^r norm of the
+        excess moves no more than the excess does.  A dense row dot sums n
+        terms, N = n.  A factored one nests D sums of p_d terms, one product
+        by a factor entry at each level, so each term carries
+        N = sum_d p_d roundings in any order of summation: at most n, as a
+        grid axis has at least 3 nodes (and at most n + D - 1 for axes of
+        one node, which ``WORST_PAIR_RTOL`` holds).  The band and the
         shortfall share one checkpoint kernel.  The band is v_min + g1 E[a] +
         (g2 - g1) (E[(a - a*)_+] + beta a*), a = v - v_min: two nonnegative
         parts, each at most the spread and a sum of at most n + 3 nonnegative

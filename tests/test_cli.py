@@ -200,7 +200,7 @@ DIFFUSION_1D = {
         ("solve", {"model": {"builtin": "uniform2"}, "risk": {"kind": "neutral"}, "solve": {"tol": "abc"}},
          "solve: 'tol' must be a real number, got 'abc'"),
         ("sweep", {"model": {"builtin": "uniform2"}, "risk": {"kind": "entropic", "lambda": 1.0},
-                   "sweep": {"param": "lambda", "values": ["x"]}}, "sweep: could not convert string to float: 'x'"),
+                   "sweep": {"param": "lambda", "values": ["x"]}}, "sweep: 'values[0]' must be a real number, got 'x'"),
         ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
                     "certificates": [{"type": "lyapunov"}]}, "certificates[0] (lyapunov): missing key 'w0'"),
         ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
@@ -209,7 +209,7 @@ DIFFUSION_1D = {
         ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
                     "certificates": [{"type": "contraction", "w0": "zeros", "gamma": "abc",
                                       "K_bar": 1.0, "alpha": 0.5, "R": 5.0}]},
-         "certificates[0] (contraction): could not convert string to float: 'abc'"),
+         "certificates[0] (contraction): 'gamma' must be a real number, got 'abc'"),
         ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
                     "certificates": [{"type": "l2", "w0": "zeros", "K": "shortfall"}]},
          "certificates[0] (l2): K rule 'shortfall' needs a shortfall risk map"),
@@ -292,6 +292,59 @@ def test_bad_diffusion_bounds_are_exit_2_naming_the_field(tmp_path, capsys, key,
     code, _ = run(tmp_path, "solve", cfg)
     assert code == 2
     assert f"config error: model: {key} must be finite" in capsys.readouterr().err
+
+
+def real_setting(key, x):
+    """(command, config) with the real-valued setting ``key`` set to x."""
+    grid_1d = {"diffusion": DIFFUSION_1D, "grid": {"points": 11}}
+    certificate = {
+        "K0": {"type": "l2", "w0": "zeros", "K0": x, "gamma0": 0.5, "K": 2.0, "n_samples": 20},
+        "gamma0": {"type": "l2", "w0": "zeros", "K0": 1.0, "gamma0": x, "K": 2.0, "n_samples": 20},
+        "K": {"type": "l2", "w0": "zeros", "K0": 1.0, "gamma0": 0.5, "K": x, "n_samples": 20},
+        "K_bar": {**CONTRACTION, "K_bar": x}, "alpha0": {**CONTRACTION, "alpha0": x},
+        "gamma": {**CONTRACTION, "gamma": x}, "alpha": {**CONTRACTION, "alpha": x}, "R": {**CONTRACTION, "R": x},
+        "radius": {"type": "doeblin", "subset": {"level": {"w0": "coords_sq", "radius": x}}},
+    }
+    model = {
+        "c0": {"builtin": "biased2", "cost": {"form": "quadratic", "c0": x}},
+        "q": {"builtin": "biased2", "cost": {"form": "power", "c0": 0.1, "q": x, "w1": "coords_sq"}},
+        "entropic_gamma": {**grid_1d, "cost": {"form": "power", "c0": 0.1, "q": 0.5,
+                                               "w1": {"entropic_w1": {"gamma": x}}}},
+        "power": {**grid_1d, "cost": {"form": "power", "c0": 0.1, "q": 0.5,
+                                      "w1": {"entropic_w1": {"gamma": 0.5, "power": x}}}},
+        **{k: {"diffusion": {**DIFFUSION_1D, k: x}, "grid": {"points": 11}}
+           for k in ("gamma_tilde", "drift_bound", "ellipticity")},
+    }
+    if key in certificate:
+        return "verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                          "certificates": [certificate[key]]}
+    if key in model:
+        return "solve", {"model": model[key], "risk": {"kind": "neutral"}}
+    return "sweep", {"model": {"builtin": "biased2"}, "risk": {"kind": "entropic", "lambda": 1.0},
+                     "sweep": {"param": "lambda", "values": [0.5, x]}}
+
+
+REAL_KEYS = ["values[1]", "gamma_tilde", "drift_bound", "ellipticity", "c0", "q", "entropic_gamma", "power",
+             "radius", "K0", "gamma0", "K", "gamma", "K_bar", "alpha", "R", "alpha0"]
+
+
+# a string K names a rule and a string K0 asks for a fit, so only a bool is a bad number there
+@pytest.mark.parametrize("key, x", [(k, x) for x in (True, "0.5") for k in REAL_KEYS
+                                    if not (isinstance(x, str) and k in ("K", "K0"))])
+def test_real_settings_must_be_json_numbers(tmp_path, capsys, key, x):
+    # float() takes true and "0.5"; a config's reals are JSON numbers only
+    command, cfg = real_setting(key, x)
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    name = "gamma" if key == "entropic_gamma" else key
+    assert f"{name!r} must be a real number, got {x!r}" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists() and not (out / "certificates.json").exists()
+
+
+def test_a_utility_that_is_not_an_object_is_exit_2_naming_it(tmp_path, capsys):
+    code, _ = run(tmp_path, "solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "shortfall", "utility": 3}})
+    assert code == 2
+    assert "config error: risk: 'utility' must be a JSON object, got 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -758,7 +811,8 @@ def one_reader_outputs(tmp_path):
 def test_a_factored_grid_reads_its_rows_through_the_store_only(tmp_path, monkeypatch):
     # every kernel and certificate reads rows through the row store: with
     # the dense export disabled every command still runs, no call forms
-    # every row at once, and the numbers are those of the dense twin
+    # every row at once, a mean-semideviation solve forms no row at all,
+    # and the numbers are those of the dense twin
     whole = []
     take = mdp.FactoredRows.take
 
@@ -774,7 +828,10 @@ def test_a_factored_grid_reads_its_rows_through_the_store_only(tmp_path, monkeyp
         mp.setattr(mdp.FactoredRows, "take", recording)
         mp.setattr(mdp.FiniteMCP, "stacked_transition", property(refuse))
         got = one_reader_outputs(tmp_path)
-    assert whole and not any(whole)
+        assert whole and not any(whole)
+        whole.clear()
+        code, _ = run(tmp_path, "solve", {"model": SWEEP_2D, "risk": {"kind": "mean_semideviation", "lambda": 0.5}})
+        assert code == 0 and whole == []
     build = riskmdp.cli.build_model
 
     def dense_twin(cfg, base):
@@ -788,7 +845,14 @@ def test_a_factored_grid_reads_its_rows_through_the_store_only(tmp_path, monkeyp
         assert (code, policy, iterations) == (0, want_solve[3], want_solve[4])
         assert rho == pytest.approx(want_solve[1], abs=1e-14)
         assert residual == pytest.approx(want_solve[2], abs=1e-14)
-    assert got[-2] == want[-2] and got[-2][0] == 0
+    # the sweep's rho from factored row dots rounds apart from the dense
+    # einsum's, by about 3e-15 here, so it is held to the solves' 1e-14
+    (code, lines), (want_code, want_lines) = got[-2], want[-2]
+    assert (code, lines[0]) == (want_code, want_lines[0]) == (0, "param,rho,iterations,converged")
+    assert len(lines) == len(want_lines) == 3
+    for line, want_line in zip(csv.reader(lines[1:]), csv.reader(want_lines[1:])):
+        assert (line[0], line[2], line[3]) == (want_line[0], want_line[2], want_line[3])
+        assert float(line[1]) == pytest.approx(float(want_line[1]), abs=1e-14)
     (code, report), (want_code, want_report) = got[-1], want[-1]
     assert code == want_code and len(report) == 6
     for (kind, ok, constants), (want_kind, want_ok, want_constants) in zip(report, want_report):

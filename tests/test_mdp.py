@@ -236,6 +236,30 @@ def test_factored_product_matches_the_dense_rows(monkeypatch, widths, k):
         np.testing.assert_allclose(store.product(W), want, rtol=0, atol=1e-15 * np.abs(W).max())
 
 
+@pytest.mark.parametrize("widths", [(5,), (4, 7), (3, 5, 2)])
+def test_row_dots_match_the_dots_of_the_rows_taken(widths):
+    # dots(idx, G)[i] = sum_y Q[idx_i, y] G[i, y], G a block or one shared
+    # row: the dense store's is the einsum over the rows it takes, bit for
+    # bit, and the factored store's contracts the per-axis rows instead,
+    # within sum(p_d) roundings a term
+    rng = np.random.default_rng(40 + len(widths))
+    factored = kron_store(rng, 2, widths)
+    dense = DenseRows(kron_rows(factored))
+    n = factored.shape[1]
+    bound = sum(widths) * np.finfo(float).eps
+    for idx in (slice(None), slice(3, 2 * n + 9), slice(4, 4), np.array([7, 2, 7, 0]), np.array([], dtype=np.intp)):
+        count = len(dense.take(idx))
+        for G in (rng.normal(0.0, 5.0, size=(count, n)), rng.normal(0.0, 5.0, size=(1, n))):
+            for store in (dense, factored):
+                Q = store.take(idx)
+                got, want = store.dots(idx, G), np.einsum("ij,ij->i", Q, np.broadcast_to(G, Q.shape))
+                assert got.shape == (count,)
+                if store is dense:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= bound * (np.abs(Q) * np.abs(G)).sum(axis=1))
+
+
 def test_a_store_of_the_wrong_shape_is_rejected():
     with pytest.raises(ValueError, match=r"stacked transition shape \(12, 6\), want \(6, 6\)"):
         factored_chain(kron_store(np.random.default_rng(0), 2, (2, 3)), n_actions=1)

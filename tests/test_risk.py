@@ -712,7 +712,7 @@ INF, NAN = np.inf, np.nan
     ([-INF, 0.0, INF], [NAN] * 4),
 ])
 @pytest.mark.parametrize("utility", [KINKED, PiecewiseLinearUtility([-1.0, 0.0, 1.0], [0.5, 1.0, 1.5, 3.0])])
-def test_shortfall_non_finite_values_give_the_mean(v, want, utility):
+def test_shortfall_rejects_non_finite_values(v, want, utility):
     # the mean of such a v is +-inf where an infinite outcome is charged and
     # NaN for 0 inf or inf - inf, so E[u(v - m)] = 0 has no finite root: the
     # shortfall rejects v, naming its first non-finite entry

@@ -484,6 +484,21 @@ def test_rvi_skipping_rows_gives_the_full_sweeps_result(monkeypatch, spec):
         assert np.array_equal(res.h, full.h)
 
 
+@pytest.mark.parametrize("spec", SKIP_SPECS[1:3], ids=lambda s: f"{s.lam}-{s.r}")
+def test_rvi_skipping_factored_rows_gives_the_full_sweeps_result(monkeypatch, grid11, spec):
+    # a row's dots contract its own per-axis rows whatever rows share its
+    # block, so skipping keeps every bit on factored rows too
+    assert grid11.rows.layout == "factored"
+    cfg = SolveConfig(tol=1e-11)
+    res = relative_value_iteration(grid11, spec, cfg)
+    full = full_sweeps(monkeypatch, grid11, spec, cfg)
+    assert res.converged and res.iterations == full.iterations
+    assert min(t.rows_evaluated for t in res.trace) < len(grid11.stacked_cost)
+    assert (res.rho, res.rho_lower, res.rho_upper) == (full.rho, full.rho_lower, full.rho_upper)
+    assert np.array_equal(res.h, full.h)
+    assert np.array_equal(res.policy.deterministic, full.policy.deterministic)
+
+
 def test_a_linear_utility_shortfall_evaluates_every_row():
     # it is one matrix product, like neutral, so a gather would only cost
     m = builtin_chain("random_seeded", n=20, m=3, seed=0)
