@@ -147,7 +147,7 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
                         extent=_as_tuple_or_scalar(gcfg.get("extent", 5.0)))
         spec = DiffusionSpec(
             dim=_whole(dcfg, "dim"),
-            A=np.asarray(dcfg["A"], dtype=float),
+            A=_numbers(dcfg["A"], "A"),
             actions=list(dcfg["actions"]),
             drift=_arrays(dcfg, "drift"),
             diffusion=_arrays(dcfg, "diffusion"),
@@ -173,8 +173,22 @@ def _as_tuple_or_scalar(v):
     return tuple(v) if isinstance(v, list) else v
 
 
+def _numbers(val, key: str) -> np.ndarray:
+    """A config number, or nested lists of them, as a float array: every
+    entry read by ``_real``, so a "0.5" or a true is a ``ValueError`` naming
+    it as key[i][j]."""
+    def check(x, name):
+        if isinstance(x, list):
+            for i, y in enumerate(x):
+                check(y, f"{name}[{i}]")
+        else:
+            _real(x, name)
+    check(val, key)
+    return np.asarray(val, dtype=float)
+
+
 def _arrays(cfg: dict, key: str, default=None) -> dict[str, np.ndarray]:
-    return {k: np.asarray(v, dtype=float) for k, v in _table(cfg, key, default).items()}
+    return {k: _numbers(v, f"{key}.{k}") for k, v in _table(cfg, key, default).items()}
 
 
 def _cost_form(ccfg: dict, mcp: FiniteMCP, meta: dict):
@@ -184,15 +198,15 @@ def _cost_form(ccfg: dict, mcp: FiniteMCP, meta: dict):
     if form == "quadratic":
         return QuadraticCost(c0=_real(ccfg["c0"], "c0"), action_terms=ccfg.get("action_terms"))
     if form == "power":
-        w1 = _resolve_weight(ccfg["w1"], mcp, meta)
+        w1 = _resolve_weight(ccfg["w1"], mcp, meta, "w1")
         return PowerCost(c0=_real(ccfg["c0"], "c0"), q=_real(ccfg["q"], "q"), w1=w1)
     raise ConfigError(f"unknown cost form {form!r}")
 
 
-def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
-    """Weight vectors in configs: explicit list, named builders, or powers."""
+def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict, key: str) -> np.ndarray:
+    """Weight vectors in configs, under ``key``: explicit list, named builders, or powers."""
     if isinstance(wcfg, list):
-        w = np.asarray(wcfg, dtype=float)
+        w = _numbers(wcfg, key)
         if w.shape != (mcp.n_states,):
             raise ConfigError("weight vector length != n_states")
         return w
@@ -225,7 +239,7 @@ def _state_set(scfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
         states = np.flatnonzero(np.all(np.abs(mcp.state_coords) <= lim + 1e-12, axis=1))
     elif isinstance(scfg, dict) and "level" in scfg:
         sub = _table(scfg, "level")
-        states = level_set(_resolve_weight(sub["w0"], mcp, meta), _real(sub["radius"], "radius"))
+        states = level_set(_resolve_weight(sub["w0"], mcp, meta, "w0"), _real(sub["radius"], "radius"))
     elif isinstance(scfg, list) and all(type(x) is int for x in scfg):
         if not all(0 <= x < n for x in scfg) or len(set(scfg)) < len(scfg):
             raise ConfigError(f"state list {scfg} needs distinct indices in [0, {n})")
@@ -298,7 +312,7 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
 
 
 def _lyapunov(entry, mcp, spec, meta, seed):
-    w0 = _resolve_weight(entry["w0"], mcp, meta)
+    w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
     target = mcp if entry.get("include_cost", True) else mcp.with_cost(np.zeros_like(mcp.stacked_cost))
     cert = fit_lyapunov(target, spec, w0, gamma_grid=entry.get("gamma_grid"),
                         states=_state_set(entry.get("states", "all"), mcp, meta))
@@ -318,8 +332,8 @@ def _local_doeblin(entry, mcp, spec, meta, seed):
 
 
 def _l2(entry, mcp, spec, meta, seed):
-    w0 = _resolve_weight(entry["w0"], mcp, meta)
-    if "K0" in entry and not isinstance(entry["K0"], str):
+    w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
+    if "K0" in entry:
         K0, gamma0 = _real(entry["K0"], "K0"), _real(entry["gamma0"], "gamma0")
         if not 0 < gamma0 < 1:
             raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
@@ -354,7 +368,7 @@ def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
 
 
 def _contraction(entry, mcp, spec, meta, seed):
-    w0 = _resolve_weight(entry["w0"], mcp, meta)
+    w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
     params = {k: _real(entry[k], k) for k in ("gamma", "K_bar", "alpha", "R")}
     if entry.get("alpha0") is not None:
         params["alpha0"] = _real(entry["alpha0"], "alpha0")
@@ -382,7 +396,8 @@ def _contraction(entry, mcp, spec, meta, seed):
 
 def _envelope_minorization(entry, mcp, spec, meta, seed):
     sub = _state_set(entry["subset"], mcp, meta)
-    cert = entropic_envelope_minorization(mcp, sub, _real(entry["K"], "K"), _resolve_weight(entry["w"], mcp, meta))
+    K, w = _real(entry["K"], "K"), _resolve_weight(entry["w"], mcp, meta, "w")
+    cert = entropic_envelope_minorization(mcp, sub, K, w)
     return cert.satisfied, {"alpha": cert.alpha}, None
 
 

@@ -6,11 +6,12 @@ for each pair, stored once, stacked, with per-state views (see
 :class:`FiniteMCP`).  The rows sit in one row store: a dense ``(rows, n)``
 array (:class:`DenseRows`) or, for rows whose every action's block is a
 Kronecker product of per-axis matrices, those factors
-(:class:`FactoredRows`).  A store is read through three methods only:
+(:class:`FactoredRows`).  A store is read through four methods only:
 ``product``, a stack of vectors against every row; ``dots``, one vector
-per row against a set of rows; and ``take``, the rows themselves.  No
-store keeps a second, dense copy of factored rows, and only ``take``
-writes a row.  Value functions are plain 1-d numpy arrays indexed by state.
+per row against a set of rows; ``entries``, the masses of a set of rows
+at given states; and ``take``, the rows themselves.  No store keeps a
+second, dense copy of factored rows, and only ``take`` writes a row.
+Value functions are plain 1-d numpy arrays indexed by state.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _indices(idx, count: int) -> np.ndarray:
+    """The row indices that ``idx``, a slice or an index array, selects from ``count`` rows."""
+    return np.arange(*idx.indices(count)) if isinstance(idx, slice) else np.arange(count)[idx]
+
+
 def _stacked(data, counts: np.ndarray, tail: tuple[int, ...], name: str) -> np.ndarray:
     """One read-only ``(sum(counts), *tail)`` array from per-state blocks.
 
@@ -121,16 +127,18 @@ def outer_rows(factors: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 class DenseRows:
     """Transition rows stored as one read-only ``(rows, n)`` array, ``dense``.
 
-    A row store has a ``shape`` ``(rows, n)``, a ``layout`` name and three
+    A row store has a ``shape`` ``(rows, n)``, a ``layout`` name and four
     readers: ``product(W)``, the ``(S, rows)`` table ``W @ Q.T`` of an
     ``(S, n)`` stack of vectors against the rows Q; ``dots(idx, G)``, the
     row dots ``sum_y Q[idx_i, y] G[i, y]`` of the rows ``idx`` with a
     ``(len(idx), n)`` block G, or a ``(1, n)`` row that they all share;
-    and ``take(idx, out)``, the dense rows
+    ``entries(idx, cols)``, the masses ``Q[idx_i, cols[..., i]]`` of the
+    rows ``idx`` at the states of an integer array whose last axis runs
+    over them; and ``take(idx, out)``, the dense rows
     ``idx``.  ``idx`` is a slice or an index array, whose indices are the
     caller's to check.  Here a slice is a read-only view and an index array
     is gathered, into ``out`` when given; ``dots`` is one ``einsum`` over
-    the rows it takes.
+    the rows it takes, and ``entries`` one gather from the array.
     """
 
     layout = "dense"
@@ -147,6 +155,9 @@ class DenseRows:
 
     def dots(self, idx, G: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", self.dense[idx], G)
+
+    def entries(self, idx, cols: np.ndarray) -> np.ndarray:
+        return self.dense.take(cols + self.shape[1] * _indices(idx, len(self)))
 
     def take(self, idx, out: np.ndarray | None = None) -> np.ndarray:
         if out is None or isinstance(idx, slice):
@@ -171,10 +182,10 @@ class FactoredRows:
     ``product`` contracts a stack of vectors with each action's factors,
     one matrix product per axis, and never forms a whole row: n sum(p_d)
     multiply-adds per vector and action in place of n^2.  ``dots``
-    contracts each row's own vector with its per-axis rows, and forms no
-    row either.  ``take`` writes the rows asked for, into ``out`` when
-    given, and keeps none of them.  The interface is that of
-    :class:`DenseRows`.
+    contracts each row's own vector with its per-axis rows, and ``entries``
+    multiplies one factor entry per axis, so neither forms a row.  ``take``
+    writes the rows asked for, into ``out`` when given, and keeps none of
+    them.  The interface is that of :class:`DenseRows`.
     """
 
     layout = "factored"
@@ -194,8 +205,7 @@ class FactoredRows:
     def coords(self, idx=slice(None)) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The rows ``idx`` (a slice or indices) as their actions and their
         states' node index per axis."""
-        r = np.arange(*idx.indices(len(self))) if isinstance(idx, slice) else np.arange(len(self))[idx]
-        x, a = np.divmod(r, len(self.factors[0]))
+        x, a = np.divmod(_indices(idx, len(self)), len(self.factors[0]))
         return a, np.unravel_index(x, self.widths)
 
     def take(self, idx, out: np.ndarray | None = None) -> np.ndarray:
@@ -203,6 +213,16 @@ class FactoredRows:
         a, nodes = self.coords(idx)
         out = np.empty((len(a), self.shape[1])) if out is None else out
         return outer_rows([f[a, i] for f, i in zip(self.factors, nodes)], out)
+
+    def entries(self, idx, cols: np.ndarray) -> np.ndarray:
+        """Entry (.., i) the product of row i's per-axis entries at the
+        nodes of state ``cols[.., i]``, multiplied first axis first."""
+        a, nodes = self.coords(idx)
+        out = None
+        for f, i, j in zip(self.factors, nodes, np.unravel_index(cols, self.widths)):
+            e = f[a, i, j]
+            out = e if out is None else np.multiply(out, e, out=out)
+        return out
 
     def dots(self, idx, G: np.ndarray) -> np.ndarray:
         """Row i's dot with G[i] (G broadcast to one row each), its factor
@@ -262,10 +282,11 @@ class FiniteMCP:
     one row store, ``rows``: dense (:class:`DenseRows`) or, for a grid
     diffusion in dim >= 2 whose rows are Kronecker products of per-axis
     rows, those factors (:class:`FactoredRows`).  Every risk kernel and
-    certificate reaches the rows through the store's ``product``, ``dots``
-    and ``take``: the neutral and entropic products and mean-semideviation's
-    row dots contract the factors and never form a whole row, and the other
-    readers take bounded blocks of rows or a subset's rows.
+    certificate reaches the rows through the store's ``product``, ``dots``,
+    ``entries`` and ``take``: the neutral and entropic products,
+    mean-semideviation's row dots and the band's and the shortfall's
+    checkpoint products and chunk masses never form a whole row, and the
+    other readers take bounded blocks of rows or a subset's rows.
     ``stacked_transition``, the read-only dense ``(rows, n)`` array, is an
     export for ``to_dict`` and randomized policies' kernels, written once
     on first access for a factored store;

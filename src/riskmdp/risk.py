@@ -30,7 +30,8 @@ copy of all kept rows up front cost as much as the skipped rows saved.
 Values must be finite:
 ``risk_table`` rejects a NaN or infinite entry before any kernel runs.  The
 rows are an (m, n) array or a row store of ``mdp`` (a model's ``rows``),
-read through its three readers ``product``, ``dots`` and ``take`` only.
+read through its four readers ``product``, ``dots``, ``entries`` and
+``take`` only.
 No kind makes a full (rows, n) temporary per value vector: the mean
 (``RiskMapSpec.is_mean``) is one product of the store over every row, and
 ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which falls
@@ -40,17 +41,19 @@ Mean-semideviation takes its mean and excess moment with ``dots``, one
 block of rows at a time, at v 2^-e (e the exponent of max |v|) and scaled
 back where the r-th powers would leave the float range.  For rows stored
 as per-axis factors the product and the row dots contract the factors and
-form no row; the band, the shortfall and the logsumexp fallback write each
-row block from the factors as they read it.  The band and the shortfall
+``entries`` multiplies per-axis entries, so only the logsumexp fallback
+writes row blocks from the factors.  The band and the shortfall
 sort each v once and share one checkpoint kernel, for a block of value
 vectors at once: both are expectations of a piecewise-linear
 function of v - t with kinks at the n K points v_y - b_k (the band: K = 1,
 b = 0).  Sorted from the top and cut into about sqrt(n K) chunks (at most
 sqrt(2 m) for m rows), the kinks of each v make a checkpoint matrix of
-2 nb + 1 rows of n, one matrix product per row block; a count over the
-chunk starts picks each row's chunk and running sums there find v* or
-the exact root.  A spread of kinks past the float range is evaluated at
-v / 2 and b / 2 and doubled.  The axiom checks evaluate tables too.
+2 nb + 1 rows of n: one matrix product per dense row block, or one
+``product`` of factored rows over every row, whose columns the row blocks
+read.  A count over the chunk starts picks each row's chunk, ``entries``
+reads its masses, and running sums there find v* or the exact root.  A
+spread of kinks past the float range is evaluated at v / 2 and b / 2 and
+doubled.  The axiom checks evaluate tables too.
 """
 
 from __future__ import annotations
@@ -277,7 +280,8 @@ def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, lam: float) -
     far = -np.inf if lam > 0 else np.inf
     for k in np.flatnonzero(~ok.all(axis=1)):
         low = np.flatnonzero(~ok[k])
-        for sl, Q in _blocks(rows, low, rows.shape[1]):
+        for sl, reader, idx in _reads(rows, low, rows.shape[1]):
+            Q = reader.take(idx)
             on = Q > 0
             t = (np.max if lam > 0 else np.min)(np.where(on, V[k], far), axis=1, keepdims=True)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off the support, masked
@@ -291,14 +295,16 @@ def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, lam: float) -
 def _reads(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int):
     """(output slice, store, rows) triples that sweep the store's rows, or
     its rows ``keep`` (checked indices), in blocks of ``row_blocks(..,
-    max(width, n))``.  A dense store's kept rows are gathered once per
-    block, into one buffer allocated per call, and read as a store of
-    their own at ``slice(None)``, so that two readers of a block gather it
-    once; all other rows are read where they are.  A block is valid until
-    the next is drawn."""
+    width)``, ``width`` the elements per row of the caller's own arrays; a
+    dense block, which reads whole rows, is at least n wide.  A dense
+    store's kept rows are gathered once per block, into one buffer
+    allocated per call, and read as a store of their own at
+    ``slice(None)``, so that two readers of a block gather it once; all
+    other rows are read where they are.  A block is valid until the next
+    is drawn."""
     count, n = len(store) if keep is None else len(keep), store.shape[1]
-    blocks = row_blocks(count, max(width, n))
     gather = keep is not None and store.layout == "dense"
+    blocks = row_blocks(count, max(width, n) if store.layout == "dense" else width)
     buffer = np.empty((min(count, blocks[0].stop), n)) if blocks and gather else None
     for sl in blocks:
         idx = sl if keep is None else keep[sl]
@@ -308,28 +314,17 @@ def _reads(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int)
             yield sl, store, idx
 
 
-def _blocks(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int):
-    """(output slice, row block) pairs over the blocks of ``_reads``, each
-    read with ``take``: a dense block as a view, a factored one written
-    into one buffer allocated per call."""
-    count, buffer = len(store) if keep is None else len(keep), None
-    for sl, reader, idx in _reads(store, keep, width):
-        if reader.layout == "dense":
-            yield sl, reader.take(idx)
-            continue
-        rows = len(range(count)[sl])
-        buffer = np.empty((rows, store.shape[1])) if buffer is None else buffer
-        yield sl, reader.take(idx, out=buffer[:rows])
-
-
-def _chunks(N: int, m: int, n: int) -> tuple[int, int]:
+def _chunks(N: int, m: int, n: int | None) -> tuple[int, int]:
     """(nb, w): nb chunks of w sorted positions that cover N, for m rows of
     n states.  About sqrt(N) chunks, but no more than sqrt(2 m): a chunk
     costs about n per vector to build and the refine m N / nb, which
     balance near nb = sqrt(c m) (c = 2 timed as fast as 4 on few rows and
-    leaves one row one chunk); and few enough that a checkpoint matrix of
-    about 2 nb rows of n stays within two blocks."""
-    nb = max(1, min(-(-N // max(8, math.isqrt(N))), math.isqrt(2 * m), BLOCK_ELEMENTS // n))
+    leaves one row one chunk).  On dense rows (``n`` given) also few enough
+    that a checkpoint matrix of about 2 nb rows of n stays within two
+    blocks, as each row block multiplies it; factored rows (``n`` None)
+    take its product once over every row, in about n sum(p_d) per
+    checkpoint, and the refine's arrays shrink as nb grows."""
+    nb = max(1, min(-(-N // max(8, math.isqrt(N))), math.isqrt(2 * m), BLOCK_ELEMENTS // (n or 1)))
     w = -(-N // nb)
     return -(-N // w), w
 
@@ -357,7 +352,10 @@ def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarr
     # is exact on the line past the last kink with g < 0 (or the start).
     m, n, K = len(rows) if keep is None else len(keep), rows.shape[1], len(b)
     N = n * K
-    nb, w = _chunks(N, m, n)
+    # factored rows take the product over every row, and so the chunks of
+    # every row: a kept row reads the same sums as in a full sweep
+    factored = rows.layout == "factored"
+    nb, w = _chunks(N, len(rows), None) if factored else _chunks(N, m, n)
     if band is not None:
         g1, g2 = band
         beta = (1.0 - g1) / (g2 - g1)
@@ -365,8 +363,9 @@ def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarr
     starts = np.arange(0, N, w)[:, None]
     out = np.empty((len(V), m))
     # The checkpoint matrices of a block of vectors take at most a quarter
-    # block; the product of a row block, and then its chunk gathers, about
-    # half of one.
+    # block; the product of a dense row block, and then its chunk gathers,
+    # about half of one.  On factored rows the product is taken once per
+    # block of vectors, and each row block reads its columns.
     for vb in row_blocks(len(V), 4 * (2 * nb + 1) * n):
         s = len(V[vb])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -408,18 +407,20 @@ def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarr
             wk = ds[order % K]  # the weight of the kink at each position
             wk[:, N:] = 0.0
             wk = by_position(wk)
-        for sl, Q in _blocks(rows, keep, s * (2 * nb + 1 + 2 * w)):
-            Y = (Q @ X.reshape(-1, n).T).reshape(len(Q), s, -1)
+        P = rows.product(X.reshape(-1, n)) if factored else None
+        for sl, reader, idx in _reads(rows, keep, s * (2 * nb + 1 + 2 * w)):
+            Y = reader.take(idx) @ X.reshape(-1, n).T if P is None else P[:, idx].T
+            Y = Y.reshape(len(Y), s, -1)
             if band is not None:
                 i = (Y[:, :, 1:nb] < beta).sum(axis=2)
             else:
                 i = (s0 * (Y[:, :, -1:] - t[:, 1:]) + Y[:, :, nb + 1:-1] < 0).sum(axis=2)
             # the refine runs on (position, vector, row) arrays, so that its
             # running sums and counts take whole rows of them
-            r = np.arange(len(Q))[:, None]
+            r = np.arange(len(Y))[:, None]
             c, M, E, mean = (x.T for x in (i + nb * k.T, Y[r, k.T, i], Y[r, k.T, i + nb], Y[:, :, -1].copy()))
             del Y
-            W = Q.take(y.take(c, axis=1) + n * np.arange(len(Q)))  # the chunk's masses
+            W = reader.entries(idx, y.take(c, axis=1))  # the chunk's masses
             A, tc = vs.take(c, axis=1), t.ravel()[c]
             if band is not None:
                 j = (np.cumsum(W, axis=0) < beta - M).sum(axis=0)
@@ -442,7 +443,7 @@ def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarr
                 out[vb, sl] = low[:, None] + (tc + (g - WD.sum(axis=0, where=on)) / (S + W.sum(axis=0, where=on)))
             del W, A  # before the next block's product
         out[vb][half] *= 2.0
-        del X  # before the next block's
+        del X, P  # before the next block's
     return out
 
 
@@ -489,7 +490,9 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
     the product underflows); the order-based kinds read the store's rows
     (the kept ones) in blocks of bounded size: mean-semideviation as row
     dots, the band and the shortfall sorting each v once, for a block of
-    value vectors at a time.
+    value vectors at a time.  Those two take each dense row block for a
+    matrix product; on factored rows they read ``product``, once over every
+    row, and ``entries``, and write no row.
     """
     V = np.asarray(V, dtype=float)
     rows = row_store(rows)

@@ -20,13 +20,17 @@ invariant, but mean-semideviation with lam < 0 and r > 1 is not monotone
 (``RiskMapSpec.monotone``), so its sweeps evaluate every row.  The minimum
 and the greedy policy are those of the full sweep while the kernels'
 rounding stays within the bounds' margin (see ``RowHistory._step``):
-bit for bit for mean-semideviation, and to rounding for the band and the
-shortfall, whose checkpoint products round a row by the rows that share
-them and whose chunk count follows the number of rows evaluated.  Only
+bit for bit for mean-semideviation.  For the band and the shortfall on
+dense rows it holds to rounding, since their checkpoint products round a
+row by the rows that share them and their chunk count follows the number
+of rows evaluated.  On factored rows a kept row reads its column of one
+product over every row, with the chunks of every row, and so its full
+sweep's bits, but in a row block of one row for one vector, whose sums
+over a chunk numpy takes pairwise.  Only
 the order-based kinds (density band, mean-semideviation, shortfall, but
 not where they are the mean: ``RiskMapSpec.is_mean``) skip rows, reading
 the kept ones from the row store one row block at a time (factored rows
-contracted by mean-semideviation, never written): a copy of all
+contracted or read entry by entry, never written): a copy of all
 kept rows up front cost about what the skipped rows saved, and the mean
 and entropic are one product over all rows (of the matrix, or of per-axis
 factors: see ``mdp.FactoredRows``), cheaper than any gather.
@@ -166,7 +170,15 @@ class RowHistory:
         n = 3 states; for fewer, ``WORST_PAIR_RTOL`` (above 4000 eps) holds
         it.  The shortfall's root, from the same sums over its kinks, can err
         by that much over the utility's smallest slope, so for it the minimum
-        is kept only to rounding.
+        is kept only to rounding.  On factored rows the two sum in another
+        order and the bound stands: the checkpoint product (mass, excess and
+        mean above each checkpoint) nests D sums of p_d terms with one
+        product by a factor entry at each level, sum_d p_d <= n roundings a
+        term as for the row dots, and a chunk mass from ``entries`` is a
+        product of D factor entries, D - 1 roundings of itself before the
+        chunk's own running sums.  No term carries more roundings than in
+        the dense sum of n terms, so each part stays within (n + 4) eps
+        times the spread.
         """
         d = v - self.last
         slack = self.rtol * (np.max(np.abs(self.last)) + np.max(np.abs(v)))

@@ -328,9 +328,10 @@ REAL_KEYS = ["values[1]", "gamma_tilde", "drift_bound", "ellipticity", "c0", "q"
              "radius", "K0", "gamma0", "K", "gamma", "K_bar", "alpha", "R", "alpha0"]
 
 
-# a string K names a rule and a string K0 asks for a fit, so only a bool is a bad number there
+# a string K names a rule, so only a bool is a bad number there; an absent
+# K0 asks for the drift fit, and any given one is read as a number
 @pytest.mark.parametrize("key, x", [(k, x) for x in (True, "0.5") for k in REAL_KEYS
-                                    if not (isinstance(x, str) and k in ("K", "K0"))])
+                                    if not (isinstance(x, str) and k == "K")])
 def test_real_settings_must_be_json_numbers(tmp_path, capsys, key, x):
     # float() takes true and "0.5"; a config's reals are JSON numbers only
     command, cfg = real_setting(key, x)
@@ -339,6 +340,29 @@ def test_real_settings_must_be_json_numbers(tmp_path, capsys, key, x):
     name = "gamma" if key == "entropic_gamma" else key
     assert f"{name!r} must be a real number, got {x!r}" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists() and not (out / "certificates.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg, name, x", [
+    # the diffusion's A and its drift, diffusion and drift_linear tables
+    ("solve", {"diffusion": {**DIFFUSION_1D, "A": [["0.5"]], "drift": {"left": [True], "right": ["0.5"]}}},
+     "A[0][0]", "0.5"),
+    ("solve", {"diffusion": {**DIFFUSION_1D, "drift": {"left": [True], "right": ["0.5"]}}}, "drift.left[0]", True),
+    ("solve", {"diffusion": {**DIFFUSION_1D, "diffusion": {"left": [[1.0]], "right": [[False]]}}},
+     "diffusion.right[0][0]", False),
+    ("solve", {"diffusion": {**DIFFUSION_1D, "drift_linear": {"left": [["0.1"]]}}}, "drift_linear.left[0][0]", "0.1"),
+    # list weights: a cost's w1 and a certificate's w0
+    ("solve", {"builtin": "biased2", "cost": {"form": "power", "c0": 0.1, "q": 0.5, "w1": [1.0, "2"]}}, "w1[1]", "2"),
+    ("verify", {"builtin": "biased2"}, "w0[1]", True),
+])
+def test_diffusion_tables_and_weight_lists_must_be_json_numbers(tmp_path, capsys, command, cfg, name, x):
+    # np.asarray(.., dtype=float) takes "0.5" and true; each entry is read
+    # as a JSON number and a bad one is named by its key and position
+    cfg = {"model": {"grid": {"points": 11}, **cfg}, "risk": {"kind": "neutral"}}
+    if command == "verify":
+        cfg["certificates"] = [{**L2, "w0": [0.0, True], "K0": 0.5, "gamma0": 0.5}]
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"{name!r} must be a real number, got {x!r}" in capsys.readouterr().err
 
 
 def test_a_utility_that_is_not_an_object_is_exit_2_naming_it(tmp_path, capsys):

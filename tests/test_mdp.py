@@ -260,6 +260,25 @@ def test_row_dots_match_the_dots_of_the_rows_taken(widths):
                     assert np.all(np.abs(got - want) <= bound * (np.abs(Q) * np.abs(G)).sum(axis=1))
 
 
+@pytest.mark.parametrize("widths", [(5,), (4, 7), (3, 5, 2)])
+def test_entries_are_the_masses_of_the_rows_taken(widths):
+    # entries(idx, cols)[.., i] = Q[idx_i, cols[.., i]]: gathered from the
+    # dense rows, and on factored rows the product of one entry per axis,
+    # first axis first, as take writes them: the same bits either way
+    rng = np.random.default_rng(50 + len(widths))
+    factored = kron_store(rng, 2, widths)
+    dense = DenseRows(kron_rows(factored))
+    n = factored.shape[1]
+    for idx in (slice(None), slice(3, 2 * n + 9), slice(4, 4), np.array([7, 2, 7, 0]), np.array([], dtype=np.intp)):
+        Q = dense.take(idx)
+        cols = rng.integers(0, n, size=(3, 2, len(Q)))
+        want = Q[np.arange(len(Q)), cols]
+        assert np.array_equal(dense.entries(idx, cols), want)
+        got = factored.entries(idx, cols)
+        assert got.shape == cols.shape and np.array_equal(got, want)
+        assert np.array_equal(got, factored.take(idx)[np.arange(len(Q)), cols])
+
+
 def test_a_store_of_the_wrong_shape_is_rejected():
     with pytest.raises(ValueError, match=r"stacked transition shape \(12, 6\), want \(6, 6\)"):
         factored_chain(kron_store(np.random.default_rng(0), 2, (2, 3)), n_actions=1)

@@ -19,7 +19,7 @@ from riskmdp.models import (
     gaussian_kernel_row,
     grid_nodes,
 )
-from riskmdp.risk import RiskMapSpec, risk_table
+from riskmdp.risk import PiecewiseLinearUtility, RiskMapSpec, risk_table
 
 
 def ou_spec(dim=1, a=0.5, drift=0.5, gamma_tilde=0.25):
@@ -437,6 +437,35 @@ def test_factored_neutral_and_entropic_tables_match_the_dense_rows(spec, grid):
             got = risk_table(risk, V, m.rows, k)
             np.testing.assert_allclose(got, risk_table(risk, V, rows, k), rtol=0, atol=1e-15 * scale)
             np.testing.assert_allclose(got, full if k is None else full[:, k], rtol=0, atol=1e-15 * scale)
+    assert "stacked_transition" not in vars(m)
+
+
+@pytest.mark.parametrize("spec, grid", FACTORED, ids=["2d", "3d"])
+def test_factored_band_and_shortfall_tables_match_the_dense_rows(spec, grid, monkeypatch):
+    # on factored rows the checkpoint product contracts the factors and the
+    # chunk masses are products of per-axis entries: no row is written.
+    # Each kernel is within 8 n eps max|v| of the exact band (the bound of
+    # RowHistory._step), and the shortfall's root within that over l / L;
+    # a kept row reads the bits of a full sweep
+    m = discretize_diffusion(spec, grid)
+    rows = m.rows.take(slice(None))
+    monkeypatch.setattr(mdp.FactoredRows, "take", None)
+    rng = np.random.default_rng(10 + spec.dim)
+    x = m.state_coords
+    V = np.stack([5.0 * x.sum(axis=1), 2.0 * np.sum(x**2, axis=1), rng.normal(0.0, 3.0, size=len(x)),
+                  np.round(rng.normal(0.0, 2.0, size=len(x)))])  # ties
+    keep = np.sort(rng.choice(len(rows), size=len(rows) // 3, replace=False))
+    bound = 16 * rows.shape[1] * np.finfo(float).eps * np.abs(V).max()
+    s_shaped = PiecewiseLinearUtility((-1.0, 1.0), (0.5, 2.0, 0.8))
+    for risk in (RiskMapSpec("density_band", band=(0.5, 1.5)), RiskMapSpec("density_band", band=(0.0, 4.0)),
+                 RiskMapSpec("shortfall", utility=PiecewiseLinearUtility((0.0,), (0.5, 2.0))),
+                 RiskMapSpec("shortfall", utility=s_shaped)):
+        ratio = 1.0 if risk.kind == "density_band" else risk.utility.L / risk.utility.l
+        full = risk_table(risk, V, m.rows)
+        for k in (None, keep):
+            got = risk_table(risk, V, m.rows, k)
+            np.testing.assert_allclose(got, risk_table(risk, V, rows, k), rtol=0, atol=bound * ratio)
+            assert np.array_equal(got, full if k is None else full[:, k])
     assert "stacked_transition" not in vars(m)
 
 

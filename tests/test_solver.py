@@ -484,10 +484,12 @@ def test_rvi_skipping_rows_gives_the_full_sweeps_result(monkeypatch, spec):
         assert np.array_equal(res.h, full.h)
 
 
-@pytest.mark.parametrize("spec", SKIP_SPECS[1:3], ids=lambda s: f"{s.lam}-{s.r}")
+@pytest.mark.parametrize("spec", SKIP_SPECS[:4], ids=lambda s: f"{s.lam}-{s.r}" if s.lam else s.kind)
 def test_rvi_skipping_factored_rows_gives_the_full_sweeps_result(monkeypatch, grid11, spec):
     # a row's dots contract its own per-axis rows whatever rows share its
-    # block, so skipping keeps every bit on factored rows too
+    # block, and the band and the shortfall read a kept row's column of a
+    # product over every row, with the chunks of every row: skipping keeps
+    # every bit on factored rows
     assert grid11.rows.layout == "factored"
     cfg = SolveConfig(tol=1e-11)
     res = relative_value_iteration(grid11, spec, cfg)
@@ -790,7 +792,7 @@ def test_neutral_and_entropic_on_factored_rows_never_build_the_dense_rows(spec):
 
 def test_a_factored_band_solve_holds_no_dense_stack():
     # on an 11^3 grid the dense stack alone would take 28 MB; the band reads
-    # its rows in blocks of about 1 MB written from the per-axis factors
+    # its checkpoint product, 75 values a row, and products of per-axis entries
     eye = np.eye(3)
     spec = DiffusionSpec(dim=3, A=0.5 * eye, actions=["left", "right"],
                          drift={"left": [-0.5, 0.0, 0.0], "right": [0.5, 0.2, 0.0]},
