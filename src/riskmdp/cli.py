@@ -88,9 +88,14 @@ def _table(cfg: dict, key: str, default=None) -> dict:
 
 
 def _whole(cfg: dict, key: str, default: int | None = None) -> int:
-    """The integer under ``key``: a JSON number with no fractional part, so
-    2000 and 2000.0 pass and 2.5, "10" and true are a ``ConfigError``."""
-    val = cfg[key] if default is None else cfg.get(key, default)
+    """The integer under ``key``, read by ``_integer``; ``default`` when given and the key is absent."""
+    return _integer(cfg[key] if default is None else cfg.get(key, default), key)
+
+
+def _integer(val, key: str) -> int:
+    """The value ``val`` of config key ``key`` as an integer: a JSON number
+    with no fractional part, so 2000 and 2000.0 pass and 2.5, "10" and true
+    are a ``ConfigError``."""
     if isinstance(val, bool) or not isinstance(val, (int, float)) or not float(val).is_integer():
         raise ConfigError(f"{key!r} must be a whole number, got {val!r}")
     return int(val)
@@ -143,12 +148,12 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
     elif "diffusion" in mcfg:
         dcfg = _table(mcfg, "diffusion")
         gcfg = _table(mcfg, "grid", {})
-        grid = GridSpec(points=_as_tuple_or_scalar(gcfg.get("points", 201)),
-                        extent=_as_tuple_or_scalar(gcfg.get("extent", 5.0)))
+        grid = GridSpec(points=_per_axis(gcfg, "points", 201, _integer),
+                        extent=_per_axis(gcfg, "extent", 5.0, _real))
         spec = DiffusionSpec(
             dim=_whole(dcfg, "dim"),
             A=_numbers(dcfg["A"], "A"),
-            actions=list(dcfg["actions"]),
+            actions=_strings(dcfg["actions"], "actions"),
             drift=_arrays(dcfg, "drift"),
             diffusion=_arrays(dcfg, "diffusion"),
             gamma_tilde=_real(dcfg["gamma_tilde"], "gamma_tilde"),
@@ -169,8 +174,20 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
     return mcp, meta
 
 
-def _as_tuple_or_scalar(v):
-    return tuple(v) if isinstance(v, list) else v
+def _strings(val, key: str) -> list[str]:
+    """A config list of strings: "lr" is not the list ["l", "r"]."""
+    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
+        raise ConfigError(f"{key!r} must be a list of strings, got {val!r}")
+    return val
+
+
+def _per_axis(gcfg: dict, key: str, default, read):
+    """Grid setting ``key``: one value for every axis or a list of one per
+    axis, each read by ``read(val, name)`` and named grid.key or grid.key[i]."""
+    val = gcfg.get(key, default)
+    if isinstance(val, list):
+        return tuple(read(x, f"grid.{key}[{i}]") for i, x in enumerate(val))
+    return read(val, f"grid.{key}")
 
 
 def _numbers(val, key: str) -> np.ndarray:

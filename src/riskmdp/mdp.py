@@ -138,7 +138,8 @@ class DenseRows:
     ``idx``.  ``idx`` is a slice or an index array, whose indices are the
     caller's to check.  Here a slice is a read-only view and an index array
     is gathered, into ``out`` when given; ``dots`` is one ``einsum`` over
-    the rows it takes, and ``entries`` one gather from the array.
+    the rows it takes, a row's bits the same whichever rows share the call,
+    and ``entries`` one gather from the array.
     """
 
     layout = "dense"
@@ -182,8 +183,9 @@ class FactoredRows:
     ``product`` contracts a stack of vectors with each action's factors,
     one matrix product per axis, and never forms a whole row: n sum(p_d)
     multiply-adds per vector and action in place of n^2.  ``dots``
-    contracts each row's own vector with its per-axis rows, and ``entries``
-    multiplies one factor entry per axis, so neither forms a row.  ``take``
+    contracts each row's own vector with its per-axis rows, or reads a row
+    they share from ``product``, and ``entries`` multiplies one factor
+    entry per axis, so neither forms a row.  ``take``
     writes the rows asked for, into ``out`` when given, and keeps none of
     them.  The interface is that of :class:`DenseRows`.
     """
@@ -225,13 +227,16 @@ class FactoredRows:
         return out
 
     def dots(self, idx, G: np.ndarray) -> np.ndarray:
-        """Row i's dot with G[i] (G broadcast to one row each), its factor
-        rows contracted into G[i] last axis first, one batched matrix
-        product per axis: about n multiply-adds per row, nested sums of p_d
-        terms."""
+        """Row i's dot with G[i], its factor rows contracted into G[i] last
+        axis first, one batched matrix product per axis: about n
+        multiply-adds per row, nested sums of p_d terms.  A ``(1, n)`` row
+        that the rows share is ``product(G)[0, idx]`` instead, about n
+        sum(p_d) multiply-adds per action (for one row, a block of one)."""
+        if len(G) != len(_indices(idx, len(self))):
+            return self.product(G)[0, idx]
         a, nodes = self.coords(idx)
         width = self.shape[1]
-        T = np.broadcast_to(G, (len(a), width))
+        T = G
         for f, i in zip(self.factors[::-1], nodes[::-1]):
             width //= f.shape[1]
             T = np.matmul(T.reshape(len(a), width, f.shape[1]), f[a, i][:, :, None])

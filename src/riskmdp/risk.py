@@ -37,9 +37,10 @@ No kind makes a full (rows, n) temporary per value vector: the mean
 ``entropic`` a shifted one, s + log(Q exp(lam (v - s))) / lam, which falls
 back to a row-wise logsumexp on row blocks where the product underflows.
 The order-based kinds sweep the rows in blocks of ``mdp.BLOCK_ELEMENTS``.
-Mean-semideviation takes its mean and excess moment with ``dots``, one
-block of rows at a time, at v 2^-e (e the exponent of max |v|) and scaled
-back where the r-th powers would leave the float range.  For rows stored
+Mean-semideviation takes its means with ``dots`` once per value vector,
+over every row, and its excess moment with ``dots`` one block of rows at a
+time, at v 2^-e (e the exponent of max |v|) and scaled back where the
+r-th powers would leave the float range.  For rows stored
 as per-axis factors the product and the row dots contract the factors and
 ``entries`` multiplies per-axis entries, so only the logsumexp fallback
 writes row blocks from the factors.  The band and the shortfall
@@ -448,12 +449,17 @@ def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarr
 
 
 def _semideviation(v: np.ndarray, rows: DenseRows | FactoredRows, spec: RiskMapSpec, keep) -> np.ndarray:
+    means = rows.dots(slice(None), v[None])  # once over every row: a kept row reads a full sweep's bits
     out = np.empty(len(rows) if keep is None else len(keep))
     blocks = row_blocks(len(out), len(v))
     block = np.empty((min(len(out), blocks[0].stop) if blocks else 0, len(v)))  # each row block's excess in turn
+    ab, vb = np.ones((len(block), 2)), np.stack((v, np.ones_like(v)))
     for sl, store, idx in _reads(rows, keep, rows.shape[1]):
-        mean = store.dots(idx, v[None])
-        excess = np.subtract(v, mean[:, None], out=block[: len(mean)])
+        mean = means[sl] if keep is None else means[keep[sl]]
+        # v - mean as the product [1, -mean] [v; 1]: both terms are exact, so
+        # each entry is fl(v_y - m_i) in any order, as np.subtract rounds it
+        ab[: len(mean), 1] = -mean
+        excess = np.matmul(ab[: len(mean)], vb, out=block[: len(mean)])
         np.maximum(excess, 0.0, out=excess)
         excess **= spec.r
         out[sl] = mean + spec.lam * store.dots(idx, excess) ** (1.0 / spec.r)
@@ -489,10 +495,11 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
     with one shift per sample, falling back to a row-wise logsumexp where
     the product underflows); the order-based kinds read the store's rows
     (the kept ones) in blocks of bounded size: mean-semideviation as row
-    dots, the band and the shortfall sorting each v once, for a block of
-    value vectors at a time.  Those two take each dense row block for a
-    matrix product; on factored rows they read ``product``, once over every
-    row, and ``entries``, and write no row.
+    dots, its means once per vector over every row, the band and the
+    shortfall sorting each v once, for a block of value vectors at a
+    time.  Those two take each dense row block for a matrix product; on
+    factored rows they read ``product``, once over every row, and
+    ``entries``, and write no row.
     """
     V = np.asarray(V, dtype=float)
     rows = row_store(rows)

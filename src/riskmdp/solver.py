@@ -156,7 +156,9 @@ class RowHistory:
         excess moves no more than the excess does.  A dense row dot sums n
         terms, N = n.  A factored one nests D sums of p_d terms, one product
         by a factor entry at each level, so each term carries
-        N = sum_d p_d roundings in any order of summation: at most n, as a
+        N = sum_d p_d roundings in any order of summation, the mean's
+        column of ``product`` (first axis first) as the excess's row dots
+        (last axis first): at most n, as a
         grid axis has at least 3 nodes (and at most n + D - 1 for axes of
         one node, which ``WORST_PAIR_RTOL`` holds).  The band and the
         shortfall share one checkpoint kernel.  The band is v_min + g1 E[a] +

@@ -13,6 +13,7 @@ import riskmdp
 from riskmdp import mdp
 from riskmdp.cli import main
 from riskmdp.models import builtin_chain
+from riskmdp.risk import RiskMapSpec, risk_values
 from riskmdp.solver import ContractionStats
 
 
@@ -363,6 +364,31 @@ def test_diffusion_tables_and_weight_lists_must_be_json_numbers(tmp_path, capsys
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert f"{name!r} must be a real number, got {x!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, actions, words", [
+    ({"points": 11, "extent": True}, None, "'grid.extent' must be a real number, got True"),
+    ({"points": 11.5}, None, "'grid.points' must be a whole number, got 11.5"),
+    ({"points": "11"}, None, "'grid.points' must be a whole number, got '11'"),
+    ({"points": [11.5]}, None, "'grid.points[0]' must be a whole number, got 11.5"),
+    ({"points": 11, "extent": ["5"]}, None, "'grid.extent[0]' must be a real number, got '5'"),
+    ({"points": 11}, "lr", "'actions' must be a list of strings, got 'lr'"),
+])
+def test_grid_values_and_actions_must_be_json_values_of_their_type(tmp_path, capsys, grid, actions, words):
+    # GridSpec took a bool extent as 1, a string of actions as its letters
+    diffusion = DIFFUSION_1D if actions is None else {**DIFFUSION_1D, "actions": actions}
+    code, _ = run(tmp_path, "solve", {"model": {"diffusion": diffusion, "grid": grid}, "risk": {"kind": "neutral"}})
+    assert code == 2
+    assert words in capsys.readouterr().err
+
+
+def test_whole_grid_values_may_be_written_as_floats(tmp_path):
+    got = []
+    for grid in ({"points": 11, "extent": 5}, {"points": [11.0], "extent": [5.0]}):
+        code, out = run(tmp_path, "solve", {"model": {"diffusion": DIFFUSION_1D, "grid": grid},
+                                            "risk": {"kind": "neutral"}})
+        got.append((code, json.loads((out / "result.json").read_text())["rho"]))
+    assert got[0] == got[1] and got[0][0] == 0
 
 
 def test_a_utility_that_is_not_an_object_is_exit_2_naming_it(tmp_path, capsys):
@@ -835,15 +861,20 @@ def one_reader_outputs(tmp_path):
 def test_a_factored_grid_reads_its_rows_through_the_store_only(tmp_path, monkeypatch):
     # every kernel and certificate reads rows through the row store: with
     # the dense export disabled every command still runs, no call forms
-    # every row at once, a mean-semideviation solve forms no row at all,
-    # and the numbers are those of the dense twin
-    whole = []
-    take = mdp.FactoredRows.take
+    # every row at once, a mean-semideviation solve forms no row at all
+    # (one evaluation takes one product, for its means), and the numbers
+    # are those of the dense twin
+    whole, products = [], []
+    take, product = mdp.FactoredRows.take, mdp.FactoredRows.product
 
     def recording(self, idx, out=None):
         rows = take(self, idx, out)
         whole.append(len(rows) == len(self))
         return rows
+
+    def counting(self, W):
+        products.append(len(W))
+        return product(self, W)
 
     def refuse(self):
         raise AssertionError("the dense stack was formed")
@@ -856,6 +887,12 @@ def test_a_factored_grid_reads_its_rows_through_the_store_only(tmp_path, monkeyp
         whole.clear()
         code, _ = run(tmp_path, "solve", {"model": SWEEP_2D, "risk": {"kind": "mean_semideviation", "lambda": 0.5}})
         assert code == 0 and whole == []
+        rows = riskmdp.cli.build_model({"model": SWEEP_2D}, tmp_path)[0].rows
+        mp.setattr(mdp.FactoredRows, "product", counting)
+        v = np.linspace(-1.0, 1.0, rows.shape[1])
+        risk_values(RiskMapSpec("mean_semideviation", lam=0.5), v, rows)
+        risk_values(RiskMapSpec("mean_semideviation", lam=0.5), v, rows, keep=np.arange(0, len(rows), 3))
+        assert products == [1, 1] and whole == []
     build = riskmdp.cli.build_model
 
     def dense_twin(cfg, base):

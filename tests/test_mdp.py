@@ -240,14 +240,15 @@ def test_factored_product_matches_the_dense_rows(monkeypatch, widths, k):
 def test_row_dots_match_the_dots_of_the_rows_taken(widths):
     # dots(idx, G)[i] = sum_y Q[idx_i, y] G[i, y], G a block or one shared
     # row: the dense store's is the einsum over the rows it takes, bit for
-    # bit, and the factored store's contracts the per-axis rows instead,
-    # within sum(p_d) roundings a term
+    # bit, and the factored store's contracts the per-axis rows instead, or
+    # reads a shared row's product, within sum(p_d) roundings a term
     rng = np.random.default_rng(40 + len(widths))
     factored = kron_store(rng, 2, widths)
     dense = DenseRows(kron_rows(factored))
     n = factored.shape[1]
     bound = sum(widths) * np.finfo(float).eps
-    for idx in (slice(None), slice(3, 2 * n + 9), slice(4, 4), np.array([7, 2, 7, 0]), np.array([], dtype=np.intp)):
+    for idx in (slice(None), slice(3, 2 * n + 9), slice(4, 4), np.array([7, 2, 7, 0]), np.array([], dtype=np.intp),
+                np.array([5])):
         count = len(dense.take(idx))
         for G in (rng.normal(0.0, 5.0, size=(count, n)), rng.normal(0.0, 5.0, size=(1, n))):
             for store in (dense, factored):
@@ -257,6 +258,8 @@ def test_row_dots_match_the_dots_of_the_rows_taken(widths):
                 if store is dense:
                     assert np.array_equal(got, want)
                 else:
+                    if len(G) == 1 != count:  # a shared row; one row's own is a block of one
+                        assert np.array_equal(got, store.product(G)[0, idx])
                     assert np.all(np.abs(got - want) <= bound * (np.abs(Q) * np.abs(G)).sum(axis=1))
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from riskmdp.certificates import check_l2, entropic_envelope_minorization
-from riskmdp import risk
-from riskmdp.mdp import PolicyVector, row_blocks
+from riskmdp import mdp, risk
+from riskmdp.mdp import BLOCK_ELEMENTS, PolicyVector, row_blocks
 from riskmdp.models import builtin_chain
 from riskmdp.risk import (
     PiecewiseLinearUtility,
@@ -163,6 +163,45 @@ def test_kept_rows_equal_the_full_table_at_those_rows(spec):
     for bad in ([0, 1000], [-1], [[0, 1]], np.ones(1000, dtype=bool), [0.0, 1.0]):
         with pytest.raises(ValueError, match="keep must be a 1-d array of row indices below 1000"):
             risk_table(spec, V, rows, bad)
+
+
+def semideviation_reference(V, Q, lam, r):
+    """Mean-semideviation of each v in V against the rows Q: einsum means,
+    the excess by np.subtract, and risk_table's scaling by 2^-e."""
+    e = np.frexp(np.abs(V).max(axis=1))[1]
+    e[(r * (e + 1) < 1024) & (r * (e - 1) > -969)] = 0
+    out, excesses = [], []
+    for v in np.ldexp(V, -e[:, None]):
+        mean = np.einsum("ij,ij->i", Q, v[None])
+        excess = np.maximum(np.subtract(v, mean[:, None]), 0.0)
+        excesses.append(excess)
+        out.append(mean + lam * np.einsum("ij,ij->i", Q, excess ** r) ** (1.0 / r))
+    return np.ldexp(out, e[:, None]), np.array(excesses)
+
+
+@pytest.mark.parametrize("budget", [BLOCK_ELEMENTS, 7 * 60])  # one row block, or blocks of 7 rows
+@pytest.mark.parametrize("lam, r", [(0.5, 2.0), (-0.3, 1.0), (0.8, 1.5)])
+def test_semideviation_excess_is_the_exact_difference(monkeypatch, budget, lam, r):
+    # the kernel writes v - mean as a rank-2 matrix product; each entry is
+    # the one rounding of v_y - m_i, the bits of np.subtract, for random
+    # rows, point masses (v_y = m_i, an excess of +0.0), spreads near the
+    # square's overflow and below the normal range, and a kept subset
+    monkeypatch.setattr(mdp, "BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(24)
+    n = 60
+    rows = np.vstack([rng.dirichlet(np.ones(n), size=150), np.eye(n)[rng.permutation(n)[:20]]])
+    rows[::3, 0] = 0.0  # no mass where the tiny vector below has its 1
+    rows /= rows.sum(axis=1, keepdims=True)
+    tiny = np.concatenate([[1.0], rng.uniform(1e-310, 1e-305, size=n - 1)])
+    V = np.vstack([rng.normal(size=(2, n)) * 3, np.zeros(n), rng.integers(-3, 4, size=n),
+                   rng.normal(size=n) * 1e150, rng.normal(size=n) * 1e155, rng.normal(size=n) * 1e-301, tiny])
+    spec = RiskMapSpec("mean_semideviation", lam=lam, r=r)
+    want, excess = semideviation_reference(V, rows, lam, r)
+    assert np.any((excess > 0) & (excess < np.finfo(float).tiny))  # subnormal differences occur
+    assert np.any((excess == 0) & ~np.signbit(excess))
+    assert np.array_equal(risk_table(spec, V, rows), want)
+    keep = np.flatnonzero(rng.random(len(rows)) < 0.4)
+    assert np.array_equal(risk_table(spec, V, rows, keep), semideviation_reference(V, rows[keep], lam, r)[0])
 
 
 @pytest.mark.parametrize("lam, r, e", [(-0.6, 1.5, 0.01), (-1.0, 10.0, 1e-3), (-0.2, 1.2, 1e-6)])
