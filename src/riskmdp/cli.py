@@ -46,7 +46,7 @@ from .models import (
     diffusion_entropic_weight,
     discretize_diffusion,
 )
-from .risk import RiskMapSpec, _real
+from .risk import RiskMapSpec, _real, _reals
 from .solver import (
     SolveConfig,
     measure_contraction,
@@ -311,7 +311,7 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
     t3 = time.perf_counter_ns()
     result = {"rho": res.rho, "rho_lower": res.rho_lower, "rho_upper": res.rho_upper,
               "policy": res.policy.deterministic.tolist(), "iterations": res.iterations,
-              "converged": res.converged, "residual": residual,
+              "start_iterations": res.start_iterations, "converged": res.converged, "residual": residual,
               "row_layout": mcp.rows.layout,  # how the model stores its rows
               "timing_s": {"build": (t1 - t0) / 1e9, "rvi": (t2 - t1) / 1e9, "residual": (t3 - t2) / 1e9}}
     with open(out / "result.json", "w") as fh:
@@ -330,8 +330,11 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
 
 def _lyapunov(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
-    target = mcp if entry.get("include_cost", True) else mcp.with_cost(np.zeros_like(mcp.stacked_cost))
-    cert = fit_lyapunov(target, spec, w0, gamma_grid=entry.get("gamma_grid"),
+    include_cost, grid = entry.get("include_cost", True), entry.get("gamma_grid")
+    if not isinstance(include_cost, bool):
+        raise ConfigError(f"'include_cost' must be true or false, got {include_cost!r}")
+    target = mcp if include_cost else mcp.with_cost(np.zeros_like(mcp.stacked_cost))
+    cert = fit_lyapunov(target, spec, w0, gamma_grid=None if grid is None else _reals(grid, "gamma_grid"),
                         states=_state_set(entry.get("states", "all"), mcp, meta))
     witness = None if cert.worst_pair is None else {"x": cert.worst_pair[0], "a": cert.worst_pair[1]}
     return cert.satisfied, {"gamma0": cert.gamma0, "K0": cert.K0}, witness
@@ -401,8 +404,9 @@ def _contraction(entry, mcp, spec, meta, seed):
     if "measure" not in entry:
         return True, constants, None
     mcfg = _table(entry, "measure")
+    radius = mcfg.get("ball_radius")
     stats = measure_contraction(mcp, spec, cert.w_hat, n_trials=_whole(mcfg, "n_trials", 200),
-                                ball_radius=mcfg.get("ball_radius"), seed=seed)
+                                ball_radius=None if radius is None else _real(radius, "ball_radius"), seed=seed)
     constants["measured_max_ratio"] = stats.max_ratio
     constants["n_pairs"] = stats.n_pairs
     # a NaN ratio fails, and so does a measurement that found no pair to measure

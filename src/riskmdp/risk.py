@@ -222,6 +222,13 @@ class RiskMapSpec:
                 or (self.kind == "shortfall" and not self.utility.breakpoints))
 
     @property
+    def order_based(self) -> bool:
+        """Whether the map is an order-based kind (density band,
+        mean-semideviation, shortfall) other than the mean: its kernel costs
+        many products of the row store, where the mean and entropic are one."""
+        return not (self.is_mean or self.kind == "entropic")
+
+    @property
     def monotone(self) -> bool:
         """Whether R(.|q) is monotone for every row q.  All maps are but
         mean-semideviation with lam < 0 and r > 1: near a point mass, its
@@ -514,7 +521,7 @@ def risk_table(spec: RiskMapSpec, V, rows, keep=None) -> np.ndarray:
         keep = keep.astype(np.intp, copy=False) if integral else keep
         if not integral or keep.ndim != 1 or (keep.size and not 0 <= keep.min() <= keep.max() < m):
             raise ValueError(f"keep must be a 1-d array of row indices below {m}")
-    if spec.is_mean or spec.kind == "entropic":  # one product over every row costs less than a gather
+    if not spec.order_based:  # one product over every row costs less than a gather
         out = rows.product(V) if spec.is_mean else _entropic_table(V, rows, spec.lam)
         return out if keep is None else out[:, keep]
     if spec.kind == "shortfall":

@@ -56,6 +56,22 @@ def test_solve_writes_result_and_trace(tmp_path):
     assert all(row[8] == "2" for row in rows)  # a neutral sweep evaluates both rows
 
 
+def test_solve_reports_the_sweeps_of_the_neutral_start(tmp_path):
+    # an order-based solve starts from the neutral solve's bias: result.json
+    # counts that solve's sweeps apart, and trace.csv holds the risk sweeps only
+    model = {"builtin": "random_seeded", "params": {"n": 6, "m": 2, "seed": 3}}
+    got = {}
+    for risk in ({"kind": "neutral"}, {"kind": "entropic", "lambda": 0.5}, {"kind": "density_band", "band": [0.5, 1.5]},
+                 {"kind": "mean_semideviation", "lambda": 0.5}):
+        code, out = run(tmp_path, "solve", {"model": model, "risk": risk})
+        assert code == 0
+        got[risk["kind"]] = result = json.loads((out / "result.json").read_text())
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + result["iterations"]
+    assert got["neutral"]["start_iterations"] == got["entropic"]["start_iterations"] == 0
+    assert got["density_band"]["start_iterations"] == got["mean_semideviation"]["start_iterations"]
+    assert got["density_band"]["start_iterations"] == got["neutral"]["iterations"] > 0
+
+
 def test_solve_entropic_builtin_params(tmp_path):
     cfg = {
         "model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 3}},
@@ -191,6 +207,10 @@ DIFFUSION_1D = {
 }
 
 
+L2 = {"type": "l2", "w0": "zeros", "K": "coherent"}
+CONTRACTION = {"type": "contraction", "w0": "zeros", "gamma": 0.5, "K_bar": 1.0, "alpha": 0.5, "R": 5.0}
+
+
 @pytest.mark.parametrize(
     "command, cfg, words",
     [
@@ -273,6 +293,16 @@ DIFFUSION_1D = {
          "risk: 'band[1]' must be a real number, got '2'"),
         ("solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "density_band", "band": 2.0}},
          "risk: 'band' must be a list of 2 real numbers, got 2.0"),
+        # a truthy string is not true, and a bool is not a radius
+        ("verify", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 21}}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "lyapunov", "w0": "coords_sq", "include_cost": "false"}]},
+         "certificates[0] (lyapunov): 'include_cost' must be true or false, got 'false'"),
+        ("verify", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 21}}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "lyapunov", "w0": "coords_sq", "gamma_grid": ["0.5"]}]},
+         "certificates[0] (lyapunov): 'gamma_grid[0]' must be a real number, got '0.5'"),
+        ("verify", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 21}}, "risk": {"kind": "neutral"},
+                    "certificates": [{**CONTRACTION, "measure": {"n_trials": 20, "ball_radius": True}}]},
+         "certificates[0] (contraction): 'ball_radius' must be a real number, got True"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):
@@ -280,10 +310,6 @@ def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cf
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and words in err
-
-
-L2 = {"type": "l2", "w0": "zeros", "K": "coherent"}
-CONTRACTION = {"type": "contraction", "w0": "zeros", "gamma": 0.5, "K_bar": 1.0, "alpha": 0.5, "R": 5.0}
 
 
 @pytest.mark.parametrize("key, value", [("drift_bound", -1.0), ("drift_bound", float("nan")),

@@ -375,7 +375,9 @@ def grid11():
 
 @pytest.mark.parametrize("risk", BENCHMARK_KINDS, ids=[d["kind"] for d in BENCHMARK_KINDS])
 def test_rvi_takes_at_most_six_tenths_of_plain_sweeps(grid11, risk):
-    # measured 8/17, 8/17, 10/21, 9/21 and 12/22 sweeps in the order above
+    # measured 8/17, 8/17, 8/21, 8/21 and 10/22 sweeps in the order above; the
+    # last three start from the neutral bias, whose solve takes 8 more sweeps
+    # of the mean (10/21, 9/21 and 12/22 from 0)
     spec = RiskMapSpec.from_dict(risk)
     res = relative_value_iteration(grid11, spec, SolveConfig(tol=1e-10))
     lo, hi, sweeps = plain_rvi(grid11, spec, 1e-10)
@@ -442,13 +444,16 @@ SKIP_SPECS = [
 ]
 
 
-def spy_on_kept_rows(monkeypatch):
-    """Record the rows every risk_values call of the solver evaluates."""
+def spy_on_kept_rows(monkeypatch, spec):
+    """Record the rows every risk_values call of the solver for ``spec``
+    evaluates; calls for another map, such as those of an order-based
+    solve's neutral start, are not recorded."""
     calls = []
 
-    def spy(spec, v, rows, keep=None):
-        calls.append(np.arange(len(rows)) if keep is None else keep)
-        return risk_values(spec, v, rows, keep)
+    def spy(called, v, rows, keep=None):
+        if called == spec:
+            calls.append(np.arange(len(rows)) if keep is None else keep)
+        return risk_values(called, v, rows, keep)
 
     monkeypatch.setattr(solver, "risk_values", spy)
     return calls
@@ -525,8 +530,8 @@ def test_a_band_with_g1_equal_to_g2_is_the_mean_and_evaluates_every_row():
 def test_mirror_tied_rows_are_never_skipped(monkeypatch, grid11):
     # the grid is mirror-symmetric in x1 with left and right swapped, so the
     # two actions tie in exact arithmetic on the middle column
-    calls = spy_on_kept_rows(monkeypatch)
     spec = RiskMapSpec("density_band", band=(0.5, 1.5))
+    calls = spy_on_kept_rows(monkeypatch, spec)
     res = relative_value_iteration(grid11, spec, SolveConfig(tol=1e-10))
     middle = np.flatnonzero(grid11.state_coords[:, 0] == 0.0)
     tied = (grid11.row_offsets[middle, None] + np.arange(2)).ravel()
@@ -541,10 +546,94 @@ def test_mirror_tied_rows_are_never_skipped(monkeypatch, grid11):
 
 @pytest.mark.parametrize("risk", BENCHMARK_KINDS[2:4], ids=[d["kind"] for d in BENCHMARK_KINDS[2:4]])
 def test_rvi_skips_rows_on_the_benchmark_dynamics(grid11, risk):
-    # measured 0.545 of the 242 rows from the fifth sweep on, for both kinds
+    # measured 0.545 of the 242 rows from the fourth sweep on, for both kinds
+    # (from the sixth when started cold)
     res = relative_value_iteration(grid11, RiskMapSpec.from_dict(risk), SolveConfig(tol=1e-10))
     assert res.converged and res.iterations >= 6
     assert all(t.rows_evaluated <= 0.6 * len(grid11.stacked_cost) for t in res.trace[4:])
+
+
+# --- the neutral start of order-based solves -------------------------------------
+
+
+def specs_evaluated(monkeypatch):
+    """Record the map of every risk_values call of the solver."""
+    seen = []
+
+    def spy(spec, v, rows, keep=None):
+        seen.append(spec)
+        return risk_values(spec, v, rows, keep)
+
+    monkeypatch.setattr(solver, "risk_values", spy)
+    return seen
+
+
+@pytest.mark.parametrize("spec", SKIP_SPECS, ids=lambda s: f"{s.kind}-{s.lam}-{s.r}")
+def test_a_solve_from_the_neutral_start_agrees_with_a_cold_one(grid11, spec):
+    cfg = SolveConfig(tol=1e-11)
+    for m in [grid11] + [builtin_chain("random_seeded", n=20, m=3, seed=seed) for seed in range(12)]:
+        warm = relative_value_iteration(m, spec, cfg)
+        cold = relative_value_iteration(m, spec, cfg, v0=np.zeros(m.n_states))
+        assert warm.converged and cold.converged
+        assert (warm.start_iterations > 0) == spec.order_based and cold.start_iterations == 0
+        assert abs(warm.rho - cold.rho) <= cfg.tol
+        assert max(warm.rho_lower, cold.rho_lower) <= min(warm.rho_upper, cold.rho_upper)
+        assert np.array_equal(warm.policy.deterministic, cold.policy.deterministic)
+
+
+@pytest.mark.parametrize("spec", [NEUTRAL, ENTROPIC, RiskMapSpec("entropic", lam=-0.8),
+                                  RiskMapSpec("density_band", band=(1.0, 1.0)), RiskMapSpec("shortfall")],
+                         ids=["neutral", "entropic+", "entropic-", "band-mean", "shortfall-linear"])
+def test_the_mean_and_entropic_solve_with_no_neutral_start(monkeypatch, grid11, spec):
+    # their sweeps cost about one neutral sweep, so they start at 0 as before
+    cfg = SolveConfig(tol=1e-11)
+    for m in (grid11, builtin_chain("random_seeded", n=20, m=3, seed=3)):
+        seen = specs_evaluated(monkeypatch)
+        res = relative_value_iteration(m, spec, cfg)
+        assert set(seen) == {spec} and len(seen) == res.iterations and res.start_iterations == 0
+        want = relative_value_iteration(m, spec, cfg, v0=np.zeros(m.n_states))  # the start at 0, as given
+        assert (res.rho, res.rho_lower, res.rho_upper, res.iterations) == (want.rho, want.rho_lower, want.rho_upper,
+                                                                            want.iterations)
+        assert np.array_equal(res.h, want.h) and np.array_equal(res.policy.deterministic, want.policy.deterministic)
+
+
+def test_an_order_based_solve_starts_from_the_neutral_bias(monkeypatch, grid11):
+    spec = RiskMapSpec("mean_semideviation", lam=0.5, r=2.0)
+    cfg = SolveConfig(tol=1e-10, reference_state=7)
+    neutral = relative_value_iteration(grid11, NEUTRAL, cfg)
+    sweeps = []
+
+    def spy(mcp, s, v, history=None):
+        sweeps.append((s, v.copy()))
+        return bellman_F(mcp, s, v, history)
+
+    monkeypatch.setattr(solver, "bellman_F", spy)
+    res = relative_value_iteration(grid11, spec, cfg)
+    assert [s for s, _ in sweeps] == [NEUTRAL] * neutral.iterations + [spec] * res.iterations
+    first = sweeps[neutral.iterations][1]
+    assert np.array_equal(first, neutral.h) and first[7] == 0.0 and res.start_iterations == neutral.iterations
+
+
+def test_a_given_start_takes_no_neutral_stage(monkeypatch, grid11):
+    spec = RiskMapSpec("density_band", band=(0.5, 1.5))
+    for v0 in (np.zeros(grid11.n_states), np.linspace(-1.0, 1.0, grid11.n_states)):
+        seen = specs_evaluated(monkeypatch)
+        res = relative_value_iteration(grid11, spec, SolveConfig(tol=1e-10), v0=v0)
+        assert res.converged and res.start_iterations == 0
+        assert set(seen) == {spec} and len(seen) == res.iterations
+
+
+@pytest.mark.parametrize("risk, sweeps", zip(BENCHMARK_KINDS[2:], [(8, 8, 10), (8, 8, 9), (10, 8, 12)]),
+                         ids=[d["kind"] for d in BENCHMARK_KINDS[2:]])
+def test_the_neutral_start_saves_sweeps_on_the_benchmark_dynamics(grid11, risk, sweeps):
+    # measured (risk sweeps, neutral sweeps) from the neutral start and the
+    # risk sweeps from 0; a neutral sweep is one product of the row store,
+    # where an order-based one costs 20 to 40 of them on the 41x41 grid
+    spec, cfg = RiskMapSpec.from_dict(risk), SolveConfig(tol=1e-10)
+    warm = relative_value_iteration(grid11, spec, cfg)
+    cold = relative_value_iteration(grid11, spec, cfg, v0=np.zeros(grid11.n_states))
+    assert warm.converged and cold.converged
+    assert (warm.iterations, warm.start_iterations, cold.iterations) == sweeps
 
 
 def test_row_history_keeps_rows_with_a_nan_bound():
