@@ -358,12 +358,14 @@ def check_l2(
     whose slack is within ``WORST_PAIR_RTOL`` of it.  ``min_slack`` is the
     minimum over the checked samples only, so it is an upper bound on the
     true minimum over the ball, and ``passed`` means that no sample
-    violated the inequality.  K0 must be finite and positive and K finite
-    and nonnegative (``ValueError`` otherwise); an empty B0 passes with no
-    samples.
+    violated the inequality.  K0 must be finite and positive, K finite
+    and nonnegative and n_samples nonnegative (``ValueError`` otherwise); an
+    empty B0 passes with no samples.
     """
     if not (math.isfinite(K0) and K0 > 0 and math.isfinite(K) and K >= 0):
         raise ValueError(f"check_l2 needs finite K0 > 0 and K >= 0, got K0={K0}, K={K}")
+    if n_samples < 0:
+        raise ValueError(f"check_l2 needs n_samples >= 0, got {n_samples}")
     w0 = np.asarray(w0, dtype=float)
     B0 = np.asarray(B0, dtype=np.intp)
     if B0.size == 0:

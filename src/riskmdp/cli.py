@@ -34,7 +34,7 @@ from .certificates import (
     local_doeblin,
     map_minorization_factor,
 )
-from .mdp import FiniteMCP, level_set, validate_mcp
+from .mdp import NUMBERS, FiniteMCP, json_value, level_set, validate_mcp
 from .models import (
     DiffusionSpec,
     GridSpec,
@@ -46,7 +46,7 @@ from .models import (
     diffusion_entropic_weight,
     discretize_diffusion,
 )
-from .risk import RiskMapSpec, _real, _reals
+from .risk import RiskMapSpec
 from .solver import (
     SolveConfig,
     measure_contraction,
@@ -70,35 +70,14 @@ class Config(dict):
 
 
 @contextlib.contextmanager
-def _reading(section: str):
-    """Report the ValueError/TypeError that a value of ``section`` raises as a
-    ``ConfigError``; used as a decorator on the functions that read one."""
+def _reading(section: str | None = None):
+    """Report the ValueError/TypeError that a value of ``section``, or of a
+    top-level key when None, raises as a ``ConfigError``; used as a decorator
+    on the functions that read one."""
     try:
         yield
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{section}: {e}") from e
-
-
-def _table(cfg: dict, key: str, default=None) -> dict:
-    """The JSON object under ``key``; ``default`` when given and the key is absent."""
-    val = cfg[key] if default is None else cfg.get(key, default)
-    if not isinstance(val, dict):
-        raise ConfigError(f"{key!r} must be a JSON object")
-    return val
-
-
-def _whole(cfg: dict, key: str, default: int | None = None) -> int:
-    """The integer under ``key``, read by ``_integer``; ``default`` when given and the key is absent."""
-    return _integer(cfg[key] if default is None else cfg.get(key, default), key)
-
-
-def _integer(val, key: str) -> int:
-    """The value ``val`` of config key ``key`` as an integer: a JSON number
-    with no fractional part, so 2000 and 2000.0 pass and 2.5, "10" and true
-    are a ``ConfigError``."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not float(val).is_integer():
-        raise ConfigError(f"{key!r} must be a whole number, got {val!r}")
-    return int(val)
+        raise ConfigError(f"{section}: {e}" if section else str(e)) from e
 
 
 def _setup_logging() -> None:
@@ -116,9 +95,8 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} is not a JSON object")
-    return cfg
+    with _reading(f"config {path}"):
+        return json_value(cfg, dict, "config")
 
 
 @_reading("model")
@@ -130,13 +108,14 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
     The model is validated (stochastic rows, finite costs) before it is
     returned; a violation is a ``ConfigError``.
     """
-    mcfg = _table(cfg, "model")
+    mcfg = json_value(cfg["model"], dict, "model")
     meta: dict = {}
     if "builtin" in mcfg:
-        params = _table(mcfg, "params", {})
-        mcp = builtin_chain(mcfg["builtin"], **{k: _whole(params, k) for k in params})
+        params = json_value(mcfg.get("params", {}), dict, "params")
+        mcp = builtin_chain(json_value(mcfg["builtin"], str, "builtin"),
+                            **{k: json_value(v, int, k) for k, v in params.items()})
     elif "path" in mcfg:
-        p = Path(mcfg["path"])
+        p = Path(json_value(mcfg["path"], str, "path"))
         if not p.is_absolute():
             p = base_dir / p
         try:
@@ -146,27 +125,22 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad model {p}: {e}") from e
     elif "diffusion" in mcfg:
-        dcfg = _table(mcfg, "diffusion")
-        gcfg = _table(mcfg, "grid", {})
-        grid = GridSpec(points=_per_axis(gcfg, "points", 201, _integer),
-                        extent=_per_axis(gcfg, "extent", 5.0, _real))
+        dcfg = json_value(mcfg["diffusion"], dict, "diffusion")
+        gcfg = json_value(mcfg.get("grid", {}), dict, "grid")
+        grid = GridSpec(points=_per_axis(gcfg, "points", 201, int), extent=_per_axis(gcfg, "extent", 5.0, float))
         spec = DiffusionSpec(
-            dim=_whole(dcfg, "dim"),
-            A=_numbers(dcfg["A"], "A"),
-            actions=_strings(dcfg["actions"], "actions"),
-            drift=_arrays(dcfg, "drift"),
-            diffusion=_arrays(dcfg, "diffusion"),
-            gamma_tilde=_real(dcfg["gamma_tilde"], "gamma_tilde"),
-            drift_bound=_real(dcfg["drift_bound"], "drift_bound"),
-            ellipticity=_real(dcfg["ellipticity"], "ellipticity"),
-            drift_linear=_arrays(dcfg, "drift_linear", {}),
+            dim=json_value(dcfg["dim"], int, "dim"), A=json_value(dcfg["A"], NUMBERS, "A"),
+            actions=json_value(dcfg["actions"], [str], "actions"),
+            drift_linear=_entries(dcfg.get("drift_linear", {}), "drift_linear", NUMBERS),
+            **{k: _entries(dcfg[k], k, NUMBERS) for k in ("drift", "diffusion")},
+            **{k: json_value(dcfg[k], float, k) for k in ("gamma_tilde", "drift_bound", "ellipticity")},
         )
         mcp = discretize_diffusion(spec, grid)
         meta = {"diffusion": spec, "grid": grid}
     else:
         raise ConfigError("model must specify one of: builtin, path, diffusion")
     if "cost" in mcfg:
-        mcp = attach_cost(mcp, _cost_form(_table(mcfg, "cost"), mcp, meta))
+        mcp = attach_cost(mcp, _cost_form(json_value(mcfg["cost"], dict, "cost"), mcp, meta))
     bad = validate_mcp(mcp).violations
     if bad:
         more = f" (and {len(bad) - 5} more)" if len(bad) > 5 else ""
@@ -174,56 +148,34 @@ def build_model(cfg: dict, base_dir: Path) -> tuple[FiniteMCP, dict]:
     return mcp, meta
 
 
-def _strings(val, key: str) -> list[str]:
-    """A config list of strings: "lr" is not the list ["l", "r"]."""
-    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-        raise ConfigError(f"{key!r} must be a list of strings, got {val!r}")
-    return val
+def _per_axis(gcfg: dict, key: str, default, kind):
+    """Grid setting ``key``: one ``kind`` value for every axis or a list of one per axis."""
+    val, name = gcfg.get(key, default), f"grid.{key}"
+    return tuple(json_value(val, [kind], name)) if isinstance(val, list) else json_value(val, kind, name)
 
 
-def _per_axis(gcfg: dict, key: str, default, read):
-    """Grid setting ``key``: one value for every axis or a list of one per
-    axis, each read by ``read(val, name)`` and named grid.key or grid.key[i]."""
-    val = gcfg.get(key, default)
-    if isinstance(val, list):
-        return tuple(read(x, f"grid.{key}[{i}]") for i, x in enumerate(val))
-    return read(val, f"grid.{key}")
-
-
-def _numbers(val, key: str) -> np.ndarray:
-    """A config number, or nested lists of them, as a float array: every
-    entry read by ``_real``, so a "0.5" or a true is a ``ValueError`` naming
-    it as key[i][j]."""
-    def check(x, name):
-        if isinstance(x, list):
-            for i, y in enumerate(x):
-                check(y, f"{name}[{i}]")
-        else:
-            _real(x, name)
-    check(val, key)
-    return np.asarray(val, dtype=float)
-
-
-def _arrays(cfg: dict, key: str, default=None) -> dict[str, np.ndarray]:
-    return {k: _numbers(v, f"{key}.{k}") for k, v in _table(cfg, key, default).items()}
+def _entries(val, key: str, kind) -> dict:
+    """A JSON object of ``kind`` values, entry k read as key.k."""
+    return {k: json_value(v, kind, f"{key}.{k}") for k, v in json_value(val, dict, key).items()}
 
 
 def _cost_form(ccfg: dict, mcp: FiniteMCP, meta: dict):
-    form = ccfg.get("form")
+    form = json_value(ccfg["form"], str, "form")
     if form == "tabulated":
-        return TabulatedCost(ccfg["table"])
+        return TabulatedCost(json_value(ccfg["table"], [NUMBERS], "table"))
     if form == "quadratic":
-        return QuadraticCost(c0=_real(ccfg["c0"], "c0"), action_terms=ccfg.get("action_terms"))
+        return QuadraticCost(c0=json_value(ccfg["c0"], float, "c0"),
+                             action_terms=_entries(ccfg.get("action_terms", {}), "action_terms", float))
     if form == "power":
         w1 = _resolve_weight(ccfg["w1"], mcp, meta, "w1")
-        return PowerCost(c0=_real(ccfg["c0"], "c0"), q=_real(ccfg["q"], "q"), w1=w1)
+        return PowerCost(c0=json_value(ccfg["c0"], float, "c0"), q=json_value(ccfg["q"], float, "q"), w1=w1)
     raise ConfigError(f"unknown cost form {form!r}")
 
 
 def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict, key: str) -> np.ndarray:
     """Weight vectors in configs, under ``key``: explicit list, named builders, or powers."""
     if isinstance(wcfg, list):
-        w = _numbers(wcfg, key)
+        w = np.asarray(json_value(wcfg, [float], key))
         if w.shape != (mcp.n_states,):
             raise ConfigError("weight vector length != n_states")
         return w
@@ -234,20 +186,25 @@ def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict, key: str) -> np.ndarray:
             raise ConfigError("coords_sq weight needs state coordinates")
         return np.sum(mcp.state_coords**2, axis=1)
     if isinstance(wcfg, dict) and "entropic_w1" in wcfg:
-        sub = _table(wcfg, "entropic_w1")
+        sub = json_value(wcfg["entropic_w1"], dict, "entropic_w1")
         if "diffusion" not in meta:
             raise ConfigError("entropic_w1 weight needs a diffusion model")
-        w1_hat, _ = diffusion_entropic_weight(meta["grid"], _real(sub["gamma"], "gamma"), meta["diffusion"])
-        w1 = 1.0 + w1_hat
-        return w1 ** _real(sub.get("power", 1.0), "power")
+        gamma, power = json_value(sub["gamma"], float, "gamma"), json_value(sub.get("power", 1.0), float, "power")
+        w1_hat, _ = diffusion_entropic_weight(meta["grid"], gamma, meta["diffusion"])
+        return (1.0 + w1_hat) ** power
     raise ConfigError(f"cannot resolve weight spec {wcfg!r}")
 
 
-def _state_set(scfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
-    """States named by "all", "interior", a list of distinct indices or
-    {"level": {"w0": weight, "radius": r}}; an empty set is an error."""
+def _state_set(scfg, mcp: FiniteMCP, meta: dict, key: str) -> np.ndarray:
+    """States named under ``key`` by "all", "interior", a list of distinct
+    indices or {"level": {"w0": weight, "radius": r}}; an empty set is an error."""
     n = mcp.n_states
-    if scfg == "all":
+    if isinstance(scfg, list):
+        index = json_value(scfg, [int], key)
+        if not all(0 <= x < n for x in index) or len(set(index)) < len(index):
+            raise ConfigError(f"state list {scfg} needs distinct indices in [0, {n})")
+        states = np.asarray(index, dtype=int)
+    elif scfg == "all":
         states = np.arange(n)
     elif scfg == "interior":
         if mcp.state_coords is None:
@@ -255,12 +212,8 @@ def _state_set(scfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
         lim = 0.8 * np.max(np.abs(mcp.state_coords), axis=0)
         states = np.flatnonzero(np.all(np.abs(mcp.state_coords) <= lim + 1e-12, axis=1))
     elif isinstance(scfg, dict) and "level" in scfg:
-        sub = _table(scfg, "level")
-        states = level_set(_resolve_weight(sub["w0"], mcp, meta, "w0"), _real(sub["radius"], "radius"))
-    elif isinstance(scfg, list) and all(type(x) is int for x in scfg):
-        if not all(0 <= x < n for x in scfg) or len(set(scfg)) < len(scfg):
-            raise ConfigError(f"state list {scfg} needs distinct indices in [0, {n})")
-        states = np.asarray(scfg, dtype=int)
+        sub = json_value(scfg["level"], dict, "level")
+        states = level_set(_resolve_weight(sub["w0"], mcp, meta, "w0"), json_value(sub["radius"], float, "radius"))
     else:
         raise ConfigError(f"cannot read state set {scfg!r}: want \"all\", \"interior\", "
                           "a list of state indices or {\"level\": ...}")
@@ -269,18 +222,13 @@ def _state_set(scfg, mcp: FiniteMCP, meta: dict) -> np.ndarray:
     return states
 
 
-@_reading("risk")
-def _risk_spec(cfg: dict) -> RiskMapSpec:
-    return RiskMapSpec.from_dict(_table(cfg, "risk"))
-
-
 @_reading("solve")
 def _solve_config(cfg: dict, n_states: int) -> SolveConfig:
-    scfg = _table(cfg, "solve", {})
+    scfg = json_value(cfg.get("solve", {}), dict, "solve")
     out = SolveConfig(
-        tol=_real(scfg.get("tol", 1e-10), "tol"),
-        max_iter=_whole(scfg, "max_iter", 100_000),
-        reference_state=_whole(scfg, "reference_state", 0),
+        tol=json_value(scfg.get("tol", 1e-10), float, "tol"),
+        max_iter=json_value(scfg.get("max_iter", 100_000), int, "max_iter"),
+        reference_state=json_value(scfg.get("reference_state", 0), int, "reference_state"),
     )
     if out.reference_state >= n_states:
         raise ValueError(f"reference_state {out.reference_state} is not a state of the {n_states}-state model")
@@ -291,12 +239,12 @@ def _prepare(config_path: str, output_dir: str | None):
     """Config, model, model meta, risk map and output directory of a command."""
     cfg = load_config(config_path)
     mcp, meta = build_model(cfg, Path(config_path).resolve().parent)
-    spec = _risk_spec(cfg)
-    out = output_dir if output_dir is not None else cfg.get("output_dir", ".")
-    if not isinstance(out, str):
-        raise ConfigError("'output_dir' must be a string")
-    Path(out).mkdir(parents=True, exist_ok=True)
-    return cfg, mcp, meta, spec, Path(out)
+    with _reading("risk"):
+        spec = RiskMapSpec.from_dict(cfg["risk"])
+    with _reading():
+        out = Path(json_value(cfg.get("output_dir", "."), str, "output_dir") if output_dir is None else output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, mcp, meta, spec, out
 
 
 def cmd_solve(config_path: str, output_dir: str | None) -> int:
@@ -330,31 +278,36 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
 
 def _lyapunov(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
-    include_cost, grid = entry.get("include_cost", True), entry.get("gamma_grid")
-    if not isinstance(include_cost, bool):
-        raise ConfigError(f"'include_cost' must be true or false, got {include_cost!r}")
+    include_cost = json_value(entry.get("include_cost", True), bool, "include_cost")
+    grid = None if entry.get("gamma_grid") is None else json_value(entry["gamma_grid"], [float], "gamma_grid")
+    states = _state_set(entry.get("states", "all"), mcp, meta, "states")
     target = mcp if include_cost else mcp.with_cost(np.zeros_like(mcp.stacked_cost))
-    cert = fit_lyapunov(target, spec, w0, gamma_grid=None if grid is None else _reals(grid, "gamma_grid"),
-                        states=_state_set(entry.get("states", "all"), mcp, meta))
+    cert = fit_lyapunov(target, spec, w0, gamma_grid=grid, states=states)
     witness = None if cert.worst_pair is None else {"x": cert.worst_pair[0], "a": cert.worst_pair[1]}
     return cert.satisfied, {"gamma0": cert.gamma0, "K0": cert.K0}, witness
 
 
 def _doeblin(entry, mcp, spec, meta, seed):
-    sub = _state_set(entry["subset"], mcp, meta)
+    sub = _state_set(entry["subset"], mcp, meta, "subset")
     cert = doeblin_minorization(mcp, sub)
     return cert.satisfied, {"alpha": cert.alpha, "subset_size": int(len(sub))}, None
 
 
 def _local_doeblin(entry, mcp, spec, meta, seed):
-    cert = local_doeblin(mcp, _state_set(entry["subset"], mcp, meta))
+    cert = local_doeblin(mcp, _state_set(entry["subset"], mcp, meta, "subset"))
     return cert.satisfied, {"lambda_minus": cert.lambda_minus, "lambda_plus": cert.lambda_plus}, None
 
 
 def _l2(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
+    K, n_samples = entry.get("K", "coherent"), json_value(entry.get("n_samples", 2000), int, "n_samples")
+    # K is a number or names the rule that gives it
+    if not isinstance(K, str):
+        K = json_value(K, float, "K")
+    elif K not in ("coherent", "shortfall", "entropic"):
+        raise ConfigError(f"unknown K rule {K!r}")
     if "K0" in entry:
-        K0, gamma0 = _real(entry["K0"], "K0"), _real(entry["gamma0"], "gamma0")
+        K0, gamma0 = json_value(entry["K0"], float, "K0"), json_value(entry["gamma0"], float, "gamma0")
         if not 0 < gamma0 < 1:
             raise ValueError(f"gamma0 must be in (0, 1), got {gamma0}")
     else:
@@ -363,9 +316,9 @@ def _l2(entry, mcp, spec, meta, seed):
             return False, {"error": "drift fit failed"}, None
         K0, gamma0 = fit.K0, fit.gamma0
     B0 = level_set(w0, 2.0 * K0 / (1.0 - gamma0))
-    K = entry.get("K")
-    K = float(_invariant_K(K or "coherent", mcp, spec, K0, B0)) if K is None or isinstance(K, str) else _real(K, "K")
-    cert = check_l2(mcp, spec, w0, K0, K, B0, n_samples=_whole(entry, "n_samples", 2000), seed=seed)
+    if isinstance(K, str):
+        K = float(_invariant_K(K, mcp, spec, K0, B0))
+    cert = check_l2(mcp, spec, w0, K0, K, B0, n_samples=n_samples, seed=seed)
     constants = {"K0": K0, "K": K, "min_slack": cert.min_slack, "n_samples": cert.n_samples}
     return cert.passed, constants, cert.worst_witness
 
@@ -375,8 +328,6 @@ def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
     if rule == "entropic":
         loc = local_doeblin(mcp, B0)
         return invariant_bound_K("entropic", K0=K0, lambda_minus=loc.lambda_minus, lambda_plus=loc.lambda_plus)
-    if rule not in ("coherent", "shortfall"):
-        raise ConfigError(f"unknown K rule {rule!r}")
     alpha = doeblin_minorization(mcp, B0).alpha
     if rule == "shortfall":
         if spec.utility is None:
@@ -389,12 +340,16 @@ def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
 
 def _contraction(entry, mcp, spec, meta, seed):
     w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
-    params = {k: _real(entry[k], k) for k in ("gamma", "K_bar", "alpha", "R")}
+    params = {k: json_value(entry[k], float, k) for k in ("gamma", "K_bar", "alpha", "R")}
     if entry.get("alpha0") is not None:
-        params["alpha0"] = _real(entry["alpha0"], "alpha0")
+        params["alpha0"] = json_value(entry["alpha0"], float, "alpha0")
     for k, val in params.items():
         if not np.isfinite(val):
             raise ConfigError(f"{k} must be finite, got {val}")
+    mcfg = json_value(entry.get("measure", {}), dict, "measure")
+    radius = mcfg.get("ball_radius")
+    measure = {"n_trials": json_value(mcfg.get("n_trials", 200), int, "n_trials"),
+               "ball_radius": None if radius is None else json_value(radius, float, "ball_radius")}
     try:
         cert = contraction_certificate(**params, w0=w0)
     except ValueError as e:
@@ -403,10 +358,7 @@ def _contraction(entry, mcp, spec, meta, seed):
                  "gamma1": cert.gamma1, "gamma2": cert.gamma2, "beta": cert.beta}
     if "measure" not in entry:
         return True, constants, None
-    mcfg = _table(entry, "measure")
-    radius = mcfg.get("ball_radius")
-    stats = measure_contraction(mcp, spec, cert.w_hat, n_trials=_whole(mcfg, "n_trials", 200),
-                                ball_radius=None if radius is None else _real(radius, "ball_radius"), seed=seed)
+    stats = measure_contraction(mcp, spec, cert.w_hat, **measure, seed=seed)
     constants["measured_max_ratio"] = stats.max_ratio
     constants["n_pairs"] = stats.n_pairs
     # a NaN ratio fails, and so does a measurement that found no pair to measure
@@ -416,8 +368,8 @@ def _contraction(entry, mcp, spec, meta, seed):
 
 
 def _envelope_minorization(entry, mcp, spec, meta, seed):
-    sub = _state_set(entry["subset"], mcp, meta)
-    K, w = _real(entry["K"], "K"), _resolve_weight(entry["w"], mcp, meta, "w")
+    sub = _state_set(entry["subset"], mcp, meta, "subset")
+    K, w = json_value(entry["K"], float, "K"), _resolve_weight(entry["w"], mcp, meta, "w")
     cert = entropic_envelope_minorization(mcp, sub, K, w)
     return cert.satisfied, {"alpha": cert.alpha}, None
 
@@ -426,11 +378,11 @@ _CERTIFICATES = {"lyapunov": _lyapunov, "doeblin": _doeblin, "local_doeblin": _l
                  "contraction": _contraction, "envelope_minorization": _envelope_minorization}
 
 
-def _run_certificate(i: int, entry, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict, seed: int) -> dict:
-    kind = entry.get("type") if isinstance(entry, dict) else None
+def _run_certificate(i: int, entry: dict, mcp: FiniteMCP, spec: RiskMapSpec, meta: dict, seed: int) -> dict:
+    kind = entry.get("type")
     t0 = time.perf_counter_ns()
     try:
-        if not isinstance(kind, str) or kind not in _CERTIFICATES:
+        if json_value(kind, str, "type") not in _CERTIFICATES:
             raise ConfigError(f"unknown certificate type; want one of {', '.join(_CERTIFICATES)}")
         satisfied, constants, witness = _CERTIFICATES[kind](entry, mcp, spec, meta, seed)
     except (ConfigError, TypeError, ValueError) as e:
@@ -441,9 +393,8 @@ def _run_certificate(i: int, entry, mcp: FiniteMCP, spec: RiskMapSpec, meta: dic
 
 def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:
     cfg, mcp, meta, spec, out = _prepare(config_path, output_dir)
-    entries = cfg.get("certificates", [])
-    if not isinstance(entries, list):
-        raise ConfigError("'certificates' must be a list")
+    with _reading():
+        entries = json_value(cfg.get("certificates", []), [dict], "certificates")
     report = [_run_certificate(i, e, mcp, spec, meta, seed) for i, e in enumerate(entries)]
     with open(out / "certificates.json", "w") as fh:
         json.dump(report, fh, indent=2)
@@ -456,12 +407,12 @@ def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:
 @_reading("sweep")
 def _sweep_specs(cfg: dict, spec: RiskMapSpec) -> list[RiskMapSpec]:
     """The risk map at each swept lambda; a value the map rejects is a config error."""
-    swcfg = cfg.get("sweep")
-    if not isinstance(swcfg, dict) or swcfg.get("param") != "lambda" or not isinstance(swcfg.get("values"), list):
+    swcfg = json_value(cfg["sweep"], dict, "sweep")
+    if json_value(swcfg["param"], str, "param") != "lambda":
         raise ConfigError("sweep needs {'param': 'lambda', 'values': [...]}")
     if spec.kind not in ("entropic", "mean_semideviation"):
         raise ConfigError("lambda sweep needs an entropic or mean_semideviation risk kind")
-    return [dataclasses.replace(spec, lam=_real(v, f"values[{i}]")) for i, v in enumerate(swcfg["values"])]
+    return [dataclasses.replace(spec, lam=lam) for lam in json_value(swcfg["values"], [float], "values")]
 
 
 def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:

@@ -28,12 +28,14 @@ import numpy as np
 
 __all__ = [
     "BLOCK_ELEMENTS",
+    "NUMBERS",
     "WORST_PAIR_RTOL",
     "DenseRows",
     "FactoredRows",
     "FiniteMCP",
     "PolicyVector",
     "ValidationReport",
+    "json_value",
     "level_set",
     "outer_rows",
     "policy_reduce",
@@ -383,11 +385,16 @@ class FiniteMCP:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteMCP":
-        n = int(data["n_states"])
-        actions = [list(a) for a in data["actions"]]
+        """Inverse of ``to_dict``; every field is read by ``json_value``."""
+        data = json_value(data, dict, "model")
+        n = json_value(data["n_states"], int, "n_states")
+        actions = json_value(data["actions"], [[str]], "actions")
         if len(actions) != n:
             raise ValueError(f"n_states={n} but {len(actions)} action lists")
-        return cls(actions, data["transition"], data["cost"], data.get("coords"))
+        coords = data.get("coords")
+        return cls(actions, json_value(data["transition"], [NUMBERS], "transition"),
+                   json_value(data["cost"], [NUMBERS], "cost"),
+                   None if coords is None else json_value(coords, NUMBERS, "coords"))
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -397,6 +404,46 @@ class FiniteMCP:
     def load_json(cls, path) -> "FiniteMCP":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+# One set of rules reads every value of a config or model file.  A kind is
+# float (any JSON number), int (a number with no fractional part, so 3.0
+# reads as 3), bool, str, dict, NUMBERS (a number or nested lists of them),
+# [kind] (a list of any length) or a tuple of kinds (a list of that many).
+NUMBERS = "numbers"
+_KIND_NAMES = {float: ("a real number", "real numbers"), int: ("a whole number", "whole numbers"),
+               bool: ("true or false", "bools"), str: ("a string", "strings"),
+               dict: ("a JSON object", "JSON objects"), NUMBERS: ("a real number", "real numbers or lists of them")}
+
+
+def _kind_name(kind, plural: bool = False) -> str:
+    """How a message names ``kind``; a tuple is named by its first kind."""
+    if isinstance(kind, (list, tuple)):
+        count = f"{len(kind)} " if isinstance(kind, tuple) else ""
+        return "lists" if plural else f"a list of {count}{_kind_name(kind[0], True)}"
+    return _KIND_NAMES[kind][plural]
+
+
+def json_value(val, kind, name: str):
+    """The JSON value ``val`` of key ``name`` read as ``kind``: a float, an
+    int, the value itself or a list (a tuple for a tuple of kinds) of its
+    entries read in turn.  A value of another type, such as true or "2" for
+    a number or an integer beyond float range, is a ``ValueError`` naming
+    the key, an entry as name[i]."""
+    if kind is NUMBERS and isinstance(val, list) and all(type(x) in (int, float) for x in val):
+        return val  # a row of numbers, checked in one pass: model files hold millions
+    if kind is NUMBERS:
+        kind = [NUMBERS] if isinstance(val, list) else float
+    if isinstance(kind, list) and isinstance(val, list):
+        return [json_value(x, kind[0], f"{name}[{i}]") for i, x in enumerate(val)]
+    if isinstance(kind, tuple) and isinstance(val, list) and len(val) == len(kind):
+        return tuple(json_value(x, k, f"{name}[{i}]") for i, (x, k) in enumerate(zip(val, kind)))
+    number = isinstance(val, float) or (isinstance(val, int) and not isinstance(val, bool) and abs(val) < 2**1023)
+    if (kind is float and number) or (kind is int and number and (isinstance(val, int) or val.is_integer())):
+        return kind(val)
+    if kind in (bool, str, dict) and isinstance(val, kind):
+        return val
+    raise ValueError(f"{name!r} must be {_kind_name(kind)}, got {val!r}")
 
 
 @dataclass

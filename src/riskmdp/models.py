@@ -267,6 +267,8 @@ def attach_cost(mcp: FiniteMCP, form) -> FiniteMCP:
         sq = np.sum(mcp.state_coords**2, axis=1)
         cost = form.c0 * sq[mcp.row_state]
         for label, term in (form.action_terms or {}).items():
+            if label not in mcp.row_labels:
+                raise ValueError(f"action_terms label {label!r} is not an action of the model")
             cost[mcp.row_labels == label] += term
         return mcp.with_cost(cost)
     if isinstance(form, PowerCost):
@@ -296,20 +298,10 @@ def diffusion_entropic_weight(grid: GridSpec, gamma: float, spec: DiffusionSpec)
 
 def builtin_chain(name: str, **params) -> FiniteMCP:
     """Small named chains: uniform2, biased2, ring(n), random_seeded(n, m, seed)."""
-    if name == "uniform2":
-        return FiniteMCP(
-            actions=[["a"], ["a"]],
-            transition=[np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])],
-            cost=[np.array([0.0]), np.array([1.0])],
-            state_coords=np.array([[0.0], [1.0]]),
-        )
-    if name == "biased2":
-        return FiniteMCP(
-            actions=[["a"], ["a"]],
-            transition=[np.array([[0.6, 0.4]]), np.array([[0.3, 0.7]])],
-            cost=[np.array([0.0]), np.array([1.0])],
-            state_coords=np.array([[0.0], [1.0]]),
-        )
+    if name in ("uniform2", "biased2"):
+        rows = [[0.5, 0.5], [0.5, 0.5]] if name == "uniform2" else [[0.6, 0.4], [0.3, 0.7]]
+        return FiniteMCP(actions=[["a"], ["a"]], transition=np.array(rows), cost=np.array([0.0, 1.0]),
+                         state_coords=np.array([[0.0], [1.0]]))
     if name == "ring":
         n = int(params.get("n", 5))
         if n < 3:

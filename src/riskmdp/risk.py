@@ -65,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mdp import BLOCK_ELEMENTS, DenseRows, FactoredRows, FiniteMCP, row_blocks, row_store
+from .mdp import BLOCK_ELEMENTS, DenseRows, FactoredRows, FiniteMCP, json_value, row_blocks, row_store
 
 __all__ = [
     "AxiomCheck",
@@ -86,21 +86,6 @@ __all__ = [
 ]
 
 RISK_KINDS = ("neutral", "entropic", "density_band", "mean_semideviation", "shortfall")
-
-
-def _real(val, key: str) -> float:
-    """The value ``val`` of config key ``key`` as a float: a JSON number, while
-    "2" and true, which ``float`` takes, are a ``ValueError`` naming the key."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError(f"{key!r} must be a real number, got {val!r}")
-    return float(val)
-
-
-def _reals(val, key: str, count: int | None = None) -> tuple[float, ...]:
-    """A list of config numbers, entry i read by ``_real`` as key[i]; ``count`` of them when given."""
-    if not isinstance(val, (list, tuple)) or count not in (None, len(val)):
-        raise ValueError(f"{key!r} must be a list of {'' if count is None else f'{count} '}real numbers, got {val!r}")
-    return tuple(_real(x, f"{key}[{i}]") for i, x in enumerate(val))
 
 
 @dataclass(frozen=True)
@@ -161,9 +146,9 @@ class PiecewiseLinearUtility:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseLinearUtility":
-        if not isinstance(data, dict):
-            raise ValueError(f"'utility' must be a JSON object, got {data!r}")
-        return cls(_reals(data.get("breakpoints", ()), "breakpoints"), _reals(data.get("slopes", (1.0,)), "slopes"))
+        data = json_value(data, dict, "utility")
+        return cls(json_value(data.get("breakpoints", []), [float], "breakpoints"),
+                   json_value(data.get("slopes", [1.0]), [float], "slopes"))
 
 
 @dataclass(frozen=True)
@@ -253,12 +238,13 @@ class RiskMapSpec:
     def from_dict(cls, data: dict) -> "RiskMapSpec":
         """Inverse of ``to_dict``; unknown keys, such as the ``shortfall_tol``
         of older configs, are ignored."""
+        data = json_value(data, dict, "risk")
         util = data.get("utility")
         return cls(
-            kind=data["kind"],
-            lam=_real(data.get("lambda", 0.0), "lambda"),
-            r=_real(data.get("r", 2.0), "r"),
-            band=_reals(data.get("band", (1.0, 1.0)), "band", count=2),
+            kind=json_value(data["kind"], str, "kind"),
+            lam=json_value(data.get("lambda", 0.0), float, "lambda"),
+            r=json_value(data.get("r", 2.0), float, "r"),
+            band=json_value(data.get("band", [1.0, 1.0]), (float, float), "band"),
             utility=None if util is None else PiecewiseLinearUtility.from_dict(util),
         )
 

@@ -437,6 +437,14 @@ def test_check_l2_rejects_constants_it_cannot_check(K0, K):
             check_l2(m, NEUTRAL, np.zeros(4), K0=K0, K=K, B0=B0, n_samples=50)
 
 
+def test_check_l2_rejects_a_negative_sample_count():
+    # it used to run the 4 (n + 1) sign patterns alone
+    m = builtin_chain("random_seeded", n=4, m=2, seed=1)
+    for B0 in ([0, 1, 2, 3], []):
+        with pytest.raises(ValueError, match="n_samples >= 0, got -3"):
+            check_l2(m, NEUTRAL, np.zeros(4), K0=1.0, K=1.0, B0=B0, n_samples=-3)
+
+
 def test_check_l2_empty_subset_vacuous():
     cert = check_l2(builtin_chain("uniform2"), NEUTRAL, np.zeros(2), 1.0, 2.0, B0=[])
     assert cert.passed

@@ -303,6 +303,35 @@ CONTRACTION = {"type": "contraction", "w0": "zeros", "gamma": 0.5, "K_bar": 1.0,
         ("verify", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 21}}, "risk": {"kind": "neutral"},
                     "certificates": [{**CONTRACTION, "measure": {"n_trials": 20, "ball_radius": True}}]},
          "certificates[0] (contraction): 'ball_radius' must be a real number, got True"),
+        # a quadratic cost's action terms are numbers keyed by actions of the model
+        ("solve", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 11},
+                             "cost": {"form": "quadratic", "c0": 0.1, "action_terms": {"left": True}}},
+                   "risk": {"kind": "neutral"}}, "model: 'action_terms.left' must be a real number, got True"),
+        ("solve", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 11},
+                             "cost": {"form": "quadratic", "c0": 0.1, "action_terms": ["left"]}},
+                   "risk": {"kind": "neutral"}}, "model: 'action_terms' must be a JSON object, got ['left']"),
+        ("solve", {"model": {"diffusion": DIFFUSION_1D, "grid": {"points": 11},
+                             "cost": {"form": "quadratic", "c0": 0.1, "action_terms": {"lefty": 1.0}}},
+                   "risk": {"kind": "neutral"}}, "model: action_terms label 'lefty' is not an action of the model"),
+        ("solve", {"model": {"builtin": "biased2", "cost": {"form": "tabulated", "table": [[True], [1.0]]}},
+                   "risk": {"kind": "neutral"}}, "model: 'table[0][0]' must be a real number, got True"),
+        ("solve", {"model": {"builtin": "biased2", "cost": {"form": "tabulated", "table": ["0.1", [1.0]]}},
+                   "risk": {"kind": "neutral"}}, "model: 'table[0]' must be a real number, got '0.1'"),
+        # an empty string is no K rule, and a bad key is read before any certificate routine runs
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "l2", "w0": "zeros", "K0": 0.5, "gamma0": 0.5, "K": ""}]},
+         "certificates[0] (l2): unknown K rule ''"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{**CONTRACTION, "alpha0": 0.5, "measure": {"n_trials": "five"}}]},
+         "certificates[0] (contraction): 'n_trials' must be a whole number, got 'five'"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "l2", "w0": [0.0, float("inf")], "K": "x"}]},
+         "certificates[0] (l2): unknown K rule 'x'"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                    "certificates": [{"type": "l2", "w0": "zeros", "n_samples": -3}]},
+         "certificates[0] (l2): check_l2 needs n_samples >= 0, got -3"),
+        ("verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}, "certificates": [5]},
+         "config error: 'certificates[0]' must be a JSON object, got 5"),
     ],
 )
 def test_config_error_names_its_key_or_certificate(tmp_path, capsys, command, cfg, words):
@@ -474,6 +503,103 @@ def test_integer_settings_accept_integral_floats(tmp_path):
     assert json.loads((out / "certificates.json").read_text())[0]["constants"]["n_samples"] == 20
 
 
+WALK_MODEL_FILE = {"n_states": 2, "actions": [["a", "b"], ["a"]],
+                   "transition": [[[0.5, 0.5], [0.2, 0.8]], [[0.3, 0.7]]],
+                   "cost": [[0.0, 0.5], [1.0]], "coords": [[0.0], [1.0]]}
+# Full configs that together read every config key and every model-file key
+WALK_CONFIGS = {
+    "solve": ("solve", {
+        "model": {"diffusion": {**DIFFUSION_1D, "drift_linear": {"left": [[0.1]]}},
+                  "grid": {"points": 11, "extent": [4.0]},
+                  "cost": {"form": "quadratic", "c0": 0.1, "action_terms": {"left": 0.5}}},
+        "risk": {"kind": "shortfall", "utility": {"breakpoints": [0.0], "slopes": [0.5, 2.0]}},
+        "solve": {"tol": 1e-9, "max_iter": 1000, "reference_state": 1}}),
+    "sweep": ("sweep", {
+        "model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 1},
+                  "cost": {"form": "power", "c0": 0.1, "q": 0.5, "w1": [1.0, 2.0, 3.0, 4.0]}},
+        "risk": {"kind": "mean_semideviation", "lambda": 0.5, "r": 2.0},
+        "solve": {"tol": 1e-9}, "sweep": {"param": "lambda", "values": [0.25, 0.5]}}),
+    "verify": ("verify", {
+        "model": {"diffusion": DIFFUSION_1D, "grid": {"points": [11], "extent": 4.0},
+                  "cost": {"form": "power", "c0": 0.1, "q": 0.5,
+                           "w1": {"entropic_w1": {"gamma": 0.5, "power": 1.0}}}},
+        "risk": {"kind": "density_band", "band": [0.5, 1.5]},
+        "certificates": [
+            {"type": "lyapunov", "w0": "coords_sq", "include_cost": True, "gamma_grid": [0.5, 0.9],
+             "states": "interior"},
+            {"type": "doeblin", "subset": {"level": {"w0": "coords_sq", "radius": 4.0}}},
+            {"type": "local_doeblin", "subset": [4, 5, 6]},
+            {"type": "l2", "w0": "coords_sq", "K0": 1.0, "gamma0": 0.5, "K": 12.0, "n_samples": 20},
+            {"type": "l2", "w0": "zeros", "K": "coherent", "n_samples": 20},
+            {**CONTRACTION, "alpha0": 0.25, "measure": {"n_trials": 5, "ball_radius": 1.0}},
+            {"type": "envelope_minorization", "subset": "all", "K": 1.0, "w": [0.0] * 11},
+        ]}),
+    "model_file": ("solve", {
+        "model": {"path": "model.json", "cost": {"form": "tabulated", "table": [[0.0, 0.1], [1.0]]}},
+        "risk": {"kind": "entropic", "lambda": 0.5}}),
+}
+WRONG_TYPES = [True, "x", [True], {}]
+
+
+def json_positions(value, path=()):
+    """(path, value) of every position in a JSON value, the value itself first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, entry in items:
+        yield from json_positions(entry, (*path, key))
+
+
+def json_replaced(value, path, new):
+    """A copy of ``value`` with the entry at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    out = {**value} if isinstance(value, dict) else list(value)
+    out[path[0]] = json_replaced(value[path[0]], path[1:], new)
+    return out
+
+
+def wrong_values(path, value):
+    """The values of another JSON type than ``value``'s; a number in a list is
+    not wrapped in a list, a shape change that reshape and stacking accept."""
+    number_entry = type(value) in (int, float) and path and isinstance(path[-1], int)
+    return [w for w in WRONG_TYPES if type(w) is not type(value) and not (number_entry and isinstance(w, list))]
+
+
+@pytest.mark.parametrize("name", list(WALK_CONFIGS))
+def test_every_key_of_the_wrong_json_type_is_exit_2(tmp_path, capsys, name):
+    # each leaf, list and table of a full config (and of the model file it
+    # reads) in turn gets a value of another JSON type: every one is a
+    # config error, none a traceback or a run that reads it as something else
+    command, cfg = WALK_CONFIGS[name]
+    cfg = {**cfg, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+
+    def exit_code(cfg, model_file):
+        path.write_text(json.dumps(cfg))
+        (tmp_path / "model.json").write_text(json.dumps(model_file))
+        return main([command, "--config", str(path)])
+
+    assert exit_code(cfg, WALK_MODEL_FILE) == 0
+    capsys.readouterr()
+    docs = [(cfg, lambda c: (c, WALK_MODEL_FILE))]
+    if name == "model_file":
+        docs.append((WALK_MODEL_FILE, lambda m: (cfg, m)))
+    failures, runs = [], 0
+    for doc, place in docs:
+        for where, value in json_positions(doc):
+            for wrong in wrong_values(where, value):
+                runs += 1
+                try:
+                    code = exit_code(*place(json_replaced(doc, where, wrong)))
+                except Exception as e:  # a traceback: reported below with the key that raised it
+                    code = repr(e)
+                err = capsys.readouterr().err
+                if code != 2 or not err.startswith("config error: "):
+                    failures.append((where, wrong, code, err))
+    assert not failures
+    assert runs > 60
+
+
 def test_output_dir_that_is_not_a_string_is_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"}, "output_dir": 5})
     assert main(["solve", "--config", cfg]) == 2
@@ -505,6 +631,24 @@ def test_model_with_bad_row_sum_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "row sum" in err and "x=0" in err
     assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("n_states", 2.7, "'n_states' must be a whole number, got 2.7"),
+    ("n_states", "2", "'n_states' must be a whole number, got '2'"),
+    ("actions", ["a", "a"], "'actions[0]' must be a list of strings, got 'a'"),
+    ("cost", ["0", 1.0], "'cost[0]' must be a real number, got '0'"),
+    ("cost", [[False], [1.0]], "'cost[0][0]' must be a real number, got False"),
+])
+def test_a_model_file_is_read_by_the_config_rules(tmp_path, capsys, key, value, words):
+    # int() took 2.7 and "2", list() split "a" into letters, float() took "0" and false
+    cfg = write_model(tmp_path, [[[0.5, 0.5]], [[0.5, 0.5]]], [[0.0], [1.0]])
+    model = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps({**model, key: value}))
+    code, _ = run(tmp_path, "solve", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad model ") and words in err
 
 
 @pytest.mark.parametrize("second", [[[0.5]], [[0.5, 0.5], [1.0]]])

@@ -9,8 +9,10 @@ from riskmdp.mdp import (
     BLOCK_ELEMENTS,
     DenseRows,
     FactoredRows,
+    NUMBERS,
     FiniteMCP,
     PolicyVector,
+    json_value,
     level_set,
     policy_transition_and_cost,
     row_blocks,
@@ -470,6 +472,48 @@ def test_restrict_to_policy_picks_rows():
     assert sub.actions == [["a1"], ["a1"], ["a0"]]
     with pytest.raises(ValueError, match="out of range"):
         m.restrict_to_policy(PolicyVector.det([2, 0, 0]))
+
+
+# --- reading JSON values --------------------------------------------------
+
+ODD_VALUES = [True, "2", 2.5, [], {}, None]
+
+
+@pytest.mark.parametrize("kind, accepts", [
+    (float, {2: 2.5}), (int, {}), (bool, {0: True}), (str, {1: "2"}), (dict, {4: {}}),
+    (NUMBERS, {2: 2.5, 3: []}), ([float], {3: []}), ((float, float), {}),
+], ids=["float", "int", "bool", "str", "dict", "numbers", "list", "tuple"])
+def test_json_value_takes_each_kind_by_its_json_type_only(kind, accepts):
+    # accepts maps the index of each value in ODD_VALUES that the kind reads to what it reads as
+    for i, val in enumerate(ODD_VALUES):
+        if i in accepts:
+            got = json_value(val, kind, "key")
+            assert got == accepts[i] and type(got) is type(accepts[i])
+        else:
+            with pytest.raises(ValueError, match=r"^'key' must be .*, got "):
+                json_value(val, kind, "key")
+
+
+def test_json_value_converts_numbers_and_names_list_entries():
+    assert json_value(2, float, "k") == 2.0 and type(json_value(2, float, "k")) is float
+    assert json_value(3.0, int, "k") == 3 and type(json_value(3.0, int, "k")) is int
+    assert json_value([1.0, 2], [int], "k") == [1, 2]
+    assert json_value([0, 2], (float, float), "k") == (0.0, 2.0)
+    assert json_value([[1, 2.5], []], NUMBERS, "k") == [[1, 2.5], []]
+    for val, kind, words in [
+        ([[1.0, "x"]], NUMBERS, "'A[0][1]' must be a real number, got 'x'"),
+        ([1.0, True], [float], "'A[1]' must be a real number, got True"),
+        ([1.0], (float, float), "'A' must be a list of 2 real numbers, got [1.0]"),
+        (["ab"], [[str]], "'A[0]' must be a list of strings, got 'ab'"),
+        (float("inf"), int, "'A' must be a whole number, got inf"),
+        (float("nan"), int, "'A' must be a whole number, got nan"),
+        ({"a": 1}, [dict], "'A' must be a list of JSON objects, got {'a': 1}"),
+        ("yes", bool, "'A' must be true or false, got 'yes'"),
+        (10**400, float, f"'A' must be a real number, got {10**400!r}"),  # float() raised OverflowError
+    ]:
+        with pytest.raises(ValueError) as err:
+            json_value(val, kind, "A")
+        assert str(err.value) == words
 
 
 # --- hypothesis properties ------------------------------------------------

@@ -495,6 +495,8 @@ def test_attach_quadratic_cost_uses_coordinates():
     x0 = float(m.state_coords[0, 0])
     assert out.cost[0][0] == pytest.approx(2.0 * x0 * x0)
     assert out.cost[0][1] == pytest.approx(2.0 * x0 * x0 + 0.5)
+    with pytest.raises(ValueError, match="action_terms label 'lefty' is not an action of the model"):
+        attach_cost(m, QuadraticCost(c0=2.0, action_terms={"right": 0.5, "lefty": 1.0}))
     bare = builtin_chain("uniform2").with_cost([np.zeros(1)] * 2)
     object.__setattr__(bare, "state_coords", None)
     with pytest.raises(ValueError):
