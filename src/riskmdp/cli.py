@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 configuration error (including an invalid model),
 certificate is unsatisfied (the report is still written).  A configuration
 error names the missing key, the table that holds a bad value, or the
 certificate as certificates[i] (type); any other failure is a traceback with
-exit 1.  Set RISKMDP_LOG=error|info|debug for verbosity.
+exit 1.  Exit codes 3 and 4 print what failed to stderr.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,8 +53,6 @@ from .solver import (
     trace_to_csv,
 )
 
-log = logging.getLogger("riskmdp")
-
 
 class ConfigError(Exception):
     pass
@@ -78,13 +74,6 @@ def _reading(section: str | None = None):
         yield
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{section}: {e}" if section else str(e)) from e
-
-
-def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("RISKMDP_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def load_config(path: str) -> Config:
@@ -251,7 +240,6 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
     t0 = time.perf_counter_ns()
     cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
     scfg = _solve_config(cfg, mcp.n_states)
-    log.info("solving %s-state model, risk kind %s", mcp.n_states, spec.kind)
     t1 = time.perf_counter_ns()
     res = relative_value_iteration(mcp, spec, scfg)
     t2 = time.perf_counter_ns()
@@ -266,7 +254,7 @@ def cmd_solve(config_path: str, output_dir: str | None) -> int:
         json.dump(result, fh, indent=2)
     trace_to_csv(res.trace, out / "trace.csv")
     if not res.converged:
-        log.error("no convergence after %d iterations (span %.3g)", res.iterations, res.trace[-1].span)
+        print(f"no convergence after {res.iterations} iterations (span {res.trace[-1].span:.3g})", file=sys.stderr)
         return 3
     return 0
 
@@ -350,6 +338,11 @@ def _contraction(entry, mcp, spec, meta, seed):
     radius = mcfg.get("ball_radius")
     measure = {"n_trials": json_value(mcfg.get("n_trials", 200), int, "n_trials"),
                "ball_radius": None if radius is None else json_value(radius, float, "ball_radius")}
+    # checked here, as measure_contraction runs only on a certificate that holds
+    if measure["n_trials"] < 1:
+        raise ValueError(f"n_trials must be at least 1, got {measure['n_trials']}")
+    if radius is not None and not 0 < measure["ball_radius"] < np.inf:
+        raise ValueError(f"ball_radius must be finite and > 0, got {measure['ball_radius']}")
     try:
         cert = contraction_certificate(**params, w0=w0)
     except ValueError as e:
@@ -400,7 +393,7 @@ def cmd_verify(config_path: str, output_dir: str | None, seed: int) -> int:
         json.dump(report, fh, indent=2)
     bad = [r for r in report if not r["satisfied"]]
     for r in bad:
-        log.error("certificate %s unsatisfied: %s", r["kind"], r["constants"])
+        print(f"certificate {r['kind']} unsatisfied: {r['constants']}", file=sys.stderr)
     return 4 if bad else 0
 
 
@@ -419,9 +412,10 @@ def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
     cfg, mcp, _, spec, out = _prepare(config_path, output_dir)
     scfg = _solve_config(cfg, mcp.n_states)
     specs = _sweep_specs(cfg, spec)
-
+    # every λ of an order-based map starts from the same neutral solve
+    v0 = relative_value_iteration(mcp, RiskMapSpec("neutral"), scfg).h if spec.order_based else None
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = list(ex.map(lambda s: relative_value_iteration(mcp, s, scfg), specs))
+        results = list(ex.map(lambda s: relative_value_iteration(mcp, s, scfg, v0), specs))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "rho", "iterations", "converged"])
@@ -431,7 +425,6 @@ def cmd_sweep(config_path: str, output_dir: str | None, jobs: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = argparse.ArgumentParser(
         prog="riskmdp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )

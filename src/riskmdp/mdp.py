@@ -136,10 +136,10 @@ class DenseRows:
     ``(len(idx), n)`` block G, or a ``(1, n)`` row that they all share;
     ``entries(idx, cols)``, the masses ``Q[idx_i, cols[..., i]]`` of the
     rows ``idx`` at the states of an integer array whose last axis runs
-    over them; and ``take(idx, out)``, the dense rows
+    over them; and ``take(idx)``, the dense rows
     ``idx``.  ``idx`` is a slice or an index array, whose indices are the
     caller's to check.  Here a slice is a read-only view and an index array
-    is gathered, into ``out`` when given; ``dots`` is one ``einsum`` over
+    is gathered; ``dots`` is one ``einsum`` over
     the rows it takes, a row's bits the same whichever rows share the call,
     and ``entries`` one gather from the array.
     """
@@ -162,11 +162,8 @@ class DenseRows:
     def entries(self, idx, cols: np.ndarray) -> np.ndarray:
         return self.dense.take(cols + self.shape[1] * _indices(idx, len(self)))
 
-    def take(self, idx, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None or isinstance(idx, slice):
-            return self.dense[idx]
-        # the callers check idx; mode="raise" would buffer the output
-        return np.take(self.dense, idx, axis=0, out=out, mode="clip")
+    def take(self, idx) -> np.ndarray:
+        return self.dense[idx]
 
 
 class FactoredRows:
@@ -187,9 +184,8 @@ class FactoredRows:
     multiply-adds per vector and action in place of n^2.  ``dots``
     contracts each row's own vector with its per-axis rows, or reads a row
     they share from ``product``, and ``entries`` multiplies one factor
-    entry per axis, so neither forms a row.  ``take``
-    writes the rows asked for, into ``out`` when given, and keeps none of
-    them.  The interface is that of :class:`DenseRows`.
+    entry per axis, so neither forms a row.  ``take`` writes the rows asked
+    for and keeps none of them.  The interface is that of :class:`DenseRows`.
     """
 
     layout = "factored"
@@ -212,11 +208,10 @@ class FactoredRows:
         x, a = np.divmod(_indices(idx, len(self)), len(self.factors[0]))
         return a, np.unravel_index(x, self.widths)
 
-    def take(self, idx, out: np.ndarray | None = None) -> np.ndarray:
-        """The rows ``idx`` written by :func:`outer_rows`, into ``out`` when given."""
+    def take(self, idx) -> np.ndarray:
+        """The rows ``idx`` written by :func:`outer_rows`."""
         a, nodes = self.coords(idx)
-        out = np.empty((len(a), self.shape[1])) if out is None else out
-        return outer_rows([f[a, i] for f, i in zip(self.factors, nodes)], out)
+        return outer_rows([f[a, i] for f, i in zip(self.factors, nodes)], np.empty((len(a), self.shape[1])))
 
     def entries(self, idx, cols: np.ndarray) -> np.ndarray:
         """Entry (.., i) the product of row i's per-axis entries at the

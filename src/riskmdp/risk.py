@@ -25,8 +25,9 @@ Evaluation has one layout: ``risk_table(spec, V, rows)`` evaluates an
 rows, and returns the (S, m) table; ``risk_values`` is its one-vector case,
 as every Bellman sweep and certificate calls it.  Both take an optional
 index array ``keep`` and then return the rows ``keep`` only: the
-order-based kinds read just those rows, one row block at a time, since a
-copy of all kept rows up front cost as much as the skipped rows saved.
+order-based kinds read just those rows where the store holds them, one row
+block of ``mdp.row_blocks`` at a time, since a copy of all kept rows up
+front cost as much as the skipped rows saved.
 Values must be finite:
 ``risk_table`` rejects a NaN or infinite entry before any kernel runs.  The
 rows are an (m, n) array or a row store of ``mdp`` (a model's ``rows``),
@@ -274,8 +275,8 @@ def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, lam: float) -
     far = -np.inf if lam > 0 else np.inf
     for k in np.flatnonzero(~ok.all(axis=1)):
         low = np.flatnonzero(~ok[k])
-        for sl, reader, idx in _reads(rows, low, rows.shape[1]):
-            Q = reader.take(idx)
+        for sl in row_blocks(len(low), rows.shape[1]):
+            Q = rows.take(low[sl])
             on = Q > 0
             t = (np.max if lam > 0 else np.min)(np.where(on, V[k], far), axis=1, keepdims=True)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off the support, masked
@@ -284,28 +285,6 @@ def _entropic_table(V: np.ndarray, rows: DenseRows | FactoredRows, lam: float) -
                 top[~np.isfinite(top)] = 0.0  # a row with no mass: t is -inf (lam > 0) or inf
                 out[k, low[sl]] = (t + (top + np.log(np.sum(np.exp(A - top), axis=1, keepdims=True))) / lam)[:, 0]
     return out
-
-
-def _reads(store: DenseRows | FactoredRows, keep: np.ndarray | None, width: int):
-    """(output slice, store, rows) triples that sweep the store's rows, or
-    its rows ``keep`` (checked indices), in blocks of ``row_blocks(..,
-    width)``, ``width`` the elements per row of the caller's own arrays; a
-    dense block, which reads whole rows, is at least n wide.  A dense
-    store's kept rows are gathered once per block, into one buffer
-    allocated per call, and read as a store of their own at
-    ``slice(None)``, so that two readers of a block gather it once; all
-    other rows are read where they are.  A block is valid until the next
-    is drawn."""
-    count, n = len(store) if keep is None else len(keep), store.shape[1]
-    gather = keep is not None and store.layout == "dense"
-    blocks = row_blocks(count, max(width, n) if store.layout == "dense" else width)
-    buffer = np.empty((min(count, blocks[0].stop), n)) if blocks and gather else None
-    for sl in blocks:
-        idx = sl if keep is None else keep[sl]
-        if gather:
-            yield sl, DenseRows(store.take(idx, out=buffer[: len(idx)])), slice(None)
-        else:
-            yield sl, store, idx
 
 
 def _chunks(N: int, m: int, n: int | None) -> tuple[int, int]:
@@ -402,8 +381,11 @@ def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarr
             wk[:, N:] = 0.0
             wk = by_position(wk)
         P = rows.product(X.reshape(-1, n)) if factored else None
-        for sl, reader, idx in _reads(rows, keep, s * (2 * nb + 1 + 2 * w)):
-            Y = reader.take(idx) @ X.reshape(-1, n).T if P is None else P[:, idx].T
+        # a dense block reads whole rows, so it is at least n wide
+        width = s * (2 * nb + 1 + 2 * w)
+        for sl in row_blocks(m, width if factored else max(width, n)):
+            idx = sl if keep is None else keep[sl]
+            Y = P[:, idx].T if factored else rows.take(idx) @ X.reshape(-1, n).T
             Y = Y.reshape(len(Y), s, -1)
             if band is not None:
                 i = (Y[:, :, 1:nb] < beta).sum(axis=2)
@@ -414,7 +396,7 @@ def _kink_table(V: np.ndarray, rows: DenseRows | FactoredRows, keep, b: np.ndarr
             r = np.arange(len(Y))[:, None]
             c, M, E, mean = (x.T for x in (i + nb * k.T, Y[r, k.T, i], Y[r, k.T, i + nb], Y[:, :, -1].copy()))
             del Y
-            W = reader.entries(idx, y.take(c, axis=1))  # the chunk's masses
+            W = rows.entries(idx, y.take(c, axis=1))  # the chunk's masses
             A, tc = vs.take(c, axis=1), t.ravel()[c]
             if band is not None:
                 j = (np.cumsum(W, axis=0) < beta - M).sum(axis=0)
@@ -447,15 +429,16 @@ def _semideviation(v: np.ndarray, rows: DenseRows | FactoredRows, spec: RiskMapS
     blocks = row_blocks(len(out), len(v))
     block = np.empty((min(len(out), blocks[0].stop) if blocks else 0, len(v)))  # each row block's excess in turn
     ab, vb = np.ones((len(block), 2)), np.stack((v, np.ones_like(v)))
-    for sl, store, idx in _reads(rows, keep, rows.shape[1]):
-        mean = means[sl] if keep is None else means[keep[sl]]
+    for sl in blocks:
+        idx = sl if keep is None else keep[sl]
+        mean = means[idx]
         # v - mean as the product [1, -mean] [v; 1]: both terms are exact, so
         # each entry is fl(v_y - m_i) in any order, as np.subtract rounds it
         ab[: len(mean), 1] = -mean
         excess = np.matmul(ab[: len(mean)], vb, out=block[: len(mean)])
         np.maximum(excess, 0.0, out=excess)
         excess **= spec.r
-        out[sl] = mean + spec.lam * store.dots(idx, excess) ** (1.0 / spec.r)
+        out[sl] = mean + spec.lam * rows.dots(idx, excess) ** (1.0 / spec.r)
     return out
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -14,7 +15,7 @@ from riskmdp import mdp
 from riskmdp.cli import main
 from riskmdp.models import builtin_chain
 from riskmdp.risk import RiskMapSpec, risk_values
-from riskmdp.solver import ContractionStats
+from riskmdp.solver import ContractionStats, relative_value_iteration
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -709,6 +710,19 @@ def test_verify_unsatisfied_is_exit_4_with_report(tmp_path):
     assert "too small" in report[0]["constants"]["error"]
 
 
+def test_main_leaves_the_root_logger_alone_and_prints_failures_to_stderr(tmp_path, capsys, monkeypatch):
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    level = root.level
+    code, _ = run(tmp_path, "verify", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                                       "certificates": [{**CONTRACTION, "R": 4.0}]})
+    assert code == 4 and "certificate contraction unsatisfied: {'error': 'level radius" in capsys.readouterr().err
+    code, _ = run(tmp_path, "solve", {"model": {"builtin": "biased2"}, "risk": {"kind": "neutral"},
+                                      "solve": {"max_iter": 1}})
+    assert code == 3 and "no convergence after 1 iterations (span " in capsys.readouterr().err
+    assert root.handlers == [] and root.level == level
+
+
 def test_verify_l2_fit_route_is_tight_on_biased2(tmp_path):
     # w0 = 0 makes the fitted drift K0 = 1; the coherent radius K = K0/alpha
     # is exactly tight, so the sampled slack should sit at ~0 and pass
@@ -783,6 +797,9 @@ def test_verify_contraction_with_measurement(tmp_path):
      "K must be finite and nonnegative"),
     ({**CONTRACTION, "measure": {"n_trials": 0}}, "n_trials must be at least 1"),
     ({**CONTRACTION, "measure": {"ball_radius": float("nan")}}, "ball_radius must be finite and > 0"),
+    # alpha0 = alpha leaves the certificate unsatisfied, and its measure table is still read
+    ({**CONTRACTION, "alpha0": 0.5, "measure": {"n_trials": 0}}, "n_trials must be at least 1, got 0"),
+    ({**CONTRACTION, "alpha0": 0.5, "measure": {"ball_radius": -1.0}}, "ball_radius must be finite and > 0, got -1.0"),
     ({**CONTRACTION, "K_bar": float("nan")}, "K_bar must be finite, got nan"),
     ({**CONTRACTION, "R": float("inf")}, "R must be finite, got inf"),
     ({**CONTRACTION, "gamma": float("nan")}, "gamma must be finite, got nan"),
@@ -978,6 +995,33 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
         assert (out2 / "sweep.csv").read_text() == serial
 
 
+def test_an_order_based_sweep_solves_its_neutral_start_once(tmp_path, monkeypatch):
+    # every lambda starts from one neutral solve and reads the rho, the
+    # sweeps and the bits of a solve that took its own
+    values = [-0.5, 0.25, 0.5, 1.0]
+    cfg = {"model": SWEEP_2D, "risk": {"kind": "mean_semideviation", "lambda": 0.5},
+           "sweep": {"param": "lambda", "values": values}}
+    mcp = riskmdp.cli.build_model(cfg, tmp_path)[0]
+    scfg = riskmdp.cli._solve_config(cfg, mcp.n_states)
+    start = relative_value_iteration(mcp, RiskMapSpec("neutral"), scfg)
+    want = [relative_value_iteration(mcp, RiskMapSpec("mean_semideviation", lam=lam), scfg) for lam in values]
+    kinds, bellman_F = [], riskmdp.solver.bellman_F
+
+    def spying(mcp, spec, *args):
+        kinds.append(spec.kind)
+        return bellman_F(mcp, spec, *args)
+
+    monkeypatch.setattr(riskmdp.solver, "bellman_F", spying)
+    code, out = run(tmp_path, "sweep", cfg, jobs=2)
+    assert code == 0
+    assert kinds.count("neutral") == start.iterations > 0
+    assert kinds.count("mean_semideviation") == sum(res.iterations for res in want)
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[repr(lam), repr(res.rho), str(res.iterations), str(res.converged)]
+                    for lam, res in zip(values, want)]
+
+
 @pytest.mark.parametrize("model, risk, layout", [
     (SWEEP_2D, {"kind": "neutral"}, "factored"),
     (SWEEP_2D, {"kind": "entropic", "lambda": -0.5}, "factored"),
@@ -1037,8 +1081,8 @@ def test_a_factored_grid_reads_its_rows_through_the_store_only(tmp_path, monkeyp
     whole, products = [], []
     take, product = mdp.FactoredRows.take, mdp.FactoredRows.product
 
-    def recording(self, idx, out=None):
-        rows = take(self, idx, out)
+    def recording(self, idx):
+        rows = take(self, idx)
         whole.append(len(rows) == len(self))
         return rows
 

@@ -221,8 +221,6 @@ def test_factored_rows_are_kronecker_products_of_each_actions_factors():
     np.testing.assert_allclose(dense, want, rtol=1e-15, atol=0)
     assert np.array_equal(store.take([7, 2]), dense[[7, 2]])  # one way of writing rows
     assert np.array_equal(store.take(slice(5, 9)), dense[5:9])
-    out = np.full((2, 24), np.nan)
-    assert store.take([7, 2], out=out) is out and np.array_equal(out, dense[[7, 2]])
 
 
 @pytest.mark.parametrize("widths", [(5,), (4, 7), (3, 5, 2)])
