@@ -797,14 +797,14 @@ def test_verify_contraction_with_measurement(tmp_path):
      "K must be finite and nonnegative"),
     ({**CONTRACTION, "measure": {"n_trials": 0}}, "n_trials must be at least 1"),
     ({**CONTRACTION, "measure": {"ball_radius": float("nan")}}, "ball_radius must be finite and > 0"),
-    # alpha0 = alpha leaves the certificate unsatisfied, and its measure table is still read
-    ({**CONTRACTION, "alpha0": 0.5, "measure": {"n_trials": 0}}, "n_trials must be at least 1, got 0"),
-    ({**CONTRACTION, "alpha0": 0.5, "measure": {"ball_radius": -1.0}}, "ball_radius must be finite and > 0, got -1.0"),
     ({**CONTRACTION, "K_bar": float("nan")}, "K_bar must be finite, got nan"),
     ({**CONTRACTION, "R": float("inf")}, "R must be finite, got inf"),
     ({**CONTRACTION, "gamma": float("nan")}, "gamma must be finite, got nan"),
     ({**CONTRACTION, "alpha": float("-inf")}, "alpha must be finite, got -inf"),
     ({**CONTRACTION, "alpha0": float("nan")}, "alpha0 must be finite, got nan"),
+    # alpha0 = alpha leaves the certificate unsatisfied, and its measure table is still read
+    ({**CONTRACTION, "alpha0": 0.5, "measure": {"n_trials": 0}}, "n_trials must be at least 1, got 0"),
+    ({**CONTRACTION, "alpha0": 0.5, "measure": {"ball_radius": -1.0}}, "ball_radius must be finite and > 0, got -1.0"),
 ])
 def test_certificate_constants_that_cannot_be_checked_are_exit_2(tmp_path, capsys, entry, words):
     cfg = {"model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 1}},
