@@ -29,6 +29,7 @@ __all__ = [
     "fit_lyapunov",
     "invariant_bound_K",
     "local_doeblin",
+    "lyapunov_weight",
     "map_minorization_factor",
 ]
 
@@ -85,9 +86,27 @@ class L2Certificate:
     n_samples: int = 0
 
 
-def _subset_row_index(mcp: FiniteMCP, subset) -> np.ndarray:
-    """Indices, in stacked order, of the (x, a) rows of the states in subset."""
-    return np.flatnonzero(np.isin(mcp.row_state, subset))
+def _read_subset(mcp: FiniteMCP, states, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The states of a subset and the stacked indices of their (x, a) rows;
+    ``ValueError`` naming ``name`` unless ``states`` is a nonempty 1-d array
+    of distinct whole state indices in [0, n).  One state mask finds repeats
+    and rows: a sort or ``np.unique`` left the process a larger heap."""
+    arr, n = np.asarray(states), mcp.n_states
+    good = arr.ndim == 1 and arr.size > 0 and arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < n
+    member = np.zeros(n, dtype=bool)
+    member[arr if good else []] = True
+    if not good or np.count_nonzero(member) < arr.size:  # a repeated state counts once
+        raise ValueError(f"{name} must be nonempty distinct whole state indices in [0, {n}), got {arr}")
+    return arr, np.flatnonzero(member[mcp.row_state])
+
+
+def lyapunov_weight(w0) -> np.ndarray:
+    """w0 as a float array; ``ValueError`` unless it is nonnegative (inf passes, NaN fails)."""
+    w0 = np.asarray(w0, dtype=float)
+    if not np.all(w0 >= 0):  # written so that a NaN fails too
+        k = int(np.argmin(w0 >= 0))
+        raise ValueError(f"w0 must be nonnegative, got {w0.flat[k]} at state {k}")
+    return w0
 
 
 def _row_state_action(mcp: FiniteMCP, row_idx: int) -> tuple[int, int]:
@@ -104,64 +123,36 @@ def fit_lyapunov(
 ) -> LyapunovCertificate:
     """Fit the two-sided drift bound max(T(w0), -T(-w0)) <= gamma0 w0 + K0.
 
-    For each grid value of gamma0, the minimal feasible K0 is the largest
-    residual over the (state, action) pairs under consideration; the
-    certificate keeps the grid point with the smallest K0 (first such point
-    on ties).  As w0 >= 0, K0 never increases with gamma0, so that is the
-    largest grid gamma0 unless K0 is flat there: 0.95 on the default grid.
-    The worst pair is the first row whose residual is within
-    ``WORST_PAIR_RTOL`` of that K0.  A non-finite residual at every grid
-    point flags the certificate unsatisfied, and so, before any risk map is
-    evaluated, does w0 with infinite entries standing in for superlinear
-    growth (K0 infinite at every grid point).
+    One table holds the residual drift - g w0 of each grid value g (a row)
+    at each (state, action) pair of all states or of ``states`` (a column);
+    the minimal feasible K0 at g is the largest entry of its row, so a NaN
+    residual makes it NaN.  The certificate keeps the grid point with the
+    smallest finite K0 (first such point on ties).  As w0 >= 0, K0 never
+    increases with gamma0, so that is the largest grid gamma0 unless K0 is
+    flat there: 0.95 on the default grid.  The worst pair is the first
+    column within ``WORST_PAIR_RTOL`` of that K0.  With no finite K0 the
+    certificate is unsatisfied, and so, before any risk map is evaluated,
+    is w0 with infinite entries standing in for superlinear growth.
     """
-    w0 = np.asarray(w0, dtype=float)
-    if not np.all(w0 >= 0):  # written so that a NaN fails too
-        k = int(np.argmin(w0 >= 0))
-        raise ValueError(f"w0 must be nonnegative, got {w0[k]} at state {k}")
+    w0 = lyapunov_weight(w0)
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else tuple(float(g) for g in gamma_grid)
     if not grid or any(not 0 < g < 1 for g in grid):
         raise ValueError(f"gamma_grid must be nonempty and lie in (0, 1), got {list(grid)}")
-    if np.any(np.isinf(w0)):
-        return LyapunovCertificate(w0=w0, gamma0=float(grid[0]), K0=math.inf, satisfied=False, worst_pair=None,
-                                   gamma_grid=grid, K0_by_gamma=(math.inf,) * len(grid))
-    rows = mcp.rows
-    cost = mcp.stacked_cost
-    with np.errstate(invalid="ignore"):
-        up = cost + risk_values(spec, w0, rows)
-        down = -(cost + risk_values(spec, -w0, rows))
-    row_ids = np.arange(len(rows)) if states is None else _subset_row_index(mcp, states)
-    drift = np.maximum(up, down)[row_ids]
-    w0_of_row = w0[mcp.row_state[row_ids]]
-    k0s = []
-    argmaxes = []
-    for g in grid:
+    row_ids = np.arange(len(mcp.row_state)) if states is None else _read_subset(mcp, states, "states")[1]
+    k0s = np.full(len(grid), math.inf)
+    if not np.any(np.isinf(w0)):
         with np.errstate(invalid="ignore"):
-            resid = drift - g * w0_of_row
-        j = int(np.nanargmax(resid)) if np.any(np.isfinite(resid)) else int(np.argmax(resid))
-        k0s.append(float(resid[j]))
-        if np.isfinite(resid[j]):
-            j = int(np.argmax(resid >= resid[j] - WORST_PAIR_RTOL * abs(resid[j])))
-        argmaxes.append(j)
-    k0s_arr = np.asarray(k0s)
-    finite = np.isfinite(k0s_arr)
-    if not np.any(finite):
-        return LyapunovCertificate(
-            w0=w0, gamma0=float(grid[0]), K0=math.inf, satisfied=False, worst_pair=None,
-            gamma_grid=grid, K0_by_gamma=tuple(k0s),
-        )
-    masked = np.where(finite, k0s_arr, np.inf)
-    best = int(np.argmin(masked))
-    worst = _row_state_action(mcp, int(row_ids[argmaxes[best]]))
-    return LyapunovCertificate(
-        w0=w0,
-        gamma0=float(grid[best]),
-        K0=float(max(k0s_arr[best], K0_FLOOR)),
-        satisfied=True,
-        worst_pair=worst,
-        gamma_grid=grid,
-        K0_by_gamma=tuple(k0s),
-    )
+            up = mcp.stacked_cost + risk_values(spec, w0, mcp.rows)
+            down = -(mcp.stacked_cost + risk_values(spec, -w0, mcp.rows))
+            table = np.maximum(up, down)[row_ids] - np.multiply.outer(grid, w0[mcp.row_state[row_ids]])
+        k0s = table.max(axis=1)
+    best = int(np.argmin(np.where(np.isfinite(k0s), k0s, np.inf)))  # the first point when none is finite
+    K0, worst = float(k0s[best]), None
+    if math.isfinite(K0):
+        worst = _row_state_action(mcp, int(row_ids[np.argmax(table[best] >= K0 - WORST_PAIR_RTOL * abs(K0))]))
+    satisfied = worst is not None
+    return LyapunovCertificate(w0=w0, gamma0=float(grid[best]), K0=max(K0, K0_FLOOR) if satisfied else math.inf,
+                               satisfied=satisfied, worst_pair=worst, gamma_grid=grid, K0_by_gamma=tuple(k0s.tolist()))
 
 
 def doeblin_minorization(mcp: FiniteMCP, subset) -> DoeblinCertificate:
@@ -169,19 +160,18 @@ def doeblin_minorization(mcp: FiniteMCP, subset) -> DoeblinCertificate:
 
     mu_tilde(y) = min over x in subset and actions a of q(y | x, a);
     alpha is its total mass and mu the normalized measure.  alpha = 0 (rows
-    with disjoint support) comes back unsatisfied with mu = None.
+    with disjoint support) comes back unsatisfied with mu = None.  A subset
+    that is not distinct states in [0, n), or is empty, is a ``ValueError``.
     """
-    subset = np.asarray(subset, dtype=np.intp)
-    if subset.size == 0:
-        raise ValueError("subset must be nonempty")
-    row_idx = _subset_row_index(mcp, subset)
+    subset, row_idx = _read_subset(mcp, subset, "subset")
     mu_tilde = np.full(mcp.n_states, np.inf)
     for sl in row_blocks(len(row_idx), mcp.n_states):
         np.minimum(mu_tilde, mcp.rows.take(row_idx[sl]).min(axis=0), out=mu_tilde)
     alpha = float(mu_tilde.sum())
     if alpha <= 0.0:
         return DoeblinCertificate(subset=subset, alpha=0.0, mu=None, satisfied=False)
-    return DoeblinCertificate(subset=subset, alpha=alpha, mu=mu_tilde / alpha, satisfied=True)
+    # a kernel row can sum to 1 + ulp, but no common mass exceeds 1
+    return DoeblinCertificate(subset=subset, alpha=min(alpha, 1.0), mu=mu_tilde / alpha, satisfied=True)
 
 
 def local_doeblin(mcp: FiniteMCP, subset) -> DoeblinCertificate:
@@ -191,12 +181,11 @@ def local_doeblin(mcp: FiniteMCP, subset) -> DoeblinCertificate:
     tightest lambda_minus, lambda_plus with
     lambda_minus mu_C(y) <= q(y | x, a) <= lambda_plus mu_C(y) on C for all
     x in C and actions a.  lambda_minus = 0 (a row vanishing where mu_C
-    charges) is flagged as an absolute-continuity failure.
+    charges) is flagged as an absolute-continuity failure.  The subset is
+    read as by ``doeblin_minorization``.
     """
-    subset = np.asarray(subset, dtype=np.intp)
-    if subset.size == 0:
-        raise ValueError("subset must be nonempty")
-    block = mcp.rows.take(_subset_row_index(mcp, subset))[:, subset]
+    subset, row_idx = _read_subset(mcp, subset, "subset")
+    block = mcp.rows.take(row_idx)[:, subset]
     avg = block.mean(axis=0)
     total = avg.sum()
     if total <= 0.0:
@@ -233,19 +222,20 @@ def invariant_bound_K(
     kind = "entropic": K0 + log(2)/2 + log(lambda_plus / lambda_minus).
     kind = "shortfall": L K0 / (alpha l)  (utility slope bounds l, L).
     """
-    if K0 <= 0:
+    # every range check is written as "not good" so that a NaN fails it
+    if not K0 > 0:
         raise ValueError("K0 must be positive")
     if kind == "coherent":
-        if alpha is None or alpha <= 0:
-            raise ValueError("coherent bound needs alpha > 0")
+        if alpha is None or not 0 < alpha <= 1:
+            raise ValueError("coherent bound needs alpha in (0, 1]")
         return K0 / alpha
     if kind == "entropic":
-        if lambda_minus is None or lambda_plus is None or lambda_minus <= 0:
+        if lambda_minus is None or lambda_plus is None or not 0 < lambda_minus <= lambda_plus:
             raise ValueError("entropic bound needs lambda_plus >= lambda_minus > 0")
         return K0 + 0.5 * math.log(2.0) + math.log(lambda_plus / lambda_minus)
     if kind == "shortfall":
-        if alpha is None or alpha <= 0 or l is None or L is None or l <= 0:
-            raise ValueError("shortfall bound needs alpha > 0 and slopes 0 < l <= L")
+        if alpha is None or not 0 < alpha <= 1 or l is None or L is None or not 0 < l <= L:
+            raise ValueError("shortfall bound needs alpha in (0, 1] and slopes 0 < l <= L")
         return L * K0 / (alpha * l)
     raise ValueError(f"unknown invariant bound kind {kind!r}")
 
@@ -295,7 +285,8 @@ def contraction_certificate(
     With beta = alpha0 / K_bar the certificate weight is w_hat = 1 + beta w0
     and the contraction factor is alpha_bar = max(gamma1, gamma2) < 1, where
     gamma0 = gamma + 2 K_bar / R, gamma1 = (2 + beta R gamma0)/(2 + beta R),
-    gamma2 = max(1 - alpha + alpha0, gamma).
+    gamma2 = max(1 - alpha + alpha0, gamma).  w0 must be nonnegative, as in
+    ``fit_lyapunov``; this and every range check below is a ``ValueError``.
     """
     # every range check is written as "not good" so that a NaN fails it
     if not 0 < gamma < 1:
@@ -311,7 +302,7 @@ def contraction_certificate(
         alpha0 = alpha / 2.0
     if not 0 < alpha0 < alpha:
         raise ValueError("alpha0 must be in (0, alpha)")
-    w0 = np.asarray(w0, dtype=float)
+    w0 = lyapunov_weight(w0)
     beta = alpha0 / K_bar
     gamma0 = gamma + 2.0 * K_bar / R
     gamma1 = (2.0 + beta * R * gamma0) / (2.0 + beta * R)
@@ -359,19 +350,20 @@ def check_l2(
     minimum over the checked samples only, so it is an upper bound on the
     true minimum over the ball, and ``passed`` means that no sample
     violated the inequality.  K0 must be finite and positive, K finite
-    and nonnegative and n_samples nonnegative (``ValueError`` otherwise); an
+    and nonnegative, n_samples nonnegative, w0 finite and nonnegative and
+    B0 distinct state indices in [0, n) (``ValueError`` otherwise); an
     empty B0 passes with no samples.
     """
     if not (math.isfinite(K0) and K0 > 0 and math.isfinite(K) and K >= 0):
         raise ValueError(f"check_l2 needs finite K0 > 0 and K >= 0, got K0={K0}, K={K}")
     if n_samples < 0:
         raise ValueError(f"check_l2 needs n_samples >= 0, got {n_samples}")
-    w0 = np.asarray(w0, dtype=float)
-    B0 = np.asarray(B0, dtype=np.intp)
-    if B0.size == 0:
+    require_finite(np.atleast_2d(w0))  # named as the risk maps name it, before the sign rule
+    w0 = lyapunov_weight(w0)
+    if np.size(B0) == 0:
         return L2Certificate(passed=True, min_slack=math.inf, K0=K0, K=K, n_samples=0)
+    B0, row_idx = _read_subset(mcp, B0, "B0")
     rng = np.random.default_rng(seed)
-    row_idx = _subset_row_index(mcp, B0)
     rows = mcp.rows.take(row_idx)
     bound = w0 + K
     r_plus = risk_values(spec, bound, rows)
@@ -434,7 +426,7 @@ def entropic_envelope_minorization(mcp: FiniteMCP, subset, K: float, w: np.ndarr
     base = doeblin_minorization(mcp, subset)
     if not base.satisfied:
         return base
-    rows = mcp.rows.take(_subset_row_index(mcp, subset))
+    rows = mcp.rows.take(_read_subset(mcp, base.subset, "subset")[1])
     # log max_rows Q[e^{K w}] is K times the largest entropic value of w at
     # lam = K, and log mu_B[e^{-K w}] is -K times its entropic value at lam = -K
     log_num = log_denom = 0.0

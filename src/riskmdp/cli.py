@@ -30,6 +30,7 @@ from .certificates import (
     fit_lyapunov,
     invariant_bound_K,
     local_doeblin,
+    lyapunov_weight,
     map_minorization_factor,
 )
 from .mdp import NUMBERS, FiniteMCP, json_value, level_set, validate_mcp
@@ -47,6 +48,7 @@ from .models import (
 from .risk import RiskMapSpec
 from .solver import (
     SolveConfig,
+    check_measure,
     measure_contraction,
     poisson_residual,
     relative_value_iteration,
@@ -185,16 +187,12 @@ def _resolve_weight(wcfg, mcp: FiniteMCP, meta: dict, key: str) -> np.ndarray:
 
 
 def _state_set(scfg, mcp: FiniteMCP, meta: dict, key: str) -> np.ndarray:
-    """States named under ``key`` by "all", "interior", a list of distinct
-    indices or {"level": {"w0": weight, "radius": r}}; an empty set is an error."""
-    n = mcp.n_states
+    """States named under ``key`` by "all", "interior", a list of indices or
+    {"level": {"w0": weight, "radius": r}}; the routine that takes them checks them."""
     if isinstance(scfg, list):
-        index = json_value(scfg, [int], key)
-        if not all(0 <= x < n for x in index) or len(set(index)) < len(index):
-            raise ConfigError(f"state list {scfg} needs distinct indices in [0, {n})")
-        states = np.asarray(index, dtype=int)
+        states = np.asarray(json_value(scfg, [int], key), dtype=int)
     elif scfg == "all":
-        states = np.arange(n)
+        states = np.arange(mcp.n_states)
     elif scfg == "interior":
         if mcp.state_coords is None:
             raise ConfigError("interior states need state coordinates")
@@ -206,8 +204,6 @@ def _state_set(scfg, mcp: FiniteMCP, meta: dict, key: str) -> np.ndarray:
     else:
         raise ConfigError(f"cannot read state set {scfg!r}: want \"all\", \"interior\", "
                           "a list of state indices or {\"level\": ...}")
-    if states.size == 0:
-        raise ConfigError(f"state set {scfg!r} is empty")
     return states
 
 
@@ -276,9 +272,8 @@ def _lyapunov(entry, mcp, spec, meta, seed):
 
 
 def _doeblin(entry, mcp, spec, meta, seed):
-    sub = _state_set(entry["subset"], mcp, meta, "subset")
-    cert = doeblin_minorization(mcp, sub)
-    return cert.satisfied, {"alpha": cert.alpha, "subset_size": int(len(sub))}, None
+    cert = doeblin_minorization(mcp, _state_set(entry["subset"], mcp, meta, "subset"))
+    return cert.satisfied, {"alpha": cert.alpha, "subset_size": len(cert.subset)}, None
 
 
 def _local_doeblin(entry, mcp, spec, meta, seed):
@@ -327,7 +322,9 @@ def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
 
 
 def _contraction(entry, mcp, spec, meta, seed):
-    w0 = _resolve_weight(entry["w0"], mcp, meta, "w0")
+    # w0 and the measure table are checked here: the certificate's ValueError
+    # reads as unsatisfied, and measure_contraction runs only if it holds
+    w0 = lyapunov_weight(_resolve_weight(entry["w0"], mcp, meta, "w0"))
     params = {k: json_value(entry[k], float, k) for k in ("gamma", "K_bar", "alpha", "R")}
     if entry.get("alpha0") is not None:
         params["alpha0"] = json_value(entry["alpha0"], float, "alpha0")
@@ -338,11 +335,7 @@ def _contraction(entry, mcp, spec, meta, seed):
     radius = mcfg.get("ball_radius")
     measure = {"n_trials": json_value(mcfg.get("n_trials", 200), int, "n_trials"),
                "ball_radius": None if radius is None else json_value(radius, float, "ball_radius")}
-    # checked here, as measure_contraction runs only on a certificate that holds
-    if measure["n_trials"] < 1:
-        raise ValueError(f"n_trials must be at least 1, got {measure['n_trials']}")
-    if radius is not None and not 0 < measure["ball_radius"] < np.inf:
-        raise ValueError(f"ball_radius must be finite and > 0, got {measure['ball_radius']}")
+    check_measure(**measure)
     try:
         cert = contraction_certificate(**params, w0=w0)
     except ValueError as e:

@@ -67,6 +67,7 @@ __all__ = [
     "TraceRecord",
     "bellman_F",
     "bellman_T",
+    "check_measure",
     "finite_horizon_risk",
     "measure_contraction",
     "poisson_residual",
@@ -411,6 +412,14 @@ def _random_in_ball(n: int, rng: np.random.Generator, ball_radius: float | None)
     return v * (ball_radius * rng.uniform(0.0, 1.0) / s)
 
 
+def check_measure(n_trials: int, ball_radius: float | None) -> None:
+    """``ValueError`` unless n_trials >= 1 and ball_radius is None or finite and positive."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if ball_radius is not None and not (math.isfinite(ball_radius) and ball_radius > 0):
+        raise ValueError(f"ball_radius must be finite and > 0, got {ball_radius}")
+
+
 def measure_contraction(
     mcp: FiniteMCP,
     spec: RiskMapSpec,
@@ -432,13 +441,9 @@ def measure_contraction(
     are held (larger blocks left the process's heap larger and were no
     faster end to end).  Degenerate pairs (v = u) are skipped; when
     every pair is degenerate the ratios are NaN and ``n_pairs`` is 0.
-    ``n_trials`` below 1, or a ``ball_radius`` that is not finite and
-    positive, raises ``ValueError``.
+    The two settings go through ``check_measure``.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if ball_radius is not None and not (math.isfinite(ball_radius) and ball_radius > 0):
-        raise ValueError(f"ball_radius must be finite and > 0, got {ball_radius}")
+    check_measure(n_trials, ball_radius)
     rng = np.random.default_rng(seed)
     w_hat = np.asarray(w_hat, dtype=float)
     n, rows = mcp.n_states, mcp.rows

@@ -153,6 +153,45 @@ def test_fit_lyapunov_input_validation():
         fit_lyapunov(m, NEUTRAL, np.array([0.0, np.nan]))
 
 
+def test_fit_lyapunov_nan_cost_row_fails_the_fit():
+    # the NaN row's residual used to be skipped, and the fit came back satisfied
+    m = builtin_chain("random_seeded", n=4, m=2, seed=0)
+    cert = fit_lyapunov(m.with_cost(np.where(np.arange(len(m.stacked_cost)) == 3, np.nan, m.stacked_cost)),
+                        NEUTRAL, np.arange(4.0))
+    assert (cert.satisfied, cert.K0, cert.worst_pair) == (False, math.inf, None)
+    assert not np.any(np.isfinite(cert.K0_by_gamma))
+
+
+# --- state subsets ------------------------------------------------------------
+
+W4 = np.arange(4.0)
+SUBSET_READERS = {
+    "doeblin_minorization": (doeblin_minorization, "subset"),
+    "local_doeblin": (local_doeblin, "subset"),
+    "fit_lyapunov": (lambda m, s: fit_lyapunov(m, NEUTRAL, W4, states=s), "states"),
+    "check_l2": (lambda m, s: check_l2(m, NEUTRAL, W4, K0=1.0, K=1.0, B0=s, n_samples=20), "B0"),
+    "entropic_envelope_minorization": (lambda m, s: entropic_envelope_minorization(m, s, 1.0, W4), "subset"),
+}
+
+
+@pytest.mark.parametrize("subset", [[5], [4], [-1], [0, 2, 0], [1.5], [1.0], [True], [[0, 1]], 2],
+                         ids=["above", "n", "negative", "repeated", "fraction", "float", "bool", "2-d", "scalar"])
+@pytest.mark.parametrize("reader", list(SUBSET_READERS))
+def test_every_subset_reader_rejects_what_is_not_distinct_states(reader, subset):
+    # out of range, negative, repeated, non-integer and boolean subsets used
+    # to certify alpha = inf, read state 1 for 1.5, or fail deep inside numpy
+    call, name = SUBSET_READERS[reader]
+    with pytest.raises(ValueError, match=rf"^{name} must be nonempty distinct whole state indices in \[0, 4\), got "):
+        call(builtin_chain("random_seeded", n=4, m=2, seed=0), subset)
+
+
+@pytest.mark.parametrize("reader", [r for r in SUBSET_READERS if r != "check_l2"])
+def test_subset_readers_reject_an_empty_subset(reader):
+    call, name = SUBSET_READERS[reader]
+    with pytest.raises(ValueError, match=rf"^{name} must be nonempty"):
+        call(builtin_chain("random_seeded", n=4, m=2, seed=0), [])
+
+
 # --- minorization -------------------------------------------------------------
 
 
@@ -185,6 +224,16 @@ def test_doeblin_disjoint_support_unsatisfied():
     assert not cert.satisfied
     assert cert.alpha == 0.0
     assert cert.mu is None
+
+
+def test_doeblin_mass_of_a_row_that_sums_above_one_is_one():
+    # this row sums to 1 + 2.2e-16 in floating point; a mass above 1 would
+    # make the coherent ball radius a ValueError
+    m = builtin_chain("random_seeded", n=5, m=1, seed=196)
+    assert m.stacked_transition[3].sum() > 1.0
+    cert = doeblin_minorization(m, [3])
+    assert cert.alpha == 1.0 and cert.mu.sum() == pytest.approx(1.0, abs=1e-15)
+    assert invariant_bound_K("coherent", K0=1.0, alpha=cert.alpha) == 1.0
 
 
 def test_doeblin_empty_subset_rejected():
@@ -237,16 +286,26 @@ def test_invariant_bound_hand_values():
 
 
 def test_invariant_bound_validation():
-    with pytest.raises(ValueError):
-        invariant_bound_K("coherent", K0=0.0, alpha=0.5)
-    with pytest.raises(ValueError):
-        invariant_bound_K("coherent", K0=1.0, alpha=0.0)
-    with pytest.raises(ValueError):
-        invariant_bound_K("entropic", K0=1.0, lambda_minus=0.0, lambda_plus=1.0)
-    with pytest.raises(ValueError):
-        invariant_bound_K("shortfall", K0=1.0, alpha=0.5, l=0.0, L=1.0)
-    with pytest.raises(ValueError):
-        invariant_bound_K("total_variation", K0=1.0, alpha=0.5)
+    for kind, args, words in [
+        ("coherent", {"K0": 0.0, "alpha": 0.5}, "K0 must be positive"),
+        ("coherent", {"alpha": 0.0}, r"alpha in \(0, 1\]"),
+        ("entropic", {"lambda_minus": 0.0, "lambda_plus": 1.0}, "lambda_plus >= lambda_minus > 0"),
+        ("shortfall", {"alpha": 0.5, "l": 0.0, "L": 1.0}, "slopes 0 < l <= L"),
+        ("total_variation", {"alpha": 0.5}, "unknown invariant bound kind"),
+        # each case below used to return a number its message rules out:
+        # 0.653 below K0, NaN, or a radius from a mass above 1
+        ("entropic", {"lambda_minus": 2.0, "lambda_plus": 1.0}, "lambda_plus >= lambda_minus > 0"),
+        ("entropic", {"lambda_minus": math.nan, "lambda_plus": 1.0}, "lambda_plus >= lambda_minus > 0"),
+        ("entropic", {"lambda_minus": 0.5, "lambda_plus": math.nan}, "lambda_plus >= lambda_minus > 0"),
+        ("coherent", {"alpha": math.nan}, r"alpha in \(0, 1\]"),
+        ("coherent", {"alpha": 1.5}, r"alpha in \(0, 1\]"),
+        ("coherent", {"K0": math.nan, "alpha": 0.5}, "K0 must be positive"),
+        ("shortfall", {"alpha": 0.5, "l": 2.0, "L": 1.0}, "slopes 0 < l <= L"),
+        ("shortfall", {"alpha": 0.5, "l": math.nan, "L": 1.0}, "slopes 0 < l <= L"),
+        ("shortfall", {"alpha": math.nan, "l": 0.5, "L": 1.0}, r"alpha in \(0, 1\]"),
+    ]:
+        with pytest.raises(ValueError, match=words):
+            invariant_bound_K(kind, **{"K0": 1.0, **args})
 
 
 def test_map_minorization_factor_values():
@@ -338,6 +397,13 @@ def test_contraction_limits_stay_inside_unit_interval():
     assert cert.alpha_bar < 1.0
     assert cert.alpha_bar == pytest.approx(0.501)
     assert cert.gamma1 == pytest.approx(cert.gamma0, abs=1e-5)
+
+
+@pytest.mark.parametrize("w0", [[-5.0, 0.0], [0.0, math.nan]])
+def test_contraction_rejects_a_weight_that_is_not_nonnegative(w0):
+    # a negative w0 used to give a certificate weight w_hat below 1
+    with pytest.raises(ValueError, match="w0 must be nonnegative"):
+        contraction_certificate(gamma=0.5, K_bar=1.0, alpha=0.5, R=5.0, w0=w0)
 
 
 def test_contraction_parameter_validation():
@@ -443,6 +509,15 @@ def test_check_l2_rejects_a_negative_sample_count():
     for B0 in ([0, 1, 2, 3], []):
         with pytest.raises(ValueError, match="n_samples >= 0, got -3"):
             check_l2(m, NEUTRAL, np.zeros(4), K0=1.0, K=1.0, B0=B0, n_samples=-3)
+
+
+@pytest.mark.parametrize("w0", [-1.0, [0.0, -1.0, 0.0, 0.0]])
+def test_check_l2_rejects_a_negative_weight(w0):
+    # it used to sample the ball of the negative weight and fail the check
+    m = builtin_chain("random_seeded", n=4, m=2, seed=0)
+    for B0 in ([0, 1], []):
+        with pytest.raises(ValueError, match="w0 must be nonnegative, got -1.0 at state"):
+            check_l2(m, NEUTRAL, w0, K0=1.0, K=1.0, B0=B0, n_samples=20)
 
 
 def test_check_l2_empty_subset_vacuous():

@@ -805,6 +805,10 @@ def test_verify_contraction_with_measurement(tmp_path):
     # alpha0 = alpha leaves the certificate unsatisfied, and its measure table is still read
     ({**CONTRACTION, "alpha0": 0.5, "measure": {"n_trials": 0}}, "n_trials must be at least 1, got 0"),
     ({**CONTRACTION, "alpha0": 0.5, "measure": {"ball_radius": -1.0}}, "ball_radius must be finite and > 0, got -1.0"),
+    # a negative w0 used to pass unmeasured, and fail measured only by the seminorm's own check
+    ({**CONTRACTION, "w0": [-5.0, 0.0, 0.0, 0.0]}, "w0 must be nonnegative, got -5.0 at state 0"),
+    ({**CONTRACTION, "w0": [-5.0, 0.0, 0.0, 0.0], "measure": {"n_trials": 20}},
+     "w0 must be nonnegative, got -5.0 at state 0"),
 ])
 def test_certificate_constants_that_cannot_be_checked_are_exit_2(tmp_path, capsys, entry, words):
     cfg = {"model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 1}},
