@@ -100,12 +100,15 @@ def _read_subset(mcp: FiniteMCP, states, name: str) -> tuple[np.ndarray, np.ndar
     return arr, np.flatnonzero(member[mcp.row_state])
 
 
-def lyapunov_weight(w0) -> np.ndarray:
-    """w0 as a float array; ``ValueError`` unless it is nonnegative (inf passes, NaN fails)."""
+def lyapunov_weight(w0, finite: bool = False) -> np.ndarray:
+    """w0 as a float array; ``ValueError`` unless nonnegative (NaN fails) and, if ``finite``, finite."""
     w0 = np.asarray(w0, dtype=float)
     if not np.all(w0 >= 0):  # written so that a NaN fails too
         k = int(np.argmin(w0 >= 0))
         raise ValueError(f"w0 must be nonnegative, got {w0.flat[k]} at state {k}")
+    if finite and not np.all(np.isfinite(w0)):
+        k = int(np.argmin(np.isfinite(w0)))
+        raise ValueError(f"w0 must be finite, got {w0.flat[k]} at state {k}")
     return w0
 
 
@@ -286,7 +289,8 @@ def contraction_certificate(
     and the contraction factor is alpha_bar = max(gamma1, gamma2) < 1, where
     gamma0 = gamma + 2 K_bar / R, gamma1 = (2 + beta R gamma0)/(2 + beta R),
     gamma2 = max(1 - alpha + alpha0, gamma).  w0 must be nonnegative, as in
-    ``fit_lyapunov``; this and every range check below is a ``ValueError``.
+    ``fit_lyapunov``, and finite, as w_hat is; this and every range check
+    below is a ``ValueError``.
     """
     # every range check is written as "not good" so that a NaN fails it
     if not 0 < gamma < 1:
@@ -302,7 +306,7 @@ def contraction_certificate(
         alpha0 = alpha / 2.0
     if not 0 < alpha0 < alpha:
         raise ValueError("alpha0 must be in (0, alpha)")
-    w0 = lyapunov_weight(w0)
+    w0 = lyapunov_weight(w0, finite=True)
     beta = alpha0 / K_bar
     gamma0 = gamma + 2.0 * K_bar / R
     gamma1 = (2.0 + beta * R * gamma0) / (2.0 + beta * R)

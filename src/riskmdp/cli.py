@@ -324,7 +324,7 @@ def _invariant_K(rule: str, mcp, spec, K0: float, B0) -> float:
 def _contraction(entry, mcp, spec, meta, seed):
     # w0 and the measure table are checked here: the certificate's ValueError
     # reads as unsatisfied, and measure_contraction runs only if it holds
-    w0 = lyapunov_weight(_resolve_weight(entry["w0"], mcp, meta, "w0"))
+    w0 = lyapunov_weight(_resolve_weight(entry["w0"], mcp, meta, "w0"), finite=True)
     params = {k: json_value(entry[k], float, k) for k in ("gamma", "K_bar", "alpha", "R")}
     if entry.get("alpha0") is not None:
         params["alpha0"] = json_value(entry["alpha0"], float, "alpha0")

@@ -181,11 +181,16 @@ class FactoredRows:
 
     ``product`` contracts a stack of vectors with each action's factors,
     one matrix product per axis, and never forms a whole row: n sum(p_d)
-    multiply-adds per vector and action in place of n^2.  ``dots``
-    contracts each row's own vector with its per-axis rows, or reads a row
-    they share from ``product``, and ``entries`` multiplies one factor
-    entry per axis, so neither forms a row.  ``take`` writes the rows asked
-    for and keeps none of them.  The interface is that of :class:`DenseRows`.
+    multiply-adds per vector and action in place of n^2, with no transpose:
+    axis d < D - 1 is one ``np.matmul`` of ``factors[d][a]`` with a
+    (vectors x leading nodes, p_d, trailing nodes) view, the last axis one
+    2-d product written into the action's columns of the result.
+    ``entries`` multiplies, first axis first, one flat ``take`` of factor
+    entries per axis, indexed by a node table written on first use.
+    ``dots`` contracts each row's own vector with its per-axis rows, or
+    reads a row they share from ``product``; neither forms a row.  ``take``
+    writes the rows asked for and keeps none of them.  The interface is
+    that of :class:`DenseRows`.
     """
 
     layout = "factored"
@@ -206,7 +211,11 @@ class FactoredRows:
         """The rows ``idx`` (a slice or indices) as their actions and their
         states' node index per axis."""
         x, a = np.divmod(_indices(idx, len(self)), len(self.factors[0]))
-        return a, np.unravel_index(x, self.widths)
+        return a, tuple(self._nodes.take(x, axis=1))
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:  # (D, n): each state's node index on each axis
+        return _read_only(np.array(np.unravel_index(np.arange(self.shape[1]), self.widths)))
 
     def take(self, idx) -> np.ndarray:
         """The rows ``idx`` written by :func:`outer_rows`."""
@@ -218,8 +227,9 @@ class FactoredRows:
         nodes of state ``cols[.., i]``, multiplied first axis first."""
         a, nodes = self.coords(idx)
         out = None
-        for f, i, j in zip(self.factors, nodes, np.unravel_index(cols, self.widths)):
-            e = f[a, i, j]
+        for f, i, node in zip(self.factors, nodes, self._nodes):
+            p = f.shape[1]
+            e = f.reshape(-1).take((a * p + i) * p + node.take(cols))  # f[a, i, node[cols]]
             out = e if out is None else np.multiply(out, e, out=out)
         return out
 
@@ -245,10 +255,13 @@ class FactoredRows:
         # each contraction's temporaries hold n entries per vector
         for vb in row_blocks(len(W), self.shape[1]):
             for a in range(k):
-                T = W[vb].reshape(-1, *self.widths)
-                for f in self.factors:  # (s, p_d .. p_D, p_1 .. p_d-1) -> (s, p_d+1 .. p_D, p_1 .. p_d)
-                    T = np.tensordot(T, f[a], axes=(1, 1))
-                out[vb, a::k] = T.reshape(len(T), -1)
+                T = W[vb]
+                for d, f in enumerate(self.factors[:-1]):
+                    T = np.matmul(f[a], T.reshape(-1, f.shape[1], math.prod(self.widths[d + 1:])))
+                f = self.factors[-1][a]
+                target = out[vb, a::k]
+                target.shape = (-1, len(f))  # a view: assigning .shape raises where reshape would copy
+                np.matmul(T.reshape(-1, len(f)), f.T, out=target)
         return out
 
 

@@ -342,12 +342,31 @@ def relative_value_iteration(
 
 def _anderson_step(history: deque[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """g_k - dG gamma with gamma = argmin ||f_k - dF gamma||_2, anchored at
-    the reference state (where every g is 0); g_k if that is not finite."""
-    gs, fs = (np.stack(x, axis=1) for x in zip(*history))
-    g = gs[:, -1]
-    gamma = np.linalg.lstsq(np.diff(fs, axis=1), fs[:, -1], rcond=None)[0]
-    v = g - np.diff(gs, axis=1) @ gamma
-    return v if np.all(np.isfinite(v)) else g
+    the reference state (where every g is 0); g_k if that is not finite or
+    the squares overflow.  Modified Gram-Schmidt on dF's k <= 7 columns and
+    f_k gives dF = Q R and Q^T f_k; gamma is lstsq's min-norm solution of
+    R gamma = Q^T f_k at dF's cutoff eps max(n, k): numpy.linalg sees k x k
+    arrays only, never a tall one, whose LAPACK calls wake BLAS threads."""
+    gs, fs = zip(*history)
+    k, n = len(fs) - 1, len(fs[0])
+    Q, R = np.empty((k + 1, n)), np.zeros((k + 1, k + 1))  # dF's columns and f_k, orthonormalized in place
+    for j in range(k):
+        np.subtract(fs[j + 1], fs[j], out=Q[j])
+    Q[k] = fs[k]
+    for j in range(k + 1):
+        for i in range(j):
+            R[i, j] = Q[i] @ Q[j]
+            Q[j] -= R[i, j] * Q[i]
+        R[j, j] = math.sqrt(Q[j] @ Q[j])
+        if R[j, j] > 0:
+            Q[j] /= R[j, j]
+    if not np.isfinite(R).all():
+        return gs[k]
+    gamma = np.linalg.lstsq(R[:k, :k], R[:k, k], rcond=np.finfo(float).eps * max(n, k))[0]
+    for j in range(k):  # now dG's columns
+        np.subtract(gs[j + 1], gs[j], out=Q[j])
+    v = gs[k] - np.einsum("j,jy->y", gamma, Q[:k])  # never threaded; a BLAS gemv is at n ~ 2e5
+    return v if np.all(np.isfinite(v)) else gs[k]
 
 
 def poisson_residual(mcp: FiniteMCP, spec: RiskMapSpec, rho: float, h: np.ndarray) -> float:

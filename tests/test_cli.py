@@ -809,6 +809,10 @@ def test_verify_contraction_with_measurement(tmp_path):
     ({**CONTRACTION, "w0": [-5.0, 0.0, 0.0, 0.0]}, "w0 must be nonnegative, got -5.0 at state 0"),
     ({**CONTRACTION, "w0": [-5.0, 0.0, 0.0, 0.0], "measure": {"n_trials": 20}},
      "w0 must be nonnegative, got -5.0 at state 0"),
+    # an infinite w0 used to pass unmeasured with an infinite certificate weight
+    ({**CONTRACTION, "w0": [float("inf"), 0.0, 0.0, 0.0]}, "w0 must be finite, got inf at state 0"),
+    ({**CONTRACTION, "w0": [float("inf"), 0.0, 0.0, 0.0], "measure": {"n_trials": 20}},
+     "w0 must be finite, got inf at state 0"),
 ])
 def test_certificate_constants_that_cannot_be_checked_are_exit_2(tmp_path, capsys, entry, words):
     cfg = {"model": {"builtin": "random_seeded", "params": {"n": 4, "m": 2, "seed": 1}},

@@ -282,6 +282,31 @@ def test_entries_are_the_masses_of_the_rows_taken(widths):
         assert np.array_equal(got, factored.take(idx)[np.arange(len(Q)), cols])
 
 
+def test_factored_rows_of_three_unequal_axes_read_as_their_dense_rows():
+    # 3 x 4 x 5 states, 3 actions: the product within 1e-14 of each entry's
+    # sum of absolute terms, in one block of vectors and across two; the
+    # entries the product of one flat gather per axis, first axis first
+    rng = np.random.default_rng(60)
+    factored = kron_store(rng, 3, (3, 4, 5))
+    assert "_nodes" not in vars(factored)  # the node table is written on first use
+    dense = DenseRows(kron_rows(factored))
+    n = factored.shape[1]
+    for S in (1, BLOCK_ELEMENTS // n + 3):
+        W = rng.normal(0.0, 5.0, size=(S, n))
+        got = factored.product(W)
+        assert got.shape == (S, len(factored))
+        assert np.all(np.abs(got - dense.product(W)) <= 1e-14 * (np.abs(W) @ dense.dense.T))
+    idx = np.array([0, 179, 5, 5, 93])
+    cols = rng.integers(0, n, size=(4, 2, len(idx)))
+    x, a = np.divmod(idx, 3)
+    want = functools.reduce(np.multiply, [f[a, i, j] for f, i, j in
+                                          zip(factored.factors, np.unravel_index(x, (3, 4, 5)),
+                                              np.unravel_index(cols, (3, 4, 5)))])
+    got = factored.entries(idx, cols)
+    assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, dense.entries(idx, cols), rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def test_a_store_of_the_wrong_shape_is_rejected():
     with pytest.raises(ValueError, match=r"stacked transition shape \(12, 6\), want \(6, 6\)"):
         factored_chain(kron_store(np.random.default_rng(0), 2, (2, 3)), n_actions=1)

@@ -828,6 +828,14 @@ def test_shortfall_rows_on_both_sides_of_each_row_block_edge_agree_with_rows_alo
     assert np.max(np.abs(got - alone)) <= 1e-14 * np.max(np.abs(v))
 
 
+@pytest.mark.parametrize("shape", [(14, 5, 402), (41, 1, 1722), (1, 3, 7), (6, 1, 1), (9, 4, 1), (0, 2, 3)])
+def test_running_sums_are_cumsum_bit_for_bit(shape):
+    # the refine's running sums over chunk positions, slab by slab
+    W = np.random.default_rng(sum(shape)).uniform(0.0, 1e-3, size=shape) ** 3
+    got = risk._running_sums(W)
+    assert got.shape == W.shape and np.array_equal(got, np.cumsum(W, axis=0))
+
+
 def test_shortfall_of_one_long_row_allocates_a_few_arrays_of_its_kinks():
     # one row is one chunk, so no (n, chunks) matrix grows with the law
     n = 100_000

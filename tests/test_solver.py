@@ -22,7 +22,7 @@ from riskmdp.solver import (
     poisson_residual,
     relative_value_iteration,
 )
-from riskmdp.solver import _random_in_ball, _random_policy
+from riskmdp.solver import _anderson_step, _random_in_ball, _random_policy
 
 try:
     from hypothesis import given, settings
@@ -897,3 +897,67 @@ def test_a_factored_band_solve_holds_no_dense_stack():
     finally:
         tracemalloc.stop()
     assert res.converged and peak < 8 * 2**20, peak
+
+
+def lstsq_step(history):
+    """The Anderson step through numpy's least squares on the (n, k) difference matrix."""
+    gs, fs = (np.stack(x, axis=1) for x in zip(*history))
+    gamma = np.linalg.lstsq(np.diff(fs, axis=1), fs[:, -1], rcond=None)[0]
+    return gs[:, -1] - np.diff(gs, axis=1) @ gamma
+
+
+@pytest.mark.parametrize("n", [3, 50, 1681])
+@pytest.mark.parametrize("pairs", [2, 3, 5, 8])
+def test_anderson_step_is_the_least_squares_step(n, pairs):
+    # residuals that shrink as an iteration's do; at n = 3 the k = pairs - 1
+    # differences outnumber the states, and both steps are min-norm
+    rng = np.random.default_rng(100 * n + pairs)
+    history = collections.deque(maxlen=8)
+    base = rng.normal(size=n)
+    for i in range(pairs):
+        history.append((base + rng.normal(size=n) * 0.5**i, rng.normal(size=n) * 0.5**i))
+    want = lstsq_step(history)
+    assert np.abs(_anderson_step(history) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_anderson_step_with_a_repeated_residual_is_the_min_norm_step():
+    rng = np.random.default_rng(7)
+    g = [rng.normal(size=20) for _ in range(4)]
+    f = [rng.normal(size=20) for _ in range(3)]
+    history = collections.deque([(g[0], f[0]), (g[1], f[1]), (g[2], f[1]), (g[3], f[2])])  # dF's second column is 0
+    got, want = _anderson_step(history), lstsq_step(history)
+    assert np.all(np.isfinite(got)) and np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    same = collections.deque([(g[0], f[0]), (g[1], f[0])])  # no difference at all: the plain step
+    assert np.array_equal(_anderson_step(same), g[1])
+
+
+def test_anderson_step_that_is_not_finite_is_the_plain_step():
+    eps = np.finfo(float).eps
+    g1 = np.array([0.0, 1e300, 0.0])
+    # gamma = (1 + eps) / eps extrapolates along dG = g1 past the float range
+    history = collections.deque([(np.zeros(3), np.array([1.0, 0.0, 0.0])), (g1, np.array([1.0 + eps, 0.0, 0.0]))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(lstsq_step(history)))
+        got = _anderson_step(history)
+    assert np.array_equal(got, g1)
+    huge = collections.deque([(np.zeros(3), np.full(3, 1e200)), (g1, np.array([3e200, 0.0, 1e200]))])
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past the float range
+        assert np.array_equal(_anderson_step(huge), g1)
+
+
+def test_anderson_step_passes_numpy_linalg_no_array_with_a_row_per_state(monkeypatch):
+    n = 1681
+    seen = []
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                seen.append(_name)
+                for a in (*args, *kwargs.values()):
+                    assert not (isinstance(a, np.ndarray) and a.ndim and len(a) == n), (_name, np.shape(a))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(3)
+    history = collections.deque((rng.normal(size=n), rng.normal(size=n)) for _ in range(8))
+    _anderson_step(history)
+    assert seen == ["lstsq"]
